@@ -1,12 +1,10 @@
-"""Configuration-interaction vectors, Hamiltonians, and orbital rotations.
+"""Configuration-interaction vectors, orbital rotations, Hamiltonians, and solves.
 
 Hamiltonians are assembled dense over a :class:`~fermipin.fock.ConfigurationSpace`
 using the Slater-Condon rules with antisymmetrized spin-orbital integrals.
-Phases follow the package convention: acting on orbital ``p`` of a bitmask
-costs ``(-1) ** (occupied orbitals below p)``.  Matrix elements are pure
-functions of the determinant pair, so assembly could be parallelized across
-rows without changing a single bit of the result; at the space sizes the
-dense solver accepts, the serial loop is already cheap.
+The connected determinant pairs and their phases come from
+:func:`fermipin.fock.excitations`; this module only turns each substitution
+into its integral sum.
 
 The solver is plain ``numpy.linalg.eigh`` on the full matrix — no iterative
 or sparse machinery — which caps usable spaces at a few thousand
@@ -16,7 +14,7 @@ determinants and makes every eigenvalue available for degeneracy checks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,11 +22,10 @@ from .errors import (
     FermipinError,
     NormalizationError,
     RotationError,
-    SectorError,
     SpaceTooLargeError,
     WidthError,
 )
-from .fock import ConfigurationSpace, Determinant, Spin, SpinOrbitalLayout, enumerate_space
+from .fock import ConfigurationSpace, Determinant, Spin, SpinOrbitalLayout, excitations
 from .integrals import SpinOrbitalIntegrals
 
 MAX_DENSE_SPACE = 20000
@@ -115,39 +112,6 @@ class OrbitalRotation:
         return SpinOrbitalLayout(tuple(self.row_spins), tuple(spatial))
 
 
-def _ann(mask: int, p: int) -> tuple[int, int]:
-    bit = 1 << (p - 1)
-    phase = -1 if (mask & (bit - 1)).bit_count() % 2 else 1
-    return mask ^ bit, phase
-
-
-def _cre(mask: int, p: int) -> tuple[int, int]:
-    bit = 1 << (p - 1)
-    phase = -1 if (mask & (bit - 1)).bit_count() % 2 else 1
-    return mask | bit, phase
-
-
-def _single_element(ints, ket_mask: int, p: int, q: int, common: tuple[int, ...]) -> float:
-    """<K| H |L> when K = L with q replaced by p."""
-    k1, ph1 = _ann(ket_mask, q)
-    _, ph2 = _cre(k1, p)
-    value = ints.h[p - 1, q - 1]
-    for i in common:
-        value += ints.g[p - 1, i - 1, q - 1, i - 1]
-    return ph1 * ph2 * value
-
-
-def _double_element(ints, ket_mask: int, ps: tuple[int, int], qs: tuple[int, int]) -> float:
-    """<K| H |L> when K and L differ by the pair substitution qs -> ps."""
-    p1, p2 = ps
-    q1, q2 = qs
-    k1, ph1 = _ann(ket_mask, q1)
-    k2, ph2 = _ann(k1, q2)
-    k3, ph3 = _cre(k2, p2)
-    _, ph4 = _cre(k3, p1)
-    return ph1 * ph2 * ph3 * ph4 * ints.g[p1 - 1, p2 - 1, q1 - 1, q2 - 1]
-
-
 def _diagonal_element(ints, orbitals: tuple[int, ...]) -> float:
     value = ints.core_energy
     for p in orbitals:
@@ -162,29 +126,20 @@ def build_hamiltonian(ints: SpinOrbitalIntegrals, space: ConfigurationSpace) -> 
     """The dense, exactly symmetric Hamiltonian matrix over ``space``."""
     if ints.m != space.m:
         raise WidthError("integral width does not match the space")
-    n = len(space)
     orbs = [det.orbitals() for det in space]
-    masks = [det.mask for det in space]
-
-    H = np.zeros((n, n))
-    for i in range(n):
-        H[i, i] = _diagonal_element(ints, orbs[i])
-        for j in range(i + 1, n):
-            diff = masks[i] ^ masks[j]
-            degree = diff.bit_count() // 2
-            if degree > 2:
-                continue
-            ket = masks[j]
-            only_i = sorted(p + 1 for p in range(space.m) if diff >> p & 1 and masks[i] >> p & 1)
-            only_j = sorted(p + 1 for p in range(space.m) if diff >> p & 1 and ket >> p & 1)
-            if degree == 1:
-                common = tuple(
-                    p + 1 for p in range(space.m) if (masks[i] & ket) >> p & 1
-                )
-                value = _single_element(ints, ket, only_i[0], only_j[0], common)
-            else:
-                value = _double_element(ints, ket, tuple(only_i), tuple(only_j))
-            H[i, j] = H[j, i] = value
+    H = np.zeros((len(space), len(space)))
+    for i, orbitals in enumerate(orbs):
+        H[i, i] = _diagonal_element(ints, orbitals)
+    for i, j, ps, qs, sign in excitations(space, 2):
+        if len(ps) == 1:
+            p, q = ps[0], qs[0]
+            value = ints.h[p - 1, q - 1]
+            for c in orbs[j]:  # the shared orbitals: all of K_j's but q
+                if c != q:
+                    value += ints.g[p - 1, c - 1, q - 1, c - 1]
+        else:
+            value = ints.g[ps[0] - 1, ps[1] - 1, qs[0] - 1, qs[1] - 1]
+        H[i, j] = H[j, i] = sign * value
     return H
 
 
@@ -232,60 +187,3 @@ def solve_ground(
             )
         )
     return states
-
-
-def rotate_ci(vector: CIVector, rotation: OrbitalRotation) -> CIVector:
-    """Re-express ``vector`` in the rotated orbital basis.
-
-    The coefficient of a target determinant ``K`` is
-    ``sum_L det(U[K, L]) c_L`` — the determinant of the rotation submatrix
-    with rows picked by ``K`` and columns by ``L``.  Sector-restricted
-    vectors only admit spin-blocked rotations, which keep the sector intact;
-    anything else would scatter amplitude onto determinants outside the
-    space.
-    """
-    space = vector.space
-    if rotation.m != space.m:
-        raise WidthError("rotation width does not match the space")
-
-    if rotation.spin_blocked:
-        new_layout = rotation.rotated_layout()
-        if space.layout is not None:
-            for p in range(space.m):
-                for q in range(space.m):
-                    if rotation.row_spins[p] != space.layout.spin_of[q] and (
-                        abs(rotation.U[p, q]) > ORTHOGONALITY_TOL
-                    ):
-                        raise RotationError(
-                            "rotation mixes spins despite its spin-blocked promise"
-                        )
-    elif space.sector is not None:
-        raise SectorError("sector-restricted vectors need a spin-blocked rotation")
-    else:
-        new_layout = None  # a general rotation erases definite spins
-
-    if space.sector is not None:
-        out_space = enumerate_space(space.N, space.m, new_layout, space.sector)
-    else:
-        out_space = ConfigurationSpace(space.N, space.m, space.dets, new_layout, None)
-
-    rows = [np.array(det.orbitals()) - 1 for det in out_space]
-    cols = [np.array(det.orbitals()) - 1 for det in space]
-    blocks = np.empty((len(out_space), len(space), space.N, space.N))
-    for a, r in enumerate(rows):
-        sub = rotation.U[r, :]
-        for b, c in enumerate(cols):
-            blocks[a, b] = sub[:, c]
-    overlap = np.linalg.det(blocks)
-    new_coeffs = overlap @ vector.coeffs
-
-    norm = float(np.linalg.norm(new_coeffs))
-    if abs(norm - vector.norm) > 1e-8:
-        raise RotationError(
-            f"rotation leaks amplitude out of the space (norm {vector.norm!r} -> {norm!r})"
-        )
-    if norm > 0.0:
-        new_coeffs *= vector.norm / norm
-
-    return CIVector(out_space, new_coeffs, energy=vector.energy,
-                    degenerate=vector.degenerate)

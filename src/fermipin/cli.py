@@ -14,26 +14,25 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .ci import CIVector, solve_ground
+from .ci import MAX_DENSE_SPACE, CIVector, solve_ground
 from .errors import (
     FermipinError,
     NoSurvivorsError,
     RepresentabilityError,
+    SpaceTooLargeError,
     SpectralRangeError,
 )
-from .fock import Determinant, census, enumerate_space, interleaved_layout
+from .fock import Determinant, census, enumerate_space, interleaved_layout, space_size
 from .gpc import (
     DEFAULT_TIERS,
     Catalog,
     GPConstraint,
     PinningReport,
     catalog,
-    classify_tier,
     evaluate,
     load_catalog_file,
 )
@@ -44,71 +43,18 @@ from .integrals import (
     pairing_model,
     to_spin_orbitals,
 )
-from .rdm import OccupationSpectrum, hf_distance, natural_spectrum, one_rdm
-from .selection import SECTOR_PRESETS, filter_pinned, pinned_census, pinned_solve
+from .rdm import OccupationSpectrum, natural_spectrum, one_rdm
+from .selection import SECTOR_PRESETS, filter_pinned, pinned_solve
 
 LEADING_COEFFICIENTS = 8
 DEGREE_NAMES = {0: "reference", 1: "singles", 2: "doubles", 3: "triples"}
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, resolved from the parsed flags."""
-
-    command: str
-    format: str = "table"
-    output: str | None = None
-    tiers: tuple[float, float, float] = DEFAULT_TIERS
-    catalog_files: tuple[str, ...] = ()
-    seed: int = 0
-
-    model: str | None = None
-    sites: int = 2
-    t: float = 1.0
-    U: float = 0.0
-    periodic: bool = False
-    levels: int = 2
-    spacing: float = 1.0
-    G: float = 0.0
-    ordering: str = "interleaved"
-
-    N: int | None = None
-    sz: int | None = None
-    rank: int | None = None
-    m: int | None = None
-    preset: str | None = None
-
-    mu: tuple[int, ...] = ()
-    auto: bool = False
-    with_equalities: bool = False
-    max_iterations: int = 100
-    occupation_tol: float = 1e-10
-
-    scan: str | None = None
-    files: tuple[str, ...] = ()
-    occupations: tuple[float, ...] | None = None
-    random: int | None = None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> RunConfig:
-        values = {k: v for k, v in vars(args).items() if v is not None}
-        mu = values.pop("mu", None)
-        cfg = cls(**values)
-        if mu is not None:
-            if mu.strip() == "auto":
-                cfg.auto = True
-            else:
-                cfg.mu = tuple(int(part) for part in mu.split(","))
-        if cfg.command == "scan" and "format" not in values:
-            cfg.format = "csv"
-        return cfg
 
 
 # ---------------------------------------------------------------------------
 # model and catalog resolution
 
 
-def _resolve_model(cfg: RunConfig, **overrides) -> tuple[SpinOrbitalIntegrals, str]:
+def _resolve_model(cfg: argparse.Namespace, **overrides) -> tuple[SpinOrbitalIntegrals, str]:
     """Build spin-orbital integrals for the configured model."""
     if cfg.model is None:
         raise ValueError("this command needs --model")
@@ -134,13 +80,18 @@ def _resolve_model(cfg: RunConfig, **overrides) -> tuple[SpinOrbitalIntegrals, s
     return so, name
 
 
-def _resolve_space(cfg: RunConfig, ints: SpinOrbitalIntegrals):
+def _resolve_space(cfg: argparse.Namespace, ints: SpinOrbitalIntegrals):
     if cfg.N is None:
         raise ValueError("this command needs --N (electron count)")
+    size = space_size(cfg.N, ints.m, ints.layout, cfg.sz)
+    if size > MAX_DENSE_SPACE:
+        raise SpaceTooLargeError(
+            f"{size} determinants exceed the dense budget of {MAX_DENSE_SPACE}"
+        )
     return enumerate_space(cfg.N, ints.m, ints.layout, cfg.sz)
 
 
-def _resolve_catalog(cfg: RunConfig, N: int, m: int) -> Catalog:
+def _resolve_catalog(cfg: argparse.Namespace, N: int, m: int) -> Catalog:
     merged: Catalog | None = None
     try:
         merged = catalog(N, m)
@@ -161,10 +112,10 @@ def _resolve_catalog(cfg: RunConfig, N: int, m: int) -> Catalog:
 
 
 def _chosen_constraints(
-    cfg: RunConfig, cat: Catalog, spectrum: OccupationSpectrum | None
+    cfg: argparse.Namespace, cat: Catalog, spectrum: OccupationSpectrum | None
 ) -> tuple[GPConstraint, ...]:
-    """Resolve --mu/--with-equalities/auto into concrete constraints."""
-    if cfg.auto:
+    """Resolve --mu/--with-equalities into concrete constraints."""
+    if cfg.mu == "auto":
         if spectrum is None:
             raise ValueError("auto constraint selection needs a solved spectrum")
         chosen = list(cat.equalities)
@@ -196,7 +147,7 @@ def _report_payload(report: PinningReport) -> dict:
 # commands (each returns the JSON payload)
 
 
-def cmd_solve(cfg: RunConfig) -> dict:
+def cmd_solve(cfg: argparse.Namespace) -> dict:
     ints, name = _resolve_model(cfg)
     space = _resolve_space(cfg, ints)
     state = solve_ground(ints, space)[0]
@@ -218,7 +169,7 @@ def cmd_solve(cfg: RunConfig) -> dict:
     }
 
 
-def cmd_analyze(cfg: RunConfig) -> dict:
+def cmd_analyze(cfg: argparse.Namespace) -> dict:
     ints, name = _resolve_model(cfg)
     space = _resolve_space(cfg, ints)
     state = solve_ground(ints, space)[0]
@@ -237,7 +188,7 @@ def cmd_analyze(cfg: RunConfig) -> dict:
     return payload
 
 
-def cmd_census(cfg: RunConfig) -> dict:
+def cmd_census(cfg: argparse.Namespace) -> dict:
     if cfg.preset is not None:
         try:
             preset = SECTOR_PRESETS[cfg.preset]
@@ -278,11 +229,11 @@ def cmd_census(cfg: RunConfig) -> dict:
     }
 
 
-def cmd_truncate(cfg: RunConfig) -> dict:
+def cmd_truncate(cfg: argparse.Namespace) -> dict:
     ints, name = _resolve_model(cfg)
     space = _resolve_space(cfg, ints)
     cat = _resolve_catalog(cfg, space.N, space.m)
-    if cfg.auto:
+    if cfg.mu == "auto":
         spectrum = _spectrum_of(solve_ground(ints, space)[0])
         constraints = _chosen_constraints(cfg, cat, spectrum)
     else:
@@ -308,7 +259,7 @@ def cmd_truncate(cfg: RunConfig) -> dict:
     return payload
 
 
-def _scan_grid(cfg: RunConfig) -> tuple[str, list[tuple[str, dict]]]:
+def _scan_grid(cfg: argparse.Namespace) -> tuple[str, list[tuple[str, dict]]]:
     """The scan axis: (parameter name, [(row label, model overrides)])."""
     if cfg.files:
         return "file", [(path, {"path": path}) for path in cfg.files]
@@ -318,6 +269,8 @@ def _scan_grid(cfg: RunConfig) -> tuple[str, list[tuple[str, dict]]]:
         name, spec = cfg.scan.split("=", 1)
         start, stop, steps = spec.split(":")
         values = np.linspace(float(start), float(stop), int(steps))
+        if len(values) == 0:
+            raise ValueError("the grid has no points")
     except ValueError as exc:
         raise ValueError(f"bad --scan {cfg.scan!r}: {exc}") from None
     allowed = {"hubbard": ("U", "t"), "pairing": ("G", "spacing")}.get(cfg.model, ())
@@ -328,9 +281,9 @@ def _scan_grid(cfg: RunConfig) -> tuple[str, list[tuple[str, dict]]]:
     return name, [(f"{v:.10g}", {name: v}) for v in values]
 
 
-def _scan_ints(cfg: RunConfig, overrides: dict) -> SpinOrbitalIntegrals:
+def _scan_ints(cfg: argparse.Namespace, overrides: dict) -> SpinOrbitalIntegrals:
     if "path" in overrides:
-        file_cfg = RunConfig(**{**vars(cfg), "model": f"file:{overrides['path']}"})
+        file_cfg = argparse.Namespace(**{**vars(cfg), "model": f"file:{overrides['path']}"})
         ints, _ = _resolve_model(file_cfg)
         if cfg.N is None:
             cfg.N = file_cfg.N
@@ -339,7 +292,7 @@ def _scan_ints(cfg: RunConfig, overrides: dict) -> SpinOrbitalIntegrals:
     return ints
 
 
-def cmd_scan(cfg: RunConfig) -> dict:
+def cmd_scan(cfg: argparse.Namespace) -> dict:
     parameter, grid = _scan_grid(cfg)
     # the geometry and the catalog come from the first grid point; later
     # points that fail (or disagree) become NaN rows, and the scan goes on
@@ -376,7 +329,7 @@ def cmd_scan(cfg: RunConfig) -> dict:
     return {"command": "scan", "parameter": parameter, "columns": columns, "rows": rows}
 
 
-def cmd_polytope(cfg: RunConfig) -> dict:
+def cmd_polytope(cfg: argparse.Namespace) -> dict:
     if cfg.N is None or cfg.m is None:
         raise ValueError("polytope needs --N and --m")
     cat = _resolve_catalog(cfg, cfg.N, cfg.m)
@@ -611,7 +564,7 @@ _TABLES: dict[str, Callable[[dict], str]] = {
 }
 
 
-def _render(cfg: RunConfig, payload: dict) -> str:
+def _render(cfg: argparse.Namespace, payload: dict) -> str:
     if cfg.format == "json":
         return json.dumps(payload, indent=2)
     if cfg.format == "csv":
@@ -631,37 +584,37 @@ def _render(cfg: RunConfig, payload: dict) -> str:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("table", "json", "csv"), default=None)
+    sub.add_argument("--format", choices=("table", "json", "csv"), default="table")
     sub.add_argument("--output", help="write the report to this file")
     sub.add_argument(
         "--tiers",
         type=_parse_tiers,
-        default=None,
+        default=DEFAULT_TIERS,
         help="pinning thresholds a,b,c (default 1e-10,1e-4,1e-2)",
     )
     sub.add_argument(
         "--catalog",
         dest="catalog_files",
         action="append",
-        default=None,
+        default=[],
         help="append a constraint catalog file (repeatable)",
     )
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--seed", type=int, default=0)
 
 
 def _add_model(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--model", help="hubbard, pairing, or file:<path>")
-    sub.add_argument("--sites", type=int, default=None, help="hubbard chain length")
-    sub.add_argument("--t", type=float, default=None, help="hubbard hopping")
-    sub.add_argument("--U", type=float, default=None, help="hubbard on-site repulsion")
-    sub.add_argument("--periodic", action="store_true", default=None)
-    sub.add_argument("--levels", type=int, default=None, help="pairing level count")
-    sub.add_argument("--spacing", type=float, default=None, help="pairing level spacing")
-    sub.add_argument("--G", type=float, default=None, help="pairing strength")
+    sub.add_argument("--sites", type=int, default=2, help="hubbard chain length")
+    sub.add_argument("--t", type=float, default=1.0, help="hubbard hopping")
+    sub.add_argument("--U", type=float, default=0.0, help="hubbard on-site repulsion")
+    sub.add_argument("--periodic", action="store_true")
+    sub.add_argument("--levels", type=int, default=2, help="pairing level count")
+    sub.add_argument("--spacing", type=float, default=1.0, help="pairing level spacing")
+    sub.add_argument("--G", type=float, default=0.0, help="pairing strength")
     sub.add_argument("--N", type=int, default=None, help="number of electrons")
     sub.add_argument("--sz", type=int, default=None, help="2*S_z sector (omit for the full space)")
     sub.add_argument("--rank", type=int, default=None, help="keep only the first RANK spin orbitals")
-    sub.add_argument("--ordering", choices=("interleaved", "blocked"), default=None)
+    sub.add_argument("--ordering", choices=("interleaved", "blocked"), default="interleaved")
 
 
 def _parse_tiers(text: str) -> tuple[float, float, float]:
@@ -669,6 +622,15 @@ def _parse_tiers(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("--tiers needs exactly three values a,b,c")
     return tuple(parts)  # type: ignore[return-value]
+
+
+def _parse_mu(text: str) -> str | tuple[int, ...]:
+    if text.strip() == "auto":
+        return "auto"
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected indices a,b,... or 'auto': {text!r}") from None
 
 
 def _parse_occupations(text: str) -> tuple[float, ...]:
@@ -695,16 +657,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--sz", type=int, default=None)
     p.add_argument("--preset", choices=sorted(SECTOR_PRESETS), default=None)
-    p.add_argument("--mu", default=None, help="comma-separated constraint indices")
-    p.add_argument("--with-equalities", action="store_true", default=None)
+    p.add_argument("--mu", type=_parse_mu, default=(), help="comma-separated constraint indices")
+    p.add_argument("--with-equalities", action="store_true")
     _add_common(p)
 
     p = sub.add_parser("truncate", help="force-pinned truncated solve vs the full one")
     _add_model(p)
-    p.add_argument("--mu", default=None, help="constraint indices, or 'auto'")
-    p.add_argument("--with-equalities", action="store_true", default=None)
-    p.add_argument("--max-iterations", type=int, default=None)
-    p.add_argument("--occupation-tol", type=float, default=None)
+    p.add_argument("--mu", type=_parse_mu, default=(), help="constraint indices, or 'auto'")
+    p.add_argument("--with-equalities", action="store_true")
+    p.add_argument("--max-iterations", type=int, default=100)
+    p.add_argument("--occupation-tol", type=float, default=1e-10)
     _add_common(p)
 
     p = sub.add_parser("scan", help="residual trajectories over a parameter grid")
@@ -712,6 +674,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan", default=None, help="NAME=START:STOP:STEPS, e.g. U=0:8:9")
     p.add_argument("--files", nargs="+", default=None, help="integral files to scan over")
     _add_common(p)
+    p.set_defaults(format="csv")
 
     p = sub.add_parser("polytope", help="evaluate occupation vectors directly")
     p.add_argument("--N", type=int, default=None)
@@ -723,7 +686,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH: dict[str, Callable[[RunConfig], dict]] = {
+_DISPATCH: dict[str, Callable[[argparse.Namespace], dict]] = {
     "solve": cmd_solve,
     "analyze": cmd_analyze,
     "census": cmd_census,
@@ -739,10 +702,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    cfg = RunConfig.from_args(args)
     try:
-        payload = _DISPATCH[cfg.command](cfg)
-        text = _render(cfg, payload)
+        payload = _DISPATCH[args.command](args)
+        text = _render(args, payload)
     except NoSurvivorsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -752,8 +714,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (FermipinError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as handle:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
         print(text)

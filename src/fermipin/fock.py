@@ -7,6 +7,11 @@ used for occupation numbers and constraint coefficients.  Because masks are
 plain integers, determinant identity, set algebra, and excitation degrees
 reduce to bitwise operations.
 
+Phase convention: an annihilation or creation operator acting on orbital
+``p`` of a mask picks up ``(-1) ** (occupied orbitals below p)``.  This
+module applies it in one place, :func:`excitations`, which serves every
+determinant-pair loop in the package (Hamiltonian assembly and the 1-RDM).
+
 The maximum width is 64 spin orbitals.  That bound is far beyond what the
 dense solver can use; it exists so masks stay cheap machine-sized integers.
 
@@ -15,7 +20,9 @@ Functions
 interleaved_layout : spin orbitals ordered 1-up, 1-down, 2-up, 2-down, ...
 blocked_layout     : all up spin orbitals first, then all down
 enumerate_space    : all N-electron determinants, optionally in an S_z sector
+space_size         : the size enumerate_space would return, without building it
 excitation_degree  : half the Hamming distance between two determinants
+excitations        : connected determinant pairs of a space, with their phases
 census             : tally determinants by excitation degree from a reference
 """
 
@@ -25,6 +32,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from math import comb
 from typing import Callable, Iterable, Iterator, Literal
 
 from .errors import SectorError, WidthError
@@ -123,7 +131,7 @@ class Determinant:
 
     def orbitals(self) -> tuple[int, ...]:
         """Occupied orbital indices, ascending, 1-based."""
-        return tuple(i + 1 for i in range(self.m) if self.mask >> i & 1)
+        return _orbitals_of(self.mask)
 
     def occupied(self, i: int) -> bool:
         return bool(self.mask >> (i - 1) & 1)
@@ -231,6 +239,25 @@ def enumerate_space(
     return ConfigurationSpace(N, m, dets, layout, sector)
 
 
+def space_size(
+    N: int,
+    m: int,
+    layout: SpinOrbitalLayout | None = None,
+    sector: int | None = None,
+) -> int:
+    """The length of ``enumerate_space(N, m, layout, sector)``, counted
+    without building the space; 0 where no determinant fits."""
+    if not 0 < N <= m:
+        return 0
+    if sector is None:
+        return comb(m, N)
+    n_up = (N + sector) // 2
+    if layout is None or (N + sector) % 2 or not 0 <= n_up <= N:
+        return 0
+    up, down = (len(layout.indices_with_spin(spin)) for spin in (UP, DOWN))
+    return comb(up, n_up) * comb(down, N - n_up)
+
+
 def _mask_of(bit_positions: Iterable[int]) -> int:
     mask = 0
     for b in bit_positions:
@@ -245,6 +272,55 @@ def excitation_degree(reference: Determinant, det: Determinant) -> int:
     if reference.n_electrons != det.n_electrons:
         raise ValueError("determinants carry different particle numbers")
     return (reference.mask ^ det.mask).bit_count() // 2
+
+
+def _orbitals_of(mask: int) -> tuple[int, ...]:
+    """1-based indices of the set bits of ``mask``, ascending."""
+    orbitals = []
+    while mask:
+        low = mask & -mask
+        orbitals.append(low.bit_length())
+        mask ^= low
+    return tuple(orbitals)
+
+
+def excitations(
+    space: ConfigurationSpace, max_degree: int
+) -> Iterator[tuple[int, int, tuple[int, ...], tuple[int, ...], int]]:
+    """Every determinant pair of ``space`` connected by 1..``max_degree``
+    orbital substitutions, as ``(i, j, ps, qs, sign)`` with ``i < j``.
+
+    ``ps`` are the orbitals occupied only in ``space[i]`` and ``qs`` those
+    occupied only in ``space[j]``, both 1-based and ascending.  ``sign`` is
+    the sign of ``<K_i| a+_{p1}..a+_{pk} a_{qk}..a_{q1} |K_j>``.  Pairs come
+    with ``i`` ascending, then ``j`` ascending.
+    """
+    masks = [det.mask for det in space]
+    limit = 2 * max_degree
+    memo: dict = {}  # substitution mask -> _substitution(memo, mask)
+    for i, bra in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            ket = masks[j]
+            diff = bra ^ ket
+            if diff.bit_count() > limit:
+                continue
+            ps, below_p = memo.get(diff & bra) or _substitution(memo, diff & bra)
+            qs, below_q = memo.get(diff & ket) or _substitution(memo, diff & ket)
+            # Applying the operators one by one, each substituted orbital
+            # passes every orbital the two determinants share below it.
+            sign = -1 if (bra & ket & (below_p ^ below_q)).bit_count() & 1 else 1
+            yield i, j, ps, qs, sign
+
+
+def _substitution(memo: dict, mask: int) -> tuple[tuple[int, ...], int]:
+    """Memoize the orbitals of a substitution mask, with the mask of the
+    positions that lie below an odd number of them."""
+    orbitals = _orbitals_of(mask)
+    below = 0
+    for p in orbitals:
+        below ^= (1 << (p - 1)) - 1
+    memo[mask] = orbitals, below
+    return orbitals, below
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """One-particle reduced density matrices and natural occupation spectra.
 
 The 1-RDM of a CI vector is ``rho[p-1, q-1] = <Psi| a+_q a_p |Psi>`` — real,
-symmetric, trace ``N``, eigenvalues between 0 and 1.  Its eigenvalues,
-sorted in descending order, are the natural occupation numbers that all
-constraint analysis runs on; its eigenvectors define the natural orbitals.
+symmetric, trace ``N``, eigenvalues between 0 and 1.  Off the diagonal only
+determinant pairs one substitution apart contribute; they and their phases
+come from :func:`fermipin.fock.excitations`.  Its eigenvalues, sorted in
+descending order, are the natural occupation numbers that all constraint
+analysis runs on; its eigenvectors define the natural orbitals.
 
 When the vector lives in a spin-projection sector, every cross-spin element
 of the 1-RDM vanishes identically (a single spin flip leaves the sector),
@@ -20,15 +22,14 @@ warns when a result depends on such a choice.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .ci import CIVector, OrbitalRotation
 from .errors import SpectralRangeError
-from .fock import DOWN, UP, SpinOrbitalLayout
-from .integrals import SpinOrbitalIntegrals
+from .fock import DOWN, UP, SpinOrbitalLayout, excitations
 
 TRACE_TOL = 1e-10
 RANGE_TOL = 1e-10
@@ -59,41 +60,21 @@ class OneRDM:
 
 
 def one_rdm(vector: CIVector) -> OneRDM:
-    """The 1-RDM of a normalized CI vector.
-
-    Runs over determinant pairs differing by at most a single substitution;
-    everything else cannot contribute.  The result is symmetric by
-    construction.
-    """
+    """The 1-RDM of a normalized CI vector, symmetric by construction."""
     vector.require_normalized(1e-10)
     space = vector.space
-    m = space.m
-    c = vector.coeffs
-    rho = np.zeros((m, m))
-
-    masks = [det.mask for det in space]
+    # Python floats accumulate faster than numpy scalars, with the same sums.
+    c = vector.coeffs.tolist()
+    rows = [[0.0] * space.m for _ in range(space.m)]
     for i, det in enumerate(space):
         weight = c[i] * c[i]
         for p in det.orbitals():
-            rho[p - 1, p - 1] += weight
-
-    for i in range(len(space)):
-        for j in range(i + 1, len(space)):
-            diff = masks[i] ^ masks[j]
-            if diff.bit_count() != 2:
-                continue
-            a = (diff & masks[i]).bit_length()  # orbital only in det i
-            b = (diff & masks[j]).bit_length()  # orbital only in det j
-            # phase of <K_i| a+_a a_b |K_j>: annihilate b, create a
-            k1 = masks[j] ^ (1 << (b - 1))
-            phase = 1
-            if (masks[j] & ((1 << (b - 1)) - 1)).bit_count() % 2:
-                phase = -phase
-            if (k1 & ((1 << (a - 1)) - 1)).bit_count() % 2:
-                phase = -phase
-            value = phase * c[i] * c[j]
-            rho[b - 1, a - 1] += value
-            rho[a - 1, b - 1] += value
+            rows[p - 1][p - 1] += weight
+    for i, j, (p,), (q,), sign in excitations(space, 1):
+        value = sign * c[i] * c[j]
+        rows[q - 1][p - 1] += value
+        rows[p - 1][q - 1] += value
+    rho = np.array(rows)
 
     blocked = False
     if space.layout is not None:

@@ -8,11 +8,19 @@ can be checked against code that shares none of their logic.
 Convention: bit ``i - 1`` of a mask means spin orbital ``i`` is occupied,
 and an operator acting on orbital ``p`` picks up the phase
 ``(-1) ** (number of occupied orbitals below p)``.
+
+``rotate_ci`` re-expresses a CI vector in a rotated orbital basis through
+determinant overlaps; the package itself never needs it, and its memory
+grows as (space size)**2 * N**2, so it lives here as a reference only.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from fermipin.ci import ORTHOGONALITY_TOL, CIVector, OrbitalRotation
+from fermipin.errors import RotationError, SectorError, WidthError
+from fermipin.fock import ConfigurationSpace, enumerate_space
 
 
 def annihilate(mask: int, p: int) -> tuple[int, int] | None:
@@ -154,3 +162,60 @@ def random_coefficients(size: int, rng: np.random.Generator) -> np.ndarray:
     """A random normalized coefficient vector."""
     c = rng.standard_normal(size)
     return c / np.linalg.norm(c)
+
+
+def rotate_ci(vector: CIVector, rotation: OrbitalRotation) -> CIVector:
+    """Re-express ``vector`` in the rotated orbital basis.
+
+    The coefficient of a target determinant ``K`` is
+    ``sum_L det(U[K, L]) c_L`` — the determinant of the rotation submatrix
+    with rows picked by ``K`` and columns by ``L``.  Sector-restricted
+    vectors only admit spin-blocked rotations, which keep the sector intact;
+    anything else would scatter amplitude onto determinants outside the
+    space.
+    """
+    space = vector.space
+    if rotation.m != space.m:
+        raise WidthError("rotation width does not match the space")
+
+    if rotation.spin_blocked:
+        new_layout = rotation.rotated_layout()
+        if space.layout is not None:
+            for p in range(space.m):
+                for q in range(space.m):
+                    if rotation.row_spins[p] != space.layout.spin_of[q] and (
+                        abs(rotation.U[p, q]) > ORTHOGONALITY_TOL
+                    ):
+                        raise RotationError(
+                            "rotation mixes spins despite its spin-blocked promise"
+                        )
+    elif space.sector is not None:
+        raise SectorError("sector-restricted vectors need a spin-blocked rotation")
+    else:
+        new_layout = None  # a general rotation erases definite spins
+
+    if space.sector is not None:
+        out_space = enumerate_space(space.N, space.m, new_layout, space.sector)
+    else:
+        out_space = ConfigurationSpace(space.N, space.m, space.dets, new_layout, None)
+
+    rows = [np.array(det.orbitals()) - 1 for det in out_space]
+    cols = [np.array(det.orbitals()) - 1 for det in space]
+    blocks = np.empty((len(out_space), len(space), space.N, space.N))
+    for a, r in enumerate(rows):
+        sub = rotation.U[r, :]
+        for b, c in enumerate(cols):
+            blocks[a, b] = sub[:, c]
+    overlap = np.linalg.det(blocks)
+    new_coeffs = overlap @ vector.coeffs
+
+    norm = float(np.linalg.norm(new_coeffs))
+    if abs(norm - vector.norm) > 1e-8:
+        raise RotationError(
+            f"rotation leaks amplitude out of the space (norm {vector.norm!r} -> {norm!r})"
+        )
+    if norm > 0.0:
+        new_coeffs *= vector.norm / norm
+
+    return CIVector(out_space, new_coeffs, energy=vector.energy,
+                    degenerate=vector.degenerate)

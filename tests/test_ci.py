@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fermipin.ci import CIVector, OrbitalRotation, build_hamiltonian, rotate_ci, solve_ground
+from fermipin.ci import CIVector, OrbitalRotation, build_hamiltonian, solve_ground
 from fermipin.errors import RotationError, SectorError, SpaceTooLargeError, WidthError
 from fermipin.fock import DOWN, UP, Determinant, enumerate_space, interleaved_layout
 from fermipin.integrals import hubbard_chain, pairing_model, to_spin_orbitals
@@ -17,6 +17,7 @@ from .oracles import (
     filled_band_energy,
     pairing_pair_block,
     random_coefficients,
+    rotate_ci,
 )
 from .test_integrals import random_spatial
 

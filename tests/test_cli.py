@@ -257,8 +257,28 @@ def test_usage_errors_exit_2(capsys) -> None:
     assert _run(capsys, ["scan", "--model", "hubbard", "--sites", "3", "--N", "3",
                          "--scan", "U=zero:8:9"])[0] == 2
     assert _run(capsys, ["truncate", *HUB36])[0] == 2  # no constraints picked
+    assert _run(capsys, ["census", "--N", "3", "--m", "6", "--mu", "x"])[0] == 2
+    assert _run(capsys, ["scan", "--model", "hubbard", "--sites", "2", "--N", "2",
+                         "--sz", "0", "--scan", "U=0:8:0"])[0] == 2
     assert _run(capsys, [])[0] == 2
     assert _run(capsys, ["--help"])[0] == 0
+
+
+def test_oversize_space_exits_2_before_enumerating(capsys, monkeypatch) -> None:
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        raise AssertionError("an oversize space was enumerated")
+
+    monkeypatch.setattr("fermipin.cli.enumerate_space", spy)
+    for command in (["solve"], ["scan", "--scan", "U=0:8:3"]):
+        code, out, err = _run(capsys, [*command, "--model", "hubbard", "--sites", "10",
+                                       "--N", "10", "--sz", "0"])
+        assert code == 2
+        assert "63504 determinants exceed the dense budget" in err
+        assert out == ""
+    assert calls == []
 
 
 def test_catalog_rank_mismatch_exits_2(capsys, tmp_path) -> None:

@@ -18,8 +18,12 @@ from fermipin.fock import (
     census,
     enumerate_space,
     excitation_degree,
+    excitations,
     interleaved_layout,
+    space_size,
 )
+
+from .oracles import annihilate, create
 
 
 def test_determinant_round_trip() -> None:
@@ -140,6 +144,54 @@ def test_excitation_degree_counts_substitutions() -> None:
     assert excitation_degree(ref, Determinant.from_orbitals([1, 2, 4], 6)) == 1
     assert excitation_degree(ref, Determinant.from_orbitals([1, 4, 5], 6)) == 2
     assert excitation_degree(ref, Determinant.from_orbitals([4, 5, 6], 6)) == 3
+
+
+def test_space_size_counts_what_enumeration_builds() -> None:
+    lay = interleaved_layout(4)
+    for N, sector in [(4, 0), (3, 1), (4, 4), (1, -1), (3, None), (8, None)]:
+        assert space_size(N, 8, lay, sector) == len(enumerate_space(N, 8, lay, sector))
+    assert space_size(4, 8, lay, 1) == 0  # parity
+    assert space_size(4, 8, lay, 10) == 0  # needs 7 up electrons
+    assert space_size(4, 8, None, 0) == 0  # a sector needs a layout
+    assert space_size(9, 8) == space_size(0, 8) == 0
+
+
+KERNEL_SPACES = {
+    "interleaved sector": lambda: enumerate_space(4, 8, interleaved_layout(4), 0),
+    "blocked sector": lambda: enumerate_space(4, 8, blocked_layout(4), 2),
+    "blocked full": lambda: enumerate_space(3, 6, blocked_layout(3)),
+    "(3,8) full": lambda: enumerate_space(3, 8),
+}
+
+
+def _operator_sign(bra: Determinant, ket: Determinant, ps, qs) -> int:
+    """Sign of <bra| a+_{p1}..a+_{pk} a_{qk}..a_{q1} |ket>, operator by operator."""
+    mask, sign = ket.mask, 1
+    for q in qs:
+        mask, phase = annihilate(mask, q)
+        sign *= phase
+    for p in reversed(ps):
+        mask, phase = create(mask, p)
+        sign *= phase
+    assert mask == bra.mask
+    return sign
+
+
+@pytest.mark.parametrize("max_degree", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
+def test_excitations_match_operator_application(name: str, max_degree: int) -> None:
+    # every pair is checked, including those whose matrix element vanishes
+    space = KERNEL_SPACES[name]()
+    expected = []
+    for i, bra in enumerate(space):
+        for j in range(i + 1, len(space)):
+            ket = space[j]
+            ps = tuple(sorted(set(bra.orbitals()) - set(ket.orbitals())))
+            qs = tuple(sorted(set(ket.orbitals()) - set(bra.orbitals())))
+            if 1 <= len(ps) <= max_degree:
+                expected.append((i, j, ps, qs, _operator_sign(bra, ket, ps, qs)))
+    assert expected
+    assert list(excitations(space, max_degree)) == expected
 
 
 def test_excitation_degree_rejects_mismatches() -> None:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fermipin.ci import CIVector, rotate_ci, solve_ground
+from fermipin.ci import CIVector, solve_ground
 from fermipin.errors import NormalizationError, SpectralRangeError
 from fermipin.fock import DOWN, UP, enumerate_space
 from fermipin.integrals import hubbard_chain, pairing_model, to_spin_orbitals
@@ -19,7 +19,7 @@ from fermipin.rdm import (
     smith_check,
 )
 
-from .oracles import brute_force_one_rdm, random_coefficients
+from .oracles import brute_force_one_rdm, random_coefficients, rotate_ci
 from .test_integrals import random_spatial
 
 

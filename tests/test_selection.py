@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from fermipin.ci import CIVector, rotate_ci, solve_ground
+from fermipin.ci import CIVector, solve_ground
 from fermipin.errors import (
     NoSurvivorsError,
     RegimeError,
@@ -25,7 +25,7 @@ from fermipin.selection import (
     pinned_solve,
 )
 
-from .oracles import random_coefficients
+from .oracles import random_coefficients, rotate_ci
 
 
 def _dets(space_or_pinned) -> list[str]:
