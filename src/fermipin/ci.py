@@ -104,12 +104,7 @@ class OrbitalRotation:
         """Layout of the new basis: spatial labels count up within each spin."""
         if not self.spin_blocked:
             raise RotationError("only spin-blocked rotations define a layout")
-        counters = {"up": 0, "down": 0}
-        spatial = []
-        for s in self.row_spins:
-            counters[s] += 1
-            spatial.append(counters[s])
-        return SpinOrbitalLayout(tuple(self.row_spins), tuple(spatial))
+        return SpinOrbitalLayout.from_spins(self.row_spins)
 
 
 def _diagonal_element(ints, orbitals: tuple[int, ...]) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -26,7 +27,14 @@ from .errors import (
     SpaceTooLargeError,
     SpectralRangeError,
 )
-from .fock import Determinant, census, enumerate_space, interleaved_layout, space_size
+from .fock import (
+    Determinant,
+    SpinOrbitalLayout,
+    census,
+    enumerate_space,
+    interleaved_layout,
+    space_size,
+)
 from .gpc import (
     DEFAULT_TIERS,
     Catalog,
@@ -54,18 +62,16 @@ DEGREE_NAMES = {0: "reference", 1: "singles", 2: "doubles", 3: "triples"}
 # model and catalog resolution
 
 
-def _resolve_model(cfg: argparse.Namespace, **overrides) -> tuple[SpinOrbitalIntegrals, str]:
+def _resolve_model(cfg: argparse.Namespace) -> tuple[SpinOrbitalIntegrals, str]:
     """Build spin-orbital integrals for the configured model."""
     if cfg.model is None:
         raise ValueError("this command needs --model")
-    params = {"t": cfg.t, "U": cfg.U, "spacing": cfg.spacing, "G": cfg.G}
-    params.update(overrides)
     if cfg.model == "hubbard":
-        spatial = hubbard_chain(cfg.sites, params["t"], params["U"], cfg.periodic)
-        name = f"hubbard(sites={cfg.sites}, t={params['t']:g}, U={params['U']:g})"
+        spatial = hubbard_chain(cfg.sites, cfg.t, cfg.U, cfg.periodic)
+        name = f"hubbard(sites={cfg.sites}, t={cfg.t:g}, U={cfg.U:g})"
     elif cfg.model == "pairing":
-        spatial = pairing_model(cfg.levels, params["spacing"], params["G"])
-        name = f"pairing(levels={cfg.levels}, spacing={params['spacing']:g}, G={params['G']:g})"
+        spatial = pairing_model(cfg.levels, cfg.spacing, cfg.G)
+        name = f"pairing(levels={cfg.levels}, spacing={cfg.spacing:g}, G={cfg.G:g})"
     elif cfg.model.startswith("file:"):
         path = cfg.model[len("file:") :]
         spatial = load_integral_file(path)
@@ -80,15 +86,22 @@ def _resolve_model(cfg: argparse.Namespace, **overrides) -> tuple[SpinOrbitalInt
     return so, name
 
 
-def _resolve_space(cfg: argparse.Namespace, ints: SpinOrbitalIntegrals):
-    if cfg.N is None:
-        raise ValueError("this command needs --N (electron count)")
-    size = space_size(cfg.N, ints.m, ints.layout, cfg.sz)
+def _bounded_space(
+    N: int, m: int, layout: SpinOrbitalLayout | None = None, sector: int | None = None
+):
+    """``enumerate_space``, refused before enumerating past the dense budget."""
+    size = space_size(N, m, layout, sector)
     if size > MAX_DENSE_SPACE:
         raise SpaceTooLargeError(
             f"{size} determinants exceed the dense budget of {MAX_DENSE_SPACE}"
         )
-    return enumerate_space(cfg.N, ints.m, ints.layout, cfg.sz)
+    return enumerate_space(N, m, layout, sector)
+
+
+def _resolve_space(cfg: argparse.Namespace, ints: SpinOrbitalIntegrals):
+    if cfg.N is None:
+        raise ValueError("this command needs --N (electron count)")
+    return _bounded_space(cfg.N, ints.m, ints.layout, cfg.sz)
 
 
 def _resolve_catalog(cfg: argparse.Namespace, N: int, m: int) -> Catalog:
@@ -190,20 +203,14 @@ def cmd_analyze(cfg: argparse.Namespace) -> dict:
 
 def cmd_census(cfg: argparse.Namespace) -> dict:
     if cfg.preset is not None:
-        try:
-            preset = SECTOR_PRESETS[cfg.preset]
-        except KeyError:
-            raise ValueError(
-                f"unknown preset {cfg.preset!r}; choose from {sorted(SECTOR_PRESETS)}"
-            ) from None
-        space = preset.space()
+        space = SECTOR_PRESETS[cfg.preset].space()
     else:
         if cfg.N is None or cfg.m is None:
             raise ValueError("census needs either --preset or both --N and --m")
         layout = interleaved_layout(cfg.m // 2) if cfg.sz is not None else None
         if layout is not None and layout.m != cfg.m:
             raise ValueError("--sz needs an even --m (interleaved layout)")
-        space = enumerate_space(cfg.N, cfg.m, layout, cfg.sz)
+        space = _bounded_space(cfg.N, cfg.m, layout, cfg.sz)
     reference = Determinant.from_orbitals(range(1, space.N + 1), space.m)
 
     imposed: tuple[GPConstraint, ...] = ()
@@ -233,19 +240,19 @@ def cmd_truncate(cfg: argparse.Namespace) -> dict:
     ints, name = _resolve_model(cfg)
     space = _resolve_space(cfg, ints)
     cat = _resolve_catalog(cfg, space.N, space.m)
-    if cfg.mu == "auto":
-        spectrum = _spectrum_of(solve_ground(ints, space)[0])
-        constraints = _chosen_constraints(cfg, cat, spectrum)
+    if cfg.mu == "auto":  # chosen from the spectrum pinned_solve computes anyway
+        constraints = functools.partial(_chosen_constraints, cfg, cat)
     else:
         constraints = _chosen_constraints(cfg, cat, None)
+    state = solve_ground(ints, space)[0]
     result = pinned_solve(
-        ints, space, constraints, cfg.max_iterations, cfg.occupation_tol
+        ints, state, constraints, cfg.max_iterations, cfg.occupation_tol
     )
     payload = {
         "command": "truncate",
         "model": name,
         "sector": space.sector,
-        "imposed": [c.label for c in constraints],
+        "imposed": [c.label for c in result.survivors.imposed],
         "space_size": len(space),
         "survivor_count": len(result.survivors),
     }
@@ -259,10 +266,14 @@ def cmd_truncate(cfg: argparse.Namespace) -> dict:
     return payload
 
 
-def _scan_grid(cfg: argparse.Namespace) -> tuple[str, list[tuple[str, dict]]]:
-    """The scan axis: (parameter name, [(row label, model overrides)])."""
+def _scan_grid(cfg: argparse.Namespace) -> tuple[str, list[tuple[str, argparse.Namespace]]]:
+    """The scan axis: (parameter name, [(row label, arguments of that point)])."""
+
+    def point(**overrides) -> argparse.Namespace:
+        return argparse.Namespace(**{**vars(cfg), **overrides})
+
     if cfg.files:
-        return "file", [(path, {"path": path}) for path in cfg.files]
+        return "file", [(path, point(model=f"file:{path}")) for path in cfg.files]
     if cfg.scan is None:
         raise ValueError("scan needs --scan NAME=START:STOP:STEPS or --files")
     try:
@@ -278,26 +289,16 @@ def _scan_grid(cfg: argparse.Namespace) -> tuple[str, list[tuple[str, dict]]]:
         raise ValueError(
             f"cannot scan {name!r} for model {cfg.model!r}; choose from {allowed}"
         )
-    return name, [(f"{v:.10g}", {name: v}) for v in values]
-
-
-def _scan_ints(cfg: argparse.Namespace, overrides: dict) -> SpinOrbitalIntegrals:
-    if "path" in overrides:
-        file_cfg = argparse.Namespace(**{**vars(cfg), "model": f"file:{overrides['path']}"})
-        ints, _ = _resolve_model(file_cfg)
-        if cfg.N is None:
-            cfg.N = file_cfg.N
-        return ints
-    ints, _ = _resolve_model(cfg, **overrides)
-    return ints
+    return name, [(f"{v:.10g}", point(**{name: v})) for v in values]
 
 
 def cmd_scan(cfg: argparse.Namespace) -> dict:
     parameter, grid = _scan_grid(cfg)
-    # the geometry and the catalog come from the first grid point; later
-    # points that fail (or disagree) become NaN rows, and the scan goes on
-    first = _scan_ints(cfg, grid[0][1])
-    space = _resolve_space(cfg, first)
+    # the geometry and the catalog come from the first grid point, whose
+    # integral file also fixes a missing --N for every point; later points
+    # that fail (or disagree) become NaN rows, and the scan goes on
+    first = grid[0][1]
+    space = _resolve_space(first, _resolve_model(first)[0])
     cat = _resolve_catalog(cfg, space.N, space.m)
     constraints = cat.constraints + cat.equalities
     columns = (
@@ -307,10 +308,11 @@ def cmd_scan(cfg: argparse.Namespace) -> dict:
         + ["xi"]
     )
     rows: list[dict] = []
-    for label, overrides in grid:
+    for label, point in grid:
+        point.N = first.N
         try:
-            ints = _scan_ints(cfg, overrides)
-            space = _resolve_space(cfg, ints)
+            ints, _ = _resolve_model(point)
+            space = _resolve_space(point, ints)
             state = solve_ground(ints, space)[0]
             spectrum = _spectrum_of(state)
             report = evaluate(cat, spectrum, cfg.tiers)
@@ -340,7 +342,7 @@ def cmd_polytope(cfg: argparse.Namespace) -> dict:
     else:
         count = cfg.random if cfg.random is not None else 1
         rng = np.random.default_rng(cfg.seed)
-        space = enumerate_space(cfg.N, cfg.m)
+        space = _bounded_space(cfg.N, cfg.m)
         for k in range(count):
             coeffs = rng.standard_normal(len(space))
             coeffs /= np.linalg.norm(coeffs)

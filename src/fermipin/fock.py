@@ -67,6 +67,17 @@ class SpinOrbitalLayout:
             if len(set(labels)) != len(labels):
                 raise ValueError(f"duplicate spatial label within the {spin} block")
 
+    @classmethod
+    def from_spins(cls, spins: Iterable[Spin]) -> SpinOrbitalLayout:
+        """The layout whose spatial labels count up within each spin."""
+        spins = tuple(spins)
+        counters = {UP: 0, DOWN: 0}
+        spatial = []
+        for s in spins:
+            counters[s] += 1
+            spatial.append(counters[s])
+        return cls(spins, tuple(spatial))
+
     @property
     def m(self) -> int:
         return len(self.spin_of)

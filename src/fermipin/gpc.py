@@ -28,7 +28,7 @@ inequality ``2 - n1 - n2 - n4 >= 0`` remains.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

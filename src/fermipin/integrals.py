@@ -21,12 +21,12 @@ line by more than 1e-10 are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError, SymmetryViolationError, WidthError
-from .fock import DOWN, UP, SpinOrbitalLayout, blocked_layout, interleaved_layout
+from .fock import UP, SpinOrbitalLayout, blocked_layout, interleaved_layout
 
 _CONFLICT_TOL = 1e-10
 _SYMMETRY_TOL = 1e-12

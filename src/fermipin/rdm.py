@@ -173,35 +173,32 @@ def natural_spectrum(
     if abs(trace - N) > TRACE_TOL:
         raise SpectralRangeError(f"1-RDM trace {trace!r} is not close to an integer")
 
-    if rdm.spin_blocked and rdm.layout is not None:
-        entries = []  # (occupation, spin_rank, block_position, row)
-        for spin_rank, spin in enumerate((UP, DOWN)):
-            idx = [i - 1 for i in rdm.layout.indices_with_spin(spin)]
-            if not idx:
-                continue
-            vals, vecs = np.linalg.eigh(rdm.rho[np.ix_(idx, idx)])
-            for pos, val in enumerate(vals[::-1]):
-                row = np.zeros(rdm.m)
-                row[idx] = vecs[:, len(vals) - 1 - pos]
-                entries.append((float(val), spin_rank, pos, row, spin))
-        entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-        n = np.array([e[0] for e in entries])
-        U = np.array([_sign_fix(e[3]) for e in entries])
-        spins = tuple(e[4] for e in entries)
-        rotation = OrbitalRotation(U, spin_blocked=True, row_spins=spins)
+    blocked = rdm.spin_blocked and rdm.layout is not None
+    if blocked:
+        blocks = [(spin, rdm.layout.indices_with_spin(spin)) for spin in (UP, DOWN)]
     else:
-        vals, vecs = np.linalg.eigh(rdm.rho)
-        n = vals[::-1].copy()
-        U = np.array([_sign_fix(vecs[:, rdm.m - 1 - i]) for i in range(rdm.m)])
-        rotation = OrbitalRotation(U)
+        blocks = [(None, range(1, rdm.m + 1))]
+    values, rows, spins = [], [], []
+    for spin, orbitals in blocks:
+        idx = np.array(orbitals, dtype=int) - 1
+        vals, vecs = np.linalg.eigh(rdm.rho.take(idx, axis=0).take(idx, axis=1))
+        block_rows = np.zeros((len(idx), rdm.m))
+        block_rows[:, idx] = vecs[:, ::-1].T
+        values.append(vals[::-1])
+        rows.append(block_rows)
+        spins += [spin] * len(idx)
+    # descending occupation; ties keep block order, then position in block
+    occupations = np.concatenate(values)
+    order = np.argsort(-occupations, kind="stable")
+    n = occupations[order]
+    U = np.concatenate(rows)[order]
+    lead = np.abs(U).argmax(axis=1)
+    U = np.where((U[np.arange(rdm.m), lead] < 0)[:, None], -U, U)
+    row_spins = tuple(spins[k] for k in order) if blocked else None
+    rotation = OrbitalRotation(U, spin_blocked=blocked, row_spins=row_spins)
 
     n = _clamp_range(n, tol=RANGE_TOL)
     return OccupationSpectrum(n, N, rotation, _tie_groups(n, tie_tolerance))
-
-
-def _sign_fix(row: np.ndarray) -> np.ndarray:
-    lead = int(np.argmax(np.abs(row)))
-    return -row if row[lead] < 0 else row
 
 
 def smith_check(spectrum: OccupationSpectrum, tol: float = 1e-8) -> tuple[bool, float]:

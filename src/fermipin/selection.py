@@ -10,15 +10,19 @@ configuration space down to those determinants and re-solving inside them
 is the *force-pinned* approximation to the ground state.
 
 Orbital labels here are natural-orbital labels ordered by decreasing
-occupation; :func:`pinned_solve` maintains that ordering self-consistently
-by re-diagonalizing the truncated 1-RDM until the occupations stop moving.
+occupation.  :func:`pinned_solve` starts from an already solved full-space
+ground state, moves to its natural orbitals, and keeps that ordering
+self-consistent by re-diagonalizing the truncated 1-RDM until the
+occupations stop moving.  Each natural frame (rotated integrals and, in a
+spin sector, the re-enumerated space) is built once, and only when an
+iteration will use it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -157,23 +161,13 @@ class SectorPreset:
         return enumerate_space(self.N, self.layout.m, self.layout, self.sector)
 
 
-def _preset_layout(up_positions: tuple[int, ...], m: int) -> SpinOrbitalLayout:
-    spins = tuple(UP if i in up_positions else DOWN for i in range(1, m + 1))
-    counters = {UP: 0, DOWN: 0}
-    spatial = []
-    for s in spins:
-        counters[s] += 1
-        spatial.append(counters[s])
-    return SpinOrbitalLayout(spins, tuple(spatial))
-
-
 SECTOR_PRESETS: dict[str, SectorPreset] = {
     preset.name: preset
     for preset in (
         SectorPreset(
             "4in8-restricted",
             4,
-            _preset_layout((1, 2, 3, 5), 8),
+            SpinOrbitalLayout.from_spins((UP, UP, UP, DOWN, UP, DOWN, DOWN, DOWN)),
             2,
             "four electrons, S_z = 1: natural orbitals 1-3 and 5 up, "
             "4 and 6-8 down (16 determinants)",
@@ -181,7 +175,7 @@ SECTOR_PRESETS: dict[str, SectorPreset] = {
         SectorPreset(
             "4in8-unrestricted",
             4,
-            _preset_layout((1, 2, 3, 5, 6), 8),
+            SpinOrbitalLayout.from_spins((UP, UP, UP, DOWN, UP, UP, DOWN, DOWN)),
             2,
             "four electrons, S_z = 1: natural orbitals 1-3, 5 and 6 up, "
             "4, 7 and 8 down (30 determinants)",
@@ -224,39 +218,40 @@ class PinnedSolveResult:
         )
 
 
-def _natural_frame(ints, space, state):
-    """Rotate integrals and space into the natural basis of ``state``."""
-    spectrum = natural_spectrum(one_rdm(state))
+def _natural_frame(ints, space, spectrum):
+    """Rotate integrals and space into the natural orbitals of ``spectrum``."""
     rotation = spectrum.natural_rotation
     if space.sector is not None and not rotation.spin_blocked:
         raise SectorError(
             "sector-restricted space produced a spin-mixing natural rotation"
         )
-    if rotation.spin_blocked:
-        layout = rotation.rotated_layout()
-        nat_ints = ints.rotated(rotation.U, layout)
-        if space.sector is not None:
-            nat_space = enumerate_space(space.N, space.m, layout, space.sector)
-        else:
-            nat_space = ConfigurationSpace(space.N, space.m, space.dets, layout, None)
+    layout = rotation.rotated_layout() if rotation.spin_blocked else None
+    if space.sector is None:
+        nat_space = ConfigurationSpace(space.N, space.m, space.dets, layout, None)
     else:
-        nat_ints = ints.rotated(rotation.U)
-        nat_space = ConfigurationSpace(space.N, space.m, space.dets, None, None)
-    return spectrum, nat_ints, nat_space
+        nat_space = enumerate_space(space.N, space.m, layout, space.sector)
+    return ints.rotated(rotation.U, layout), nat_space
 
 
 def pinned_solve(
     ints: SpinOrbitalIntegrals,
-    space: ConfigurationSpace,
-    constraints: Sequence[GPConstraint],
+    full_state: CIVector,
+    constraints: Sequence[GPConstraint]
+    | Callable[[OccupationSpectrum], Sequence[GPConstraint]],
     max_iterations: int = 100,
     occupation_tol: float = 1e-10,
 ) -> PinnedSolveResult:
-    """Solve exactly, then re-solve inside the pinned determinant set.
+    """Re-solve the ground state ``full_state`` inside the pinned determinant set.
 
+    ``full_state`` is the ground state of ``ints`` over its own space, as
+    :func:`~fermipin.ci.solve_ground` returns it; it is not solved again.
+    ``constraints`` are the constraints to impose, or a function that picks
+    them from the natural spectrum of ``full_state``, so that a caller
+    choosing by the occupations does not diagonalize the same 1-RDM twice.
     The natural-orbital labels the constraints refer to are kept
-    self-consistent: after each truncated solve the basis is rotated to
-    the new natural orbitals, the sector space is filtered again, and the
+    self-consistent: the basis starts at the natural orbitals of
+    ``full_state``, and after each truncated solve it is rotated to the
+    new natural orbitals, the sector space is filtered again, and the
     cycle repeats until no occupation moves by more than
     ``occupation_tol`` (or ``max_iterations`` is hit, which is reported
     rather than raised).
@@ -266,25 +261,28 @@ def pinned_solve(
     solution — a mean-field yardstick that needs no self-consistent-field
     machinery.
     """
+    space = full_state.space
+    if full_state.energy is None:
+        raise ValueError("full_state must be a solved ground state (its energy is None)")
     if ints.m != space.m:
         raise WidthError("integral width does not match the space")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+
+    spectrum = natural_spectrum(one_rdm(full_state))
+    if callable(constraints):
+        constraints = constraints(spectrum)
     if not constraints:
         raise ValueError("at least one constraint is required")
-
-    full_state = solve_ground(ints, space)[0]
-    spectrum, nat_ints, nat_space = _natural_frame(ints, space, full_state)
+    nat_ints, nat_space = _natural_frame(ints, space, spectrum)
 
     reference = Determinant.from_orbitals(range(1, space.N + 1), space.m)
     ref_space = ConfigurationSpace(space.N, space.m, (reference,))
     reference_energy = float(build_hamiltonian(nat_ints, ref_space)[0, 0])
     census_full = census(nat_space, reference)
 
-    previous = spectrum.n
-    converged = False
     iterations = 0
-    pinned_space = None
-    truncated = None
-    while iterations < max_iterations:
+    while True:
         iterations += 1
         pinned_space = filter_pinned(nat_space, constraints)
         if len(pinned_space) == 0:
@@ -292,15 +290,11 @@ def pinned_solve(
                 "imposed constraints leave no determinants to expand in"
             )
         truncated = solve_ground(nat_ints, pinned_space.survivors)[0]
-        tspectrum, next_ints, next_space = _natural_frame(
-            nat_ints, nat_space, truncated
-        )
-        drift = float(np.abs(tspectrum.n - previous).max())
-        previous = tspectrum.n
-        if drift < occupation_tol:
-            converged = True
+        previous, spectrum = spectrum, natural_spectrum(one_rdm(truncated))
+        converged = float(np.abs(spectrum.n - previous.n).max()) < occupation_tol
+        if converged or iterations == max_iterations:
             break
-        nat_ints, nat_space = next_ints, next_space
+        nat_ints, nat_space = _natural_frame(nat_ints, nat_space, spectrum)
 
     census_pinned = census(pinned_space.survivors, reference)
     full_correlation = reference_energy - full_state.energy
@@ -317,7 +311,7 @@ def pinned_solve(
         recovered_fraction=float(recovered),
         census_full=census_full,
         census_pinned=census_pinned,
-        occupations=previous,
+        occupations=spectrum.n,
         iterations=iterations,
         converged=converged,
         survivors=pinned_space,

@@ -142,7 +142,7 @@ def test_criterion_6_variational_bound_and_weak_equality() -> None:
     for U in (0.5, 2.0, 8.0):
         so = to_spin_orbitals(hubbard_chain(3, 1.0, U))
         space = enumerate_space(3, 6, so.layout, 1)
-        result = pinned_solve(so, space, weak_constraints)
+        result = pinned_solve(so, solve_ground(so, space)[0], weak_constraints)
         assert result.pinned_energy >= result.full_energy - 1e-9
         equality_gap = max(
             equality_gap, abs(result.pinned_energy - result.full_energy)
@@ -158,7 +158,7 @@ def test_criterion_6_variational_bound_and_weak_equality() -> None:
         to_spin_orbitals(pairing_model(4, 1.0, 0.5)),
     ):
         space = enumerate_space(4, 8, so.layout, 0)
-        result = pinned_solve(so, space, [d14])
+        result = pinned_solve(so, solve_ground(so, space)[0], [d14])
         assert result.pinned_energy >= result.full_energy - 1e-9
         bound_margin = max(bound_margin, result.full_energy - result.pinned_energy)
     assert bound_margin <= 1e-9

@@ -260,11 +260,13 @@ def test_usage_errors_exit_2(capsys) -> None:
     assert _run(capsys, ["census", "--N", "3", "--m", "6", "--mu", "x"])[0] == 2
     assert _run(capsys, ["scan", "--model", "hubbard", "--sites", "2", "--N", "2",
                          "--sz", "0", "--scan", "U=0:8:0"])[0] == 2
+    assert _run(capsys, ["truncate", *HUB36, "--mu", "1", "--with-equalities",
+                         "--max-iterations", "0"])[0] == 2
     assert _run(capsys, [])[0] == 2
     assert _run(capsys, ["--help"])[0] == 0
 
 
-def test_oversize_space_exits_2_before_enumerating(capsys, monkeypatch) -> None:
+def test_oversize_space_exits_2_before_enumerating(capsys, monkeypatch, tmp_path) -> None:
     calls = []
 
     def spy(*args):
@@ -278,7 +280,43 @@ def test_oversize_space_exits_2_before_enumerating(capsys, monkeypatch) -> None:
         assert code == 2
         assert "63504 determinants exceed the dense budget" in err
         assert out == ""
+    wide = tmp_path / "wide.cat"
+    wide.write_text("10 40 1 1 -1" + " 0" * 39 + "\n")
+    for command in (["census"], ["polytope", "--random", "1", "--catalog", str(wide)]):
+        code, out, err = _run(capsys, [*command, "--N", "10", "--m", "40"])
+        assert code == 2
+        assert "847660528 determinants exceed the dense budget" in err
+        assert out == ""
     assert calls == []
+
+
+def test_truncate_auto_solves_the_full_space_once(capsys, monkeypatch) -> None:
+    import fermipin.cli
+    import fermipin.selection
+
+    sizes, rdm_sizes = [], []
+    solve, rdm = fermipin.cli.solve_ground, fermipin.cli.one_rdm
+
+    def solve_spy(ints, space, k=1):
+        sizes.append(len(space))
+        return solve(ints, space, k)
+
+    def rdm_spy(vector):
+        rdm_sizes.append(len(vector.space))
+        return rdm(vector)
+
+    for module in (fermipin.cli, fermipin.selection):
+        monkeypatch.setattr(module, "solve_ground", solve_spy)
+        monkeypatch.setattr(module, "one_rdm", rdm_spy)
+    code, out, _ = _run(capsys, ["truncate", *HUB36, "--mu", "auto", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["space_size"] == 9 and payload["survivor_count"] == 3
+    # the full space is solved once, and its 1-RDM serves both the auto
+    # choice and the first natural frame
+    assert sizes.count(payload["space_size"]) == 1
+    assert rdm_sizes.count(payload["space_size"]) == 1
+    assert len(sizes) == len(rdm_sizes) == 1 + payload["iterations"]
 
 
 def test_catalog_rank_mismatch_exits_2(capsys, tmp_path) -> None:

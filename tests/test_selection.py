@@ -332,7 +332,7 @@ def test_pinned_solve_recovers_weak_rank_six_exactly() -> None:
     for U in (0.5, 2.0, 8.0):
         so = to_spin_orbitals(hubbard_chain(3, 1.0, U))
         space = enumerate_space(3, 6, so.layout, 1)
-        result = pinned_solve(so, space, constraints)
+        result = pinned_solve(so, solve_ground(so, space)[0], constraints)
         assert result.converged
         assert result.iterations == 1
         assert abs(result.pinned_energy - result.full_energy) < 1e-9
@@ -351,7 +351,7 @@ def test_pinned_solve_is_variational_and_self_consistent() -> None:
     ]
     for so in instances:
         space = enumerate_space(4, 8, so.layout, 0)
-        result = pinned_solve(so, space, [d14])
+        result = pinned_solve(so, solve_ground(so, space)[0], [d14])
         assert result.converged
         assert result.pinned_energy >= result.full_energy - 1e-9
         assert 0.0 < result.recovered_fraction <= 1.0 + 1e-9
@@ -364,13 +364,59 @@ def test_pinned_solve_guards() -> None:
     so = to_spin_orbitals(hubbard_chain(3, 1.0, 2.0))
     space = enumerate_space(3, 6, so.layout, 1)
     with pytest.raises(ValueError):
-        pinned_solve(so, space, [])
+        pinned_solve(so, solve_ground(so, space)[0], [])
     impossible = GPConstraint(3, 6, "impossible", 1, (0, 0, 0, 0, 0, 0))
     with pytest.raises(NoSurvivorsError):
-        pinned_solve(so, space, [impossible])
+        pinned_solve(so, solve_ground(so, space)[0], [impossible])
     wide = GPConstraint(3, 7, "wide", 2, (-1, -1, 0, -1, 0, 0, -1))
     with pytest.raises(WidthError):
-        pinned_solve(so, space, [wide])
+        pinned_solve(so, solve_ground(so, space)[0], [wide])
+    with pytest.raises(ValueError):
+        pinned_solve(so, solve_ground(so, space)[0], [catalog(3, 6).find(1)], max_iterations=0)
+    with pytest.raises(ValueError):  # an unsolved vector carries no energy
+        pinned_solve(so, CIVector(space, np.eye(len(space))[0]), [catalog(3, 6).find(1)])
+
+
+def test_pinned_solve_picks_constraints_from_the_full_spectrum() -> None:
+    cat = catalog(3, 6)
+    so = to_spin_orbitals(hubbard_chain(3, 1.0, 2.0))
+    state = solve_ground(so, enumerate_space(3, 6, so.layout, 1))[0]
+    seen = []
+
+    def select(spectrum):
+        seen.append(spectrum.n)
+        return (*cat.equalities, cat.find(1))
+
+    chosen = pinned_solve(so, state, select)
+    given = pinned_solve(so, state, (*cat.equalities, cat.find(1)))
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], natural_spectrum(one_rdm(state)).n)
+    assert chosen.survivors.imposed == given.survivors.imposed
+    assert chosen.pinned_energy == given.pinned_energy
+    assert np.array_equal(chosen.occupations, given.occupations)
+
+
+def test_pinned_solve_rotates_once_per_iteration(monkeypatch) -> None:
+    from fermipin.integrals import SpinOrbitalIntegrals
+
+    rotations = []
+    original = SpinOrbitalIntegrals.rotated
+
+    def spy(self, U, layout=None):
+        rotations.append(layout)
+        return original(self, U, layout)
+
+    monkeypatch.setattr(SpinOrbitalIntegrals, "rotated", spy)
+    d14 = catalog(4, 8).find(14)
+    so = to_spin_orbitals(hubbard_chain(4, 1.0, 1.0))
+    state = solve_ground(so, enumerate_space(4, 8, so.layout, 0))[0]
+    # one run that converges, one that stops at max_iterations
+    for tol, max_iterations, converged in ((1e-10, 100, True), (0.0, 3, False)):
+        rotations.clear()
+        result = pinned_solve(so, state, [d14], max_iterations, tol)
+        assert result.converged is converged
+        assert len(rotations) == result.iterations
+    assert result.iterations == 3
 
 
 def test_sector_presets() -> None:
