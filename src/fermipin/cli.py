@@ -15,7 +15,7 @@ import functools
 import io
 import json
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import (
 )
 from .fock import (
     Determinant,
+    ExcitationCensus,
     SpinOrbitalLayout,
     census,
     enumerate_space,
@@ -39,7 +40,6 @@ from .gpc import (
     DEFAULT_TIERS,
     Catalog,
     GPConstraint,
-    PinningReport,
     catalog,
     evaluate,
     load_catalog_file,
@@ -148,12 +148,19 @@ def _chosen_constraints(
     return tuple(chosen)
 
 
-def _spectrum_of(state: CIVector) -> OccupationSpectrum:
-    return natural_spectrum(one_rdm(state))
+def _census_payload(tally: ExcitationCensus) -> dict:
+    return {
+        "reference": list(tally.reference.orbitals()),
+        "counts": {str(k): v for k, v in sorted(tally.counts.items())},
+        "total": tally.total,
+    }
 
 
-def _report_payload(report: PinningReport) -> dict:
-    return json.loads(report.to_json())
+def _ground(cfg: argparse.Namespace) -> tuple[str, CIVector, OccupationSpectrum]:
+    """The model name, its solved ground state and that state's natural spectrum."""
+    ints, name = _resolve_model(cfg)
+    state = solve_ground(ints, _resolve_space(cfg, ints))[0]
+    return name, state, natural_spectrum(one_rdm(state))
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +168,8 @@ def _report_payload(report: PinningReport) -> dict:
 
 
 def cmd_solve(cfg: argparse.Namespace) -> dict:
-    ints, name = _resolve_model(cfg)
-    space = _resolve_space(cfg, ints)
-    state = solve_ground(ints, space)[0]
-    spectrum = _spectrum_of(state)
+    name, state, spectrum = _ground(cfg)
+    space = state.space
     return {
         "command": "solve",
         "model": name,
@@ -183,10 +188,8 @@ def cmd_solve(cfg: argparse.Namespace) -> dict:
 
 
 def cmd_analyze(cfg: argparse.Namespace) -> dict:
-    ints, name = _resolve_model(cfg)
-    space = _resolve_space(cfg, ints)
-    state = solve_ground(ints, space)[0]
-    spectrum = _spectrum_of(state)
+    name, state, spectrum = _ground(cfg)
+    space = state.space
     cat = _resolve_catalog(cfg, space.N, space.m)
     report = evaluate(cat, spectrum, cfg.tiers)
     payload = {
@@ -195,9 +198,10 @@ def cmd_analyze(cfg: argparse.Namespace) -> dict:
         "sector": space.sector,
         "space_size": len(space),
         "energy": state.energy,
+        "degenerate": state.degenerate,
         "occupations": [float(v) for v in spectrum.n],
     }
-    payload.update(_report_payload(report))
+    payload.update(json.loads(report.to_json()))
     return payload
 
 
@@ -220,7 +224,7 @@ def cmd_census(cfg: argparse.Namespace) -> dict:
     survivors = filter_pinned(space, imposed).survivors if imposed else space
     if len(survivors) == 0:
         raise NoSurvivorsError("no determinant satisfies all imposed constraints")
-    counts = census(survivors, reference)
+    tally = _census_payload(census(survivors, reference))
     return {
         "command": "census",
         "N": space.N,
@@ -231,7 +235,7 @@ def cmd_census(cfg: argparse.Namespace) -> dict:
         "base_size": len(space),
         "survivors": len(survivors),
         "removed": len(space) - len(survivors),
-        "counts": {str(k): v for k, v in sorted(counts.counts.items())},
+        "counts": tally["counts"],
         "determinants": [list(d.orbitals()) for d in survivors],
     }
 
@@ -248,22 +252,31 @@ def cmd_truncate(cfg: argparse.Namespace) -> dict:
     result = pinned_solve(
         ints, state, constraints, cfg.max_iterations, cfg.occupation_tol
     )
-    payload = {
+    full_correlation = result.reference_energy - result.full_energy
+    pinned_correlation = result.reference_energy - result.pinned_energy
+    return {
         "command": "truncate",
         "model": name,
         "sector": space.sector,
         "imposed": [c.label for c in result.survivors.imposed],
         "space_size": len(space),
         "survivor_count": len(result.survivors),
+        "full_energy": result.full_energy,
+        "full_degenerate": state.degenerate,
+        "reference_energy": result.reference_energy,
+        "pinned_energy": result.pinned_energy,
+        "recovered_fraction": result.recovered_fraction,
+        "full_correlation": full_correlation,
+        "pinned_correlation": pinned_correlation,
+        "census_full": _census_payload(result.census_full),
+        "census_pinned": _census_payload(result.census_pinned),
+        "occupations": [float(v) for v in result.occupations],
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "survivor_determinants": [list(d.orbitals()) for d in result.survivors.survivors],
+        "full_correlation_mha": 1000.0 * full_correlation,
+        "pinned_correlation_mha": 1000.0 * pinned_correlation,
     }
-    payload.update(json.loads(result.to_json()))
-    payload["full_correlation_mha"] = 1000.0 * (
-        payload["reference_energy"] - payload["full_energy"]
-    )
-    payload["pinned_correlation_mha"] = 1000.0 * (
-        payload["reference_energy"] - payload["pinned_energy"]
-    )
-    return payload
 
 
 def _scan_grid(cfg: argparse.Namespace) -> tuple[str, list[tuple[str, argparse.Namespace]]]:
@@ -295,10 +308,12 @@ def _scan_grid(cfg: argparse.Namespace) -> tuple[str, list[tuple[str, argparse.N
 def cmd_scan(cfg: argparse.Namespace) -> dict:
     parameter, grid = _scan_grid(cfg)
     # the geometry and the catalog come from the first grid point, whose
-    # integral file also fixes a missing --N for every point; later points
-    # that fail (or disagree) become NaN rows, and the scan goes on
+    # integral file also fixes a missing --N for every point; its solve
+    # serves row 0, and later points that fail (or disagree) become NaN
+    # rows while the scan goes on
     first = grid[0][1]
-    space = _resolve_space(first, _resolve_model(first)[0])
+    _, state, spectrum = _ground(first)
+    space = state.space
     cat = _resolve_catalog(cfg, space.N, space.m)
     constraints = cat.constraints + cat.equalities
     columns = (
@@ -309,12 +324,10 @@ def cmd_scan(cfg: argparse.Namespace) -> dict:
     )
     rows: list[dict] = []
     for label, point in grid:
-        point.N = first.N
         try:
-            ints, _ = _resolve_model(point)
-            space = _resolve_space(point, ints)
-            state = solve_ground(ints, space)[0]
-            spectrum = _spectrum_of(state)
+            if point is not first:
+                point.N = first.N
+                _, state, spectrum = _ground(point)
             report = evaluate(cat, spectrum, cfg.tiers)
             values = (
                 [label, state.energy]
@@ -346,7 +359,8 @@ def cmd_polytope(cfg: argparse.Namespace) -> dict:
         for k in range(count):
             coeffs = rng.standard_normal(len(space))
             coeffs /= np.linalg.norm(coeffs)
-            spectra.append((f"random-{k}", _spectrum_of(CIVector(space, coeffs))))
+            spectrum = natural_spectrum(one_rdm(CIVector(space, coeffs)))
+            spectra.append((f"random-{k}", spectrum))
     samples = []
     for label, spectrum in spectra:
         report = evaluate(cat, spectrum, cfg.tiers)
@@ -354,7 +368,7 @@ def cmd_polytope(cfg: argparse.Namespace) -> dict:
             {
                 "sample": label,
                 "occupations": [float(v) for v in spectrum.n],
-                **_report_payload(report),
+                **json.loads(report.to_json()),
             }
         )
     return {
@@ -396,6 +410,14 @@ def _census_line(counts: dict) -> str:
     return ", ".join(parts)
 
 
+def _occupations(values: list[float]) -> str:
+    return "occupations: " + "  ".join(f"{v:.8f}" for v in values)
+
+
+def _energy(value: float, degenerate: bool) -> str:
+    return f"{_fmt(value)} Ha" + ("  (degenerate)" if degenerate else "")
+
+
 def _report_table(payload: dict) -> list[str]:
     lines = []
     rows: list[Sequence[str]] = [("mu", "constraint", "residual", "tier")]
@@ -429,9 +451,8 @@ def _table_solve(payload: dict) -> str:
         f"model: {payload['model']}",
         f"space: N={payload['N']}, m={payload['m']}, sector={payload['sector']}, "
         f"{payload['space_size']} determinants",
-        f"ground energy: {_fmt(payload['energy'])} Ha"
-        + ("  (degenerate)" if payload["degenerate"] else ""),
-        "occupations: " + "  ".join(f"{v:.8f}" for v in payload["occupations"]),
+        f"ground energy: {_energy(payload['energy'], payload['degenerate'])}",
+        _occupations(payload["occupations"]),
         "leading coefficients:",
     ]
     rows = [
@@ -447,8 +468,8 @@ def _table_analyze(payload: dict) -> str:
         f"model: {payload['model']}",
         f"(N, m) = ({payload['N']}, {payload['m']}), sector={payload['sector']}, "
         f"{payload['space_size']} determinants",
-        f"ground energy: {_fmt(payload['energy'])} Ha",
-        "occupations: " + "  ".join(f"{v:.8f}" for v in payload["occupations"]),
+        f"ground energy: {_energy(payload['energy'], payload['degenerate'])}",
+        _occupations(payload["occupations"]),
     ]
     lines += _report_table(payload)
     return "\n".join(lines)
@@ -478,7 +499,7 @@ def _table_truncate(payload: dict) -> str:
         f"model: {payload['model']}",
         f"imposed: {', '.join(payload['imposed'])}",
         f"determinants: {payload['space_size']} -> {payload['survivor_count']}",
-        f"full energy:      {_fmt(payload['full_energy'])} Ha",
+        f"full energy:      {_energy(payload['full_energy'], payload['full_degenerate'])}",
         f"pinned energy:    {_fmt(payload['pinned_energy'])} Ha",
         f"reference energy: {_fmt(payload['reference_energy'])} Ha",
         f"correlation: full {payload['full_correlation_mha']:.2f} mHa, "
@@ -488,7 +509,7 @@ def _table_truncate(payload: dict) -> str:
         + ("" if payload["converged"] else "  (not converged)"),
         f"census full:   {_census_line(payload['census_full']['counts'])}",
         f"census pinned: {_census_line(payload['census_pinned']['counts'])}",
-        "occupations: " + "  ".join(f"{v:.8f}" for v in payload["occupations"]),
+        _occupations(payload["occupations"]),
     ]
     return "\n".join(lines)
 
@@ -504,9 +525,7 @@ def _table_polytope(payload: dict) -> str:
     lines = [f"(N, m) = ({payload['N']}, {payload['m']})"]
     for sample in payload["samples"]:
         lines.append(f"sample {sample['sample']}:")
-        lines.append(
-            "  occupations: " + "  ".join(f"{v:.8f}" for v in sample["occupations"])
-        )
+        lines.append("  " + _occupations(sample["occupations"]))
         for block in _report_table(sample):
             lines += ["  " + line for line in block.split("\n")]
     return "\n".join(lines)
@@ -556,16 +575,6 @@ def _csv_rows(payload: dict) -> tuple[list[str], list[list]]:
     raise ValueError(f"no CSV rendering for {command!r}")
 
 
-_TABLES: dict[str, Callable[[dict], str]] = {
-    "solve": _table_solve,
-    "analyze": _table_analyze,
-    "census": _table_census,
-    "truncate": _table_truncate,
-    "scan": _table_scan,
-    "polytope": _table_polytope,
-}
-
-
 def _render(cfg: argparse.Namespace, payload: dict) -> str:
     if cfg.format == "json":
         return json.dumps(payload, indent=2)
@@ -578,30 +587,34 @@ def _render(cfg: argparse.Namespace, payload: dict) -> str:
             # floats are written with enough digits to round-trip exactly
             writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
         return out.getvalue().rstrip("\n")
-    return _TABLES[payload["command"]](payload)
+    return cfg.table(payload)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(
+    sub: argparse.ArgumentParser, catalog: bool = True, tiers: bool = True
+) -> None:
+    """Output flags, plus --catalog and --tiers where the command reads them."""
     sub.add_argument("--format", choices=("table", "json", "csv"), default="table")
     sub.add_argument("--output", help="write the report to this file")
-    sub.add_argument(
-        "--tiers",
-        type=_parse_tiers,
-        default=DEFAULT_TIERS,
-        help="pinning thresholds a,b,c (default 1e-10,1e-4,1e-2)",
-    )
-    sub.add_argument(
-        "--catalog",
-        dest="catalog_files",
-        action="append",
-        default=[],
-        help="append a constraint catalog file (repeatable)",
-    )
-    sub.add_argument("--seed", type=int, default=0)
+    if tiers:
+        sub.add_argument(
+            "--tiers",
+            type=_parse_tiers,
+            default=DEFAULT_TIERS,
+            help="pinning thresholds a,b,c (default 1e-10,1e-4,1e-2)",
+        )
+    if catalog:
+        sub.add_argument(
+            "--catalog",
+            dest="catalog_files",
+            action="append",
+            default=[],
+            help="append a constraint catalog file (repeatable)",
+        )
 
 
 def _add_model(sub: argparse.ArgumentParser) -> None:
@@ -639,6 +652,12 @@ def _parse_occupations(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
+def _parse_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a count of at least 1: {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fermipin",
@@ -648,11 +667,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="ground state, energy, and occupations")
     _add_model(p)
-    _add_common(p)
+    _add_common(p, catalog=False, tiers=False)
+    p.set_defaults(run=cmd_solve, table=_table_solve)
 
     p = sub.add_parser("analyze", help="solve, then evaluate every catalog constraint")
     _add_model(p)
     _add_common(p)
+    p.set_defaults(run=cmd_analyze, table=_table_analyze)
 
     p = sub.add_parser("census", help="excitation census, optionally after filtering")
     p.add_argument("--N", type=int, default=None)
@@ -661,7 +682,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=sorted(SECTOR_PRESETS), default=None)
     p.add_argument("--mu", type=_parse_mu, default=(), help="comma-separated constraint indices")
     p.add_argument("--with-equalities", action="store_true")
-    _add_common(p)
+    _add_common(p, tiers=False)
+    p.set_defaults(run=cmd_census, table=_table_census)
 
     p = sub.add_parser("truncate", help="force-pinned truncated solve vs the full one")
     _add_model(p)
@@ -670,32 +692,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iterations", type=int, default=100)
     p.add_argument("--occupation-tol", type=float, default=1e-10)
     _add_common(p)
+    p.set_defaults(run=cmd_truncate, table=_table_truncate)
 
     p = sub.add_parser("scan", help="residual trajectories over a parameter grid")
     _add_model(p)
     p.add_argument("--scan", default=None, help="NAME=START:STOP:STEPS, e.g. U=0:8:9")
     p.add_argument("--files", nargs="+", default=None, help="integral files to scan over")
     _add_common(p)
-    p.set_defaults(format="csv")
+    p.set_defaults(format="csv", run=cmd_scan, table=_table_scan)
 
     p = sub.add_parser("polytope", help="evaluate occupation vectors directly")
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--occupations", type=_parse_occupations, default=None)
-    p.add_argument("--random", type=int, default=None, help="sample this many random states")
+    p.add_argument("--random", type=_parse_count, default=None, help="sample this many random states")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the --random samples")
+    p.set_defaults(run=cmd_polytope, table=_table_polytope)
 
     return parser
-
-
-_DISPATCH: dict[str, Callable[[argparse.Namespace], dict]] = {
-    "solve": cmd_solve,
-    "analyze": cmd_analyze,
-    "census": cmd_census,
-    "truncate": cmd_truncate,
-    "scan": cmd_scan,
-    "polytope": cmd_polytope,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -705,8 +720,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        payload = _DISPATCH[args.command](args)
-        text = _render(args, payload)
+        text = _render(args, args.run(args))
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        else:
+            print(text)
     except NoSurvivorsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -716,11 +735,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (FermipinError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
     return 0
 
 

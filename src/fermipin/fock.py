@@ -352,15 +352,6 @@ class ExcitationCensus:
     def max_degree(self) -> int:
         return max(self.counts) if self.counts else 0
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "reference": list(self.reference.orbitals()),
-                "counts": {str(k): v for k, v in sorted(self.counts.items())},
-                "total": self.total,
-            }
-        )
-
 
 def census(space: ConfigurationSpace, reference: Determinant) -> ExcitationCensus:
     """Tally ``space`` by excitation degree relative to ``reference``."""

@@ -219,11 +219,7 @@ def load_integral_file(path: str) -> SpatialIntegrals:
         else:
             if not all(1 <= x <= n for x in (i, j, k, l)):
                 raise ParseError(f"orbital index outside 1..{n}", lineno)
-            key = min(
-                (i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
-                (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i),
-            )
-            _store(g_entries, key, value, lineno)
+            _store(g_entries, min(_images(i, j, k, l)), value, lineno)
 
     if header is None:
         raise ParseError("missing 'NORB= NELEC= MS2=' header line")
@@ -233,14 +229,19 @@ def load_integral_file(path: str) -> SpatialIntegrals:
     for (i, j), value in h_entries.items():
         h[i - 1, j - 1] = h[j - 1, i - 1] = value
     g = np.zeros((n, n, n, n))
-    for (i, j, k, l), value in g_entries.items():
-        for a, b, c, d in (
-            (i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
-            (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i),
-        ):
+    for key, value in g_entries.items():
+        for a, b, c, d in _images(*key):
             g[a - 1, b - 1, c - 1, d - 1] = value
 
     return SpatialIntegrals(n, h, g, core, header["NELEC"], header["MS2"])
+
+
+def _images(i: int, j: int, k: int, l: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The eight index-symmetry images of ``(ij|kl)``; the smallest is the stored key."""
+    return (
+        (i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
+        (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i),
+    )
 
 
 def _parse_header(text: str, lineno: int) -> dict[str, int]:
@@ -290,10 +291,7 @@ def save_integral_file(path: str, spatial: SpatialIntegrals) -> None:
         for j in range(1, n + 1):
             for k in range(1, n + 1):
                 for l in range(1, n + 1):
-                    key = min(
-                        (i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
-                        (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i),
-                    )
+                    key = min(_images(i, j, k, l))
                     if key in seen:
                         continue
                     seen.add(key)

@@ -21,7 +21,6 @@ warns when a result depends on such a choice.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -130,15 +129,6 @@ class OccupationSpectrum:
         if not 0 < N <= len(n):
             raise ValueError(f"N={N} inconsistent with {len(n)} occupations")
         return cls(n, N, None, _tie_groups(n, tie_tolerance))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "N": self.N,
-                "occupations": [float(v) for v in self.n],
-                "degeneracy_groups": [list(g) for g in self.degeneracy_groups],
-            }
-        )
 
 
 def _clamp_range(n: np.ndarray, tol: float) -> np.ndarray:

@@ -20,7 +20,6 @@ iteration will use it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -198,24 +197,6 @@ class PinnedSolveResult:
     iterations: int
     converged: bool
     survivors: PinnedSpace
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "full_energy": self.full_energy,
-                "reference_energy": self.reference_energy,
-                "pinned_energy": self.pinned_energy,
-                "recovered_fraction": self.recovered_fraction,
-                "full_correlation": self.reference_energy - self.full_energy,
-                "pinned_correlation": self.reference_energy - self.pinned_energy,
-                "census_full": json.loads(self.census_full.to_json()),
-                "census_pinned": json.loads(self.census_pinned.to_json()),
-                "occupations": [float(v) for v in self.occupations],
-                "iterations": self.iterations,
-                "converged": self.converged,
-                "survivor_determinants": json.loads(self.survivors.survivors.to_json()),
-            }
-        )
 
 
 def _natural_frame(ints, space, spectrum):

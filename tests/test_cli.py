@@ -250,7 +250,7 @@ def test_output_file(capsys, tmp_path) -> None:
     assert payload["command"] == "analyze"
 
 
-def test_usage_errors_exit_2(capsys) -> None:
+def test_usage_errors_exit_2(capsys, tmp_path) -> None:
     assert _run(capsys, ["solve", "--model", "nosuch"])[0] == 2
     assert _run(capsys, ["solve", "--model", "hubbard", "--sites", "3"])[0] == 2
     assert _run(capsys, ["census"])[0] == 2
@@ -262,6 +262,13 @@ def test_usage_errors_exit_2(capsys) -> None:
                          "--sz", "0", "--scan", "U=0:8:0"])[0] == 2
     assert _run(capsys, ["truncate", *HUB36, "--mu", "1", "--with-equalities",
                          "--max-iterations", "0"])[0] == 2
+    for count in ("-2", "0", "x"):
+        assert _run(capsys, ["polytope", "--N", "3", "--m", "6", "--random", count])[0] == 2
+    unwritable = str(tmp_path / "missing" / "report.txt")
+    code, out, err = _run(capsys, ["solve", "--model", "hubbard", "--sites", "2", "--N", "2",
+                                   "--output", unwritable])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
     assert _run(capsys, [])[0] == 2
     assert _run(capsys, ["--help"])[0] == 0
 
@@ -329,3 +336,67 @@ def test_catalog_rank_mismatch_exits_2(capsys, tmp_path) -> None:
     )
     assert code == 2
     assert "(3,6)" in err
+
+
+def test_commands_take_only_the_flags_they_read(capsys) -> None:
+    solve = ["solve", "--model", "hubbard", "--sites", "2", "--N", "2"]
+    census = ["census", "--N", "3", "--m", "6"]
+    for argv in ([*solve, "--seed", "1"], [*solve, "--tiers", "1e-10,1e-4,1e-2"],
+                 [*solve, "--catalog", "extra.cat"], [*census, "--tiers", "1e-10,1e-4,1e-2"],
+                 [*census, "--seed", "1"], ["analyze", *HUB36, "--seed", "1"],
+                 ["truncate", *HUB36, "--mu", "1", "--seed", "1"]):
+        code, out, err = _run(capsys, argv)
+        assert code == 2, argv
+        assert out == "" and "unrecognized arguments" in err
+    code, out, _ = _run(capsys, ["polytope", "--N", "3", "--m", "6", "--random", "2",
+                                 "--seed", "5", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["seed"] == 5
+
+
+def test_degenerate_ground_state_is_reported(capsys) -> None:
+    degenerate = ["--model", "hubbard", "--sites", "4", "--N", "4", "--U", "0",
+                  "--periodic", "--sz", "0"]
+    for model, flag in ((degenerate, True), (HUB36, False)):
+        for argv, energy, key, line_start in (
+            (["analyze", *model], "energy", "degenerate", "ground energy:"),
+            (["truncate", *model, "--mu", "1"], "full_energy", "full_degenerate", "full energy:"),
+        ):
+            code, out, _ = _run(capsys, [*argv, "--format", "json"])
+            assert code == 0
+            payload = json.loads(out)
+            assert payload[key] is flag
+            assert list(payload).index(key) == list(payload).index(energy) + 1
+
+            code, table, _ = _run(capsys, argv)
+            (line,) = [row for row in table.splitlines() if row.startswith(line_start)]
+            assert line.endswith("  (degenerate)") is flag
+            assert table.count("(degenerate)") == int(flag)
+
+            # CSV keeps its columns: the flag annotates JSON and tables only
+            code, text, _ = _run(capsys, [*argv, "--format", "csv"])
+            assert "degenerate" not in text
+
+
+def test_scan_builds_each_grid_point_once(capsys, monkeypatch) -> None:
+    import fermipin.cli
+
+    calls = {"to_spin_orbitals": 0, "enumerate_space": 0}
+
+    def spy(name):
+        real = getattr(fermipin.cli, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(fermipin.cli, name, spy(name))
+    code, out, _ = _run(capsys, ["scan", "--model", "hubbard", "--sites", "4", "--N", "4",
+                                 "--sz", "0", "--scan", "U=0:8:41"])
+    assert code == 0
+    assert len(_rows(out)) == 41
+    # the first point fixes the geometry and the catalog and serves row 0
+    assert calls == {"to_spin_orbitals": 41, "enumerate_space": 41}
