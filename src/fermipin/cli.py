@@ -207,6 +207,10 @@ def cmd_analyze(cfg: argparse.Namespace) -> dict:
 
 def cmd_census(cfg: argparse.Namespace) -> dict:
     if cfg.preset is not None:
+        given = [flag for flag in ("N", "m", "sz") if getattr(cfg, flag) is not None]
+        if given:
+            flags = ", ".join(f"--{flag}" for flag in given)
+            raise ValueError(f"--preset fixes the space; it conflicts with {flags}")
         space = SECTOR_PRESETS[cfg.preset].space()
     else:
         if cfg.N is None or cfg.m is None:
@@ -704,8 +708,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("polytope", help="evaluate occupation vectors directly")
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--occupations", type=_parse_occupations, default=None)
-    p.add_argument("--random", type=_parse_count, default=None, help="sample this many random states")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--occupations", type=_parse_occupations, default=None)
+    source.add_argument(
+        "--random", type=_parse_count, default=None, help="sample this many random states"
+    )
     _add_common(p)
     p.add_argument("--seed", type=int, default=0, help="seed of the --random samples")
     p.set_defaults(run=cmd_polytope, table=_table_polytope)

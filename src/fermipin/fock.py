@@ -9,11 +9,16 @@ reduce to bitwise operations.
 
 Phase convention: an annihilation or creation operator acting on orbital
 ``p`` of a mask picks up ``(-1) ** (occupied orbitals below p)``.  This
-module applies it in one place, :func:`excitations`, which serves every
-determinant-pair loop in the package (Hamiltonian assembly and the 1-RDM).
+module applies it in one place, :func:`excitations`, the array kernel
+behind every determinant-pair computation in the package (Hamiltonian
+assembly and the 1-RDM).  It XORs blocks of the space's ``uint64`` mask
+array, keeps the pairs whose ``np.bitwise_count`` is at most twice the
+degree, and applies the phase rule to all of them at once: the sign is
+the parity of the orbitals the two determinants share that lie below an
+odd number of the substituted ones.
 
 The maximum width is 64 spin orbitals.  That bound is far beyond what the
-dense solver can use; it exists so masks stay cheap machine-sized integers.
+solvers can use; it exists so every mask fits one ``uint64`` array entry.
 
 Functions
 =========
@@ -23,6 +28,9 @@ enumerate_space    : all N-electron determinants, optionally in an S_z sector
 space_size         : the size enumerate_space would return, without building it
 excitation_degree  : half the Hamming distance between two determinants
 excitations        : connected determinant pairs of a space, with their phases
+occupation_bits    : the boolean occupation matrix of an array of masks
+lowest_bit         : the lowest set bit of each mask of an array
+bit_index          : the position of the one set bit of each mask of an array
 census             : tally determinants by excitation degree from a reference
 """
 
@@ -33,11 +41,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Iterator, Literal
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple
+
+import numpy as np
 
 from .errors import SectorError, WidthError
 
 MAX_WIDTH = 64
+_BLOCK = 250_000  # XORed mask pairs per block of the excitation search
 
 Spin = Literal["up", "down"]
 UP: Spin = "up"
@@ -184,6 +195,11 @@ class ConfigurationSpace:
         return self.dets[i]
 
     @cached_property
+    def masks(self) -> np.ndarray:
+        """The determinant masks as a ``uint64`` array, in basis order."""
+        return np.fromiter((d.mask for d in self.dets), np.uint64, len(self.dets))
+
+    @cached_property
     def _index(self) -> dict[int, int]:
         return {d.mask: i for i, d in enumerate(self.dets)}
 
@@ -295,43 +311,70 @@ def _orbitals_of(mask: int) -> tuple[int, ...]:
     return tuple(orbitals)
 
 
-def excitations(
-    space: ConfigurationSpace, max_degree: int
-) -> Iterator[tuple[int, int, tuple[int, ...], tuple[int, ...], int]]:
-    """Every determinant pair of ``space`` connected by 1..``max_degree``
-    orbital substitutions, as ``(i, j, ps, qs, sign)`` with ``i < j``.
+class Excitations(NamedTuple):
+    """Connected determinant pairs of a space, one array entry per pair.
 
-    ``ps`` are the orbitals occupied only in ``space[i]`` and ``qs`` those
-    occupied only in ``space[j]``, both 1-based and ascending.  ``sign`` is
-    the sign of ``<K_i| a+_{p1}..a+_{pk} a_{qk}..a_{q1} |K_j>``.  Pairs come
-    with ``i`` ascending, then ``j`` ascending.
+    ``i < j`` index the space.  ``bra_only`` and ``ket_only`` are the masks
+    of the orbitals occupied only in ``space[i]`` and only in ``space[j]``
+    (the ``ps`` and ``qs`` of the substitution), and ``sign`` (``int8``) is
+    the sign of ``<K_i| a+_{p1}..a+_{pk} a_{qk}..a_{q1} |K_j>`` with both
+    orbital lists ascending.  Entries run with ``i`` ascending, then ``j``.
     """
-    masks = [det.mask for det in space]
+
+    i: np.ndarray
+    j: np.ndarray
+    bra_only: np.ndarray
+    ket_only: np.ndarray
+    sign: np.ndarray
+
+
+def excitations(space: ConfigurationSpace, max_degree: int) -> Excitations:
+    """Every determinant pair of ``space`` connected by 1..``max_degree``
+    orbital substitutions, found over blocks of XORed masks."""
+    masks = space.masks
+    n = len(masks)
     limit = 2 * max_degree
-    memo: dict = {}  # substitution mask -> _substitution(memo, mask)
-    for i, bra in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            ket = masks[j]
-            diff = bra ^ ket
-            if diff.bit_count() > limit:
-                continue
-            ps, below_p = memo.get(diff & bra) or _substitution(memo, diff & bra)
-            qs, below_q = memo.get(diff & ket) or _substitution(memo, diff & ket)
-            # Applying the operators one by one, each substituted orbital
-            # passes every orbital the two determinants share below it.
-            sign = -1 if (bra & ket & (below_p ^ below_q)).bit_count() & 1 else 1
-            yield i, j, ps, qs, sign
+    found = [(np.zeros(0, np.intp), np.zeros(0, np.intp))]
+    start = 0
+    while start < n - 1:
+        # rows start..stop against columns start+1..n-1, about _BLOCK entries
+        stop = min(n - 1, start + max(1, _BLOCK // (n - 1 - start)))
+        diff = np.bitwise_count(masks[start:stop, None] ^ masks[None, start + 1 :])
+        upper = np.arange(n - 1 - start) >= np.arange(stop - start)[:, None]
+        rows, cols = np.nonzero(upper & (diff <= limit))
+        found.append((rows + start, cols + start + 1))
+        start = stop
+    i = np.concatenate([rows for rows, _ in found])
+    j = np.concatenate([cols for _, cols in found])
+    bra, ket = masks[i], masks[j]
+    diff = bra ^ ket
+    # Applying the operators one by one, each substituted orbital passes
+    # every orbital the two determinants share below it: the sign is the
+    # parity of the shared orbitals lying below an odd number of the
+    # substituted ones (bit k of `below` is the parity of diff's bits above k).
+    below = diff >> 1
+    shift = 1
+    while shift < space.m:
+        below ^= below >> shift
+        shift *= 2
+    sign = 1 - 2 * (np.bitwise_count(bra & ket & below) & 1).astype(np.int8)
+    return Excitations(i, j, bra & diff, ket & diff, sign)
 
 
-def _substitution(memo: dict, mask: int) -> tuple[tuple[int, ...], int]:
-    """Memoize the orbitals of a substitution mask, with the mask of the
-    positions that lie below an odd number of them."""
-    orbitals = _orbitals_of(mask)
-    below = 0
-    for p in orbitals:
-        below ^= (1 << (p - 1)) - 1
-    memo[mask] = orbitals, below
-    return orbitals, below
+def lowest_bit(masks: np.ndarray) -> np.ndarray:
+    """The lowest set bit of each mask (0 for an empty mask)."""
+    return masks & (~masks + 1)
+
+
+def bit_index(single_bits: np.ndarray) -> np.ndarray:
+    """0-based position of the one set bit of each mask."""
+    return np.bitwise_count(single_bits - 1).astype(np.intp)
+
+
+def occupation_bits(masks: np.ndarray, m: int) -> np.ndarray:
+    """Boolean matrix whose row ``k`` flags the bits of ``masks[k]``
+    (column ``p - 1`` for spin orbital ``p``)."""
+    return (masks[:, None] >> np.arange(m, dtype=np.uint64) & 1).astype(bool)
 
 
 @dataclass(frozen=True)

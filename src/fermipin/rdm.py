@@ -28,7 +28,7 @@ import numpy as np
 
 from .ci import CIVector, OrbitalRotation
 from .errors import SpectralRangeError
-from .fock import DOWN, UP, SpinOrbitalLayout, excitations
+from .fock import DOWN, UP, SpinOrbitalLayout, bit_index, excitations, occupation_bits
 
 TRACE_TOL = 1e-10
 RANGE_TOL = 1e-10
@@ -62,18 +62,19 @@ def one_rdm(vector: CIVector) -> OneRDM:
     """The 1-RDM of a normalized CI vector, symmetric by construction."""
     vector.require_normalized(1e-10)
     space = vector.space
-    # Python floats accumulate faster than numpy scalars, with the same sums.
-    c = vector.coeffs.tolist()
-    rows = [[0.0] * space.m for _ in range(space.m)]
-    for i, det in enumerate(space):
-        weight = c[i] * c[i]
-        for p in det.orbitals():
-            rows[p - 1][p - 1] += weight
-    for i, j, (p,), (q,), sign in excitations(space, 1):
-        value = sign * c[i] * c[j]
-        rows[q - 1][p - 1] += value
-        rows[p - 1][q - 1] += value
-    rho = np.array(rows)
+    m, c = space.m, vector.coeffs
+    # bincount adds its weights in input order, so every element is the
+    # same sum, term for term, as a loop over the determinants and then
+    # over the single excitations in pair order
+    dets, orbitals = np.nonzero(occupation_bits(space.masks, m))
+    pairs = excitations(space, 1)
+    p, q = bit_index(pairs.bra_only), bit_index(pairs.ket_only)
+    upper = np.bincount(
+        np.minimum(p, q) * m + np.maximum(p, q),
+        pairs.sign * c[pairs.i] * c[pairs.j],
+        minlength=m * m,
+    ).reshape(m, m)
+    rho = np.diag(np.bincount(orbitals, (c * c)[dets], minlength=m)) + upper + upper.T
 
     blocked = False
     if space.layout is not None:

@@ -7,8 +7,15 @@ import math
 import numpy as np
 import pytest
 
+import fermipin.ci
 from fermipin.ci import CIVector, OrbitalRotation, build_hamiltonian, solve_ground
-from fermipin.errors import RotationError, SectorError, SpaceTooLargeError, WidthError
+from fermipin.errors import (
+    FermipinError,
+    RotationError,
+    SectorError,
+    SpaceTooLargeError,
+    WidthError,
+)
 from fermipin.fock import DOWN, UP, Determinant, enumerate_space, interleaved_layout
 from fermipin.integrals import hubbard_chain, pairing_model, to_spin_orbitals
 
@@ -123,6 +130,62 @@ def test_solver_orders_and_flags_degeneracies() -> None:
     flat = to_spin_orbitals(pairing_model(2, 0.0, 0.0))
     zspace = enumerate_space(2, 4, flat.layout, 0)
     assert solve_ground(flat, zspace)[0].degenerate
+
+
+def _sparse_and_dense(monkeypatch, ints, space, k):
+    dense = solve_ground(ints, space, k)
+    with monkeypatch.context() as patch:
+        patch.setattr(fermipin.ci, "DENSE_CROSSOVER", 0)
+        sparse = solve_ground(ints, space, k)
+    return dense, sparse
+
+
+def test_sparse_solve_agrees_with_dense(monkeypatch) -> None:
+    rng = np.random.default_rng(23)
+    cases = [hubbard_sector_space(4, 4, 0), hubbard_sector_space(5, 5, 1)]
+    for n_spatial, N, sector in ((4, 3, None), (4, 4, 0), (5, 4, 2)):
+        ints = to_spin_orbitals(random_spatial(n_spatial, rng))
+        layout = ints.layout if sector is not None else None
+        cases.append((ints, enumerate_space(N, 2 * n_spatial, layout, sector)))
+    for ints, space in cases:
+        dense, sparse = _sparse_and_dense(monkeypatch, ints, space, 3)
+        for d, s in zip(dense, sparse):
+            assert s.energy == pytest.approx(d.energy, abs=1e-10)
+            assert s.degenerate == d.degenerate
+            if not d.degenerate:
+                assert abs(d.coeffs @ s.coeffs) == pytest.approx(1.0, abs=1e-10)
+                assert s.coeffs[np.argmax(np.abs(s.coeffs))] > 0
+
+
+def test_sparse_solve_flags_degeneracy(monkeypatch) -> None:
+    # the U=0 periodic 4-site ring at half filling: a four-fold ground level
+    ints = to_spin_orbitals(hubbard_chain(4, 1.0, 0.0, periodic=True))
+    space = enumerate_space(4, 8, ints.layout, 0)
+    dense, sparse = _sparse_and_dense(monkeypatch, ints, space, 1)
+    assert dense[0].degenerate and sparse[0].degenerate
+    assert sparse[0].energy == pytest.approx(dense[0].energy, abs=1e-10)
+
+
+def test_sparse_solve_is_repeatable(monkeypatch) -> None:
+    ints, space = hubbard_sector_space(5, 5, 1)
+    monkeypatch.setattr(fermipin.ci, "DENSE_CROSSOVER", 0)
+    first, second = solve_ground(ints, space, 2), solve_ground(ints, space, 2)
+    for a, b in zip(first, second):
+        assert a.energy == b.energy
+        assert np.array_equal(a.coeffs, b.coeffs)
+
+
+def test_sparse_no_convergence_is_a_fermipin_error(monkeypatch) -> None:
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    ints, space = hubbard_sector_space(4, 4, 0)
+    monkeypatch.setattr(fermipin.ci, "DENSE_CROSSOVER", 0)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", stalled)
+    with pytest.raises(FermipinError, match="did not converge"):
+        solve_ground(ints, space)
 
 
 def test_solver_input_checks() -> None:

@@ -264,6 +264,8 @@ def test_usage_errors_exit_2(capsys, tmp_path) -> None:
                          "--max-iterations", "0"])[0] == 2
     for count in ("-2", "0", "x"):
         assert _run(capsys, ["polytope", "--N", "3", "--m", "6", "--random", count])[0] == 2
+    assert _run(capsys, ["polytope", "--N", "3", "--m", "6", "--random", "5",
+                         "--occupations", "0.99,0.98,0.97,0.03,0.02,0.01"])[0] == 2
     unwritable = str(tmp_path / "missing" / "report.txt")
     code, out, err = _run(capsys, ["solve", "--model", "hubbard", "--sites", "2", "--N", "2",
                                    "--output", unwritable])
@@ -271,6 +273,16 @@ def test_usage_errors_exit_2(capsys, tmp_path) -> None:
     assert err.startswith("error: ") and "Traceback" not in err
     assert _run(capsys, [])[0] == 2
     assert _run(capsys, ["--help"])[0] == 0
+
+
+def test_census_preset_rejects_space_flags(capsys) -> None:
+    code, out, err = _run(capsys, ["census", "--preset", "4in8-restricted",
+                                   "--N", "3", "--m", "6", "--sz", "1"])
+    assert (code, out) == (2, "")
+    assert "--N, --m, --sz" in err
+    code, out, err = _run(capsys, ["census", "--preset", "4in8-restricted", "--sz", "0"])
+    assert (code, out) == (2, "")
+    assert "--sz" in err and "--N" not in err
 
 
 def test_oversize_space_exits_2_before_enumerating(capsys, monkeypatch, tmp_path) -> None:

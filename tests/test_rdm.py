@@ -34,6 +34,10 @@ def test_rdm_matches_operator_oracle() -> None:
         enumerate_space(3, 6, to_spin_orbitals(hubbard_chain(3, 1, 1)).layout, 1),
         enumerate_space(4, 8),
         enumerate_space(2, 6, to_spin_orbitals(hubbard_chain(3, 1, 1)).layout, 0),
+        # three determinants pairwise two substitutions apart: no singles
+        enumerate_space(3, 6).restrict(
+            lambda d: d.orbitals() in {(1, 2, 3), (1, 4, 5), (2, 4, 6)}
+        ),
     ]
     for space in spaces:
         for _ in range(3):
