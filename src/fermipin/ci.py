@@ -2,9 +2,10 @@
 
 Hamiltonian elements over a :class:`~fermipin.fock.ConfigurationSpace` follow
 the Slater-Condon rules with antisymmetrized spin-orbital integrals.  The
-connected determinant pairs and their phases come as arrays from
-:func:`fermipin.fock.excitations`; one routine turns them, all at once, into
-the diagonal and the ``(i, j, value)`` entries of the singles and doubles.
+connected determinant pairs and their phases are the space's own cached
+:attr:`~fermipin.fock.ConfigurationSpace.pairs`; one routine turns them,
+all at once, into the diagonal and the ``(i, j, value)`` entries of the
+singles and doubles.
 :func:`build_hamiltonian` scatters those entries into a dense matrix.
 
 :func:`solve_ground` keeps dense ``numpy.linalg.eigh`` for spaces of at most
@@ -36,7 +37,6 @@ from .fock import (
     Spin,
     SpinOrbitalLayout,
     bit_index,
-    excitations,
     lowest_bit,
     occupation_bits,
 )
@@ -166,7 +166,7 @@ def _hamiltonian_entries(
         )
     )
 
-    pairs = excitations(space, 2)
+    pairs = space.pairs
     values = np.empty(len(pairs.i))
     single = np.bitwise_count(pairs.bra_only) == 1
     p, q = bit_index(pairs.bra_only[single]), bit_index(pairs.ket_only[single])

@@ -535,55 +535,47 @@ def _table_polytope(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _csv_rows(payload: dict) -> tuple[list[str], list[list]]:
-    command = payload["command"]
-    if command == "scan":
-        cols = payload["columns"]
-        return cols, [[row[c] for c in cols] for row in payload["rows"]]
-    if command == "census":
-        return ["degree", "count"], [
-            [k, payload["counts"][k]] for k in sorted(payload["counts"], key=int)
-        ]
-    if command in ("analyze", "polytope"):
-        samples = payload["samples"] if command == "polytope" else [payload]
-        cols = ["sample", "mu", "formula", "residual", "tier"]
-        rows = []
-        for sample in samples:
-            label = sample.get("sample", "ground")
-            for entry in sample["constraints"]:
-                rows.append(
-                    [label, entry["mu"], entry["formula"], entry["residual"], entry["tier"]]
-                )
-            for entry in sample["equalities"]:
-                rows.append(
-                    [label, entry["mu"], entry["formula"], entry["residual"], "equality"]
-                )
-            rows.append([label, "xi", "", sample["xi"], ""])
-        return cols, rows
-    if command == "solve":
-        cols = ["energy"] + [f"n{i}" for i in range(1, payload["m"] + 1)]
-        return cols, [[payload["energy"], *payload["occupations"]]]
-    if command == "truncate":
-        cols = [
-            "full_energy",
-            "pinned_energy",
-            "reference_energy",
-            "full_correlation_mha",
-            "pinned_correlation_mha",
-            "recovered_fraction",
-            "survivor_count",
-            "iterations",
-            "converged",
-        ]
-        return cols, [[payload[c] for c in cols]]
-    raise ValueError(f"no CSV rendering for {command!r}")
+def _csv_solve(payload: dict) -> tuple[list[str], list[list]]:
+    cols = ["energy"] + [f"n{i}" for i in range(1, payload["m"] + 1)]
+    return cols, [[payload["energy"], *payload["occupations"]]]
+
+
+def _csv_samples(samples: list[dict]) -> tuple[list[str], list[list]]:
+    """One row per constraint, equality and xi of each evaluated spectrum."""
+    cols = ["sample", "mu", "formula", "residual", "tier"]
+    rows = []
+    for sample in samples:
+        label = sample.get("sample", "ground")
+        for entry in sample["constraints"]:
+            rows.append([label, entry["mu"], entry["formula"], entry["residual"], entry["tier"]])
+        for entry in sample["equalities"]:
+            rows.append([label, entry["mu"], entry["formula"], entry["residual"], "equality"])
+        rows.append([label, "xi", "", sample["xi"], ""])
+    return cols, rows
+
+
+def _csv_census(payload: dict) -> tuple[list[str], list[list]]:
+    counts = payload["counts"]
+    return ["degree", "count"], [[k, counts[k]] for k in sorted(counts, key=int)]
+
+
+def _csv_truncate(payload: dict) -> tuple[list[str], list[list]]:
+    cols = ["full_energy", "pinned_energy", "reference_energy", "full_correlation_mha",
+            "pinned_correlation_mha", "recovered_fraction", "survivor_count", "iterations",
+            "converged"]
+    return cols, [[payload[c] for c in cols]]
+
+
+def _csv_scan(payload: dict) -> tuple[list[str], list[list]]:
+    cols = payload["columns"]
+    return cols, [[row[c] for c in cols] for row in payload["rows"]]
 
 
 def _render(cfg: argparse.Namespace, payload: dict) -> str:
     if cfg.format == "json":
         return json.dumps(payload, indent=2)
     if cfg.format == "csv":
-        cols, rows = _csv_rows(payload)
+        cols, rows = cfg.csv(payload)
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(cols)
@@ -672,12 +664,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="ground state, energy, and occupations")
     _add_model(p)
     _add_common(p, catalog=False, tiers=False)
-    p.set_defaults(run=cmd_solve, table=_table_solve)
+    p.set_defaults(run=cmd_solve, table=_table_solve, csv=_csv_solve)
 
     p = sub.add_parser("analyze", help="solve, then evaluate every catalog constraint")
     _add_model(p)
     _add_common(p)
-    p.set_defaults(run=cmd_analyze, table=_table_analyze)
+    p.set_defaults(run=cmd_analyze, table=_table_analyze,
+                   csv=lambda payload: _csv_samples([payload]))
 
     p = sub.add_parser("census", help="excitation census, optionally after filtering")
     p.add_argument("--N", type=int, default=None)
@@ -687,7 +680,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=_parse_mu, default=(), help="comma-separated constraint indices")
     p.add_argument("--with-equalities", action="store_true")
     _add_common(p, tiers=False)
-    p.set_defaults(run=cmd_census, table=_table_census)
+    p.set_defaults(run=cmd_census, table=_table_census, csv=_csv_census)
 
     p = sub.add_parser("truncate", help="force-pinned truncated solve vs the full one")
     _add_model(p)
@@ -696,14 +689,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iterations", type=int, default=100)
     p.add_argument("--occupation-tol", type=float, default=1e-10)
     _add_common(p)
-    p.set_defaults(run=cmd_truncate, table=_table_truncate)
+    p.set_defaults(run=cmd_truncate, table=_table_truncate, csv=_csv_truncate)
 
     p = sub.add_parser("scan", help="residual trajectories over a parameter grid")
     _add_model(p)
     p.add_argument("--scan", default=None, help="NAME=START:STOP:STEPS, e.g. U=0:8:9")
     p.add_argument("--files", nargs="+", default=None, help="integral files to scan over")
     _add_common(p)
-    p.set_defaults(format="csv", run=cmd_scan, table=_table_scan)
+    p.set_defaults(format="csv", run=cmd_scan, table=_table_scan, csv=_csv_scan)
 
     p = sub.add_parser("polytope", help="evaluate occupation vectors directly")
     p.add_argument("--N", type=int, default=None)
@@ -715,7 +708,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p)
     p.add_argument("--seed", type=int, default=0, help="seed of the --random samples")
-    p.set_defaults(run=cmd_polytope, table=_table_polytope)
+    p.set_defaults(run=cmd_polytope, table=_table_polytope,
+                   csv=lambda payload: _csv_samples(payload["samples"]))
 
     return parser
 

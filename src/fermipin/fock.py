@@ -1,21 +1,23 @@
 """Determinants, spin-orbital layouts, and configuration spaces.
 
-A Slater determinant over ``m`` spin orbitals is stored as a Python integer
-bitmask: bit ``i - 1`` set means spin orbital ``i`` is occupied.  Orbital
-indices are 1-based everywhere in the public interface, matching the labels
-used for occupation numbers and constraint coefficients.  Because masks are
-plain integers, determinant identity, set algebra, and excitation degrees
-reduce to bitwise operations.
+A Slater determinant over ``m`` spin orbitals is a bitmask: bit ``i - 1``
+set means spin orbital ``i`` is occupied.  Orbital indices are 1-based
+everywhere in the public interface, matching the labels used for
+occupation numbers and constraint coefficients.  A configuration space
+stores its determinants as one sorted, read-only ``uint64`` mask array and
+nothing else: lookup is a binary search, filtering takes a boolean array,
+and a :class:`Determinant` is a view built from one mask on demand.
 
 Phase convention: an annihilation or creation operator acting on orbital
 ``p`` of a mask picks up ``(-1) ** (occupied orbitals below p)``.  This
 module applies it in one place, :func:`excitations`, the array kernel
 behind every determinant-pair computation in the package (Hamiltonian
-assembly and the 1-RDM).  It XORs blocks of the space's ``uint64`` mask
-array, keeps the pairs whose ``np.bitwise_count`` is at most twice the
-degree, and applies the phase rule to all of them at once: the sign is
-the parity of the orbitals the two determinants share that lie below an
-odd number of the substituted ones.
+assembly and the 1-RDM).  It XORs blocks of the mask array, keeps the
+pairs whose ``np.bitwise_count`` is at most four (single and double
+substitutions), and applies the phase rule to all of them at once: the
+sign is the parity of the orbitals the two determinants share that lie
+below an odd number of the substituted ones.  A space runs that search
+once and keeps the result as :attr:`ConfigurationSpace.pairs`.
 
 The maximum width is 64 spin orbitals.  That bound is far beyond what the
 solvers can use; it exists so every mask fits one ``uint64`` array entry.
@@ -26,7 +28,6 @@ interleaved_layout : spin orbitals ordered 1-up, 1-down, 2-up, 2-down, ...
 blocked_layout     : all up spin orbitals first, then all down
 enumerate_space    : all N-electron determinants, optionally in an S_z sector
 space_size         : the size enumerate_space would return, without building it
-excitation_degree  : half the Hamming distance between two determinants
 excitations        : connected determinant pairs of a space, with their phases
 occupation_bits    : the boolean occupation matrix of an array of masks
 lowest_bit         : the lowest set bit of each mask of an array
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Iterator, Literal, NamedTuple
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -158,67 +159,82 @@ class Determinant:
     def occupied(self, i: int) -> bool:
         return bool(self.mask >> (i - 1) & 1)
 
-    def count_with_spin(self, layout: SpinOrbitalLayout, spin: Spin) -> int:
-        return sum(1 for i in self.orbitals() if layout.spin_of[i - 1] == spin)
-
     def __str__(self) -> str:
         return "[" + ",".join(str(i) for i in self.orbitals()) + "]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfigurationSpace:
-    """An ordered basis of determinants with fixed particle number and width.
+    """An ordered basis of ``N``-electron determinants over ``m`` spin orbitals.
 
-    ``sector`` is twice the spin projection (the integer 2*S_z), or ``None``
-    when the space is not spin-resolved.  Determinants are kept in increasing
-    mask order, which is the canonical ordering used by every matrix built on
-    the space.
+    ``masks`` holds the determinants as a strictly increasing, read-only
+    ``uint64`` array; that order is the canonical ordering used by every
+    matrix built on the space.  Iterating or indexing yields
+    :class:`Determinant` views built on demand.  ``sector`` is twice the
+    spin projection (the integer 2*S_z), or ``None`` when the space is not
+    spin-resolved.
     """
 
     N: int
     m: int
-    dets: tuple[Determinant, ...]
+    masks: np.ndarray
     layout: SpinOrbitalLayout | None = None
     sector: int | None = None
 
     def __post_init__(self) -> None:
+        if self.m > MAX_WIDTH:
+            raise WidthError(f"space width {self.m} exceeds {MAX_WIDTH}")
         if self.layout is not None and self.layout.m != self.m:
             raise WidthError("layout width differs from space width")
+        masks = np.array(self.masks, dtype=np.uint64)
+        if masks.ndim != 1 or (masks[1:] <= masks[:-1]).any():
+            raise ValueError("determinant masks must be strictly increasing")
+        if len(masks) and (int(masks[-1]) >> self.m or (np.bitwise_count(masks) != self.N).any()):
+            raise ValueError(f"a mask is not an {self.N}-electron determinant of width {self.m}")
+        masks.flags.writeable = False
+        object.__setattr__(self, "masks", masks)
 
     def __len__(self) -> int:
-        return len(self.dets)
+        return len(self.masks)
 
     def __iter__(self) -> Iterator[Determinant]:
-        return iter(self.dets)
+        return (Determinant(mask, self.m) for mask in self.masks.tolist())
 
     def __getitem__(self, i: int) -> Determinant:
-        return self.dets[i]
-
-    @cached_property
-    def masks(self) -> np.ndarray:
-        """The determinant masks as a ``uint64`` array, in basis order."""
-        return np.fromiter((d.mask for d in self.dets), np.uint64, len(self.dets))
-
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        return {d.mask: i for i, d in enumerate(self.dets)}
+        return Determinant(int(self.masks[i]), self.m)
 
     def index_of(self, det: Determinant) -> int:
         """Position of ``det`` in the basis ordering (KeyError if absent)."""
         if det.m != self.m:
             raise WidthError("determinant width differs from space width")
-        return self._index[det.mask]
+        i = int(np.searchsorted(self.masks, np.uint64(det.mask)))
+        if i == len(self.masks) or self.masks[i] != det.mask:
+            raise KeyError(det.mask)
+        return i
 
     def __contains__(self, det: Determinant) -> bool:
-        return det.m == self.m and det.mask in self._index
+        i = np.searchsorted(self.masks, np.uint64(det.mask))
+        return det.m == self.m and i < len(self.masks) and self.masks[i] == det.mask
 
-    def restrict(self, keep: Callable[[Determinant], bool]) -> ConfigurationSpace:
-        """Subspace of determinants passing ``keep``, order preserved."""
-        kept = tuple(d for d in self.dets if keep(d))
-        return ConfigurationSpace(self.N, self.m, kept, self.layout, self.sector)
+    def restrict(self, keep: np.ndarray) -> ConfigurationSpace:
+        """Subspace of the determinants whose entry of the boolean array
+        ``keep`` is true, order preserved."""
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.shape != self.masks.shape:
+            raise ValueError(f"restrict needs a boolean array of length {len(self)}")
+        return ConfigurationSpace(self.N, self.m, self.masks[keep], self.layout, self.sector)
+
+    @cached_property
+    def pairs(self) -> Excitations:
+        """The connected determinant pairs of the space, searched for once
+        and shared, read-only, by every caller."""
+        pairs = excitations(self)
+        for array in pairs:
+            array.flags.writeable = False
+        return pairs
 
     def to_json(self) -> str:
-        return json.dumps([list(d.orbitals()) for d in self.dets])
+        return json.dumps([list(d.orbitals()) for d in self])
 
 
 def enumerate_space(
@@ -240,7 +256,7 @@ def enumerate_space(
         raise ValueError(f"need 0 < N <= m, got N={N}, m={m}")
 
     if sector is None:
-        masks = sorted(_mask_of(c) for c in combinations(range(m), N))
+        masks = _subset_masks(range(m), N)
     else:
         if layout is None:
             raise SectorError("a sector restriction requires a layout")
@@ -255,15 +271,8 @@ def enumerate_space(
                 f"sector 2*S_z={sector} needs {n_up} up and {n_down} down electrons, "
                 f"but the layout has {len(up)} up / {len(down)} down orbitals"
             )
-        masks = [
-            _mask_of(cu) | _mask_of(cd)
-            for cu in combinations(up, n_up)
-            for cd in combinations(down, n_down)
-        ]
-        masks.sort()
-
-    dets = tuple(Determinant(mask, m) for mask in masks)
-    return ConfigurationSpace(N, m, dets, layout, sector)
+        masks = (_subset_masks(up, n_up)[:, None] | _subset_masks(down, n_down)).ravel()
+    return ConfigurationSpace(N, m, np.sort(masks), layout, sector)
 
 
 def space_size(
@@ -285,20 +294,12 @@ def space_size(
     return comb(up, n_up) * comb(down, N - n_up)
 
 
-def _mask_of(bit_positions: Iterable[int]) -> int:
-    mask = 0
-    for b in bit_positions:
-        mask |= 1 << b
-    return mask
-
-
-def excitation_degree(reference: Determinant, det: Determinant) -> int:
-    """Number of orbital substitutions taking ``reference`` into ``det``."""
-    if reference.m != det.m:
-        raise WidthError("determinants have different widths")
-    if reference.n_electrons != det.n_electrons:
-        raise ValueError("determinants carry different particle numbers")
-    return (reference.mask ^ det.mask).bit_count() // 2
+def _subset_masks(bits: Sequence[int], k: int) -> np.ndarray:
+    """The masks of every ``k``-subset of the bit positions ``bits``."""
+    if k == 0:
+        return np.zeros(1, np.uint64)
+    chosen = np.fromiter(combinations(bits, k), np.dtype((np.intp, k)), comb(len(bits), k))
+    return (np.uint64(1) << chosen.astype(np.uint64)).sum(axis=1, dtype=np.uint64)
 
 
 def _orbitals_of(mask: int) -> tuple[int, ...]:
@@ -328,12 +329,12 @@ class Excitations(NamedTuple):
     sign: np.ndarray
 
 
-def excitations(space: ConfigurationSpace, max_degree: int) -> Excitations:
-    """Every determinant pair of ``space`` connected by 1..``max_degree``
-    orbital substitutions, found over blocks of XORed masks."""
+def excitations(space: ConfigurationSpace) -> Excitations:
+    """Every determinant pair of ``space`` connected by one or two orbital
+    substitutions, found over blocks of XORed masks.  Callers read the
+    cached :attr:`ConfigurationSpace.pairs` instead of searching again."""
     masks = space.masks
     n = len(masks)
-    limit = 2 * max_degree
     found = [(np.zeros(0, np.intp), np.zeros(0, np.intp))]
     start = 0
     while start < n - 1:
@@ -341,7 +342,7 @@ def excitations(space: ConfigurationSpace, max_degree: int) -> Excitations:
         stop = min(n - 1, start + max(1, _BLOCK // (n - 1 - start)))
         diff = np.bitwise_count(masks[start:stop, None] ^ masks[None, start + 1 :])
         upper = np.arange(n - 1 - start) >= np.arange(stop - start)[:, None]
-        rows, cols = np.nonzero(upper & (diff <= limit))
+        rows, cols = np.nonzero(upper & (diff <= 4))
         found.append((rows + start, cols + start + 1))
         start = stop
     i = np.concatenate([rows for rows, _ in found])
@@ -400,8 +401,9 @@ def census(space: ConfigurationSpace, reference: Determinant) -> ExcitationCensu
     """Tally ``space`` by excitation degree relative to ``reference``."""
     if len(space) == 0:
         raise ValueError("cannot take the census of an empty space")
-    counts: dict[int, int] = {}
-    for det in space:
-        d = excitation_degree(reference, det)
-        counts[d] = counts.get(d, 0) + 1
-    return ExcitationCensus(reference, counts)
+    if reference.m != space.m:
+        raise WidthError("reference and space have different widths")
+    if reference.n_electrons != space.N:
+        raise ValueError("reference and space carry different particle numbers")
+    tally = np.bincount(np.bitwise_count(space.masks ^ np.uint64(reference.mask)) // 2)
+    return ExcitationCensus(reference, {d: int(n) for d, n in enumerate(tally) if n})

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, SymmetryViolationError, WidthError
-from .fock import UP, SpinOrbitalLayout, blocked_layout, interleaved_layout
+from .fock import MAX_WIDTH, UP, SpinOrbitalLayout, blocked_layout, interleaved_layout
 
 _CONFLICT_TOL = 1e-10
 _SYMMETRY_TOL = 1e-12
@@ -115,11 +115,18 @@ class SpinOrbitalIntegrals:
         return SpinOrbitalIntegrals(layout or self.layout, h_new, g_new, self.core_energy)
 
 
+def _require_width(n_spatial: int) -> None:
+    """Refuse, before an n**4 array exists, what the spin-orbital width cannot hold."""
+    if 2 * n_spatial > MAX_WIDTH:
+        raise WidthError(f"{n_spatial} spatial orbitals exceed the {MAX_WIDTH // 2} that fit")
+
+
 def hubbard_chain(sites: int, t: float, U: float, periodic: bool = False) -> SpatialIntegrals:
     """A one-band Hubbard chain: hopping ``-t`` between neighbours, on-site
     repulsion ``U``; ``periodic`` adds the wrap-around bond."""
     if sites < 1:
         raise ValueError("need at least one site")
+    _require_width(sites)
     h = np.zeros((sites, sites))
     for i in range(sites - 1):
         h[i, i + 1] = h[i + 1, i] = -t
@@ -137,6 +144,7 @@ def pairing_model(levels: int, spacing: float, G: float) -> SpatialIntegrals:
     level pairs, the diagonal ``(kk|kk) = -G`` included."""
     if levels < 1:
         raise ValueError("need at least one level")
+    _require_width(levels)
     h = np.diag([k * spacing for k in range(1, levels + 1)])
     g = np.zeros((levels,) * 4)
     for k in range(levels):
@@ -259,6 +267,7 @@ def _parse_header(text: str, lineno: int) -> dict[str, int]:
         raise ParseError(f"header missing {sorted(missing)}", lineno)
     if fields["NORB"] < 1:
         raise ParseError("NORB must be positive", lineno)
+    _require_width(fields["NORB"])
     return fields
 
 

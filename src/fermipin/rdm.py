@@ -2,10 +2,12 @@
 
 The 1-RDM of a CI vector is ``rho[p-1, q-1] = <Psi| a+_q a_p |Psi>`` — real,
 symmetric, trace ``N``, eigenvalues between 0 and 1.  Off the diagonal only
-determinant pairs one substitution apart contribute; they and their phases
-come from :func:`fermipin.fock.excitations`.  Its eigenvalues, sorted in
-descending order, are the natural occupation numbers that all constraint
-analysis runs on; its eigenvectors define the natural orbitals.
+determinant pairs one substitution apart contribute: the single
+substitutions among the space's cached
+:attr:`~fermipin.fock.ConfigurationSpace.pairs`, the pairs the Hamiltonian
+was built from, in their order.  Its eigenvalues, sorted in descending
+order, are the natural occupation numbers that all constraint analysis
+runs on; its eigenvectors define the natural orbitals.
 
 When the vector lives in a spin-projection sector, every cross-spin element
 of the 1-RDM vanishes identically (a single spin flip leaves the sector),
@@ -28,7 +30,7 @@ import numpy as np
 
 from .ci import CIVector, OrbitalRotation
 from .errors import SpectralRangeError
-from .fock import DOWN, UP, SpinOrbitalLayout, bit_index, excitations, occupation_bits
+from .fock import DOWN, UP, SpinOrbitalLayout, bit_index, occupation_bits
 
 TRACE_TOL = 1e-10
 RANGE_TOL = 1e-10
@@ -67,11 +69,12 @@ def one_rdm(vector: CIVector) -> OneRDM:
     # same sum, term for term, as a loop over the determinants and then
     # over the single excitations in pair order
     dets, orbitals = np.nonzero(occupation_bits(space.masks, m))
-    pairs = excitations(space, 1)
-    p, q = bit_index(pairs.bra_only), bit_index(pairs.ket_only)
+    pairs = space.pairs
+    single = np.bitwise_count(pairs.bra_only) == 1
+    p, q = bit_index(pairs.bra_only[single]), bit_index(pairs.ket_only[single])
     upper = np.bincount(
         np.minimum(p, q) * m + np.maximum(p, q),
-        pairs.sign * c[pairs.i] * c[pairs.j],
+        pairs.sign[single] * c[pairs.i[single]] * c[pairs.j[single]],
         minlength=m * m,
     ).reshape(m, m)
     rho = np.diag(np.bincount(orbitals, (c * c)[dets], minlength=m)) + upper + upper.T

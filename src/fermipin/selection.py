@@ -5,9 +5,13 @@ operator ``D = kappa0 + sum_i kappa_i a+_i a_i`` that is diagonal in the
 determinant basis: determinant ``K`` is an eigenvector with the integer
 eigenvalue ``kappa0 + sum_{i in K} kappa_i``.  A state pinned to the facet
 ``D = 0`` is annihilated by the operator, so its expansion can only touch
-determinants of eigenvalue zero — the super-selection rule.  Filtering a
-configuration space down to those determinants and re-solving inside them
-is the *force-pinned* approximation to the ground state.
+determinants of eigenvalue zero — the super-selection rule.  The
+eigenvalue is linear in the occupation bits, so :func:`filter_pinned`
+evaluates it for a whole space, and every imposed constraint, as one
+product of the space's occupation-bit matrix with the coefficients.
+Filtering a configuration space down to the zero-eigenvalue determinants
+and re-solving inside them is the *force-pinned* approximation to the
+ground state.
 
 Orbital labels here are natural-orbital labels ordered by decreasing
 occupation.  :func:`pinned_solve` starts from an already solved full-space
@@ -42,17 +46,11 @@ from .fock import (
     SpinOrbitalLayout,
     census,
     enumerate_space,
+    occupation_bits,
 )
 from .gpc import GPConstraint
 from .integrals import SpinOrbitalIntegrals
 from .rdm import OccupationSpectrum, natural_spectrum, one_rdm
-
-
-def constraint_eigenvalue(constraint: GPConstraint, det: Determinant) -> int:
-    """The integer eigenvalue of the lifted constraint on a determinant."""
-    if constraint.m != det.m:
-        raise WidthError("constraint and determinant have different widths")
-    return constraint.kappa0 + sum(constraint.kappa[i - 1] for i in det.orbitals())
 
 
 @dataclass(frozen=True)
@@ -76,32 +74,24 @@ def filter_pinned(
 ) -> PinnedSpace:
     """Keep the determinants with eigenvalue zero under every constraint.
 
-    Simultaneous filtering equals sequential filtering in any order, since
-    the lifted operators are all diagonal here.  The result may be empty;
+    The eigenvalues of every determinant under every constraint come from
+    one matrix product of occupation bits and coefficients.  Simultaneous
+    filtering equals sequential filtering in any order, since the lifted
+    operators are all diagonal here.  The result may be empty;
     callers that cannot use an empty space raise on it.
     """
     imposed = tuple(constraints)
     for c in imposed:
         if c.m != space.m:
             raise WidthError(f"constraint {c.label} has width {c.m}, space {space.m}")
-    survivors = space.restrict(
-        lambda det: all(constraint_eigenvalue(c, det) == 0 for c in imposed)
-    )
+    coefficients = np.array([(c.kappa0, *c.kappa) for c in imposed], dtype=float)
+    coefficients = coefficients.reshape(len(imposed), space.m + 1)
+    if np.abs(coefficients).max(initial=0) > 2**46:  # then 65-term sums are exact floats
+        raise ValueError("a constraint coefficient exceeds 2**46 in magnitude")
+    kappa0, kappa = coefficients[:, 0], coefficients[:, 1:]
+    eigenvalues = kappa0 + occupation_bits(space.masks, space.m) @ kappa.T
+    survivors = space.restrict(np.all(eigenvalues == 0, axis=1))
     return PinnedSpace(space, imposed, survivors)
-
-
-def pinned_census(
-    space: ConfigurationSpace,
-    constraints: Sequence[GPConstraint],
-    reference: Determinant,
-) -> ExcitationCensus:
-    """Excitation census of the surviving determinants."""
-    pinned = filter_pinned(space, constraints)
-    if len(pinned) == 0:
-        raise NoSurvivorsError(
-            "no determinant satisfies all imposed constraints"
-        )
-    return census(pinned.survivors, reference)
 
 
 def ls_reconstruct_36(spectrum: OccupationSpectrum, regime: str) -> CIVector:
@@ -208,7 +198,7 @@ def _natural_frame(ints, space, spectrum):
         )
     layout = rotation.rotated_layout() if rotation.spin_blocked else None
     if space.sector is None:
-        nat_space = ConfigurationSpace(space.N, space.m, space.dets, layout, None)
+        nat_space = ConfigurationSpace(space.N, space.m, space.masks, layout, None)
     else:
         nat_space = enumerate_space(space.N, space.m, layout, space.sector)
     return ints.rotated(rotation.U, layout), nat_space
@@ -258,7 +248,7 @@ def pinned_solve(
     nat_ints, nat_space = _natural_frame(ints, space, spectrum)
 
     reference = Determinant.from_orbitals(range(1, space.N + 1), space.m)
-    ref_space = ConfigurationSpace(space.N, space.m, (reference,))
+    ref_space = ConfigurationSpace(space.N, space.m, (reference.mask,))
     reference_energy = float(build_hamiltonian(nat_ints, ref_space)[0, 0])
     census_full = census(nat_space, reference)
 

@@ -9,6 +9,10 @@ Convention: bit ``i - 1`` of a mask means spin orbital ``i`` is occupied,
 and an operator acting on orbital ``p`` picks up the phase
 ``(-1) ** (number of occupied orbitals below p)``.
 
+``constraint_eigenvalue`` is the scalar, one-determinant form of the
+lifted constraint operator that ``selection.filter_pinned`` evaluates for
+a whole space at once.
+
 ``rotate_ci`` re-expresses a CI vector in a rotated orbital basis through
 determinant overlaps; the package itself never needs it, and its memory
 grows as (space size)**2 * N**2, so it lives here as a reference only.
@@ -39,6 +43,14 @@ def create(mask: int, p: int) -> tuple[int, int] | None:
         return None
     phase = -1 if (mask & (bit - 1)).bit_count() % 2 else 1
     return mask | bit, phase
+
+
+def constraint_eigenvalue(constraint, det) -> int:
+    """The integer eigenvalue ``kappa0 + sum_{i in K} kappa_i`` of the lifted
+    constraint on the determinant ``K``."""
+    if constraint.m != det.m:
+        raise WidthError("constraint and determinant have different widths")
+    return constraint.kappa0 + sum(constraint.kappa[i - 1] for i in det.orbitals())
 
 
 def brute_force_hamiltonian(ints, space) -> np.ndarray:
@@ -197,7 +209,7 @@ def rotate_ci(vector: CIVector, rotation: OrbitalRotation) -> CIVector:
     if space.sector is not None:
         out_space = enumerate_space(space.N, space.m, new_layout, space.sector)
     else:
-        out_space = ConfigurationSpace(space.N, space.m, space.dets, new_layout, None)
+        out_space = ConfigurationSpace(space.N, space.m, space.masks, new_layout, None)
 
     rows = [np.array(det.orbitals()) - 1 for det in out_space]
     cols = [np.array(det.orbitals()) - 1 for det in space]

@@ -1,12 +1,16 @@
 """In-process tests for the command-line interface."""
 
+import contextlib
 import csv
 import io
 import json
 
 import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from fermipin.cli import main
+from fermipin.fock import MAX_WIDTH, space_size
 from fermipin.integrals import hubbard_chain, save_integral_file
 
 HUB36 = ["--model", "hubbard", "--sites", "3", "--N", "3", "--sz", "1", "--U", "2"]
@@ -273,6 +277,18 @@ def test_usage_errors_exit_2(capsys, tmp_path) -> None:
     assert err.startswith("error: ") and "Traceback" not in err
     assert _run(capsys, [])[0] == 2
     assert _run(capsys, ["--help"])[0] == 0
+    # more spatial orbitals than 64 spin orbitals hold, refused before the
+    # n**4 integral array is allocated
+    huge = tmp_path / "huge.ints"
+    huge.write_text("NORB=1000 NELEC=2 MS2=0\n1.0 1 1 0 0\n")
+    for argv in (["solve", "--model", "hubbard", "--sites", "1000", "--N", "2"],
+                 ["solve", "--model", "pairing", "--levels", "1000", "--N", "2"],
+                 ["solve", "--model", f"file:{huge}"],
+                 ["scan", "--model", "hubbard", "--sites", "1000", "--N", "2",
+                  "--scan", "U=0:1:2"]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "1000 spatial orbitals exceed" in err
 
 
 def test_census_preset_rejects_space_flags(capsys) -> None:
@@ -412,3 +428,54 @@ def test_scan_builds_each_grid_point_once(capsys, monkeypatch) -> None:
     assert len(_rows(out)) == 41
     # the first point fixes the geometry and the catalog and serves row 0
     assert calls == {"to_spin_orbitals": 41, "enumerate_space": 41}
+
+
+# Sizes drawn for --sites and --levels: small ones, plus out-of-range ones.
+FUZZ_SIZES = st.one_of(st.integers(2, 4), st.sampled_from([0, 1, 33, 10**6]))
+FUZZ_CAP = 200  # largest space a drawn command may build
+
+
+@st.composite
+def _cli_argv(draw) -> tuple[list[str], int]:
+    """A command line, and the size of the largest space it can build."""
+    command = draw(st.sampled_from(["solve", "analyze", "census", "truncate", "scan",
+                                    "polytope"]))
+    N = draw(st.integers(2, 4) | st.sampled_from([None, 0, 1, 9]))
+    argv = [command] + ([] if N is None else ["--N", str(N)])
+    if command in ("census", "polytope"):
+        m = draw(st.integers(5, 8) | st.sampled_from([None, 0, 33, 10**6]))
+        argv += [] if m is None else ["--m", str(m)]
+        size = space_size(N, m) if None not in (N, m) else 0
+    else:
+        model, size_flag, scanned = draw(st.sampled_from(
+            [("hubbard", "--sites", "U"), ("pairing", "--levels", "G")]))
+        n = draw(FUZZ_SIZES)
+        argv += ["--model", model, size_flag, str(n)]
+        size = space_size(N, 2 * n) if N is not None and 2 * n <= MAX_WIDTH else 0
+        if command == "scan":
+            argv += ["--scan", f"{scanned}=0:2:3"]
+    if command != "polytope":
+        sz = draw(st.sampled_from([None, 0, 1]) | st.integers(-3, 3))
+        argv += [] if sz is None else ["--sz", str(sz)]
+    if command in ("census", "truncate"):
+        mu = draw(st.sampled_from([None, "1", "2", "1,2", "9", "auto"]))
+        argv += [] if mu is None else ["--mu", mu]
+        argv += ["--with-equalities"] if draw(st.booleans()) else []
+    if command == "truncate":
+        argv += ["--max-iterations", "10"]
+    if command == "polytope":
+        argv += ["--random", str(draw(st.integers(1, 2)))]
+    return argv + ["--format", draw(st.sampled_from(["table", "json", "csv"]))], size
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_cli_argv())
+def test_fuzzed_command_lines_exit_with_a_documented_code(drawn) -> None:
+    argv, size = drawn
+    assume(size <= FUZZ_CAP)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

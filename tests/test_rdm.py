@@ -7,6 +7,9 @@ import math
 import numpy as np
 import pytest
 
+import fermipin.ci
+import fermipin.fock
+import fermipin.rdm
 from fermipin.ci import CIVector, solve_ground
 from fermipin.errors import NormalizationError, SpectralRangeError
 from fermipin.fock import DOWN, UP, enumerate_space
@@ -27,6 +30,26 @@ def random_vector(space, rng) -> CIVector:
     return CIVector(space, random_coefficients(len(space), rng))
 
 
+def test_solve_and_rdm_search_the_pairs_once(monkeypatch) -> None:
+    calls = []
+
+    def spy(space, *args):
+        calls.append(len(space))
+        return search(space, *args)
+
+    search = fermipin.fock.excitations
+    for module in (fermipin.fock, fermipin.ci, fermipin.rdm):  # every binding of it
+        if getattr(module, "excitations", None) is search:
+            monkeypatch.setattr(module, "excitations", spy)
+    ints = to_spin_orbitals(hubbard_chain(4, 1.0, 4.0))
+    for crossover in (fermipin.ci.DENSE_CROSSOVER, 0):  # dense, then sparse
+        monkeypatch.setattr(fermipin.ci, "DENSE_CROSSOVER", crossover)
+        calls.clear()
+        space = enumerate_space(4, 8, ints.layout, 0)
+        one_rdm(solve_ground(ints, space)[0])
+        assert calls == [36]
+
+
 def test_rdm_matches_operator_oracle() -> None:
     rng = np.random.default_rng(21)
     spaces = [
@@ -35,9 +58,9 @@ def test_rdm_matches_operator_oracle() -> None:
         enumerate_space(4, 8),
         enumerate_space(2, 6, to_spin_orbitals(hubbard_chain(3, 1, 1)).layout, 0),
         # three determinants pairwise two substitutions apart: no singles
-        enumerate_space(3, 6).restrict(
-            lambda d: d.orbitals() in {(1, 2, 3), (1, 4, 5), (2, 4, 6)}
-        ),
+        enumerate_space(3, 6).restrict(np.array(
+            [d.orbitals() in {(1, 2, 3), (1, 4, 5), (2, 4, 6)} for d in enumerate_space(3, 6)]
+        )),
     ]
     for space in spaces:
         for _ in range(3):

@@ -12,20 +12,24 @@ from fermipin.errors import (
     RepresentabilityError,
     WidthError,
 )
-from fermipin.fock import ConfigurationSpace, Determinant, census, enumerate_space
+from fermipin.fock import (
+    ConfigurationSpace,
+    Determinant,
+    census,
+    enumerate_space,
+    interleaved_layout,
+)
 from fermipin.gpc import GPConstraint, catalog, classify_regime_36
 from fermipin.integrals import hubbard_chain, pairing_model, to_spin_orbitals
 from fermipin.rdm import OccupationSpectrum, natural_spectrum, one_rdm
 from fermipin.selection import (
     SECTOR_PRESETS,
-    constraint_eigenvalue,
     filter_pinned,
     ls_reconstruct_36,
-    pinned_census,
     pinned_solve,
 )
 
-from .oracles import random_coefficients, rotate_ci
+from .oracles import constraint_eigenvalue, random_coefficients, rotate_ci
 
 
 def _dets(space_or_pinned) -> list[str]:
@@ -48,6 +52,36 @@ def test_constraint_eigenvalue_is_an_exact_integer() -> None:
         assert isinstance(value, int)
     with pytest.raises(WidthError):
         constraint_eigenvalue(d1, Determinant.from_orbitals((1, 2, 3), 7))
+
+
+def _oracle_filter(space, constraints) -> list[int]:
+    return [det.mask for det in space
+            if all(constraint_eigenvalue(c, det) == 0 for c in constraints)]
+
+
+@pytest.mark.parametrize("N, m", [(3, 6), (3, 7), (3, 8), (4, 8)])
+def test_filter_pinned_matches_the_eigenvalue_oracle(N: int, m: int) -> None:
+    cat = catalog(N, m)
+    layout = interleaved_layout((m + 1) // 2).truncated(m)
+    spaces = [enumerate_space(N, m), enumerate_space(N, m, layout, N % 2)]
+    for space in spaces:
+        for constraints in [[c] for c in cat.constraints + cat.equalities] + [
+            list(cat.equalities), list(cat.equalities + cat.constraints[:2]),
+        ]:
+            survivors = filter_pinned(space, constraints).survivors
+            assert [d.mask for d in survivors] == _oracle_filter(space, constraints)
+            assert survivors.layout is space.layout and survivors.sector == space.sector
+
+
+def test_filter_pinned_refuses_inexact_coefficients() -> None:
+    space = enumerate_space(3, 6)
+    huge = GPConstraint(3, 6, "huge", -(2**60), (2**60, 0, 0, 0, 0, 1))
+    with pytest.raises(ValueError):
+        filter_pinned(space, [huge])
+    exact = GPConstraint(3, 6, "exact", -(2**46), (2**46, 0, 0, 0, 0, 1))
+    assert [d.mask for d in filter_pinned(space, [exact]).survivors] == _oracle_filter(
+        space, [exact]
+    )
 
 
 def test_rank_six_equalities_select_the_structured_octet() -> None:
@@ -208,13 +242,13 @@ def test_pinned_census_and_empty_result() -> None:
     cat = catalog(3, 6)
     space = enumerate_space(3, 6)
     ref = Determinant.from_orbitals((1, 2, 3), 6)
-    counts = pinned_census(space, (*cat.equalities, cat.find(1)), ref).counts
+    counts = census(filter_pinned(space, (*cat.equalities, cat.find(1))).survivors, ref).counts
     assert counts == {0: 1, 2: 2}
 
     impossible = GPConstraint(3, 6, "impossible", 1, (0, 0, 0, 0, 0, 0))
     assert len(filter_pinned(space, [impossible])) == 0
-    with pytest.raises(NoSurvivorsError):
-        pinned_census(space, [impossible], ref)
+    with pytest.raises(ValueError):
+        census(filter_pinned(space, [impossible]).survivors, ref)
 
 
 def test_reconstruction_weak() -> None:
@@ -432,9 +466,9 @@ def test_sector_presets() -> None:
     assert len(space) == 16
     assert space.sector == 2
     assert census(space, ref).counts == {0: 1, 1: 6, 2: 9}
-    assert pinned_census(space, [d14], ref).counts == {0: 1, 2: 9}
+    assert census(filter_pinned(space, [d14]).survivors, ref).counts == {0: 1, 2: 9}
 
     space = unrestricted.space()
     assert len(space) == 30
     assert census(space, ref).counts == {0: 1, 1: 8, 2: 15, 3: 6}
-    assert pinned_census(space, [d14], ref).counts == {0: 1, 2: 12}
+    assert census(filter_pinned(space, [d14]).survivors, ref).counts == {0: 1, 2: 12}
