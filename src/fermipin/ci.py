@@ -34,7 +34,6 @@ from .errors import (
 from .fock import (
     ConfigurationSpace,
     Determinant,
-    Spin,
     SpinOrbitalLayout,
     bit_index,
     lowest_bit,
@@ -92,14 +91,14 @@ class OrbitalRotation:
     """An orthogonal change of spin-orbital basis.
 
     Row ``p`` of ``U`` gives the expansion of new orbital ``p`` in the old
-    ones.  ``spin_blocked`` promises that every new orbital has a definite
-    spin, recorded per row in ``row_spins``; only such rotations may be
-    applied to sector-restricted CI vectors.
+    ones.  ``layout`` is the layout of the new basis: it promises that every
+    new orbital has the spin it records, and only such rotations may be
+    applied to sector-restricted CI vectors.  ``None`` means the new
+    orbitals have no definite spins.
     """
 
     U: np.ndarray
-    spin_blocked: bool = False
-    row_spins: tuple[Spin, ...] | None = None
+    layout: SpinOrbitalLayout | None = None
 
     def __post_init__(self) -> None:
         self.U = np.asarray(self.U, dtype=float)
@@ -109,20 +108,12 @@ class OrbitalRotation:
         defect = np.abs(self.U @ self.U.T - np.eye(m)).max()
         if defect > ORTHOGONALITY_TOL:
             raise RotationError(f"matrix is not orthogonal (defect {defect:.2e})")
-        if self.spin_blocked and (
-            self.row_spins is None or len(self.row_spins) != m
-        ):
-            raise RotationError("spin-blocked rotation needs one row spin per orbital")
+        if self.layout is not None and self.layout.m != m:
+            raise RotationError(f"a width-{self.layout.m} layout for a width-{m} rotation")
 
     @property
     def m(self) -> int:
         return self.U.shape[0]
-
-    def rotated_layout(self) -> SpinOrbitalLayout:
-        """Layout of the new basis: spatial labels count up within each spin."""
-        if not self.spin_blocked:
-            raise RotationError("only spin-blocked rotations define a layout")
-        return SpinOrbitalLayout.from_spins(self.row_spins)
 
 
 @cache

@@ -55,15 +55,7 @@ class RotationError(FermipinError):
 
 class RepresentabilityError(FermipinError):
     """An occupation spectrum violates a necessary pure-state condition
-    (a constraint residual is negative, or an equality fails to hold).
-
-    The offending :class:`~fermipin.gpc.PinningReport` is attached when one
-    was built before the violation surfaced.
-    """
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
+    (a constraint residual is negative, or an equality fails to hold)."""
 
 
 class SpectralRangeError(FermipinError):

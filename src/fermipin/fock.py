@@ -58,37 +58,18 @@ DOWN: Spin = "down"
 
 @dataclass(frozen=True)
 class SpinOrbitalLayout:
-    """Assignment of a spin and a spatial-orbital label to each spin orbital.
+    """The spin of each spin orbital: ``spin_of[i - 1]`` is that of orbital ``i``.
 
-    ``spin_of[i - 1]`` and ``spatial_of[i - 1]`` describe spin orbital ``i``.
-    Spatial labels are 1-based; a spatial orbital may appear at most once per
-    spin.  A layout is what lets particle-number bookkeeping be split into an
-    up block and a down block.
+    A layout is what lets particle-number bookkeeping be split into an up
+    block and a down block.  A basis without definite spins (one reached by
+    a spin-mixing rotation) has no layout; its owner stores ``None``.
     """
 
     spin_of: tuple[Spin, ...]
-    spatial_of: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.spin_of) != len(self.spatial_of):
-            raise ValueError("spin_of and spatial_of must have equal length")
         if len(self.spin_of) > MAX_WIDTH:
             raise WidthError(f"more than {MAX_WIDTH} spin orbitals")
-        for spin in (UP, DOWN):
-            labels = [sp for s, sp in zip(self.spin_of, self.spatial_of) if s == spin]
-            if len(set(labels)) != len(labels):
-                raise ValueError(f"duplicate spatial label within the {spin} block")
-
-    @classmethod
-    def from_spins(cls, spins: Iterable[Spin]) -> SpinOrbitalLayout:
-        """The layout whose spatial labels count up within each spin."""
-        spins = tuple(spins)
-        counters = {UP: 0, DOWN: 0}
-        spatial = []
-        for s in spins:
-            counters[s] += 1
-            spatial.append(counters[s])
-        return cls(spins, tuple(spatial))
 
     @property
     def m(self) -> int:
@@ -102,24 +83,17 @@ class SpinOrbitalLayout:
         """The layout of the first ``m`` spin orbitals."""
         if not 0 < m <= self.m:
             raise ValueError(f"cannot truncate a width-{self.m} layout to {m}")
-        return SpinOrbitalLayout(self.spin_of[:m], self.spatial_of[:m])
+        return SpinOrbitalLayout(self.spin_of[:m])
 
 
 def interleaved_layout(n_spatial: int) -> SpinOrbitalLayout:
     """Layout 1-up, 1-down, 2-up, 2-down, ..., n-up, n-down."""
-    spins: list[Spin] = []
-    spatial: list[int] = []
-    for k in range(1, n_spatial + 1):
-        spins += [UP, DOWN]
-        spatial += [k, k]
-    return SpinOrbitalLayout(tuple(spins), tuple(spatial))
+    return SpinOrbitalLayout((UP, DOWN) * n_spatial)
 
 
 def blocked_layout(n_spatial: int) -> SpinOrbitalLayout:
     """Layout 1-up, ..., n-up, 1-down, ..., n-down."""
-    spins = (UP,) * n_spatial + (DOWN,) * n_spatial
-    spatial = tuple(range(1, n_spatial + 1)) * 2
-    return SpinOrbitalLayout(spins, spatial)
+    return SpinOrbitalLayout((UP,) * n_spatial + (DOWN,) * n_spatial)
 
 
 @dataclass(frozen=True, order=True)

@@ -66,32 +66,36 @@ class SpatialIntegrals:
 
 @dataclass
 class SpinOrbitalIntegrals:
-    """Integrals expanded to ``m`` spin orbitals with a fixed layout.
+    """Integrals expanded to ``m`` spin orbitals.
 
     ``g`` is antisymmetrized, ``g[p-1, q-1, r-1, s-1] = <pq||rs>``, so
     Hamiltonian matrix elements never need explicit exchange terms.
+    ``layout`` records the spin of each orbital, or is ``None`` when the
+    orbitals have no definite spins.
     """
 
-    layout: SpinOrbitalLayout
+    layout: SpinOrbitalLayout | None
     h: np.ndarray
     g: np.ndarray
     core_energy: float = 0.0
 
     def __post_init__(self) -> None:
-        m = self.layout.m
+        m = self.h.shape[0]
         if self.h.shape != (m, m) or self.g.shape != (m, m, m, m):
+            raise ValueError("integral arrays are not m x m and m x m x m x m")
+        if self.layout is not None and self.layout.m != m:
             raise ValueError("integral array shapes do not match the layout")
 
     @property
     def m(self) -> int:
-        return self.layout.m
+        return self.h.shape[0]
 
     def truncated(self, m: int) -> SpinOrbitalIntegrals:
-        """Restrict to the first ``m`` spin orbitals of the layout."""
+        """Restrict to the first ``m`` spin orbitals."""
         if not 0 < m <= self.m:
             raise ValueError(f"cannot truncate width {self.m} to {m}")
         return SpinOrbitalIntegrals(
-            self.layout.truncated(m),
+            None if self.layout is None else self.layout.truncated(m),
             self.h[:m, :m].copy(),
             self.g[:m, :m, :m, :m].copy(),
             self.core_energy,
@@ -103,16 +107,17 @@ class SpinOrbitalIntegrals:
         """Transform to the orbital basis defined by ``U``.
 
         Row ``p`` of ``U`` expands new spin orbital ``p`` in the current
-        ones.  The caller is responsible for supplying the ``layout`` of the
-        rotated basis; when ``U`` is spin-blocked the old layout (the
-        default) remains valid.
+        ones.  ``layout`` is the layout of the rotated basis, as
+        :class:`~fermipin.ci.OrbitalRotation` carries it, and is stored as
+        given: the default ``None`` says the new orbitals have no definite
+        spins.
         """
         U = np.asarray(U, dtype=float)
         if U.shape != (self.m, self.m):
             raise WidthError("rotation dimension does not match the integrals")
         h_new = U @ self.h @ U.T
         g_new = np.einsum("pi,qj,rk,sl,ijkl->pqrs", U, U, U, U, self.g, optimize=True)
-        return SpinOrbitalIntegrals(layout or self.layout, h_new, g_new, self.core_energy)
+        return SpinOrbitalIntegrals(layout, h_new, g_new, self.core_energy)
 
 
 def _require_width(n_spatial: int) -> None:
@@ -165,25 +170,27 @@ def to_spin_orbitals(
 
         <pq||rs> = (pr|qs) d(s_p,s_r) d(s_q,s_s) - (ps|qr) d(s_p,s_s) d(s_q,s_r)
     """
+    n = spatial.n_spatial
     if ordering == "interleaved":
-        layout = interleaved_layout(spatial.n_spatial)
+        layout, sp = interleaved_layout(n), np.repeat(np.arange(n), 2)
     elif ordering == "blocked":
-        layout = blocked_layout(spatial.n_spatial)
+        layout, sp = blocked_layout(n), np.tile(np.arange(n), 2)
     else:
         raise ValueError(f"unknown ordering {ordering!r}")
 
-    sp = np.array(layout.spatial_of) - 1
-    sz = np.array([1 if s == UP else -1 for s in layout.spin_of])
-    same = sz[:, None] == sz[None, :]
+    up = np.array([s == UP for s in layout.spin_of])
+    same = up[:, None] == up[None, :]
 
     h = spatial.h[np.ix_(sp, sp)] * same
 
-    m = layout.m
-    P, Q, R, S = np.meshgrid(np.arange(m), np.arange(m), np.arange(m), np.arange(m),
-                             indexing="ij")
-    coulomb = spatial.g[sp[P], sp[R], sp[Q], sp[S]] * (same[P, R] & same[Q, S])
-    exchange = spatial.g[sp[P], sp[S], sp[Q], sp[R]] * (same[P, S] & same[Q, R])
-    return SpinOrbitalIntegrals(layout, h, coulomb - exchange, spatial.core_energy)
+    # <pq|rs> = (pr|qs) d(s_p,s_r) d(s_q,s_s): one gather from the chemists'
+    # tensor read in physicists' index order, masked by the spins; the
+    # exchange term is the same array with r and s swapped
+    coulomb = spatial.g.transpose(0, 2, 1, 3)[np.ix_(sp, sp, sp, sp)]
+    coulomb *= same[:, None, :, None] & same[None, :, None, :]
+    return SpinOrbitalIntegrals(
+        layout, h, coulomb - coulomb.transpose(0, 1, 3, 2), spatial.core_energy
+    )
 
 
 def load_integral_file(path: str) -> SpatialIntegrals:

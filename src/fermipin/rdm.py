@@ -11,8 +11,10 @@ runs on; its eigenvectors define the natural orbitals.
 
 When the vector lives in a spin-projection sector, every cross-spin element
 of the 1-RDM vanishes identically (a single spin flip leaves the sector),
-so diagonalization proceeds block by block and natural orbitals inherit
-definite spins.  The merged spectrum is still sorted globally.
+so the 1-RDM keeps the space's layout, diagonalization proceeds block by
+block, and the natural orbitals inherit definite spins: the natural
+rotation carries the layout of the new basis.  The merged spectrum is
+still sorted globally.
 
 Sorting is deterministic under degeneracy: descending occupation, up before
 down, block order last.  Exactly which orbital of a tied group comes first
@@ -39,10 +41,13 @@ DEFAULT_TIE_TOL = 1e-8
 
 @dataclass
 class OneRDM:
-    """A one-particle reduced density matrix over ``m`` spin orbitals."""
+    """A one-particle reduced density matrix over ``m`` spin orbitals.
+
+    ``layout`` is set only when ``rho`` is spin-blocked in it: no element
+    couples an up and a down spin orbital.
+    """
 
     rho: np.ndarray
-    spin_blocked: bool = False
     layout: SpinOrbitalLayout | None = None
 
     def __post_init__(self) -> None:
@@ -79,15 +84,14 @@ def one_rdm(vector: CIVector) -> OneRDM:
     ).reshape(m, m)
     rho = np.diag(np.bincount(orbitals, (c * c)[dets], minlength=m)) + upper + upper.T
 
-    blocked = False
-    if space.layout is not None:
-        up = [i - 1 for i in space.layout.indices_with_spin(UP)]
-        down = [i - 1 for i in space.layout.indices_with_spin(DOWN)]
-        blocked = bool(
-            up and down and np.abs(rho[np.ix_(up, down)]).max() <= 1e-12
-        )
+    layout = space.layout
+    if layout is not None:
+        up = [i - 1 for i in layout.indices_with_spin(UP)]
+        down = [i - 1 for i in layout.indices_with_spin(DOWN)]
+        if not (up and down and np.abs(rho[np.ix_(up, down)]).max() <= 1e-12):
+            layout = None
 
-    return OneRDM(rho, spin_blocked=blocked, layout=space.layout)
+    return OneRDM(rho, layout)
 
 
 @dataclass
@@ -158,17 +162,17 @@ def natural_spectrum(
 ) -> OccupationSpectrum:
     """Diagonalize a 1-RDM into occupations and a natural-orbital rotation.
 
-    Spin-blocked matrices are diagonalized per block so the rotation stays
-    spin-blocked and sector-safe.  Natural-orbital rows are sign-fixed the
-    same way CI vectors are (largest component positive).
+    A 1-RDM with a layout is diagonalized per spin block, so every natural
+    orbital has a definite spin and the rotation carries the layout of the
+    natural basis, which keeps it sector-safe.  Natural-orbital rows are
+    sign-fixed the same way CI vectors are (largest component positive).
     """
     trace = rdm.trace
     N = int(round(trace))
     if abs(trace - N) > TRACE_TOL:
         raise SpectralRangeError(f"1-RDM trace {trace!r} is not close to an integer")
 
-    blocked = rdm.spin_blocked and rdm.layout is not None
-    if blocked:
+    if rdm.layout is not None:
         blocks = [(spin, rdm.layout.indices_with_spin(spin)) for spin in (UP, DOWN)]
     else:
         blocks = [(None, range(1, rdm.m + 1))]
@@ -188,8 +192,8 @@ def natural_spectrum(
     U = np.concatenate(rows)[order]
     lead = np.abs(U).argmax(axis=1)
     U = np.where((U[np.arange(rdm.m), lead] < 0)[:, None], -U, U)
-    row_spins = tuple(spins[k] for k in order) if blocked else None
-    rotation = OrbitalRotation(U, spin_blocked=blocked, row_spins=row_spins)
+    layout = None if rdm.layout is None else SpinOrbitalLayout(tuple(spins[k] for k in order))
+    rotation = OrbitalRotation(U, layout)
 
     n = _clamp_range(n, tol=RANGE_TOL)
     return OccupationSpectrum(n, N, rotation, _tie_groups(n, tie_tolerance))

@@ -156,7 +156,7 @@ SECTOR_PRESETS: dict[str, SectorPreset] = {
         SectorPreset(
             "4in8-restricted",
             4,
-            SpinOrbitalLayout.from_spins((UP, UP, UP, DOWN, UP, DOWN, DOWN, DOWN)),
+            SpinOrbitalLayout((UP, UP, UP, DOWN, UP, DOWN, DOWN, DOWN)),
             2,
             "four electrons, S_z = 1: natural orbitals 1-3 and 5 up, "
             "4 and 6-8 down (16 determinants)",
@@ -164,7 +164,7 @@ SECTOR_PRESETS: dict[str, SectorPreset] = {
         SectorPreset(
             "4in8-unrestricted",
             4,
-            SpinOrbitalLayout.from_spins((UP, UP, UP, DOWN, UP, UP, DOWN, DOWN)),
+            SpinOrbitalLayout((UP, UP, UP, DOWN, UP, UP, DOWN, DOWN)),
             2,
             "four electrons, S_z = 1: natural orbitals 1-3, 5 and 6 up, "
             "4, 7 and 8 down (30 determinants)",
@@ -192,11 +192,11 @@ class PinnedSolveResult:
 def _natural_frame(ints, space, spectrum):
     """Rotate integrals and space into the natural orbitals of ``spectrum``."""
     rotation = spectrum.natural_rotation
-    if space.sector is not None and not rotation.spin_blocked:
+    layout = rotation.layout
+    if space.sector is not None and layout is None:
         raise SectorError(
             "sector-restricted space produced a spin-mixing natural rotation"
         )
-    layout = rotation.rotated_layout() if rotation.spin_blocked else None
     if space.sector is None:
         nat_space = ConfigurationSpace(space.N, space.m, space.masks, layout, None)
     else:

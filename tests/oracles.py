@@ -190,21 +190,19 @@ def rotate_ci(vector: CIVector, rotation: OrbitalRotation) -> CIVector:
     if rotation.m != space.m:
         raise WidthError("rotation width does not match the space")
 
-    if rotation.spin_blocked:
-        new_layout = rotation.rotated_layout()
+    new_layout = rotation.layout
+    if new_layout is not None:
         if space.layout is not None:
             for p in range(space.m):
                 for q in range(space.m):
-                    if rotation.row_spins[p] != space.layout.spin_of[q] and (
+                    if new_layout.spin_of[p] != space.layout.spin_of[q] and (
                         abs(rotation.U[p, q]) > ORTHOGONALITY_TOL
                     ):
                         raise RotationError(
-                            "rotation mixes spins despite its spin-blocked promise"
+                            "rotation mixes spins despite the layout it carries"
                         )
     elif space.sector is not None:
         raise SectorError("sector-restricted vectors need a spin-blocked rotation")
-    else:
-        new_layout = None  # a general rotation erases definite spins
 
     if space.sector is not None:
         out_space = enumerate_space(space.N, space.m, new_layout, space.sector)

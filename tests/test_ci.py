@@ -16,7 +16,14 @@ from fermipin.errors import (
     SpaceTooLargeError,
     WidthError,
 )
-from fermipin.fock import DOWN, UP, Determinant, enumerate_space, interleaved_layout
+from fermipin.fock import (
+    DOWN,
+    UP,
+    Determinant,
+    SpinOrbitalLayout,
+    enumerate_space,
+    interleaved_layout,
+)
 from fermipin.integrals import hubbard_chain, pairing_model, to_spin_orbitals
 
 from .oracles import (
@@ -205,8 +212,7 @@ def test_solver_input_checks() -> None:
 def test_identity_rotation_is_a_no_op() -> None:
     ints, space = hubbard_sector_space(3, 3, 1)
     state = solve_ground(ints, space)[0]
-    spins = tuple(space.layout.spin_of)
-    rot = OrbitalRotation(np.eye(6), spin_blocked=True, row_spins=spins)
+    rot = OrbitalRotation(np.eye(6), space.layout)
     out = rotate_ci(state, rot)
     np.testing.assert_allclose(out.coeffs, state.coeffs, atol=1e-14)
     assert out.space.sector == 1
@@ -258,14 +264,14 @@ def test_blocked_rotation_keeps_sector_and_energy() -> None:
         U[a, ups] = qu[a]
     for a, row in enumerate(downs):
         U[3 + a, downs] = qd[a]
-    rot = OrbitalRotation(U, spin_blocked=True, row_spins=(UP,) * 3 + (DOWN,) * 3)
+    rot = OrbitalRotation(U, SpinOrbitalLayout((UP,) * 3 + (DOWN,) * 3))
 
     out = rotate_ci(state, rot)
     assert out.norm == pytest.approx(1.0, abs=1e-12)
     assert out.space.sector == 1
     assert out.space.layout.indices_with_spin(UP) == (1, 2, 3)
 
-    H_rot = build_hamiltonian(ints.rotated(U, rot.rotated_layout()), out.space)
+    H_rot = build_hamiltonian(ints.rotated(U, rot.layout), out.space)
     energy = out.coeffs @ H_rot @ out.coeffs
     assert energy == pytest.approx(state.energy, abs=1e-10)
 
@@ -274,7 +280,7 @@ def test_rotation_validation() -> None:
     with pytest.raises(RotationError):
         OrbitalRotation(np.ones((3, 3)))
     with pytest.raises(RotationError):
-        OrbitalRotation(np.eye(3), spin_blocked=True)  # missing row spins
+        OrbitalRotation(np.eye(3), interleaved_layout(2))  # layout of width 4
 
     ints, space = hubbard_sector_space(2, 2, 0)
     state = solve_ground(ints, space)[0]
@@ -285,7 +291,7 @@ def test_rotation_validation() -> None:
     with pytest.raises(RotationError):
         rotate_ci(
             state,
-            OrbitalRotation(q, spin_blocked=True, row_spins=(UP, DOWN, UP, DOWN)),
+            OrbitalRotation(q, interleaved_layout(2)),
         )
 
 

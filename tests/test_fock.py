@@ -13,7 +13,6 @@ from fermipin.fock import (
     UP,
     ConfigurationSpace,
     Determinant,
-    SpinOrbitalLayout,
     blocked_layout,
     census,
     enumerate_space,
@@ -50,7 +49,6 @@ def test_interleaved_and_blocked_layouts() -> None:
     assert inter.m == 6
     assert inter.indices_with_spin(UP) == (1, 3, 5)
     assert inter.indices_with_spin(DOWN) == (2, 4, 6)
-    assert inter.spatial_of == (1, 1, 2, 2, 3, 3)
 
     blk = blocked_layout(3)
     assert blk.indices_with_spin(UP) == (1, 2, 3)
@@ -63,13 +61,6 @@ def test_layout_truncation_gives_unbalanced_blocks() -> None:
     assert lay.m == 7
     assert lay.indices_with_spin(UP) == (1, 3, 5, 7)
     assert lay.indices_with_spin(DOWN) == (2, 4, 6)
-
-
-def test_layout_rejects_duplicate_spatial_label() -> None:
-    with pytest.raises(ValueError):
-        SpinOrbitalLayout((UP, UP), (1, 1))
-    # same label on opposite spins is fine
-    SpinOrbitalLayout((UP, DOWN), (1, 1))
 
 
 def test_enumeration_counts_are_binomial() -> None:

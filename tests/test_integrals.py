@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fermipin.errors import ParseError, SymmetryViolationError
-from fermipin.fock import DOWN, UP
+from fermipin.fock import DOWN, UP, SpinOrbitalLayout, interleaved_layout
 from fermipin.integrals import (
     SpatialIntegrals,
     hubbard_chain,
@@ -78,6 +80,46 @@ def test_spin_expansion_matches_loop_oracle() -> None:
         assert so.core_energy == spatial.core_energy
 
 
+def _index_grid_expansion(spatial: SpatialIntegrals, ordering: str):
+    """Spin-orbital h and g from four m**4 index grids: the direct
+    vectorized reading of the expansion formula, a bitwise reference for
+    ``to_spin_orbitals`` (the loop oracle writes 0.0 where this writes -0.0)."""
+    n = spatial.n_spatial
+    sp = np.repeat(np.arange(n), 2) if ordering == "interleaved" else np.tile(np.arange(n), 2)
+    up = np.arange(2 * n) % 2 == 0 if ordering == "interleaved" else np.arange(2 * n) < n
+    same = up[:, None] == up[None, :]
+    h = spatial.h[np.ix_(sp, sp)] * same
+    P, Q, R, S = np.meshgrid(*[np.arange(2 * n)] * 4, indexing="ij")
+    coulomb = spatial.g[sp[P], sp[R], sp[Q], sp[S]] * (same[P, R] & same[Q, S])
+    exchange = spatial.g[sp[P], sp[S], sp[Q], sp[R]] * (same[P, S] & same[Q, R])
+    return h, coulomb - exchange
+
+
+@pytest.mark.parametrize("ordering", ["interleaved", "blocked"])
+def test_spin_expansion_is_bitwise_the_index_grid_formula(ordering: str) -> None:
+    rng = np.random.default_rng(17)
+    for spatial in (random_spatial(3, rng), pairing_model(4, 1.0, 0.7), hubbard_chain(3, 1.0, 4.0)):
+        so = to_spin_orbitals(spatial, ordering)
+        for got, want in zip((so.h, so.g), _index_grid_expansion(spatial, ordering)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("ordering", ["interleaved", "blocked"])
+def test_spin_expansion_peak_memory_is_a_few_tensors(ordering: str) -> None:
+    # the output g is one m**4 tensor of float64; the expansion may hold
+    # at most two more while it builds it
+    spatial = hubbard_chain(16, 1.0, 4.0)
+    m = 32
+    tracemalloc.start()
+    try:
+        to_spin_orbitals(spatial, ordering)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * m**4
+
+
 def test_spin_expansion_antisymmetry() -> None:
     rng = np.random.default_rng(8)
     so = to_spin_orbitals(random_spatial(3, rng))
@@ -124,6 +166,23 @@ def test_rotation_is_a_similarity_transform() -> None:
     back = rotated.rotated(q.T)
     np.testing.assert_allclose(back.h, so.h, atol=1e-12)
     np.testing.assert_allclose(back.g, so.g, atol=1e-12)
+
+
+def test_rotated_integrals_store_exactly_the_given_layout() -> None:
+    rng = np.random.default_rng(10)
+    so = to_spin_orbitals(random_spatial(2, rng))
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    mixed = so.rotated(q)  # spin-mixing: the new orbitals have no spins
+    assert mixed.layout is None
+    cut = mixed.truncated(3)
+    assert cut.layout is None and cut.m == 3
+    np.testing.assert_array_equal(cut.g, mixed.g[:3, :3, :3, :3])
+
+    swap = np.eye(4)[[1, 0, 3, 2]]  # 1-down, 1-up, 2-down, 2-up
+    layout = SpinOrbitalLayout((DOWN, UP, DOWN, UP))
+    assert so.rotated(swap, layout).layout == layout
+    with pytest.raises(ValueError):
+        so.rotated(swap, interleaved_layout(3))
 
 
 def test_minimal_file_loads(tmp_path) -> None:

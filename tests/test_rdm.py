@@ -82,19 +82,19 @@ def test_rdm_invariants_on_random_vectors() -> None:
         assert eigs.min() > -1e-12 and eigs.max() < 1 + 1e-12
 
 
-def test_sector_vectors_give_spin_blocked_rdms() -> None:
+def test_sector_vectors_give_rdms_that_keep_the_layout() -> None:
     rng = np.random.default_rng(23)
     layout = to_spin_orbitals(hubbard_chain(3, 1, 1)).layout
     sector_space = enumerate_space(3, 6, layout, 1)
     rho = one_rdm(random_vector(sector_space, rng))
-    assert rho.spin_blocked
+    assert rho.layout == layout
     up = [i - 1 for i in layout.indices_with_spin(UP)]
     down = [i - 1 for i in layout.indices_with_spin(DOWN)]
     assert np.abs(rho.rho[np.ix_(up, down)]).max() == 0.0
 
     full_space = enumerate_space(3, 6, layout, None)
     rho_full = one_rdm(random_vector(full_space, rng))
-    assert not rho_full.spin_blocked  # a random vector mixes spins
+    assert rho_full.layout is None  # a random vector mixes spins
 
 
 def test_one_rdm_requires_normalization() -> None:
@@ -130,15 +130,15 @@ def test_natural_rotation_diagonalizes_the_vector_rdm() -> None:
     assert np.abs(off).max() < 1e-10
 
 
-def test_spin_blocked_spectrum_keeps_sector_machinery_intact() -> None:
+def test_sector_spectrum_rotation_keeps_sector_machinery_intact() -> None:
     ints = to_spin_orbitals(hubbard_chain(3, 1.0, 4.0))
     space = enumerate_space(3, 6, ints.layout, 1)
     state = solve_ground(ints, space)[0]
     spec = natural_spectrum(one_rdm(state))
     rot = spec.natural_rotation
-    assert rot.spin_blocked
+    assert rot.layout is not None
     # two up and one down electron: the top natural orbitals reflect that
-    assert rot.row_spins.count(UP) == 3 and rot.row_spins.count(DOWN) == 3
+    assert rot.layout.spin_of.count(UP) == 3 and rot.layout.spin_of.count(DOWN) == 3
 
     rotated = rotate_ci(state, rot)
     assert rotated.space.sector == 1
@@ -146,7 +146,7 @@ def test_spin_blocked_spectrum_keeps_sector_machinery_intact() -> None:
     np.testing.assert_allclose(np.diag(rho_nat.rho), spec.n, atol=1e-10)
 
     # energy is invariant under the natural rotation
-    rotated_ints = ints.rotated(rot.U, rot.rotated_layout())
+    rotated_ints = ints.rotated(rot.U, rot.layout)
     from fermipin.ci import build_hamiltonian
 
     H = build_hamiltonian(rotated_ints, rotated.space)
