@@ -10,10 +10,13 @@ singles and doubles.
 
 :func:`solve_ground` keeps dense ``numpy.linalg.eigh`` for spaces of at most
 ``DENSE_CROSSOVER`` determinants, where it is the faster route.  Above that
-it builds a CSR matrix straight from the entries, never a dense one, and
-runs ``scipy.sparse.linalg.eigsh`` from a fixed start vector for one state
-more than requested, so the degeneracy flag keeps its meaning.  scipy is
-imported only on that path.  ``MAX_DENSE_SPACE`` caps both routes.
+it holds H as CSR arrays built straight from the entries, never a dense
+matrix, and finds one state more than requested, so the degeneracy flag
+keeps its meaning, by block thick-restart Lanczos written in numpy alone; no
+scipy is used.  The solve stops when every residual ‖Hc - Ec‖ is within
+``LANCZOS_TOL`` times the largest |H_ij|, and it starts from a fixed
+random block, so a run repeats to the last bit.  ``MAX_DENSE_SPACE`` caps
+both routes.
 """
 
 from __future__ import annotations
@@ -43,9 +46,14 @@ from .integrals import SpinOrbitalIntegrals
 
 MAX_DENSE_SPACE = 20000
 # Largest space solved with dense eigh.  With one BLAS thread, eigh of the
-# whole matrix and eigsh for two states break even between 100 and 225
-# determinants (Hubbard sectors); at 400, eigsh takes 10 ms against 23 ms.
+# whole matrix and the sparse Lanczos for two states break even between 100
+# and 225 determinants (Hubbard sectors); at 400, Lanczos takes 8 ms against
+# 25 ms.
 DENSE_CROSSOVER = 200
+# Lanczos stops when every wanted residual is within this multiple of the
+# largest |H_ij|, and gives up after this many restarts
+LANCZOS_TOL = 1e-13
+LANCZOS_RESTARTS = 200
 DEGENERACY_GAP = 1e-10
 ORTHOGONALITY_TOL = 1e-10
 
@@ -184,29 +192,91 @@ def build_hamiltonian(ints: SpinOrbitalIntegrals, space: ConfigurationSpace) -> 
     return H
 
 
+def _orthogonalized(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``w`` less its projection on the orthonormal rows of ``basis``, by two
+    classical Gram-Schmidt passes."""
+    for _ in range(2):
+        w = w - (basis @ w) @ basis
+    return w
+
+
+def _product(
+    X: np.ndarray, cols: np.ndarray, vals: np.ndarray, row_starts: np.ndarray
+) -> np.ndarray:
+    """The CSR matrix times each row of ``X``.  Rows go two at a time, as
+    the real and imaginary parts of one complex vector, so that one gather
+    and one reduction serve both."""
+    HX = np.empty_like(X)
+    for r in range(0, len(X) - 1, 2):
+        hz = np.add.reduceat((X[r] + 1j * X[r + 1])[cols] * vals, row_starts)
+        HX[r], HX[r + 1] = hz.real, hz.imag
+    if len(X) % 2:
+        HX[-1] = np.add.reduceat(X[-1, cols] * vals, row_starts)
+    return HX
+
+
 def _sparse_eigh(
     ints: SpinOrbitalIntegrals, space: ConfigurationSpace, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The ``count`` lowest eigenpairs of a CSR Hamiltonian, by Lanczos."""
-    from scipy.sparse import csr_array
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+    """The ``count`` lowest eigenpairs of the Hamiltonian, by block
+    thick-restart Lanczos (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 602
+    (2000)) in numpy alone.
 
+    H is held as CSR arrays.  The Krylov space grows from a block of
+    ``count`` random vectors: one start vector reaches a single state of each
+    level, so it would show a degenerate level with fewer copies than it has.
+    Each new vector is orthogonalized against the basis by two classical
+    Gram-Schmidt passes, and T = VᵀHV is filled from the products.  A full
+    basis of sixteen blocks is solved by Rayleigh-Ritz; once every residual
+    ‖Hy - θy‖ of the ``count`` lowest Ritz pairs is within ``LANCZOS_TOL``
+    times the largest ``|H_ij|`` they are returned, and otherwise the lowest
+    half of the Ritz vectors is kept, with T = diag(θ), and the expansion goes
+    on from the last residual block.  A vector whose norm falls to 1e-12
+    times the largest ``|H_ij|`` (an invariant subspace) is replaced by a
+    random one orthogonal to the basis, as ARPACK's ``dgetv0`` does.  Start
+    and replacement vectors come from a fixed seed, so a run repeats to the
+    last bit.
+    """
     diag, i, j, values = _hamiltonian_entries(ints, space)
     keep = values != 0
     i, j, values = i[keep], j[keep], values[keep]
     n = len(space)
+    # the diagonal is stored even where it is zero, so no CSR row is empty
     rows = np.concatenate([np.arange(n), i, j])
-    cols = np.concatenate([np.arange(n), j, i])
-    H = csr_array((np.concatenate([diag, values, values]), (rows, cols)), shape=(n, n))
-    # a fixed start vector keeps repeated runs identical; a constant one can
-    # be orthogonal to the ground state by symmetry
-    v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        energies, vectors = eigsh(H, k=count, which="SA", tol=0, v0=v0)
-    except ArpackNoConvergence as exc:
-        raise FermipinError(f"sparse eigensolver did not converge: {exc}") from exc
-    order = np.argsort(energies)
-    return energies[order], vectors[:, order]
+    order = np.argsort(rows, kind="stable")
+    cols = np.concatenate([np.arange(n), j, i])[order]
+    vals = np.concatenate([diag, values, values])[order]
+    row_starts = np.searchsorted(rows[order], np.arange(n))
+    scale = max(np.abs(diag).max(), np.abs(values).max(initial=0.0))
+    # a constant start vector can be orthogonal to the ground state by symmetry
+    rng = np.random.default_rng(0)
+
+    size = min(n, 16 * count)
+    V, HV, T = np.empty((size, n)), np.empty((size, n)), np.zeros((size, size))
+    filled, block = 0, rng.standard_normal((count, n))
+    for _ in range(LANCZOS_RESTARTS):
+        while filled < size:
+            top = min(filled + len(block), size)
+            for row, w in zip(range(filled, top), block):
+                w = _orthogonalized(w, V[:row])
+                if w @ w <= (1e-12 * scale) ** 2:
+                    w = _orthogonalized(rng.standard_normal(n), V[:row])
+                V[row] = w / np.sqrt(w @ w)
+            HV[filled:top] = _product(V[filled:top], cols, vals, row_starts)
+            T[:top, filled:top] = V[:top] @ HV[filled:top].T
+            block, filled = HV[filled:top], top
+        theta, Y = np.linalg.eigh(T, UPLO="U")
+        ritz = Y[:, :count].T @ V
+        residual = Y[:, :count].T @ HV - theta[:count, None] * ritz
+        if np.linalg.norm(residual, axis=1).max() <= LANCZOS_TOL * scale:
+            return theta[:count], ritz.T
+        # the residual block goes on orthogonal to all of the basis it leaves
+        block = block - (block @ V.T) @ V
+        filled = min(8 * count, size - 1)
+        V[:filled], HV[:filled] = Y[:, :filled].T @ V, Y[:, :filled].T @ HV
+        T[:] = 0.0
+        T[:filled, :filled] = np.diag(theta[:filled])
+    raise FermipinError(f"sparse eigensolver did not converge in {LANCZOS_RESTARTS} restarts")
 
 
 def solve_ground(
@@ -216,7 +286,8 @@ def solve_ground(
 
     Spaces of at most ``DENSE_CROSSOVER`` determinants, or whose ``k + 1``
     lowest states are all of them, are solved densely with ``eigh``; larger
-    ones through a CSR matrix with ``eigsh`` for the ``k + 1`` lowest states.
+    ones through a CSR matrix with block Lanczos for the ``k + 1`` lowest
+    states.
     Eigenvectors are normalized and sign-fixed so the coefficient of
     largest magnitude (first such, on exact ties) is positive.  A state
     whose eigenvalue sits within 1e-10 of a neighbouring one is flagged

@@ -28,6 +28,10 @@ import numpy as np
 from .errors import ParseError, SymmetryViolationError, WidthError
 from .fock import MAX_WIDTH, UP, SpinOrbitalLayout, blocked_layout, interleaved_layout
 
+# The contraction order einsum's optimizer picks for a rotation at every
+# width, one index of g at a time; fixing it skips planning on each call.
+_ROTATION_PATH = ["einsum_path", (0, 4), (0, 3), (0, 2), (0, 1)]
+
 _CONFLICT_TOL = 1e-10
 _SYMMETRY_TOL = 1e-12
 
@@ -116,7 +120,7 @@ class SpinOrbitalIntegrals:
         if U.shape != (self.m, self.m):
             raise WidthError("rotation dimension does not match the integrals")
         h_new = U @ self.h @ U.T
-        g_new = np.einsum("pi,qj,rk,sl,ijkl->pqrs", U, U, U, U, self.g, optimize=True)
+        g_new = np.einsum("pi,qj,rk,sl,ijkl->pqrs", U, U, U, U, self.g, optimize=_ROTATION_PATH)
         return SpinOrbitalIntegrals(layout, h_new, g_new, self.core_energy)
 
 

@@ -154,23 +154,44 @@ def test_sparse_solve_agrees_with_dense(monkeypatch) -> None:
         ints = to_spin_orbitals(random_spatial(n_spatial, rng))
         layout = ints.layout if sector is not None else None
         cases.append((ints, enumerate_space(N, 2 * n_spatial, layout, sector)))
+    # The U=0 periodic 6-site ring: the Krylov space of one start vector
+    # becomes invariant after about 15 vectors and holds one state of each
+    # level, while the second level is four-fold.  A solver that stops there
+    # returns the level above as the third state.
+    ring = to_spin_orbitals(hubbard_chain(6, 1.0, 0.0, periodic=True))
+    hubbard = to_spin_orbitals(hubbard_chain(7, 1.0, 4.0))
+    pairing = to_spin_orbitals(pairing_model(7, 1.0, 0.5))
+    cases += [
+        (ring, enumerate_space(6, 12, ring.layout, 0)),
+        (hubbard, enumerate_space(7, 14, hubbard.layout, 1)),
+        (pairing, enumerate_space(6, 14, pairing.layout, 0)),
+    ]
     for ints, space in cases:
         dense, sparse = _sparse_and_dense(monkeypatch, ints, space, 3)
+        H = build_hamiltonian(ints, space)
         for d, s in zip(dense, sparse):
             assert s.energy == pytest.approx(d.energy, abs=1e-10)
             assert s.degenerate == d.degenerate
             if not d.degenerate:
                 assert abs(d.coeffs @ s.coeffs) == pytest.approx(1.0, abs=1e-10)
                 assert s.coeffs[np.argmax(np.abs(s.coeffs))] > 0
+            assert np.linalg.norm(H @ s.coeffs - s.energy * s.coeffs) <= 1e-10
+        if ints is ring:
+            assert [d.degenerate for d in dense] == [False, True, True]
 
 
 def test_sparse_solve_flags_degeneracy(monkeypatch) -> None:
-    # the U=0 periodic 4-site ring at half filling: a four-fold ground level
-    ints = to_spin_orbitals(hubbard_chain(4, 1.0, 0.0, periodic=True))
-    space = enumerate_space(4, 8, ints.layout, 0)
-    dense, sparse = _sparse_and_dense(monkeypatch, ints, space, 1)
-    assert dense[0].degenerate and sparse[0].degenerate
-    assert sparse[0].energy == pytest.approx(dense[0].energy, abs=1e-10)
+    # the U=0 periodic 4-site ring at half filling: a four-fold ground level;
+    # the U=4 periodic 7-site ring with N=5: a momentum doublet, whose Krylov
+    # space from one start vector never becomes invariant yet holds only one
+    # of its two states
+    rings = [(4, 0.0, 4, 0), (7, 4.0, 5, 1)]
+    for sites, U, N, sector in rings:
+        ints = to_spin_orbitals(hubbard_chain(sites, 1.0, U, periodic=True))
+        space = enumerate_space(N, 2 * sites, ints.layout, sector)
+        dense, sparse = _sparse_and_dense(monkeypatch, ints, space, 1)
+        assert dense[0].degenerate and sparse[0].degenerate
+        assert sparse[0].energy == pytest.approx(dense[0].energy, abs=1e-10)
 
 
 def test_sparse_solve_is_repeatable(monkeypatch) -> None:
@@ -183,14 +204,10 @@ def test_sparse_solve_is_repeatable(monkeypatch) -> None:
 
 
 def test_sparse_no_convergence_is_a_fermipin_error(monkeypatch) -> None:
-    from scipy.sparse.linalg import ArpackNoConvergence
-
-    def stalled(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
-
-    ints, space = hubbard_sector_space(4, 4, 0)
+    # one basis fill is far too few Lanczos steps for a 400-determinant space
+    ints, space = hubbard_sector_space(6, 6, 0)
     monkeypatch.setattr(fermipin.ci, "DENSE_CROSSOVER", 0)
-    monkeypatch.setattr("scipy.sparse.linalg.eigsh", stalled)
+    monkeypatch.setattr(fermipin.ci, "LANCZOS_RESTARTS", 1)
     with pytest.raises(FermipinError, match="did not converge"):
         solve_ground(ints, space)
 

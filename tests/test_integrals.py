@@ -168,6 +168,15 @@ def test_rotation_is_a_similarity_transform() -> None:
     np.testing.assert_allclose(back.g, so.g, atol=1e-12)
 
 
+@pytest.mark.parametrize("m", [2, 8, 20])
+def test_rotation_is_bitwise_the_optimizer_planned_einsum(m: int) -> None:
+    rng = np.random.default_rng(m)
+    so = to_spin_orbitals(random_spatial(m // 2, rng))
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    planned = np.einsum("pi,qj,rk,sl,ijkl->pqrs", q, q, q, q, so.g, optimize=True)
+    assert np.array_equal(so.rotated(q).g, planned)
+
+
 def test_rotated_integrals_store_exactly_the_given_layout() -> None:
     rng = np.random.default_rng(10)
     so = to_spin_orbitals(random_spatial(2, rng))
