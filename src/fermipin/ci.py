@@ -1,11 +1,22 @@
 """Configuration-interaction vectors, orbital rotations, Hamiltonians, and solves.
 
 Hamiltonian elements over a :class:`~fermipin.fock.ConfigurationSpace` follow
-the Slater-Condon rules with antisymmetrized spin-orbital integrals.  The
-connected determinant pairs and their phases are the space's own cached
-:attr:`~fermipin.fock.ConfigurationSpace.pairs`; one routine turns them,
-all at once, into the diagonal and the ``(i, j, value)`` entries of the
-singles and doubles.
+the Slater-Condon rules with antisymmetrized spin-orbital integrals.  One
+routine turns a list of determinant pairs with their phases, all at once,
+into the diagonal and the ``(i, j, value)`` entries of the singles and
+doubles.  Where the pairs come from depends on the size of the space, with
+``DENSE_CROSSOVER`` as the dividing line:
+
+* a space of at most ``DENSE_CROSSOVER`` determinants reads its cached
+  :attr:`~fermipin.fock.ConfigurationSpace.pairs`, found once by the
+  quadratic search and shared with the 1-RDM;
+* a larger space generates only the pairs the integrals can connect
+  (:func:`~fermipin.fock.substitutions`): a single ``p -> q`` where
+  ``h[p,q]`` or some ``<pc||qc>`` is nonzero, a double where
+  ``<p1p2||q1q2>`` is.  Every pair left out has an element of exactly
+  zero, so the nonzero entries are the same either way, and no quadratic
+  search runs.
+
 :func:`build_hamiltonian` scatters those entries into a dense matrix.
 
 :func:`solve_ground` keeps dense ``numpy.linalg.eigh`` for spaces of at most
@@ -41,6 +52,7 @@ from .fock import (
     bit_index,
     lowest_bit,
     occupation_bits,
+    substitutions,
 )
 from .integrals import SpinOrbitalIntegrals
 
@@ -48,7 +60,10 @@ MAX_DENSE_SPACE = 20000
 # Largest space solved with dense eigh.  With one BLAS thread, eigh of the
 # whole matrix and the sparse Lanczos for two states break even between 100
 # and 225 determinants (Hubbard sectors); at 400, Lanczos takes 8 ms against
-# 25 ms.
+# 25 ms.  It is also the largest space whose pairs come from the quadratic
+# search (the Hamiltonian and the 1-RDM): below it, generating them costs
+# more in numpy call overhead than searching (Hubbard sectors, entries plus
+# 1-RDM: 0.87 against 0.52 ms at 36 determinants, even at 225).
 DENSE_CROSSOVER = 200
 # Lanczos stops when every wanted residual is within this multiple of the
 # largest |H_ij|, and gives up after this many restarts
@@ -165,15 +180,20 @@ def _hamiltonian_entries(
         )
     )
 
-    pairs = space.pairs
+    # exchange[p, q, c] = <pc||qc>
+    exchange = ints.g.diagonal(axis1=1, axis2=3)
+    if len(space) <= DENSE_CROSSOVER:
+        pairs = space.pairs
+    else:
+        # a single's element is h[p,q] + sum_c <pc||qc>, a double's <p1p2||q1q2>
+        pairs = substitutions(space, (ints.h != 0) | (exchange != 0).any(axis=2), ints.g != 0)
     values = np.empty(len(pairs.i))
     single = np.bitwise_count(pairs.bra_only) == 1
     p, q = bit_index(pairs.bra_only[single]), bit_index(pairs.ket_only[single])
     shared = occupation_bits(masks[pairs.i[single]] & masks[pairs.j[single]], m)
     # <pc||qc> over the orbitals c both determinants occupy
-    exchange = ints.g.diagonal(axis1=1, axis2=3)[p, q]
     values[single] = _sequential_sum(
-        np.concatenate([ints.h[p, q][:, None], shared * exchange], axis=1)
+        np.concatenate([ints.h[p, q][:, None], shared * exchange[p, q]], axis=1)
     )
     bra_only, ket_only = pairs.bra_only[~single], pairs.ket_only[~single]
     p_low, q_low = lowest_bit(bra_only), lowest_bit(ket_only)

@@ -9,15 +9,24 @@ nothing else: lookup is a binary search, filtering takes a boolean array,
 and a :class:`Determinant` is a view built from one mask on demand.
 
 Phase convention: an annihilation or creation operator acting on orbital
-``p`` of a mask picks up ``(-1) ** (occupied orbitals below p)``.  This
-module applies it in one place, :func:`excitations`, the array kernel
-behind every determinant-pair computation in the package (Hamiltonian
-assembly and the 1-RDM).  It XORs blocks of the mask array, keeps the
-pairs whose ``np.bitwise_count`` is at most four (single and double
-substitutions), and applies the phase rule to all of them at once: the
-sign is the parity of the orbitals the two determinants share that lie
-below an odd number of the substituted ones.  A space runs that search
-once and keeps the result as :attr:`ConfigurationSpace.pairs`.
+``p`` of a mask picks up ``(-1) ** (occupied orbitals below p)``.  One
+helper applies it to arrays of mask pairs: the sign is the parity of the
+orbitals the two determinants share that lie below an odd number of the
+substituted ones.  Two kernels find the determinant pairs one or two
+substitutions apart, and both hand their pairs to that helper:
+
+* :func:`excitations` XORs blocks of the mask array and keeps the pairs
+  whose ``np.bitwise_count`` is at most four.  That search is quadratic in
+  the space size.  A space runs it once, on first use, and keeps the
+  result as :attr:`ConfigurationSpace.pairs`; the Hamiltonian and the
+  1-RDM read it only on spaces of at most ``fermipin.ci.DENSE_CROSSOVER``
+  determinants, the spaces solved densely.
+* :func:`substitutions` generates, from each determinant, the singles and
+  doubles that boolean screens over orbital indices allow, and finds each
+  target by binary search.  Its work grows with the space size times the
+  substitutions of one determinant, and with a screen built from the
+  integrals it makes only the pairs whose matrix element can be nonzero.
+  The large-space Hamiltonian and 1-RDM use it.
 
 The maximum width is 64 spin orbitals.  That bound is far beyond what the
 solvers can use; it exists so every mask fits one ``uint64`` array entry.
@@ -28,7 +37,8 @@ interleaved_layout : spin orbitals ordered 1-up, 1-down, 2-up, 2-down, ...
 blocked_layout     : all up spin orbitals first, then all down
 enumerate_space    : all N-electron determinants, optionally in an S_z sector
 space_size         : the size enumerate_space would return, without building it
-excitations        : connected determinant pairs of a space, with their phases
+excitations        : connected determinant pairs of a space, by an O(n^2) search
+substitutions      : the pairs that screened substitutions reach, generated per determinant
 occupation_bits    : the boolean occupation matrix of an array of masks
 lowest_bit         : the lowest set bit of each mask of an array
 bit_index          : the position of the one set bit of each mask of an array
@@ -49,7 +59,7 @@ import numpy as np
 from .errors import SectorError, WidthError
 
 MAX_WIDTH = 64
-_BLOCK = 250_000  # XORed mask pairs per block of the excitation search
+_BLOCK = 250_000  # mask pairs, or candidate substitutions, per block of a pair kernel
 
 Spin = Literal["up", "down"]
 UP: Spin = "up"
@@ -200,8 +210,12 @@ class ConfigurationSpace:
 
     @cached_property
     def pairs(self) -> Excitations:
-        """The connected determinant pairs of the space, searched for once
-        and shared, read-only, by every caller."""
+        """The connected determinant pairs of the space, searched for once by
+        :func:`excitations` and shared, read-only, by every caller.  The
+        Hamiltonian and the 1-RDM read them on spaces of at most
+        ``fermipin.ci.DENSE_CROSSOVER`` determinants; larger spaces never
+        run the quadratic search and generate their pairs with
+        :func:`substitutions` instead."""
         pairs = excitations(self)
         for array in pairs:
             array.flags.writeable = False
@@ -305,7 +319,8 @@ class Excitations(NamedTuple):
 
 def excitations(space: ConfigurationSpace) -> Excitations:
     """Every determinant pair of ``space`` connected by one or two orbital
-    substitutions, found over blocks of XORed masks.  Callers read the
+    substitutions, found over blocks of XORed masks.  The search is O(n²)
+    in the space size, so callers run it on small spaces only, and read the
     cached :attr:`ConfigurationSpace.pairs` instead of searching again."""
     masks = space.masks
     n = len(masks)
@@ -323,17 +338,88 @@ def excitations(space: ConfigurationSpace) -> Excitations:
     j = np.concatenate([cols for _, cols in found])
     bra, ket = masks[i], masks[j]
     diff = bra ^ ket
+    return Excitations(i, j, bra & diff, ket & diff, _signs(bra, ket, space.m))
+
+
+def substitutions(
+    space: ConfigurationSpace, singles: np.ndarray, doubles: np.ndarray | None = None
+) -> Excitations:
+    """The pairs of ``space`` one or two substitutions apart that the boolean
+    screens allow, generated from each determinant instead of searched for.
+
+    From ``space[i]`` it takes every single ``p -> q`` (``p`` occupied, ``q``
+    empty, 0-based) with ``singles[p, q]`` and, when ``doubles`` is given,
+    every double ``p1 < p2 -> q1 < q2`` with ``doubles[p1, p2, q1, q2]``,
+    keeps those whose target lies in the space, and returns them as
+    :class:`Excitations` in the same order and with the same signs as
+    :func:`excitations`.  Only substitutions that raise the mask (the
+    highest created orbital above the highest annihilated one) are taken, so
+    ``j > i`` and each pair comes out once.  The work grows with the space
+    size times the substitutions of one determinant, not with its square.
+    """
+    m, masks = space.m, space.masks
+    n = len(masks)
+    occ = occupation_bits(masks, m)
+    occupied = (np.flatnonzero(occ) % m).reshape(n, space.N)
+    empty = (np.flatnonzero(~occ) % m).reshape(n, m - space.N)
+    bit = np.uint64(1) << np.arange(m, dtype=np.uint64)
+    o = np.arange(m)
+    # Each kind of substitution is a table allowed[ps, qs] over orbital sets,
+    # the sets each determinant can give up and take in as indices into it,
+    # and the mask of each set.  A double's sets are pairs p1 * m + p2.
+    kinds = [(singles & (o[:, None] < o), occupied, empty, bit)]
+    if doubles is not None:
+        p1, p2, q1, q2 = o[:, None, None, None], o[:, None, None], o[:, None], o
+        # ordered, disjoint pairs whose substitution raises the mask
+        raising = (p1 < p2) & (q1 < q2) & (p2 < q2) & (q1 != p1) & (q1 != p2)
+        a, b = np.triu_indices(space.N, 1)
+        c, d = np.triu_indices(m - space.N, 1)
+        kinds.append((
+            (doubles & raising).reshape(m * m, m * m),
+            occupied[:, a] * m + occupied[:, b],
+            empty[:, c] * m + empty[:, d],
+            (bit[:, None] | bit).ravel(),
+        ))
+    no_index, no_mask = np.zeros(0, np.intp), np.zeros(0, np.uint64)
+    found = [(no_index, no_index, no_mask, no_mask)]
+    for allowed, bra_sets, ket_sets, set_bits in kinds:
+        # only the sets a determinant gives up that some substitution takes
+        live = np.flatnonzero(allowed.any(axis=1)[bra_sets])
+        dets, bras = live // bra_sets.shape[1], bra_sets.ravel()[live]
+        # about _BLOCK candidate substitutions per block
+        step = max(1, _BLOCK // max(1, ket_sets.shape[1]))
+        for start in range(0, len(dets), step):
+            block_dets, block_bras = dets[start : start + step], bras[start : start + step]
+            kets = ket_sets[block_dets]
+            taken = np.flatnonzero(allowed.ravel()[block_bras[:, None] * len(allowed) + kets])
+            row = taken // kets.shape[1]
+            i = block_dets[row]
+            bra_only, ket_only = set_bits[block_bras[row]], set_bits[kets.ravel()[taken]]
+            target = masks[i] ^ bra_only ^ ket_only
+            j = np.searchsorted(masks, target)
+            inside = masks[np.minimum(j, n - 1)] == target
+            found.append((i[inside], j[inside], bra_only[inside], ket_only[inside]))
+    i, j, bra_only, ket_only = (np.concatenate(arrays) for arrays in zip(*found))
+    order = np.argsort(i * n + j)
+    i, j = i[order], j[order]
+    return Excitations(i, j, bra_only[order], ket_only[order], _signs(masks[i], masks[j], m))
+
+
+def _signs(bra: np.ndarray, ket: np.ndarray, m: int) -> np.ndarray:
+    """The sign of ``<bra| a+_{p1}..a+_{pk} a_{qk}..a_{q1} |ket>`` for each
+    pair of masks, with ``ps`` and ``qs`` the orbitals of only the bra and
+    only the ket, ascending (``int8``)."""
+    diff = bra ^ ket
     # Applying the operators one by one, each substituted orbital passes
     # every orbital the two determinants share below it: the sign is the
     # parity of the shared orbitals lying below an odd number of the
     # substituted ones (bit k of `below` is the parity of diff's bits above k).
     below = diff >> 1
     shift = 1
-    while shift < space.m:
+    while shift < m:
         below ^= below >> shift
         shift *= 2
-    sign = 1 - 2 * (np.bitwise_count(bra & ket & below) & 1).astype(np.int8)
-    return Excitations(i, j, bra & diff, ket & diff, sign)
+    return 1 - 2 * (np.bitwise_count(bra & ket & below) & 1).astype(np.int8)
 
 
 def lowest_bit(masks: np.ndarray) -> np.ndarray:

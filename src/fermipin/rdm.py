@@ -2,12 +2,18 @@
 
 The 1-RDM of a CI vector is ``rho[p-1, q-1] = <Psi| a+_q a_p |Psi>`` — real,
 symmetric, trace ``N``, eigenvalues between 0 and 1.  Off the diagonal only
-determinant pairs one substitution apart contribute: the single
-substitutions among the space's cached
-:attr:`~fermipin.fock.ConfigurationSpace.pairs`, the pairs the Hamiltonian
-was built from, in their order.  Its eigenvalues, sorted in descending
-order, are the natural occupation numbers that all constraint analysis
-runs on; its eigenvectors define the natural orbitals.
+determinant pairs one substitution apart contribute.  The size rule of the
+Hamiltonian (``fermipin.ci.DENSE_CROSSOVER``) decides where they come from:
+a space at or below it takes the singles among its cached
+:attr:`~fermipin.fock.ConfigurationSpace.pairs`, the list the Hamiltonian
+was built from; a larger one generates every single with
+:func:`~fermipin.fock.substitutions`, so no quadratic search runs.  In a
+sector space it generates only the spin-conserving ones, because a spin
+flip leaves the sector; a space without a sector keeps the spin-flip
+singles.  Both routes give the pairs in the same order, so both give the
+same sums.  Its eigenvalues, sorted in descending order, are the natural
+occupation numbers that all constraint analysis runs on; its eigenvectors
+define the natural orbitals.
 
 When the vector lives in a spin-projection sector, every cross-spin element
 of the 1-RDM vanishes identically (a single spin flip leaves the sector),
@@ -30,9 +36,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import ci
 from .ci import CIVector, OrbitalRotation
 from .errors import SpectralRangeError
-from .fock import DOWN, UP, SpinOrbitalLayout, bit_index, occupation_bits
+from .fock import DOWN, UP, SpinOrbitalLayout, bit_index, occupation_bits, substitutions
 
 TRACE_TOL = 1e-10
 RANGE_TOL = 1e-10
@@ -74,12 +81,17 @@ def one_rdm(vector: CIVector) -> OneRDM:
     # same sum, term for term, as a loop over the determinants and then
     # over the single excitations in pair order
     dets, orbitals = np.nonzero(occupation_bits(space.masks, m))
-    pairs = space.pairs
-    single = np.bitwise_count(pairs.bra_only) == 1
-    p, q = bit_index(pairs.bra_only[single]), bit_index(pairs.ket_only[single])
+    if len(space) <= ci.DENSE_CROSSOVER:
+        single = np.bitwise_count(space.pairs.bra_only) == 1
+        pairs = space.pairs._make(a[single] for a in space.pairs)
+    else:
+        # a spin flip leaves a sector, so a sector space needs no such single
+        spins = np.array(space.layout.spin_of) if space.sector is not None else np.zeros(m)
+        pairs = substitutions(space, spins[:, None] == spins)
+    p, q = bit_index(pairs.bra_only), bit_index(pairs.ket_only)
     upper = np.bincount(
         np.minimum(p, q) * m + np.maximum(p, q),
-        pairs.sign[single] * c[pairs.i[single]] * c[pairs.j[single]],
+        pairs.sign * c[pairs.i] * c[pairs.j],
         minlength=m * m,
     ).reshape(m, m)
     rho = np.diag(np.bincount(orbitals, (c * c)[dets], minlength=m)) + upper + upper.T

@@ -24,7 +24,14 @@ from fermipin.fock import (
     enumerate_space,
     interleaved_layout,
 )
-from fermipin.integrals import hubbard_chain, pairing_model, to_spin_orbitals
+from fermipin.gpc import GPConstraint
+from fermipin.integrals import (
+    SpinOrbitalIntegrals,
+    hubbard_chain,
+    pairing_model,
+    to_spin_orbitals,
+)
+from fermipin.selection import filter_pinned
 
 from .oracles import (
     brute_force_hamiltonian,
@@ -145,6 +152,46 @@ def _sparse_and_dense(monkeypatch, ints, space, k):
         patch.setattr(fermipin.ci, "DENSE_CROSSOVER", 0)
         sparse = solve_ground(ints, space, k)
     return dense, sparse
+
+
+def test_generated_entries_equal_searched_entries(monkeypatch) -> None:
+    # Above the crossover the Hamiltonian generates only the pairs the
+    # integrals connect; its nonzero entries must be the searched ones, bit
+    # for bit, in the same order.
+    rng = np.random.default_rng(31)
+    hubbard = to_spin_orbitals(hubbard_chain(7, 1.0, 4.0))
+    pairing = to_spin_orbitals(pairing_model(7, 1.0, 0.5))
+    sector = to_spin_orbitals(random_spatial(6, rng))
+    # a general rotation mixes spins, so spin-flip doubles are nonzero
+    U = np.linalg.qr(rng.standard_normal((12, 12)))[0]
+    mixed = to_spin_orbitals(random_spatial(6, rng)).rotated(U)
+    pinned = to_spin_orbitals(random_spatial(5, rng))
+    doubles_only = GPConstraint(4, 10, "family", 2, (-1, -1, -1, 1) + (0,) * 6)
+    # every single's element is exchange alone: a screen on h drops them all
+    bare = to_spin_orbitals(random_spatial(6, rng))
+    bare = SpinOrbitalIntegrals(bare.layout, np.zeros_like(bare.h), bare.g, bare.core_energy)
+    cases = [
+        (hubbard, enumerate_space(7, 14, hubbard.layout, 1)),
+        (pairing, enumerate_space(6, 14, pairing.layout, 0)),
+        (sector, enumerate_space(5, 12, sector.layout, 1)),
+        (mixed, enumerate_space(5, 12)),
+        (pinned, filter_pinned(enumerate_space(4, 10), [doubles_only]).survivors),
+        (bare, enumerate_space(5, 12, bare.layout, 1)),
+    ]
+    for ints, space in cases:
+        entries = []
+        for crossover in (0, len(space)):  # generated, then searched
+            monkeypatch.setattr(fermipin.ci, "DENSE_CROSSOVER", crossover)
+            diag, i, j, values = fermipin.ci._hamiltonian_entries(ints, space)
+            keep = values != 0
+            entries.append((diag, i[keep], j[keep], values[keep]))
+        generated, searched = entries
+        assert len(generated[3]) > 0
+        for a, b in zip(generated, searched):
+            assert np.array_equal(a, b)
+    # the last case, h = 0, keeps nonzero singles
+    _, i, j, _ = generated
+    assert (np.bitwise_count(space.masks[i] ^ space.masks[j]) == 2).any()
 
 
 def test_sparse_solve_agrees_with_dense(monkeypatch) -> None:

@@ -19,6 +19,7 @@ from fermipin.fock import (
     excitations,
     interleaved_layout,
     space_size,
+    substitutions,
 )
 
 from .oracles import annihilate, create
@@ -198,31 +199,72 @@ def _operator_sign(bra: Determinant, ket: Determinant, ps, qs) -> int:
     return sign
 
 
-@pytest.mark.parametrize("max_degree", [1, 2])
-@pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
-def test_excitations_match_operator_application(name: str, max_degree: int) -> None:
-    # every pair is checked, including those whose matrix element vanishes
-    space = KERNEL_SPACES[name]()
-    expected = []
+def _connected_pairs(space) -> list:
+    """(i, j, ps, qs, sign) for every pair i < j one or two substitutions
+    apart, ps and qs 1-based, by operator application."""
+    pairs = []
     for i, bra in enumerate(space):
         for j in range(i + 1, len(space)):
             ket = space[j]
             ps = tuple(sorted(set(bra.orbitals()) - set(ket.orbitals())))
             qs = tuple(sorted(set(ket.orbitals()) - set(bra.orbitals())))
-            if 1 <= len(ps) <= max_degree:
-                expected.append((i, j, ps, qs, _operator_sign(bra, ket, ps, qs)))
-    assert expected
-    pairs = excitations(space)
-    got = [
+            if 1 <= len(ps) <= 2:
+                pairs.append((i, j, ps, qs, _operator_sign(bra, ket, ps, qs)))
+    return pairs
+
+
+def _listed(pairs) -> list:
+    return [
         (i, j, _bits(bra_only), _bits(ket_only), sign)
         for i, j, bra_only, ket_only, sign in zip(*(a.tolist() for a in pairs))
-        if bra_only.bit_count() <= max_degree
     ]
+
+
+@pytest.mark.parametrize("max_degree", [1, 2])
+@pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
+def test_excitations_match_operator_application(name: str, max_degree: int) -> None:
+    # every pair is checked, including those whose matrix element vanishes
+    space = KERNEL_SPACES[name]()
+    expected = [pair for pair in _connected_pairs(space) if len(pair[2]) <= max_degree]
+    assert expected
+    got = [pair for pair in _listed(excitations(space)) if len(pair[2]) <= max_degree]
     assert got == expected
 
 
 def _bits(mask: int) -> tuple[int, ...]:
     return tuple(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+SUBSTITUTION_SPACES = dict(
+    KERNEL_SPACES,
+    restricted=lambda: enumerate_space(4, 8).restrict(
+        np.random.default_rng(5).random(70) < 0.5
+    ),
+)
+
+
+@pytest.mark.parametrize("screen", ["all", "random 1", "random 2", "singles only"])
+@pytest.mark.parametrize("name", sorted(SUBSTITUTION_SPACES))
+def test_substitutions_match_operator_application(name: str, screen: str) -> None:
+    # the generated pairs are the searched ones whose substitution the
+    # screens allow; random screens are not symmetric, so a transposed
+    # index would show
+    space = SUBSTITUTION_SPACES[name]()
+    m = space.m
+    if screen.startswith("random"):
+        rng = np.random.default_rng(int(screen[-1]))
+        singles, doubles = rng.random((m, m)) < 0.5, rng.random((m, m, m, m)) < 0.5
+    else:
+        singles = np.ones((m, m), bool)
+        doubles = None if screen == "singles only" else np.ones((m,) * 4, bool)
+
+    def allowed(ps, qs) -> bool:
+        index = tuple(k - 1 for k in ps + qs)
+        return bool(singles[index]) if len(ps) == 1 else doubles is not None and bool(doubles[index])
+
+    expected = [pair for pair in _connected_pairs(space) if allowed(pair[2], pair[3])]
+    assert expected
+    assert _listed(substitutions(space, singles, doubles)) == expected
 
 
 def test_excitation_degree_rejects_mismatches() -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ def random_vector(space, rng) -> CIVector:
     return CIVector(space, random_coefficients(len(space), rng))
 
 
-def test_solve_and_rdm_search_the_pairs_once(monkeypatch) -> None:
+def _spy_on_search(monkeypatch) -> list[int]:
+    """The size of each space the quadratic pair search runs on, from now."""
     calls = []
 
     def spy(space, *args):
@@ -41,13 +43,55 @@ def test_solve_and_rdm_search_the_pairs_once(monkeypatch) -> None:
     for module in (fermipin.fock, fermipin.ci, fermipin.rdm):  # every binding of it
         if getattr(module, "excitations", None) is search:
             monkeypatch.setattr(module, "excitations", spy)
+    return calls
+
+
+def test_solve_and_rdm_search_the_pairs_once(monkeypatch) -> None:
+    # a dense-path space searches once and shares the pairs; a sparse-path
+    # one generates its pairs and never searches.  rdm reads the crossover
+    # through fermipin.ci, so one setting moves both rules.
+    calls = _spy_on_search(monkeypatch)
     ints = to_spin_orbitals(hubbard_chain(4, 1.0, 4.0))
-    for crossover in (fermipin.ci.DENSE_CROSSOVER, 0):  # dense, then sparse
+    for crossover, searched in ((fermipin.ci.DENSE_CROSSOVER, [36]), (0, [])):
         monkeypatch.setattr(fermipin.ci, "DENSE_CROSSOVER", crossover)
         calls.clear()
         space = enumerate_space(4, 8, ints.layout, 0)
         one_rdm(solve_ground(ints, space)[0])
-        assert calls == [36]
+        assert calls == searched
+
+
+def test_large_space_solve_and_rdm_never_search(monkeypatch) -> None:
+    # The 8-site half-filled chain, 4900 determinants: the quadratic search
+    # scans 12 million mask pairs and keeps 882 000 of them, and with it
+    # this solve peaks at 108 MiB.
+    calls = _spy_on_search(monkeypatch)
+    ints = to_spin_orbitals(hubbard_chain(8, 1.0, 4.0))
+    space = enumerate_space(8, 16, ints.layout, 0)
+    tracemalloc.start()
+    try:
+        rho = one_rdm(solve_ground(ints, space)[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 40 * 2**20
+    assert rho.trace == pytest.approx(8.0, abs=1e-10)
+
+
+def test_generated_singles_give_the_searched_rdm(monkeypatch) -> None:
+    # above the crossover the singles are generated: a sector space skips
+    # the spin flips, the no-sector (5,12) space must keep them
+    rng = np.random.default_rng(27)
+    layout = to_spin_orbitals(hubbard_chain(6, 1.0, 1.0)).layout
+    for space in (enumerate_space(6, 12, layout, 0), enumerate_space(5, 12)):
+        vector = random_vector(space, rng)
+        assert len(space) > fermipin.ci.DENSE_CROSSOVER
+        generated = one_rdm(vector)
+        with monkeypatch.context() as patch:
+            patch.setattr(fermipin.ci, "DENSE_CROSSOVER", len(space))
+            searched = one_rdm(vector)
+        assert np.array_equal(generated.rho, searched.rho)
+        assert generated.layout == searched.layout
 
 
 def test_rdm_matches_operator_oracle() -> None:
