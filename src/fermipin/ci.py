@@ -32,7 +32,6 @@ both routes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache
 
@@ -99,14 +98,6 @@ class CIVector:
         """The ``k`` determinants with the largest weights, heaviest first."""
         order = np.argsort(-np.abs(self.coeffs), kind="stable")[:k]
         return [(self.space[i], float(self.coeffs[i])) for i in order]
-
-    def to_json(self) -> str:
-        payload = {
-            "energy": self.energy,
-            "determinants": [list(d.orbitals()) for d in self.space],
-            "coefficients": [float(c) for c in self.coeffs],
-        }
-        return json.dumps(payload)
 
 
 @dataclass

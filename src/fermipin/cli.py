@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -191,8 +192,7 @@ def cmd_analyze(cfg: argparse.Namespace) -> dict:
     name, state, spectrum = _ground(cfg)
     space = state.space
     cat = _resolve_catalog(cfg, space.N, space.m)
-    report = evaluate(cat, spectrum, cfg.tiers)
-    payload = {
+    return {
         "command": "analyze",
         "model": name,
         "sector": space.sector,
@@ -200,9 +200,8 @@ def cmd_analyze(cfg: argparse.Namespace) -> dict:
         "energy": state.energy,
         "degenerate": state.degenerate,
         "occupations": [float(v) for v in spectrum.n],
+        **evaluate(cat, spectrum, cfg.tiers).payload(),
     }
-    payload.update(json.loads(report.to_json()))
-    return payload
 
 
 def cmd_census(cfg: argparse.Namespace) -> dict:
@@ -296,10 +295,10 @@ def _scan_grid(cfg: argparse.Namespace) -> tuple[str, list[tuple[str, argparse.N
     try:
         name, spec = cfg.scan.split("=", 1)
         start, stop, steps = spec.split(":")
-        values = np.linspace(float(start), float(stop), int(steps))
+        values = np.linspace(_finite_float(start), _finite_float(stop), int(steps))
         if len(values) == 0:
             raise ValueError("the grid has no points")
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ValueError(f"bad --scan {cfg.scan!r}: {exc}") from None
     allowed = {"hubbard": ("U", "t"), "pairing": ("G", "spacing")}.get(cfg.model, ())
     if name not in allowed:
@@ -319,11 +318,11 @@ def cmd_scan(cfg: argparse.Namespace) -> dict:
     _, state, spectrum = _ground(first)
     space = state.space
     cat = _resolve_catalog(cfg, space.N, space.m)
-    constraints = cat.constraints + cat.equalities
+    # the residual columns follow the report's order: inequalities, then equalities
     columns = (
         [parameter, "energy"]
         + [f"n{i}" for i in range(1, space.m + 1)]
-        + [c.label for c in constraints]
+        + [c.label for c in cat.constraints + cat.equalities]
         + ["xi"]
     )
     rows: list[dict] = []
@@ -336,7 +335,7 @@ def cmd_scan(cfg: argparse.Namespace) -> dict:
             values = (
                 [label, state.energy]
                 + [float(v) for v in spectrum.n]
-                + [report.residual(c.mu) for c in constraints]
+                + [value for _, value in report.residuals + report.equality_residuals]
                 + [report.xi]
             )
             rows.append(dict(zip(columns, values)))
@@ -365,16 +364,14 @@ def cmd_polytope(cfg: argparse.Namespace) -> dict:
             coeffs /= np.linalg.norm(coeffs)
             spectrum = natural_spectrum(one_rdm(CIVector(space, coeffs)))
             spectra.append((f"random-{k}", spectrum))
-    samples = []
-    for label, spectrum in spectra:
-        report = evaluate(cat, spectrum, cfg.tiers)
-        samples.append(
-            {
-                "sample": label,
-                "occupations": [float(v) for v in spectrum.n],
-                **json.loads(report.to_json()),
-            }
-        )
+    samples = [
+        {
+            "sample": label,
+            "occupations": [float(v) for v in spectrum.n],
+            **evaluate(cat, spectrum, cfg.tiers).payload(),
+        }
+        for label, spectrum in spectra
+    ]
     return {
         "command": "polytope",
         "N": cfg.N,
@@ -616,20 +613,38 @@ def _add_common(
 def _add_model(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--model", help="hubbard, pairing, or file:<path>")
     sub.add_argument("--sites", type=int, default=2, help="hubbard chain length")
-    sub.add_argument("--t", type=float, default=1.0, help="hubbard hopping")
-    sub.add_argument("--U", type=float, default=0.0, help="hubbard on-site repulsion")
+    sub.add_argument("--t", type=_finite_float, default=1.0, help="hubbard hopping")
+    sub.add_argument("--U", type=_finite_float, default=0.0, help="hubbard on-site repulsion")
     sub.add_argument("--periodic", action="store_true")
     sub.add_argument("--levels", type=int, default=2, help="pairing level count")
-    sub.add_argument("--spacing", type=float, default=1.0, help="pairing level spacing")
-    sub.add_argument("--G", type=float, default=0.0, help="pairing strength")
+    sub.add_argument("--spacing", type=_finite_float, default=1.0, help="pairing level spacing")
+    sub.add_argument("--G", type=_finite_float, default=0.0, help="pairing strength")
     sub.add_argument("--N", type=int, default=None, help="number of electrons")
     sub.add_argument("--sz", type=int, default=None, help="2*S_z sector (omit for the full space)")
     sub.add_argument("--rank", type=int, default=None, help="keep only the first RANK spin orbitals")
     sub.add_argument("--ordering", choices=("interleaved", "blocked"), default="interleaved")
 
 
+def _finite_float(text: str) -> float:
+    """The value of a float flag; NaN, infinities and non-numbers exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number: {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number: {text!r}")
+    return value
+
+
 def _parse_tiers(text: str) -> tuple[float, float, float]:
-    parts = [float(p) for p in text.split(",")]
+    parts = [_finite_float(p) for p in text.split(",")]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("--tiers needs exactly three values a,b,c")
     return tuple(parts)  # type: ignore[return-value]
@@ -645,7 +660,7 @@ def _parse_mu(text: str) -> str | tuple[int, ...]:
 
 
 def _parse_occupations(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(","))
+    return tuple(_finite_float(p) for p in text.split(","))
 
 
 def _parse_count(text: str) -> int:
@@ -687,7 +702,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=_parse_mu, default=(), help="constraint indices, or 'auto'")
     p.add_argument("--with-equalities", action="store_true")
     p.add_argument("--max-iterations", type=int, default=100)
-    p.add_argument("--occupation-tol", type=float, default=1e-10)
+    p.add_argument("--occupation-tol", type=_positive_float, default=1e-10)
     _add_common(p)
     p.set_defaults(run=cmd_truncate, table=_table_truncate, csv=_csv_truncate)
 

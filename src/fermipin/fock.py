@@ -47,7 +47,6 @@ census             : tally determinants by excitation degree from a reference
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -220,9 +219,6 @@ class ConfigurationSpace:
         for array in pairs:
             array.flags.writeable = False
         return pairs
-
-    def to_json(self) -> str:
-        return json.dumps([list(d.orbitals()) for d in self])
 
 
 def enumerate_space(

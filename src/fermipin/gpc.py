@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -74,8 +75,9 @@ class GPConstraint:
             raise WidthError(f"{len(n)} occupations for a width-{self.m} constraint")
         return float(self.kappa0 + np.dot(self.kappa, n))
 
+    @cached_property
     def formula(self) -> str:
-        """Human-readable linear form, e.g. ``2 - n1 - n2 - n4``."""
+        """Human-readable linear form, e.g. ``2 - n1 - n2 - n4``, built once."""
         parts: list[str] = [str(self.kappa0)] if self.kappa0 else []
         for i, k in enumerate(self.kappa, start=1):
             if k == 0:
@@ -301,33 +303,28 @@ class PinningReport:
                 return value
         raise KeyError(f"no residual for constraint {mu!r}")
 
+    def payload(self) -> dict:
+        """The report as plain JSON-ready values, one entry per constraint in
+        catalog order; the residuals are stored in that same order."""
+        cat = self.catalog
+        return {
+            "N": cat.N,
+            "m": cat.m,
+            "xi": self.xi,
+            "thresholds": list(self.thresholds),
+            "degeneracy_warning": self.degeneracy_warning,
+            "constraints": [
+                {"mu": c.mu, "formula": c.formula, "residual": value, "tier": self.tiers[c.mu]}
+                for c, (_, value) in zip(cat.constraints, self.residuals, strict=True)
+            ],
+            "equalities": [
+                {"mu": c.mu, "formula": c.formula, "residual": value}
+                for c, (_, value) in zip(cat.equalities, self.equality_residuals, strict=True)
+            ],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "N": self.catalog.N,
-                "m": self.catalog.m,
-                "xi": self.xi,
-                "thresholds": list(self.thresholds),
-                "degeneracy_warning": self.degeneracy_warning,
-                "constraints": [
-                    {
-                        "mu": mu,
-                        "formula": self.catalog.find(mu).formula(),
-                        "residual": value,
-                        "tier": self.tiers[mu],
-                    }
-                    for mu, value in self.residuals
-                ],
-                "equalities": [
-                    {
-                        "mu": mu,
-                        "formula": self.catalog.find(mu).formula(),
-                        "residual": value,
-                    }
-                    for mu, value in self.equality_residuals
-                ],
-            }
-        )
+        return json.dumps(self.payload())
 
 
 def classify_tier(residual: float, thresholds=DEFAULT_TIERS) -> str:

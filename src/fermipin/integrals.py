@@ -223,6 +223,8 @@ def load_integral_file(path: str) -> SpatialIntegrals:
             i, j, k, l = (int(tok) for tok in tokens[1:])
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
+        if not np.isfinite(value):
+            raise ParseError(f"non-finite value {tokens[0]!r}", lineno)
 
         n = header["NORB"]
         if (i, j, k, l) == (0, 0, 0, 0):

@@ -152,7 +152,8 @@ class OccupationSpectrum:
 
 
 def _clamp_range(n: np.ndarray, tol: float) -> np.ndarray:
-    if n.min() < -tol or n.max() > 1.0 + tol:
+    # written so that a NaN, which fails every comparison, is refused too
+    if not (n.min() >= -tol and n.max() <= 1.0 + tol):
         raise SpectralRangeError(
             f"occupations outside [0,1]: min {n.min()!r}, max {n.max()!r}"
         )

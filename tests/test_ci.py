@@ -370,10 +370,9 @@ def test_random_vectors_rotate_back_exactly() -> None:
         np.testing.assert_allclose(back.coeffs, vec.coeffs, atol=1e-10)
 
 
-def test_ci_vector_json_and_leading() -> None:
+def test_ci_vector_leading() -> None:
     ints = to_spin_orbitals(hubbard_chain(2, 1.0, 4.0))
     space = enumerate_space(2, 4, ints.layout, 0)
     state = solve_ground(ints, space)[0]
     top = state.leading(2)
     assert [abs(c) for _, c in top] == sorted(np.abs(state.coeffs), reverse=True)[:2]
-    assert '"energy"' in state.to_json()

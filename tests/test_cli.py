@@ -291,6 +291,26 @@ def test_usage_errors_exit_2(capsys, tmp_path) -> None:
         assert "1000 spatial orbitals exceed" in err
 
 
+def test_non_finite_numbers_exit_2_naming_the_value(capsys) -> None:
+    hubbard = ["solve", "--model", "hubbard", "--sites", "2", "--N", "2"]
+    pairing = ["solve", "--model", "pairing", "--levels", "2", "--N", "2"]
+    for argv, value in (
+        ([*hubbard, "--t", "inf"], "inf"),
+        ([*hubbard, "--U", "nan"], "nan"),
+        ([*pairing, "--spacing=-inf"], "-inf"),
+        ([*pairing, "--G", "nan"], "nan"),
+        (["analyze", *HUB36, "--tiers", "1e-10,1e-4,inf"], "inf"),
+        (["polytope", "--N", "3", "--m", "6", "--occupations", "nan,1,1,0,0,0"], "nan"),
+        (["truncate", *HUB36, "--mu", "1", "--occupation-tol", "nan"], "nan"),
+        (["truncate", *HUB36, "--mu", "1", "--occupation-tol", "0"], "0"),
+        (["scan", *HUB36, "--scan", "U=nan:8:9"], "nan"),
+        (["scan", *HUB36, "--scan", "U=0:inf:9"], "inf"),
+    ):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert repr(value) in err and "Traceback" not in err, argv
+
+
 def test_census_preset_rejects_space_flags(capsys) -> None:
     code, out, err = _run(capsys, ["census", "--preset", "4in8-restricted",
                                    "--N", "3", "--m", "6", "--sz", "1"])
@@ -433,15 +453,21 @@ def test_scan_builds_each_grid_point_once(capsys, monkeypatch) -> None:
 # Sizes drawn for --sites and --levels: small ones, plus out-of-range ones.
 FUZZ_SIZES = st.one_of(st.integers(2, 4), st.sampled_from([0, 1, 33, 10**6]))
 FUZZ_CAP = 200  # largest space a drawn command may build
+NON_FINITE = ("nan", "inf", "-inf")
 
 
 @st.composite
-def _cli_argv(draw) -> tuple[list[str], int]:
-    """A command line, and the size of the largest space it can build."""
+def _cli_argv(draw) -> tuple[list[str], int, bool]:
+    """A command line, the size of the largest space it can build, and
+    whether it carries a non-finite number."""
     command = draw(st.sampled_from(["solve", "analyze", "census", "truncate", "scan",
                                     "polytope"]))
     N = draw(st.integers(2, 4) | st.sampled_from([None, 0, 1, 9]))
     argv = [command] + ([] if N is None else ["--N", str(N)])
+    # a quarter of the commands with a float flag get a non-finite number
+    bad = None
+    if command != "census" and draw(st.integers(0, 3)) == 0:
+        bad = draw(st.sampled_from(NON_FINITE))
     if command in ("census", "polytope"):
         m = draw(st.integers(5, 8) | st.sampled_from([None, 0, 33, 10**6]))
         argv += [] if m is None else ["--m", str(m)]
@@ -454,6 +480,8 @@ def _cli_argv(draw) -> tuple[list[str], int]:
         size = space_size(N, 2 * n) if N is not None and 2 * n <= MAX_WIDTH else 0
         if command == "scan":
             argv += ["--scan", f"{scanned}=0:2:3"]
+        if bad is not None:
+            argv += [f"{draw(st.sampled_from(['--U', '--G']))}={bad}"]
     if command != "polytope":
         sz = draw(st.sampled_from([None, 0, 1]) | st.integers(-3, 3))
         argv += [] if sz is None else ["--sz", str(sz)]
@@ -464,18 +492,22 @@ def _cli_argv(draw) -> tuple[list[str], int]:
     if command == "truncate":
         argv += ["--max-iterations", "10"]
     if command == "polytope":
-        argv += ["--random", str(draw(st.integers(1, 2)))]
-    return argv + ["--format", draw(st.sampled_from(["table", "json", "csv"]))], size
+        if bad is not None:
+            argv += [f"--occupations={bad},1,0.5"]
+        else:
+            argv += ["--random", str(draw(st.integers(1, 2)))]
+    argv += ["--format", draw(st.sampled_from(["table", "json", "csv"]))]
+    return argv, size, bad is not None
 
 
 @settings(max_examples=150, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(_cli_argv())
 def test_fuzzed_command_lines_exit_with_a_documented_code(drawn) -> None:
-    argv, size = drawn
-    assume(size <= FUZZ_CAP)
+    argv, size, non_finite = drawn
+    assume(size <= FUZZ_CAP or non_finite)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert code in ((2,) if non_finite else (0, 2, 3, 4)), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()

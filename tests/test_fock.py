@@ -321,8 +321,3 @@ def test_restrict_preserves_order_and_metadata() -> None:
     assert sub.layout is lay and sub.sector == 1
     masks = [d.mask for d in sub]
     assert masks == sorted(masks)
-
-
-def test_space_json_lists_orbitals() -> None:
-    space = enumerate_space(2, 4)
-    assert space.to_json() == "[[1, 2], [1, 3], [2, 3], [1, 4], [2, 4], [3, 4]]"

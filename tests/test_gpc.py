@@ -52,14 +52,14 @@ def test_builtin_catalog_shapes() -> None:
 
 def test_rank_six_rows() -> None:
     cat = catalog(3, 6)
-    assert cat.find(1).formula() == "2 - n1 - n2 - n4"
-    pair_sums = [c.formula() for c in cat.equalities]
+    assert cat.find(1).formula == "2 - n1 - n2 - n4"
+    pair_sums = [c.formula for c in cat.equalities]
     assert pair_sums == ["1 - n1 - n6", "1 - n2 - n5", "1 - n3 - n4"]
     assert all(c.equality for c in cat.equalities)
 
 
 def test_rank_seven_rows() -> None:
-    forms = [c.formula() for c in catalog(3, 7).constraints]
+    forms = [c.formula for c in catalog(3, 7).constraints]
     assert forms == [
         "2 - n1 - n2 - n4 - n7",
         "2 - n1 - n2 - n5 - n6",
@@ -73,18 +73,18 @@ def test_rank_eight_structure() -> None:
     assert [c.kappa0 for c in cat.constraints] == [
         2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 2, 2, 2, 2, 0
     ]
-    assert cat.find(5).formula() == "1 - n1 - n2 + n3"
-    assert cat.find(11).formula() == "1 - n1 - n8"
-    assert cat.find(15).formula() == "2 - n2 - n3 - 2*n4 + n5 + n7 - n8"
-    assert cat.find(19).formula() == "-n1 - n2 + 2*n3 + n4 + n5"
+    assert cat.find(5).formula == "1 - n1 - n2 + n3"
+    assert cat.find(11).formula == "1 - n1 - n8"
+    assert cat.find(15).formula == "2 - n2 - n3 - 2*n4 + n5 + n7 - n8"
+    assert cat.find(19).formula == "-n1 - n2 + 2*n3 + n4 + n5"
 
 
 def test_four_in_eight_partner_rows() -> None:
     cat = catalog(4, 8)
     # partners reverse and negate the base coefficients around kappa0 = 2
-    assert cat.find(8).formula() == "2 - n2 - n3 - n5 + n8"
-    assert cat.find(14).formula() == "2 - n1 - n2 - n3 + n4"
-    assert cat.find("pauli").formula() == "1 - n1"
+    assert cat.find(8).formula == "2 - n2 - n3 - n5 + n8"
+    assert cat.find(14).formula == "2 - n1 - n2 - n3 + n4"
+    assert cat.find("pauli").formula == "1 - n1"
     base = cat.find(3)
     partner = cat.find(10)
     assert partner.kappa == tuple(-k for k in reversed(base.kappa))
@@ -126,7 +126,7 @@ def test_catalog_file_validation(tmp_path) -> None:
         load_text("3 6 1 2 -1 -1 0 -1 0 0\n3 7 2 2 0 0 0 0 0 -1 0\n")  # mixed rank
     # a good file with comments and blank lines
     cat = load_text("# facet\n\n3 6 1 2 -1 -1 0 -1 0 0\n")
-    assert cat.find(1).formula() == "2 - n1 - n2 - n4"
+    assert cat.find(1).formula == "2 - n1 - n2 - n4"
 
 
 def test_catalog_merging(tmp_path) -> None:
@@ -134,7 +134,7 @@ def test_catalog_merging(tmp_path) -> None:
     extra = Catalog(3, 6, (GPConstraint(3, 6, 99, 1, (0, 0, -1, 0, 0, 0)),))
     merged = base.merged(extra)
     assert len(merged) == 2
-    assert merged.find(99).formula() == "1 - n3"
+    assert merged.find(99).formula == "1 - n3"
     with pytest.raises(ValueError):
         base.merged(catalog(3, 7))
     with pytest.raises(ValueError):
@@ -247,6 +247,30 @@ def test_report_json_carries_formulas() -> None:
     assert len(payload["constraints"]) == 19
     assert payload["constraints"][0]["formula"] == "2 - n1 - n2 - n4 - n7"
     assert payload["constraints"][1]["tier"] == "strong-quasipinned"
+
+
+def test_payload_is_the_json_report_in_catalog_order() -> None:
+    import json
+
+    from fermipin.ci import CIVector
+    from fermipin.fock import enumerate_space
+    from fermipin.rdm import natural_spectrum, one_rdm
+
+    rng = np.random.default_rng(3)
+    for N, m in ((3, 6), (3, 7), (3, 8), (4, 8)):
+        cat = catalog(N, m)
+        space = enumerate_space(N, m)
+        coeffs = rng.standard_normal(len(space))
+        spectrum = natural_spectrum(one_rdm(CIVector(space, coeffs / np.linalg.norm(coeffs))))
+        report = evaluate(cat, spectrum)
+        payload = report.payload()
+        assert payload == json.loads(report.to_json())
+        for entries, rows in ((payload["constraints"], cat.constraints),
+                              (payload["equalities"], cat.equalities)):
+            assert [e["mu"] for e in entries] == [c.mu for c in rows]
+            for entry in entries:
+                assert entry["formula"] == cat.find(entry["mu"]).formula
+                assert entry["residual"] == report.residual(entry["mu"])
 
 
 def test_regime_classification_examples() -> None:

@@ -245,6 +245,15 @@ def test_loader_rejects_malformed_input(tmp_path) -> None:
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_loader_rejects_non_finite_values(tmp_path, value: str) -> None:
+    path = tmp_path / "bad.ints"
+    path.write_text(f"NORB=2 NELEC=2 MS2=0\n1.0 1 1 0 0\n{value} 1 1 1 1\n")
+    with pytest.raises(ParseError) as err:
+        load_integral_file(str(path))
+    assert "line 3" in str(err.value) and repr(value) in str(err.value)
+
+
 def test_loader_rejects_conflicting_duplicates(tmp_path) -> None:
     path = tmp_path / "dup.ints"
     path.write_text(

@@ -246,6 +246,13 @@ def test_from_occupations_sorts_and_validates() -> None:
         OccupationSpectrum.from_occupations([0.5, 0.3, -0.1])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_from_occupations_refuses_non_finite_values(bad: float) -> None:
+    # every comparison with NaN is false, so a range check can wave it through
+    with pytest.raises(SpectralRangeError):
+        OccupationSpectrum.from_occupations([bad, 1.0, 1.0, 0.0, 0.0, 0.0], N=3)
+
+
 def test_hf_distance_examples() -> None:
     spec = OccupationSpectrum.from_occupations([0.85, 0.75, 0.60, 0.40, 0.25, 0.15], N=3)
     assert hf_distance(spec) == pytest.approx(
