@@ -33,7 +33,6 @@ both routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -48,9 +47,8 @@ from .fock import (
     ConfigurationSpace,
     Determinant,
     SpinOrbitalLayout,
-    bit_index,
-    lowest_bit,
-    occupation_bits,
+    orbital_pairs,
+    pair_plan,
     substitutions,
 )
 from .integrals import SpinOrbitalIntegrals
@@ -130,16 +128,6 @@ class OrbitalRotation:
         return self.U.shape[0]
 
 
-@cache
-def _orbital_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Both index arrays of the orbital pairs ``p < q`` (0-based), read-only
-    because every caller shares them."""
-    pairs = np.triu_indices(m, 1)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
-
-
 def _sequential_sum(terms: np.ndarray) -> np.ndarray:
     """Row sums of ``terms``, added strictly left to right."""
     return np.cumsum(terms, axis=1)[:, -1]
@@ -154,44 +142,35 @@ def _hamiltonian_entries(
     Each element is summed term by term in the order of the Slater-Condon
     rules over the occupied orbitals, ascending; an empty orbital adds an
     exact zero, so the bit-matrix sums equal the orbital-by-orbital ones.
+    Which orbitals each sum runs over comes from the space's cached
+    :attr:`~fermipin.fock.ConfigurationSpace.occupation` and, at or below
+    the crossover, its cached :attr:`~fermipin.fock.ConfigurationSpace.plan`,
+    so a call only gathers integrals and adds them.
     """
     if ints.m != space.m:
         raise WidthError("integral width does not match the space")
-    m, masks = space.m, space.masks
-    occ = occupation_bits(masks, m)
-    p, q = _orbital_pairs(m)
-    diag = _sequential_sum(
-        np.concatenate(
-            [
-                np.full((len(space), 1), ints.core_energy),
-                occ * np.diag(ints.h),
-                (occ[:, p] & occ[:, q]) * ints.g[p, q, p, q],
-            ],
-            axis=1,
-        )
-    )
+    p, q = orbital_pairs(space.m)
+    terms = np.concatenate([[ints.core_energy], np.diag(ints.h), ints.g[p, q, p, q]])
+    diag = _sequential_sum(space.occupation.terms * terms)
 
     # exchange[p, q, c] = <pc||qc>
     exchange = ints.g.diagonal(axis1=1, axis2=3)
     if len(space) <= DENSE_CROSSOVER:
-        pairs = space.pairs
+        plan = space.plan
     else:
         # a single's element is h[p,q] + sum_c <pc||qc>, a double's <p1p2||q1q2>
-        pairs = substitutions(space, (ints.h != 0) | (exchange != 0).any(axis=2), ints.g != 0)
-    values = np.empty(len(pairs.i))
-    single = np.bitwise_count(pairs.bra_only) == 1
-    p, q = bit_index(pairs.bra_only[single]), bit_index(pairs.ket_only[single])
-    shared = occupation_bits(masks[pairs.i[single]] & masks[pairs.j[single]], m)
+        plan = pair_plan(
+            space, substitutions(space, (ints.h != 0) | (exchange != 0).any(axis=2), ints.g != 0)
+        )
+    pairs, singles, p, q = plan.pairs, plan.singles, plan.p, plan.q
+    bits = space.occupation.bits
     # <pc||qc> over the orbitals c both determinants occupy
-    values[single] = _sequential_sum(
+    shared = bits[singles.i] & bits[singles.j]
+    values = np.empty(len(pairs.i))
+    values[plan.single] = _sequential_sum(
         np.concatenate([ints.h[p, q][:, None], shared * exchange[p, q]], axis=1)
     )
-    bra_only, ket_only = pairs.bra_only[~single], pairs.ket_only[~single]
-    p_low, q_low = lowest_bit(bra_only), lowest_bit(ket_only)
-    values[~single] = ints.g[
-        bit_index(p_low), bit_index(bra_only ^ p_low),
-        bit_index(q_low), bit_index(ket_only ^ q_low),
-    ]
+    values[plan.double] = ints.g[plan.doubles]
     return diag, pairs.i, pairs.j, pairs.sign * values
 
 

@@ -29,6 +29,7 @@ from .errors import (
     SpectralRangeError,
 )
 from .fock import (
+    ConfigurationSpace,
     Determinant,
     ExcitationCensus,
     SpinOrbitalLayout,
@@ -157,10 +158,17 @@ def _census_payload(tally: ExcitationCensus) -> dict:
     }
 
 
-def _ground(cfg: argparse.Namespace) -> tuple[str, CIVector, OccupationSpectrum]:
-    """The model name, its solved ground state and that state's natural spectrum."""
+def _ground(
+    cfg: argparse.Namespace, space: ConfigurationSpace | None = None
+) -> tuple[str, CIVector, OccupationSpectrum]:
+    """The model name, its solved ground state and that state's natural
+    spectrum.  The state is solved over ``space`` when the model's
+    integrals have its width and layout, and over a space of its own
+    otherwise."""
     ints, name = _resolve_model(cfg)
-    state = solve_ground(ints, _resolve_space(cfg, ints))[0]
+    if space is None or (ints.m, ints.layout) != (space.m, space.layout):
+        space = _resolve_space(cfg, ints)
+    state = solve_ground(ints, space)[0]
     return name, state, natural_spectrum(one_rdm(state))
 
 
@@ -312,8 +320,9 @@ def cmd_scan(cfg: argparse.Namespace) -> dict:
     parameter, grid = _scan_grid(cfg)
     # the geometry and the catalog come from the first grid point, whose
     # integral file also fixes a missing --N for every point; its solve
-    # serves row 0, and later points that fail (or disagree) become NaN
-    # rows while the scan goes on
+    # serves row 0, its space serves every point of the same width and
+    # layout, and later points that fail (or disagree) become NaN rows
+    # while the scan goes on
     first = grid[0][1]
     _, state, spectrum = _ground(first)
     space = state.space
@@ -330,7 +339,7 @@ def cmd_scan(cfg: argparse.Namespace) -> dict:
         try:
             if point is not first:
                 point.N = first.N
-                _, state, spectrum = _ground(point)
+                _, state, spectrum = _ground(point, space)
             report = evaluate(cat, spectrum, cfg.tiers)
             values = (
                 [label, state.energy]
@@ -613,12 +622,18 @@ def _add_common(
 def _add_model(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--model", help="hubbard, pairing, or file:<path>")
     sub.add_argument("--sites", type=int, default=2, help="hubbard chain length")
-    sub.add_argument("--t", type=_finite_float, default=1.0, help="hubbard hopping")
-    sub.add_argument("--U", type=_finite_float, default=0.0, help="hubbard on-site repulsion")
+    # argparse reads -1e-3 and -inf as option strings, so a negative value
+    # with an exponent must be attached with '=', as in --U=-1e-3
+    sub.add_argument("--t", type=_finite_float, default=1.0,
+                     help="hubbard hopping; write -1e-3 as --t=-1e-3")
+    sub.add_argument("--U", type=_finite_float, default=0.0,
+                     help="hubbard on-site repulsion; write -1e-3 as --U=-1e-3")
     sub.add_argument("--periodic", action="store_true")
     sub.add_argument("--levels", type=int, default=2, help="pairing level count")
-    sub.add_argument("--spacing", type=_finite_float, default=1.0, help="pairing level spacing")
-    sub.add_argument("--G", type=_finite_float, default=0.0, help="pairing strength")
+    sub.add_argument("--spacing", type=_finite_float, default=1.0,
+                     help="pairing level spacing; write -1e-3 as --spacing=-1e-3")
+    sub.add_argument("--G", type=_finite_float, default=0.0,
+                     help="pairing strength; write -1e-3 as --G=-1e-3")
     sub.add_argument("--N", type=int, default=None, help="number of electrons")
     sub.add_argument("--sz", type=int, default=None, help="2*S_z sector (omit for the full space)")
     sub.add_argument("--rank", type=int, default=None, help="keep only the first RANK spin orbitals")
@@ -669,7 +684,10 @@ def _parse_count(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: each parse
+    starts from a fresh namespace, so no call sees another's values."""
     parser = argparse.ArgumentParser(
         prog="fermipin",
         description="Exact diagonalization and occupation-spectrum pinning analysis.",

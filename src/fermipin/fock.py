@@ -28,6 +28,15 @@ substitutions apart, and both hand their pairs to that helper:
   integrals it makes only the pairs whose matrix element can be nonzero.
   The large-space Hamiltonian and 1-RDM use it.
 
+Whatever the Hamiltonian and the 1-RDM need of the determinants alone is
+worked out once per space and cached, read-only, next to its pairs: the
+occupation bits and diagonal terms (:attr:`ConfigurationSpace.occupation`),
+the pairs with the orbitals of each substitution decoded
+(:attr:`ConfigurationSpace.plan`, built by :func:`pair_plan`), and the
+1-RDM's generated singles (:attr:`ConfigurationSpace.spin_singles`).  A
+layout caches its spin-block index arrays the same way.  A sum over a
+space then only gathers and adds.
+
 The maximum width is 64 spin orbitals.  That bound is far beyond what the
 solvers can use; it exists so every mask fits one ``uint64`` array entry.
 
@@ -39,7 +48,9 @@ enumerate_space    : all N-electron determinants, optionally in an S_z sector
 space_size         : the size enumerate_space would return, without building it
 excitations        : connected determinant pairs of a space, by an O(n^2) search
 substitutions      : the pairs that screened substitutions reach, generated per determinant
+pair_plan          : a pair list with the orbitals of each substitution decoded
 occupation_bits    : the boolean occupation matrix of an array of masks
+orbital_pairs      : the orbital pairs p < q of a width, as two index arrays
 lowest_bit         : the lowest set bit of each mask of an array
 bit_index          : the position of the one set bit of each mask of an array
 census             : tally determinants by excitation degree from a reference
@@ -48,7 +59,7 @@ census             : tally determinants by excitation degree from a reference
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
@@ -87,6 +98,14 @@ class SpinOrbitalLayout:
     def indices_with_spin(self, spin: Spin) -> tuple[int, ...]:
         """1-based spin-orbital indices carrying the given spin."""
         return tuple(i + 1 for i, s in enumerate(self.spin_of) if s == spin)
+
+    @cached_property
+    def spin_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 0-based indices of the up and of the down spin orbitals, as
+        read-only arrays built once per layout and shared by every caller."""
+        return _read_only(
+            tuple(np.array(self.indices_with_spin(spin), np.intp) - 1 for spin in (UP, DOWN))
+        )
 
     def truncated(self, m: int) -> SpinOrbitalLayout:
         """The layout of the first ``m`` spin orbitals."""
@@ -208,6 +227,15 @@ class ConfigurationSpace:
         return ConfigurationSpace(self.N, self.m, self.masks[keep], self.layout, self.sector)
 
     @cached_property
+    def occupation(self) -> Occupation:
+        """Which orbitals each determinant occupies, worked out once."""
+        bits = occupation_bits(self.masks, self.m)
+        p, q = orbital_pairs(self.m)
+        always = np.ones((len(self), 1), bool)
+        terms = np.concatenate([always, bits, bits[:, p] & bits[:, q]], axis=1)
+        return _read_only(Occupation(bits, *np.nonzero(bits), terms))
+
+    @cached_property
     def pairs(self) -> Excitations:
         """The connected determinant pairs of the space, searched for once by
         :func:`excitations` and shared, read-only, by every caller.  The
@@ -215,10 +243,20 @@ class ConfigurationSpace:
         ``fermipin.ci.DENSE_CROSSOVER`` determinants; larger spaces never
         run the quadratic search and generate their pairs with
         :func:`substitutions` instead."""
-        pairs = excitations(self)
-        for array in pairs:
-            array.flags.writeable = False
-        return pairs
+        return _read_only(excitations(self))
+
+    @cached_property
+    def plan(self) -> PairPlan:
+        """:attr:`pairs` with their orbital indices decoded, once."""
+        return pair_plan(self, self.pairs)
+
+    @cached_property
+    def spin_singles(self) -> PairPlan:
+        """Every single of the space that keeps the spin of the electron
+        moved, generated by :func:`substitutions` and decoded, once.  In a
+        space without a sector every single is kept, spin flips included."""
+        spins = np.array(self.layout.spin_of) if self.sector is not None else np.zeros(self.m)
+        return pair_plan(self, substitutions(self, spins[:, None] == spins))
 
 
 def enumerate_space(
@@ -248,8 +286,7 @@ def enumerate_space(
             raise SectorError(f"no determinant of {N} electrons has 2*S_z={sector}")
         n_up = (N + sector) // 2
         n_down = N - n_up
-        up = [i - 1 for i in layout.indices_with_spin(UP)]
-        down = [i - 1 for i in layout.indices_with_spin(DOWN)]
+        up, down = layout.spin_blocks
         if not (0 <= n_up <= len(up) and 0 <= n_down <= len(down)):
             raise SectorError(
                 f"sector 2*S_z={sector} needs {n_up} up and {n_down} down electrons, "
@@ -274,7 +311,7 @@ def space_size(
     n_up = (N + sector) // 2
     if layout is None or (N + sector) % 2 or not 0 <= n_up <= N:
         return 0
-    up, down = (len(layout.indices_with_spin(spin)) for spin in (UP, DOWN))
+    up, down = map(len, layout.spin_blocks)
     return comb(up, n_up) * comb(down, N - n_up)
 
 
@@ -296,6 +333,23 @@ def _orbitals_of(mask: int) -> tuple[int, ...]:
     return tuple(orbitals)
 
 
+class Occupation(NamedTuple):
+    """The occupied orbitals of each determinant of a space.
+
+    ``bits[k, p]`` is true when determinant ``k`` occupies orbital ``p``
+    (0-based).  ``det`` and ``orbital`` list every occupied orbital as
+    ``np.nonzero(bits)`` does, determinant by determinant and ascending
+    within one.  ``terms[k]`` flags the terms of the Slater-Condon diagonal
+    of determinant ``k``: the core energy (always), each ``h[p, p]``, then
+    each ``<pq||pq>`` over the pairs ``p < q`` of :func:`orbital_pairs`.
+    """
+
+    bits: np.ndarray
+    det: np.ndarray
+    orbital: np.ndarray
+    terms: np.ndarray
+
+
 class Excitations(NamedTuple):
     """Connected determinant pairs of a space, one array entry per pair.
 
@@ -311,6 +365,55 @@ class Excitations(NamedTuple):
     bra_only: np.ndarray
     ket_only: np.ndarray
     sign: np.ndarray
+
+
+class PairPlan(NamedTuple):
+    """A list of connected pairs with the orbitals of each substitution
+    decoded (0-based), for the callers that sum over it.
+
+    ``single`` and ``double`` are the positions in ``pairs`` of the pairs
+    one and two substitutions apart, and ``singles`` are those pairs.
+    Single ``k`` moves an electron between ``p[k]``, occupied only in the
+    bra, and ``q[k]``, occupied only in the ket, and ``rho_index[k]`` is
+    ``min(p, q) * m + max(p, q)``, the upper-triangle entry of the pair in
+    a flattened ``m x m`` matrix.  ``doubles`` holds ``(p1, p2, q1, q2)``
+    for each double, ``p1 < p2`` occupied only in the bra and ``q1 < q2``
+    only in the ket.
+    """
+
+    pairs: Excitations
+    single: np.ndarray
+    singles: Excitations
+    p: np.ndarray
+    q: np.ndarray
+    rho_index: np.ndarray
+    double: np.ndarray
+    doubles: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def pair_plan(space: ConfigurationSpace, pairs: Excitations) -> PairPlan:
+    """Decode the substitutions of ``pairs``, pairs of ``space``.  Every
+    array the plan adds is read-only, because spaces share their plans."""
+    is_single = np.bitwise_count(pairs.bra_only) == 1
+    single, double = np.flatnonzero(is_single), np.flatnonzero(~is_single)
+    singles = pairs._make(array[single] for array in pairs)
+    p, q = bit_index(singles.bra_only), bit_index(singles.ket_only)
+    bra_only, ket_only = pairs.bra_only[double], pairs.ket_only[double]
+    p_low, q_low = lowest_bit(bra_only), lowest_bit(ket_only)
+    doubles = (
+        bit_index(p_low), bit_index(bra_only ^ p_low),
+        bit_index(q_low), bit_index(ket_only ^ q_low),
+    )
+    rho_index = np.minimum(p, q) * space.m + np.maximum(p, q)
+    _read_only((single, *singles, p, q, rho_index, double, *doubles))
+    return PairPlan(pairs, single, singles, p, q, rho_index, double, doubles)
+
+
+def _read_only(arrays):
+    """``arrays``, a tuple of arrays, each made read-only in place."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def excitations(space: ConfigurationSpace) -> Excitations:
@@ -355,7 +458,7 @@ def substitutions(
     """
     m, masks = space.m, space.masks
     n = len(masks)
-    occ = occupation_bits(masks, m)
+    occ = space.occupation.bits
     occupied = (np.flatnonzero(occ) % m).reshape(n, space.N)
     empty = (np.flatnonzero(~occ) % m).reshape(n, m - space.N)
     bit = np.uint64(1) << np.arange(m, dtype=np.uint64)
@@ -416,6 +519,14 @@ def _signs(bra: np.ndarray, ket: np.ndarray, m: int) -> np.ndarray:
         below ^= below >> shift
         shift *= 2
     return 1 - 2 * (np.bitwise_count(bra & ket & below) & 1).astype(np.int8)
+
+
+@cache
+def orbital_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both index arrays of the orbital pairs ``p < q`` (0-based) of ``m``
+    orbitals, in ``np.triu_indices`` order; read-only, because every caller
+    shares them."""
+    return _read_only(np.triu_indices(m, 1))
 
 
 def lowest_bit(masks: np.ndarray) -> np.ndarray:

@@ -130,12 +130,20 @@ def _require_width(n_spatial: int) -> None:
         raise WidthError(f"{n_spatial} spatial orbitals exceed the {MAX_WIDTH // 2} that fit")
 
 
+def _require_finite(**parameters: float) -> None:
+    """Refuse a NaN or infinite model parameter, naming it."""
+    for name, value in parameters.items():
+        if not np.isfinite(value):
+            raise ValueError(f"model parameter {name} must be finite, got {float(value)!r}")
+
+
 def hubbard_chain(sites: int, t: float, U: float, periodic: bool = False) -> SpatialIntegrals:
     """A one-band Hubbard chain: hopping ``-t`` between neighbours, on-site
     repulsion ``U``; ``periodic`` adds the wrap-around bond."""
     if sites < 1:
         raise ValueError("need at least one site")
     _require_width(sites)
+    _require_finite(t=t, U=U)
     h = np.zeros((sites, sites))
     for i in range(sites - 1):
         h[i, i + 1] = h[i + 1, i] = -t
@@ -154,6 +162,7 @@ def pairing_model(levels: int, spacing: float, G: float) -> SpatialIntegrals:
     if levels < 1:
         raise ValueError("need at least one level")
     _require_width(levels)
+    _require_finite(spacing=spacing, G=G)
     h = np.diag([k * spacing for k in range(1, levels + 1)])
     g = np.zeros((levels,) * 4)
     for k in range(levels):

@@ -5,13 +5,14 @@ symmetric, trace ``N``, eigenvalues between 0 and 1.  Off the diagonal only
 determinant pairs one substitution apart contribute.  The size rule of the
 Hamiltonian (``fermipin.ci.DENSE_CROSSOVER``) decides where they come from:
 a space at or below it takes the singles among its cached
-:attr:`~fermipin.fock.ConfigurationSpace.pairs`, the list the Hamiltonian
+:attr:`~fermipin.fock.ConfigurationSpace.plan`, the pairs the Hamiltonian
 was built from; a larger one generates every single with
-:func:`~fermipin.fock.substitutions`, so no quadratic search runs.  In a
-sector space it generates only the spin-conserving ones, because a spin
-flip leaves the sector; a space without a sector keeps the spin-flip
-singles.  Both routes give the pairs in the same order, so both give the
-same sums.  Its eigenvalues, sorted in descending order, are the natural
+:func:`~fermipin.fock.substitutions`, once, and keeps them as
+:attr:`~fermipin.fock.ConfigurationSpace.spin_singles`, so no quadratic
+search runs.  In a sector space it generates only the spin-conserving
+ones, because a spin flip leaves the sector; a space without a sector
+keeps the spin-flip singles.  Both routes give the pairs in the same
+order, so both give the same sums.  Its eigenvalues, sorted in descending order, are the natural
 occupation numbers that all constraint analysis runs on; its eigenvectors
 define the natural orbitals.
 
@@ -39,7 +40,7 @@ import numpy as np
 from . import ci
 from .ci import CIVector, OrbitalRotation
 from .errors import SpectralRangeError
-from .fock import DOWN, UP, SpinOrbitalLayout, bit_index, occupation_bits, substitutions
+from .fock import DOWN, UP, SpinOrbitalLayout
 
 TRACE_TOL = 1e-10
 RANGE_TOL = 1e-10
@@ -77,30 +78,22 @@ def one_rdm(vector: CIVector) -> OneRDM:
     vector.require_normalized(1e-10)
     space = vector.space
     m, c = space.m, vector.coeffs
+    occupation = space.occupation
+    plan = space.plan if len(space) <= ci.DENSE_CROSSOVER else space.spin_singles
+    singles = plan.singles
     # bincount adds its weights in input order, so every element is the
     # same sum, term for term, as a loop over the determinants and then
     # over the single excitations in pair order
-    dets, orbitals = np.nonzero(occupation_bits(space.masks, m))
-    if len(space) <= ci.DENSE_CROSSOVER:
-        single = np.bitwise_count(space.pairs.bra_only) == 1
-        pairs = space.pairs._make(a[single] for a in space.pairs)
-    else:
-        # a spin flip leaves a sector, so a sector space needs no such single
-        spins = np.array(space.layout.spin_of) if space.sector is not None else np.zeros(m)
-        pairs = substitutions(space, spins[:, None] == spins)
-    p, q = bit_index(pairs.bra_only), bit_index(pairs.ket_only)
     upper = np.bincount(
-        np.minimum(p, q) * m + np.maximum(p, q),
-        pairs.sign * c[pairs.i] * c[pairs.j],
-        minlength=m * m,
+        plan.rho_index, singles.sign * c[singles.i] * c[singles.j], minlength=m * m
     ).reshape(m, m)
-    rho = np.diag(np.bincount(orbitals, (c * c)[dets], minlength=m)) + upper + upper.T
+    diagonal = np.bincount(occupation.orbital, (c * c)[occupation.det], minlength=m)
+    rho = np.diag(diagonal) + upper + upper.T
 
     layout = space.layout
     if layout is not None:
-        up = [i - 1 for i in layout.indices_with_spin(UP)]
-        down = [i - 1 for i in layout.indices_with_spin(DOWN)]
-        if not (up and down and np.abs(rho[np.ix_(up, down)]).max() <= 1e-12):
+        up, down = layout.spin_blocks
+        if not (len(up) and len(down) and np.abs(rho[up[:, None], down]).max() <= 1e-12):
             layout = None
 
     return OneRDM(rho, layout)
@@ -186,12 +179,11 @@ def natural_spectrum(
         raise SpectralRangeError(f"1-RDM trace {trace!r} is not close to an integer")
 
     if rdm.layout is not None:
-        blocks = [(spin, rdm.layout.indices_with_spin(spin)) for spin in (UP, DOWN)]
+        blocks = zip((UP, DOWN), rdm.layout.spin_blocks)
     else:
-        blocks = [(None, range(1, rdm.m + 1))]
+        blocks = [(None, np.arange(rdm.m))]
     values, rows, spins = [], [], []
-    for spin, orbitals in blocks:
-        idx = np.array(orbitals, dtype=int) - 1
+    for spin, idx in blocks:
         vals, vecs = np.linalg.eigh(rdm.rho.take(idx, axis=0).take(idx, axis=1))
         block_rows = np.zeros((len(idx), rdm.m))
         block_rows[:, idx] = vecs[:, ::-1].T

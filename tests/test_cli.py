@@ -4,11 +4,16 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from fermipin import cli
 from fermipin.cli import main
 from fermipin.fock import MAX_WIDTH, space_size
 from fermipin.integrals import hubbard_chain, save_integral_file
@@ -446,8 +451,96 @@ def test_scan_builds_each_grid_point_once(capsys, monkeypatch) -> None:
                                  "--sz", "0", "--scan", "U=0:8:41"])
     assert code == 0
     assert len(_rows(out)) == 41
-    # the first point fixes the geometry and the catalog and serves row 0
-    assert calls == {"to_spin_orbitals": 41, "enumerate_space": 41}
+    # the first point fixes the geometry and the catalog, serves row 0, and
+    # lends its space to every later point of the same width and layout
+    assert calls == {"to_spin_orbitals": 41, "enumerate_space": 1}
+
+
+def test_polytope_decodes_its_space_once(capsys, monkeypatch) -> None:
+    import fermipin.fock
+
+    calls = []
+
+    def spy(space, pairs):
+        calls.append(len(space))
+        return plan(space, pairs)
+
+    plan = fermipin.fock.pair_plan
+    monkeypatch.setattr(fermipin.fock, "pair_plan", spy)
+    code, out, _ = _run(capsys, ["polytope", "--N", "3", "--m", "8", "--random", "100",
+                                 "--format", "json"])
+    assert code == 0
+    assert len(json.loads(out)["samples"]) == 100
+    # one plan of the 56-determinant space serves all hundred 1-RDMs
+    assert calls == [56]
+
+
+def test_scan_gives_a_point_of_another_width_its_own_space(capsys, monkeypatch,
+                                                          tmp_path) -> None:
+    import fermipin.cli
+
+    paths = []
+    for name, sites, U in (("a", 3, 1.0), ("wide", 4, 2.0), ("b", 3, 4.0)):
+        spatial = hubbard_chain(sites, 1.0, U)
+        spatial.n_electrons, spatial.ms2 = 3, 1
+        paths.append(tmp_path / f"{name}.ints")
+        save_integral_file(str(paths[-1]), spatial)
+    spaces = []
+
+    def spy(*args):
+        spaces.append(real(*args))
+        return spaces[-1]
+
+    real = fermipin.cli.enumerate_space
+    monkeypatch.setattr(fermipin.cli, "enumerate_space", spy)
+    code, out, err = _run(capsys, ["scan", "--files", *map(str, paths), "--sz", "1"])
+    assert code == 0
+    # the 8-orbital file is solved over a space of its own, then fails the catalog
+    assert [(space.N, space.m) for space in spaces] == [(3, 6), (3, 8)]
+    assert err == f"warning: file={paths[1]}: spectrum width 8 vs catalog width 6\n"
+    energies = [float(row["energy"]) for row in _rows(out)]
+    assert not np.isnan(energies[0]) and np.isnan(energies[1]) and not np.isnan(energies[2])
+
+
+def test_shared_parser_runs_each_command_as_a_fresh_process(capsys, tmp_path) -> None:
+    catalog = tmp_path / "extra.cat"
+    catalog.write_text("3 6 50 1 -1 -1 1 0 0 0\n")
+    spatial = hubbard_chain(3, 1.0, 2.0)
+    spatial.n_electrons, spatial.ms2 = 3, 1
+    model = tmp_path / "geom.ints"
+    save_integral_file(str(model), spatial)
+    # each command could inherit a value the one before it set: an appended
+    # catalog, the N an integral file fixes, a scan's grid
+    commands = [
+        ["analyze", *HUB36, "--catalog", str(catalog), "--format", "json"],
+        ["analyze", *HUB36, "--format", "json"],
+        ["solve", "--model", f"file:{model}", "--sz", "1", "--format", "json"],
+        ["solve", "--model", "hubbard", "--sites", "3", "--sz", "1"],
+        ["scan", *HUB36, "--scan", "U=0:8:5"],
+        ["analyze", *HUB36, "--format", "csv"],
+    ]
+    in_process = [_run(capsys, argv) for argv in commands]
+    assert cli._build_parser() is cli._build_parser()
+    env = dict(os.environ)
+    source = Path(cli.__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(source), env.get("PYTHONPATH")]))
+    for argv, (code, out, err) in zip(commands, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "fermipin.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120, check=False)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert in_process[3][0] == 2 and "needs --N" in in_process[3][2]
+
+
+def test_negative_exponent_values_need_the_equals_form(capsys) -> None:
+    hubbard = ["solve", "--model", "hubbard", "--sites", "2", "--N", "2", "--format", "json"]
+    code, out, err = _run(capsys, [*hubbard, "--U=-1e-3"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["model"] == "hubbard(sites=2, t=1, U=-0.001)"
+    # after a space argparse takes -1e-3 for an option: a usage error, no traceback
+    code, out, err = _run(capsys, [*hubbard, "--U", "-1e-3"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: fermipin solve")
+    assert "argument --U: expected one argument" in err and "Traceback" not in err
 
 
 # Sizes drawn for --sites and --levels: small ones, plus out-of-range ones.

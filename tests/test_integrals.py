@@ -62,6 +62,23 @@ def test_pairing_model_tensor() -> None:
     model.validate()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda x: hubbard_chain(3, x, 1.0), "t"),
+        (lambda x: hubbard_chain(3, 1.0, x), "U"),
+        (lambda x: pairing_model(3, x, 0.5), "spacing"),
+        (lambda x: pairing_model(3, 1.0, x), "G"),
+    ],
+    ids=["t", "U", "spacing", "G"],
+)
+def test_model_builders_refuse_non_finite_parameters(build, name: str, value: float) -> None:
+    # refused when the model is built, before any integral or eigensolver sees it
+    with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
+        build(value)
+
+
 def test_validate_flags_broken_symmetry() -> None:
     model = hubbard_chain(2, 1.0, 1.0)
     model.g[0, 1, 0, 0] = 0.3  # no symmetry images

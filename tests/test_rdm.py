@@ -94,6 +94,35 @@ def test_generated_singles_give_the_searched_rdm(monkeypatch) -> None:
         assert generated.layout == searched.layout
 
 
+def test_a_space_generates_its_rdm_singles_once(monkeypatch) -> None:
+    # the 1225-determinant sectors of the 7-site chain and the 7-level
+    # pairing model: later 1-RDMs of the same space reuse its singles
+    calls = []
+
+    def spy(space, *args):
+        calls.append(len(space))
+        return generate(space, *args)
+
+    generate = fermipin.fock.substitutions
+    for module in (fermipin.fock, fermipin.ci, fermipin.rdm):  # every binding of it
+        if getattr(module, "substitutions", None) is generate:
+            monkeypatch.setattr(module, "substitutions", spy)
+    rng = np.random.default_rng(28)
+    models = ((hubbard_chain(7, 1.0, 4.0), 7, 1), (pairing_model(7, 1.0, 0.5), 6, 0))
+    for model, N, sector in models:
+        layout = to_spin_orbitals(model).layout
+        space = enumerate_space(N, 14, layout, sector)
+        one_rdm(random_vector(space, rng))
+        assert calls == [1225]
+        vector = random_vector(space, rng)
+        again = one_rdm(vector)
+        assert calls == [1225]
+        # the same sums as over a space that generates them afresh
+        fresh = one_rdm(CIVector(enumerate_space(N, 14, layout, sector), vector.coeffs))
+        assert np.array_equal(again.rho, fresh.rho) and again.layout == fresh.layout
+        calls.clear()
+
+
 def test_rdm_matches_operator_oracle() -> None:
     rng = np.random.default_rng(21)
     spaces = [
