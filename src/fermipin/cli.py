@@ -303,9 +303,12 @@ def _scan_grid(cfg: argparse.Namespace) -> tuple[str, list[tuple[str, argparse.N
     try:
         name, spec = cfg.scan.split("=", 1)
         start, stop, steps = spec.split(":")
-        values = np.linspace(_finite_float(start), _finite_float(stop), int(steps))
+        with np.errstate(all="ignore"):  # a range too wide for a float step
+            values = np.linspace(_finite_float(start), _finite_float(stop), int(steps))
         if len(values) == 0:
             raise ValueError("the grid has no points")
+        if not np.isfinite(values).all():
+            raise ValueError("the grid's points overflow to non-finite values")
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ValueError(f"bad --scan {cfg.scan!r}: {exc}") from None
     allowed = {"hubbard": ("U", "t"), "pairing": ("G", "spacing")}.get(cfg.model, ())

@@ -28,10 +28,6 @@ import numpy as np
 from .errors import ParseError, SymmetryViolationError, WidthError
 from .fock import MAX_WIDTH, UP, SpinOrbitalLayout, blocked_layout, interleaved_layout
 
-# The contraction order einsum's optimizer picks for a rotation at every
-# width, one index of g at a time; fixing it skips planning on each call.
-_ROTATION_PATH = ["einsum_path", (0, 4), (0, 3), (0, 2), (0, 1)]
-
 _CONFLICT_TOL = 1e-10
 _SYMMETRY_TOL = 1e-12
 
@@ -115,13 +111,21 @@ class SpinOrbitalIntegrals:
         :class:`~fermipin.ci.OrbitalRotation` carries it, and is stored as
         given: the default ``None`` says the new orbitals have no definite
         spins.
+
+        ``g`` is transformed one index at a time, as the contraction order
+        einsum's optimizer picks: four ``U @ g.reshape(m, -1)`` products,
+        each followed by a cyclic shift of the axes, so that the index just
+        rotated moves to the back.
         """
         U = np.asarray(U, dtype=float)
-        if U.shape != (self.m, self.m):
+        m = self.m
+        if U.shape != (m, m):
             raise WidthError("rotation dimension does not match the integrals")
         h_new = U @ self.h @ U.T
-        g_new = np.einsum("pi,qj,rk,sl,ijkl->pqrs", U, U, U, U, self.g, optimize=_ROTATION_PATH)
-        return SpinOrbitalIntegrals(layout, h_new, g_new, self.core_energy)
+        g_new = self.g
+        for _ in range(4):
+            g_new = (U @ g_new.reshape(m, -1)).reshape(m, m, m, m).transpose(1, 2, 3, 0)
+        return SpinOrbitalIntegrals(layout, h_new, np.ascontiguousarray(g_new), self.core_energy)
 
 
 def _require_width(n_spatial: int) -> None:

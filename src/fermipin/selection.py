@@ -17,9 +17,9 @@ Orbital labels here are natural-orbital labels ordered by decreasing
 occupation.  :func:`pinned_solve` starts from an already solved full-space
 ground state, moves to its natural orbitals, and keeps that ordering
 self-consistent by re-diagonalizing the truncated 1-RDM until the
-occupations stop moving.  Each natural frame (rotated integrals and, in a
-spin sector, the re-enumerated space) is built once, and only when an
-iteration will use it.
+occupations stop moving.  The integrals are rotated once per iteration;
+the frame's filtered space, which the natural layout alone determines, is
+reused across iterations by layout.
 """
 
 from __future__ import annotations
@@ -187,21 +187,25 @@ class PinnedSolveResult:
     iterations: int
     converged: bool
     survivors: PinnedSpace
+    history: tuple[tuple[float, int], ...]  # (max |dn|, survivor count) per iteration
 
 
-def _natural_frame(ints, space, spectrum):
-    """Rotate integrals and space into the natural orbitals of ``spectrum``."""
+def _natural_rotation(space, spectrum):
+    """The rotation to the natural orbitals of ``spectrum``, as ``(U, layout)``."""
     rotation = spectrum.natural_rotation
-    layout = rotation.layout
-    if space.sector is not None and layout is None:
+    if space.sector is not None and rotation.layout is None:
         raise SectorError(
             "sector-restricted space produced a spin-mixing natural rotation"
         )
+    return rotation.U, rotation.layout
+
+
+def _frame_space(space, layout):
+    """``space`` in a natural frame with ``layout``: its masks kept when it
+    has no sector, its sector enumerated again in the new spins otherwise."""
     if space.sector is None:
-        nat_space = ConfigurationSpace(space.N, space.m, space.masks, layout, None)
-    else:
-        nat_space = enumerate_space(space.N, space.m, layout, space.sector)
-    return ints.rotated(rotation.U, layout), nat_space
+        return ConfigurationSpace(space.N, space.m, space.masks, layout, None)
+    return enumerate_space(space.N, space.m, layout, space.sector)
 
 
 def pinned_solve(
@@ -222,10 +226,14 @@ def pinned_solve(
     The natural-orbital labels the constraints refer to are kept
     self-consistent: the basis starts at the natural orbitals of
     ``full_state``, and after each truncated solve it is rotated to the
-    new natural orbitals, the sector space is filtered again, and the
-    cycle repeats until no occupation moves by more than
-    ``occupation_tol`` (or ``max_iterations`` is hit, which is reported
-    rather than raised).
+    new natural orbitals and the cycle repeats until no occupation moves
+    by more than ``occupation_tol`` (or ``max_iterations`` is hit, which is
+    reported rather than raised).  The integrals are rotated on every
+    iteration, but a frame's space is filtered only the first time its
+    natural layout appears: the loop often revisits a few frames, and a
+    revisited one reuses its survivor space with the pairs cached on it.
+    ``history`` records each iteration's largest occupation change and
+    survivor count.
 
     The recovered correlation fraction compares against the energy of the
     reference determinant |1..N> in the natural basis of the *full*
@@ -245,27 +253,35 @@ def pinned_solve(
         constraints = constraints(spectrum)
     if not constraints:
         raise ValueError("at least one constraint is required")
-    nat_ints, nat_space = _natural_frame(ints, space, spectrum)
+    U, layout = _natural_rotation(space, spectrum)
+    nat_ints, nat_space = ints.rotated(U, layout), _frame_space(space, layout)
 
     reference = Determinant.from_orbitals(range(1, space.N + 1), space.m)
     ref_space = ConfigurationSpace(space.N, space.m, (reference.mask,))
     reference_energy = float(build_hamiltonian(nat_ints, ref_space)[0, 0])
     census_full = census(nat_space, reference)
 
-    iterations = 0
+    # N, m and the sector stay fixed, so a frame's layout alone fixes its
+    # filtered space; a recurring frame reuses it with its cached pairs
+    frames = {layout: filter_pinned(nat_space, constraints)}
+    history = []
     while True:
-        iterations += 1
-        pinned_space = filter_pinned(nat_space, constraints)
+        pinned_space = frames[layout]
         if len(pinned_space) == 0:
             raise NoSurvivorsError(
                 "imposed constraints leave no determinants to expand in"
             )
         truncated = solve_ground(nat_ints, pinned_space.survivors)[0]
         previous, spectrum = spectrum, natural_spectrum(one_rdm(truncated))
-        converged = float(np.abs(spectrum.n - previous.n).max()) < occupation_tol
-        if converged or iterations == max_iterations:
+        drift = float(np.abs(spectrum.n - previous.n).max())
+        history.append((drift, len(pinned_space)))
+        converged = drift < occupation_tol
+        if converged or len(history) == max_iterations:
             break
-        nat_ints, nat_space = _natural_frame(nat_ints, nat_space, spectrum)
+        U, layout = _natural_rotation(space, spectrum)
+        nat_ints = nat_ints.rotated(U, layout)
+        if layout not in frames:
+            frames[layout] = filter_pinned(_frame_space(space, layout), constraints)
 
     census_pinned = census(pinned_space.survivors, reference)
     full_correlation = reference_energy - full_state.energy
@@ -283,7 +299,8 @@ def pinned_solve(
         census_full=census_full,
         census_pinned=census_pinned,
         occupations=spectrum.n,
-        iterations=iterations,
+        iterations=len(history),
         converged=converged,
         survivors=pinned_space,
+        history=tuple(history),
     )

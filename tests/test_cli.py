@@ -7,9 +7,11 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -116,6 +118,28 @@ def test_truncate_auto_recovers_the_weak_regime(capsys) -> None:
     assert abs(payload["recovered_fraction"] - 1.0) < 1e-9
     assert abs(payload["full_correlation_mha"] - payload["pinned_correlation_mha"]) < 1e-6
     assert payload["survivor_count"] == 3
+
+
+@pytest.mark.parametrize("model, mu, imposed, iterations, converged", [
+    (["--model", "hubbard", "--sites", "4", "--U", "4.0", "--N", "3", "--sz", "1"],
+     "2", ["D^2"], 100, False),  # the natural frames cycle
+    (["--model", "hubbard", "--sites", "4", "--U", "4.0", "--N", "4", "--sz", "0"],
+     "1", ["D^1"], 3, True),
+    (["--model", "pairing", "--levels", "4", "--G", "0.5", "--N", "4", "--sz", "0"],
+     "5", ["D^5"], 2, True),
+    (["--model", "hubbard", "--sites", "3", "--U", "2.0", "--N", "3", "--sz", "1"],
+     "auto", ["n1+n6", "n2+n5", "n3+n4", "D^1"], 1, True),
+])
+def test_truncate_keeps_the_recorded_pinned_loop_outcomes(
+    capsys, model, mu, imposed, iterations, converged
+) -> None:
+    code, out, _ = _run(capsys, ["truncate", *model, "--mu", mu, "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["imposed"] == imposed
+    assert payload["iterations"] == iterations
+    assert payload["converged"] is converged
+    assert payload["pinned_energy"] >= payload["full_energy"]
 
 
 def test_truncate_no_survivors_exits_4(capsys, tmp_path) -> None:
@@ -314,6 +338,18 @@ def test_non_finite_numbers_exit_2_naming_the_value(capsys) -> None:
         code, out, err = _run(capsys, argv)
         assert (code, out) == (2, ""), argv
         assert repr(value) in err and "Traceback" not in err, argv
+
+
+def test_scan_grid_that_overflows_exits_2_without_warnings(capsys) -> None:
+    # both ends are finite, but the step between them overflows a float
+    for steps in ("3", "9"):
+        scan = f"U=-1e308:1e308:{steps}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run(capsys, ["scan", *HUB36, "--scan", scan])
+        assert (code, out) == (2, "")
+        assert err == f"error: bad --scan {scan!r}: the grid's points overflow to non-finite values\n"
+        assert caught == []
 
 
 def test_census_preset_rejects_space_flags(capsys) -> None:

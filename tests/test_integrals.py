@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fermipin.ci import solve_ground
 from fermipin.errors import ParseError, SymmetryViolationError
-from fermipin.fock import DOWN, UP, SpinOrbitalLayout, interleaved_layout
+from fermipin.fock import DOWN, UP, SpinOrbitalLayout, enumerate_space, interleaved_layout
 from fermipin.integrals import (
     SpatialIntegrals,
     hubbard_chain,
@@ -17,6 +18,7 @@ from fermipin.integrals import (
     save_integral_file,
     to_spin_orbitals,
 )
+from fermipin.rdm import natural_spectrum, one_rdm
 
 from .oracles import spin_expansion_by_loops
 
@@ -185,13 +187,25 @@ def test_rotation_is_a_similarity_transform() -> None:
     np.testing.assert_allclose(back.g, so.g, atol=1e-12)
 
 
-@pytest.mark.parametrize("m", [2, 8, 20])
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 14, 20, 28])
 def test_rotation_is_bitwise_the_optimizer_planned_einsum(m: int) -> None:
     rng = np.random.default_rng(m)
     so = to_spin_orbitals(random_spatial(m // 2, rng))
     q, _ = np.linalg.qr(rng.standard_normal((m, m)))
     planned = np.einsum("pi,qj,rk,sl,ijkl->pqrs", q, q, q, q, so.g, optimize=True)
     assert np.array_equal(so.rotated(q).g, planned)
+
+
+def test_natural_rotation_is_bitwise_the_optimizer_planned_einsum() -> None:
+    so = to_spin_orbitals(hubbard_chain(4, 1.0, 4.0))
+    state = solve_ground(so, enumerate_space(3, 8, so.layout, 1))[0]
+    rotation = natural_spectrum(one_rdm(state)).natural_rotation
+    assert rotation.layout is not None and rotation.layout != so.layout  # spin-blocked
+    U = rotation.U
+    planned = np.einsum("pi,qj,rk,sl,ijkl->pqrs", U, U, U, U, so.g, optimize=True)
+    rotated = so.rotated(U, rotation.layout)
+    assert np.array_equal(rotated.g, planned)
+    assert rotated.g.flags.c_contiguous and rotated.layout == rotation.layout
 
 
 def test_rotated_integrals_store_exactly_the_given_layout() -> None:

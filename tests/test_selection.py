@@ -453,6 +453,79 @@ def test_pinned_solve_rotates_once_per_iteration(monkeypatch) -> None:
     assert result.iterations == 3
 
 
+def _unshared_pinned_loop(so, state, constraints, max_iterations=100, tol=1e-10):
+    """The pinned loop written out from public functions, every frame built
+    afresh on every iteration.  Returns the last solve and spectrum, the last
+    survivors, each iteration's (drift, survivor count) and each frame's layout."""
+    space = state.space
+    spectrum = natural_spectrum(one_rdm(state))
+    ints, layouts, history = so, [], []
+    while True:
+        layout = spectrum.natural_rotation.layout
+        ints = ints.rotated(spectrum.natural_rotation.U, layout)
+        if space.sector is None:
+            nat_space = ConfigurationSpace(space.N, space.m, space.masks, layout)
+        else:
+            nat_space = enumerate_space(space.N, space.m, layout, space.sector)
+        layouts.append(layout)
+        survivors = filter_pinned(nat_space, constraints).survivors
+        truncated = solve_ground(ints, survivors)[0]
+        previous, spectrum = spectrum, natural_spectrum(one_rdm(truncated))
+        history.append((float(np.abs(spectrum.n - previous.n).max()), len(survivors)))
+        if history[-1][0] < tol or len(history) == max_iterations:
+            return truncated, spectrum, survivors, history, layouts
+
+
+@pytest.mark.parametrize("N, sector, layout, mu, iterations, frames", [
+    (3, 1, True, 2, 100, 3),  # cycles without converging
+    (4, 0, True, 1, 3, 2),
+    (3, None, True, 2, 100, 3),
+    (3, None, False, 2, 45, 1),  # spin-mixing frames: the layout is None
+])
+def test_pinned_solve_matches_a_loop_that_rebuilds_every_frame(
+    monkeypatch, N, sector, layout, mu, iterations, frames
+) -> None:
+    import fermipin.selection as selection
+
+    so = to_spin_orbitals(hubbard_chain(4, 1.0, 4.0))
+    state = solve_ground(so, enumerate_space(N, 8, so.layout if layout else None, sector))[0]
+    constraints = [catalog(N, 8).find(mu)]
+    truncated, spectrum, survivors, history, layouts = _unshared_pinned_loop(
+        so, state, constraints
+    )
+    calls = []
+
+    def spy(space, imposed):
+        calls.append(space.layout)
+        return filter_pinned(space, imposed)
+
+    monkeypatch.setattr(selection, "filter_pinned", spy)
+    result = pinned_solve(so, state, constraints)
+    assert result.iterations == len(history) == iterations
+    assert result.converged is (history[-1][0] < 1e-10) is (iterations < 100)
+    assert result.occupations.tobytes() == spectrum.n.tobytes()
+    assert np.float64(result.pinned_energy).tobytes() == np.float64(truncated.energy).tobytes()
+    assert result.survivors.survivors.masks.tobytes() == survivors.masks.tobytes()
+    assert list(result.history) == history
+    # one filter per distinct frame, in the order the loop first meets them
+    assert calls == list(dict.fromkeys(layouts))
+    assert len(calls) == frames
+
+
+def test_pinned_solve_history_records_each_iteration() -> None:
+    so = to_spin_orbitals(hubbard_chain(4, 1.0, 4.0))
+    state = solve_ground(so, enumerate_space(3, 8, so.layout, 1))[0]
+    d2 = catalog(3, 8).find(2)
+    for max_iterations, tol in ((100, 1e-10), (5, 1e-10), (100, 1.0)):
+        result = pinned_solve(so, state, [d2], max_iterations, tol)
+        assert len(result.history) == result.iterations
+        last_drift, last_count = result.history[-1]
+        assert result.converged is (last_drift < tol)
+        assert last_count == len(result.survivors)
+        assert all(drift >= tol for drift, _ in result.history[:-1])
+    assert result.converged and result.iterations == 1
+
+
 def test_sector_presets() -> None:
     restricted = SECTOR_PRESETS["4in8-restricted"]
     unrestricted = SECTOR_PRESETS["4in8-unrestricted"]
