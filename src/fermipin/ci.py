@@ -2,9 +2,9 @@
 
 Hamiltonian elements over a :class:`~fermipin.fock.ConfigurationSpace` follow
 the Slater-Condon rules with antisymmetrized spin-orbital integrals.  One
-routine turns a list of determinant pairs with their phases, all at once,
-into the diagonal and the ``(i, j, value)`` entries of the singles and
-doubles.  Where the pairs come from depends on the size of the space, with
+routine turns a decoded pair list (:class:`~fermipin.fock.Pairs`: the phase
+and the substituted orbitals of each pair), all at once, into the diagonal
+and the ``(i, j, value)`` entries of the singles and doubles.  Where the pairs come from depends on the size of the space, with
 ``DENSE_CROSSOVER`` as the dividing line:
 
 * a space of at most ``DENSE_CROSSOVER`` determinants reads its cached
@@ -48,7 +48,6 @@ from .fock import (
     Determinant,
     SpinOrbitalLayout,
     orbital_pairs,
-    pair_plan,
     substitutions,
 )
 from .integrals import SpinOrbitalIntegrals
@@ -128,6 +127,14 @@ class OrbitalRotation:
         return self.U.shape[0]
 
 
+def sign_fixed(rows: np.ndarray) -> np.ndarray:
+    """``rows`` with every row whose component of largest magnitude (the
+    first such, on exact ties) is negative negated, the sign convention of
+    eigenvectors: CI vectors and natural orbitals alike."""
+    lead = np.abs(rows).argmax(axis=1)
+    return np.where((rows[np.arange(len(rows)), lead] < 0)[:, None], -rows, rows)
+
+
 def _sequential_sum(terms: np.ndarray) -> np.ndarray:
     """Row sums of ``terms``, added strictly left to right."""
     return np.cumsum(terms, axis=1)[:, -1]
@@ -144,7 +151,7 @@ def _hamiltonian_entries(
     exact zero, so the bit-matrix sums equal the orbital-by-orbital ones.
     Which orbitals each sum runs over comes from the space's cached
     :attr:`~fermipin.fock.ConfigurationSpace.occupation` and, at or below
-    the crossover, its cached :attr:`~fermipin.fock.ConfigurationSpace.plan`,
+    the crossover, its cached :attr:`~fermipin.fock.ConfigurationSpace.pairs`,
     so a call only gathers integrals and adds them.
     """
     if ints.m != space.m:
@@ -156,21 +163,19 @@ def _hamiltonian_entries(
     # exchange[p, q, c] = <pc||qc>
     exchange = ints.g.diagonal(axis1=1, axis2=3)
     if len(space) <= DENSE_CROSSOVER:
-        plan = space.plan
+        pairs = space.pairs
     else:
         # a single's element is h[p,q] + sum_c <pc||qc>, a double's <p1p2||q1q2>
-        plan = pair_plan(
-            space, substitutions(space, (ints.h != 0) | (exchange != 0).any(axis=2), ints.g != 0)
-        )
-    pairs, singles, p, q = plan.pairs, plan.singles, plan.p, plan.q
+        pairs = substitutions(space, (ints.h != 0) | (exchange != 0).any(axis=2), ints.g != 0)
+    (single_i, single_j, _), p, q = pairs.singles, pairs.p, pairs.q
     bits = space.occupation.bits
     # <pc||qc> over the orbitals c both determinants occupy
-    shared = bits[singles.i] & bits[singles.j]
+    shared = bits[single_i] & bits[single_j]
     values = np.empty(len(pairs.i))
-    values[plan.single] = _sequential_sum(
+    values[pairs.single] = _sequential_sum(
         np.concatenate([ints.h[p, q][:, None], shared * exchange[p, q]], axis=1)
     )
-    values[plan.double] = ints.g[plan.doubles]
+    values[pairs.double] = ints.g[pairs.doubles]
     return diag, pairs.i, pairs.j, pairs.sign * values
 
 
@@ -278,8 +283,7 @@ def solve_ground(
     lowest states are all of them, are solved densely with ``eigh``; larger
     ones through a CSR matrix with block Lanczos for the ``k + 1`` lowest
     states.
-    Eigenvectors are normalized and sign-fixed so the coefficient of
-    largest magnitude (first such, on exact ties) is positive.  A state
+    Eigenvectors are normalized and sign-fixed by :func:`sign_fixed`.  A state
     whose eigenvalue sits within 1e-10 of a neighbouring one is flagged
     ``degenerate``: its vector is then an arbitrary basis choice inside
     the degenerate cluster and occupation analyses should be read with
@@ -303,11 +307,7 @@ def solve_ground(
         values, vectors = _sparse_eigh(ints, space, k + 1)
 
     states = []
-    for j in range(k):
-        coeffs = vectors[:, j].copy()
-        lead = int(np.argmax(np.abs(coeffs)))
-        if coeffs[lead] < 0:
-            coeffs = -coeffs
+    for j, coeffs in enumerate(sign_fixed(vectors[:, :k].T)):
         gap_below = values[j] - values[j - 1] if j > 0 else np.inf
         gap_above = values[j + 1] - values[j] if j + 1 < len(values) else np.inf
         states.append(

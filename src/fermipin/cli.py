@@ -672,9 +672,13 @@ def _parse_mu(text: str) -> str | tuple[int, ...]:
     if text.strip() == "auto":
         return "auto"
     try:
-        return tuple(int(part) for part in text.split(","))
+        indices = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected indices a,b,... or 'auto': {text!r}") from None
+    repeated = [mu for k, mu in enumerate(indices) if mu in indices[:k]]
+    if repeated:
+        raise argparse.ArgumentTypeError(f"constraint index {repeated[0]} repeated: {text!r}")
+    return indices
 
 
 def _parse_occupations(text: str) -> tuple[float, ...]:
@@ -769,8 +773,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (RepresentabilityError, SpectralRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (FermipinError, OSError, ValueError, KeyError) as exc:
+    except (FermipinError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except KeyError as exc:  # str() of a KeyError is the repr of its key
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     return 0
 

@@ -9,11 +9,12 @@ nothing else: lookup is a binary search, filtering takes a boolean array,
 and a :class:`Determinant` is a view built from one mask on demand.
 
 Phase convention: an annihilation or creation operator acting on orbital
-``p`` of a mask picks up ``(-1) ** (occupied orbitals below p)``.  One
-helper applies it to arrays of mask pairs: the sign is the parity of the
-orbitals the two determinants share that lie below an odd number of the
-substituted ones.  Two kernels find the determinant pairs one or two
-substitutions apart, and both hand their pairs to that helper:
+``p`` of a mask picks up ``(-1) ** (occupied orbitals below p)``, so the
+sign of a determinant pair is the parity of the orbitals the two share that
+lie below an odd number of the substituted ones.  Two kernels find the
+determinant pairs one or two substitutions apart, and both end in one step
+that signs their pairs and decodes the orbitals each substitution moves into
+the one pair record, :class:`Pairs`:
 
 * :func:`excitations` XORs blocks of the mask array and keeps the pairs
   whose ``np.bitwise_count`` is at most four.  That search is quadratic in
@@ -29,13 +30,11 @@ substitutions apart, and both hand their pairs to that helper:
   The large-space Hamiltonian and 1-RDM use it.
 
 Whatever the Hamiltonian and the 1-RDM need of the determinants alone is
-worked out once per space and cached, read-only, next to its pairs: the
-occupation bits and diagonal terms (:attr:`ConfigurationSpace.occupation`),
-the pairs with the orbitals of each substitution decoded
-(:attr:`ConfigurationSpace.plan`, built by :func:`pair_plan`), and the
-1-RDM's generated singles (:attr:`ConfigurationSpace.spin_singles`).  A
-layout caches its spin-block index arrays the same way.  A sum over a
-space then only gathers and adds.
+worked out once per space and cached, read-only: the occupation bits and
+diagonal terms (:attr:`ConfigurationSpace.occupation`), the searched pairs (:attr:`ConfigurationSpace.pairs`), and the 1-RDM's
+generated singles (:attr:`ConfigurationSpace.spin_singles`).  A layout
+caches its spin-block index arrays the same way.  A sum over a space then
+only gathers and adds.
 
 The maximum width is 64 spin orbitals.  That bound is far beyond what the
 solvers can use; it exists so every mask fits one ``uint64`` array entry.
@@ -48,7 +47,6 @@ enumerate_space    : all N-electron determinants, optionally in an S_z sector
 space_size         : the size enumerate_space would return, without building it
 excitations        : connected determinant pairs of a space, by an O(n^2) search
 substitutions      : the pairs that screened substitutions reach, generated per determinant
-pair_plan          : a pair list with the orbitals of each substitution decoded
 occupation_bits    : the boolean occupation matrix of an array of masks
 orbital_pairs      : the orbital pairs p < q of a width, as two index arrays
 lowest_bit         : the lowest set bit of each mask of an array
@@ -236,27 +234,22 @@ class ConfigurationSpace:
         return _read_only(Occupation(bits, *np.nonzero(bits), terms))
 
     @cached_property
-    def pairs(self) -> Excitations:
+    def pairs(self) -> Pairs:
         """The connected determinant pairs of the space, searched for once by
         :func:`excitations` and shared, read-only, by every caller.  The
         Hamiltonian and the 1-RDM read them on spaces of at most
         ``fermipin.ci.DENSE_CROSSOVER`` determinants; larger spaces never
         run the quadratic search and generate their pairs with
         :func:`substitutions` instead."""
-        return _read_only(excitations(self))
+        return excitations(self)
 
     @cached_property
-    def plan(self) -> PairPlan:
-        """:attr:`pairs` with their orbital indices decoded, once."""
-        return pair_plan(self, self.pairs)
-
-    @cached_property
-    def spin_singles(self) -> PairPlan:
+    def spin_singles(self) -> Pairs:
         """Every single of the space that keeps the spin of the electron
-        moved, generated by :func:`substitutions` and decoded, once.  In a
-        space without a sector every single is kept, spin flips included."""
+        moved, generated by :func:`substitutions`, once.  In a space without
+        a sector every single is kept, spin flips included."""
         spins = np.array(self.layout.spin_of) if self.sector is not None else np.zeros(self.m)
-        return pair_plan(self, substitutions(self, spins[:, None] == spins))
+        return substitutions(self, spins[:, None] == spins)
 
 
 def enumerate_space(
@@ -280,18 +273,7 @@ def enumerate_space(
     if sector is None:
         masks = _subset_masks(range(m), N)
     else:
-        if layout is None:
-            raise SectorError("a sector restriction requires a layout")
-        if (N + sector) % 2:
-            raise SectorError(f"no determinant of {N} electrons has 2*S_z={sector}")
-        n_up = (N + sector) // 2
-        n_down = N - n_up
-        up, down = layout.spin_blocks
-        if not (0 <= n_up <= len(up) and 0 <= n_down <= len(down)):
-            raise SectorError(
-                f"sector 2*S_z={sector} needs {n_up} up and {n_down} down electrons, "
-                f"but the layout has {len(up)} up / {len(down)} down orbitals"
-            )
+        (up, n_up), (down, n_down) = _sector_blocks(N, layout, sector)
         masks = (_subset_masks(up, n_up)[:, None] | _subset_masks(down, n_down)).ravel()
     return ConfigurationSpace(N, m, np.sort(masks), layout, sector)
 
@@ -308,11 +290,31 @@ def space_size(
         return 0
     if sector is None:
         return comb(m, N)
-    n_up = (N + sector) // 2
-    if layout is None or (N + sector) % 2 or not 0 <= n_up <= N:
+    try:
+        (up, n_up), (down, n_down) = _sector_blocks(N, layout, sector)
+    except SectorError:
         return 0
-    up, down = map(len, layout.spin_blocks)
-    return comb(up, n_up) * comb(down, N - n_up)
+    return comb(len(up), n_up) * comb(len(down), n_down)
+
+
+def _sector_blocks(
+    N: int, layout: SpinOrbitalLayout | None, sector: int
+) -> tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]]:
+    """The up and the down spin orbitals of ``layout``, each with the number
+    of the ``N`` electrons they hold in the sector 2*S_z = ``sector``."""
+    if layout is None:
+        raise SectorError("a sector restriction requires a layout")
+    if (N + sector) % 2:
+        raise SectorError(f"no determinant of {N} electrons has 2*S_z={sector}")
+    n_up = (N + sector) // 2
+    n_down = N - n_up
+    up, down = layout.spin_blocks
+    if not (0 <= n_up <= len(up) and 0 <= n_down <= len(down)):
+        raise SectorError(
+            f"sector 2*S_z={sector} needs {n_up} up and {n_down} down electrons, "
+            f"but the layout has {len(up)} up / {len(down)} down orbitals"
+        )
+    return (up, n_up), (down, n_down)
 
 
 def _subset_masks(bits: Sequence[int], k: int) -> np.ndarray:
@@ -350,63 +352,34 @@ class Occupation(NamedTuple):
     terms: np.ndarray
 
 
-class Excitations(NamedTuple):
-    """Connected determinant pairs of a space, one array entry per pair.
+class Pairs(NamedTuple):
+    """Connected determinant pairs of a space, with the orbitals each
+    substitution moves decoded (0-based), for the callers that sum over them.
 
-    ``i < j`` index the space.  ``bra_only`` and ``ket_only`` are the masks
-    of the orbitals occupied only in ``space[i]`` and only in ``space[j]``
-    (the ``ps`` and ``qs`` of the substitution), and ``sign`` (``int8``) is
-    the sign of ``<K_i| a+_{p1}..a+_{pk} a_{qk}..a_{q1} |K_j>`` with both
-    orbital lists ascending.  Entries run with ``i`` ascending, then ``j``.
+    ``i < j`` index the space, one entry per pair, with ``i`` ascending,
+    then ``j``.  ``sign`` (``int8``) is the sign of
+    ``<K_i| a+_{p1}..a+_{pk} a_{qk}..a_{q1} |K_j>``, where the ``ps`` are
+    the orbitals occupied only in ``K_i`` and the ``qs`` those occupied only
+    in ``K_j``, both ascending.
+
+    ``single`` and ``double`` are the positions of the pairs one and two
+    substitutions apart, and ``singles`` holds the ``(i, j, sign)`` of the
+    singles.  Single ``k`` has ``ps = (p[k],)`` and ``qs = (q[k],)``, and
+    ``rho_index[k]`` is ``min(p, q) * m + max(p, q)``, the upper-triangle
+    entry of the pair in a flattened ``m x m`` matrix.  ``doubles`` holds
+    the ``(p1, p2, q1, q2)`` of each double.
     """
 
     i: np.ndarray
     j: np.ndarray
-    bra_only: np.ndarray
-    ket_only: np.ndarray
     sign: np.ndarray
-
-
-class PairPlan(NamedTuple):
-    """A list of connected pairs with the orbitals of each substitution
-    decoded (0-based), for the callers that sum over it.
-
-    ``single`` and ``double`` are the positions in ``pairs`` of the pairs
-    one and two substitutions apart, and ``singles`` are those pairs.
-    Single ``k`` moves an electron between ``p[k]``, occupied only in the
-    bra, and ``q[k]``, occupied only in the ket, and ``rho_index[k]`` is
-    ``min(p, q) * m + max(p, q)``, the upper-triangle entry of the pair in
-    a flattened ``m x m`` matrix.  ``doubles`` holds ``(p1, p2, q1, q2)``
-    for each double, ``p1 < p2`` occupied only in the bra and ``q1 < q2``
-    only in the ket.
-    """
-
-    pairs: Excitations
     single: np.ndarray
-    singles: Excitations
+    singles: tuple[np.ndarray, np.ndarray, np.ndarray]
     p: np.ndarray
     q: np.ndarray
     rho_index: np.ndarray
     double: np.ndarray
     doubles: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def pair_plan(space: ConfigurationSpace, pairs: Excitations) -> PairPlan:
-    """Decode the substitutions of ``pairs``, pairs of ``space``.  Every
-    array the plan adds is read-only, because spaces share their plans."""
-    is_single = np.bitwise_count(pairs.bra_only) == 1
-    single, double = np.flatnonzero(is_single), np.flatnonzero(~is_single)
-    singles = pairs._make(array[single] for array in pairs)
-    p, q = bit_index(singles.bra_only), bit_index(singles.ket_only)
-    bra_only, ket_only = pairs.bra_only[double], pairs.ket_only[double]
-    p_low, q_low = lowest_bit(bra_only), lowest_bit(ket_only)
-    doubles = (
-        bit_index(p_low), bit_index(bra_only ^ p_low),
-        bit_index(q_low), bit_index(ket_only ^ q_low),
-    )
-    rho_index = np.minimum(p, q) * space.m + np.maximum(p, q)
-    _read_only((single, *singles, p, q, rho_index, double, *doubles))
-    return PairPlan(pairs, single, singles, p, q, rho_index, double, doubles)
 
 
 def _read_only(arrays):
@@ -416,7 +389,7 @@ def _read_only(arrays):
     return arrays
 
 
-def excitations(space: ConfigurationSpace) -> Excitations:
+def excitations(space: ConfigurationSpace) -> Pairs:
     """Every determinant pair of ``space`` connected by one or two orbital
     substitutions, found over blocks of XORed masks.  The search is O(n²)
     in the space size, so callers run it on small spaces only, and read the
@@ -435,25 +408,23 @@ def excitations(space: ConfigurationSpace) -> Excitations:
         start = stop
     i = np.concatenate([rows for rows, _ in found])
     j = np.concatenate([cols for _, cols in found])
-    bra, ket = masks[i], masks[j]
-    diff = bra ^ ket
-    return Excitations(i, j, bra & diff, ket & diff, _signs(bra, ket, space.m))
+    return _decoded(space, i, j)
 
 
 def substitutions(
     space: ConfigurationSpace, singles: np.ndarray, doubles: np.ndarray | None = None
-) -> Excitations:
+) -> Pairs:
     """The pairs of ``space`` one or two substitutions apart that the boolean
     screens allow, generated from each determinant instead of searched for.
 
     From ``space[i]`` it takes every single ``p -> q`` (``p`` occupied, ``q``
     empty, 0-based) with ``singles[p, q]`` and, when ``doubles`` is given,
     every double ``p1 < p2 -> q1 < q2`` with ``doubles[p1, p2, q1, q2]``,
-    keeps those whose target lies in the space, and returns them as
-    :class:`Excitations` in the same order and with the same signs as
-    :func:`excitations`.  Only substitutions that raise the mask (the
-    highest created orbital above the highest annihilated one) are taken, so
-    ``j > i`` and each pair comes out once.  The work grows with the space
+    keeps those whose target lies in the space, and returns them in the
+    same order and with the same signs as :func:`excitations`.  Only
+    substitutions that raise the mask (the highest created orbital above the
+    highest annihilated one) are taken, so ``j > i`` and each pair comes out
+    once.  The work grows with the space
     size times the substitutions of one determinant, not with its square.
     """
     m, masks = space.m, space.masks
@@ -479,8 +450,7 @@ def substitutions(
             empty[:, c] * m + empty[:, d],
             (bit[:, None] | bit).ravel(),
         ))
-    no_index, no_mask = np.zeros(0, np.intp), np.zeros(0, np.uint64)
-    found = [(no_index, no_index, no_mask, no_mask)]
+    found = [(np.zeros(0, np.intp), np.zeros(0, np.intp))]
     for allowed, bra_sets, ket_sets, set_bits in kinds:
         # only the sets a determinant gives up that some substitution takes
         live = np.flatnonzero(allowed.any(axis=1)[bra_sets])
@@ -493,32 +463,45 @@ def substitutions(
             taken = np.flatnonzero(allowed.ravel()[block_bras[:, None] * len(allowed) + kets])
             row = taken // kets.shape[1]
             i = block_dets[row]
-            bra_only, ket_only = set_bits[block_bras[row]], set_bits[kets.ravel()[taken]]
-            target = masks[i] ^ bra_only ^ ket_only
+            target = masks[i] ^ set_bits[block_bras[row]] ^ set_bits[kets.ravel()[taken]]
             j = np.searchsorted(masks, target)
             inside = masks[np.minimum(j, n - 1)] == target
-            found.append((i[inside], j[inside], bra_only[inside], ket_only[inside]))
-    i, j, bra_only, ket_only = (np.concatenate(arrays) for arrays in zip(*found))
+            found.append((i[inside], j[inside]))
+    i, j = (np.concatenate(arrays) for arrays in zip(*found))
     order = np.argsort(i * n + j)
-    i, j = i[order], j[order]
-    return Excitations(i, j, bra_only[order], ket_only[order], _signs(masks[i], masks[j], m))
+    return _decoded(space, i[order], j[order])
 
 
-def _signs(bra: np.ndarray, ket: np.ndarray, m: int) -> np.ndarray:
-    """The sign of ``<bra| a+_{p1}..a+_{pk} a_{qk}..a_{q1} |ket>`` for each
-    pair of masks, with ``ps`` and ``qs`` the orbitals of only the bra and
-    only the ket, ascending (``int8``)."""
+def _decoded(space: ConfigurationSpace, i: np.ndarray, j: np.ndarray) -> Pairs:
+    """The pairs ``(i[k], j[k])`` of ``space`` with their signs and
+    substitutions decoded.  Every array is made read-only, because spaces
+    share their pairs."""
+    bra, ket = space.masks[i], space.masks[j]
     diff = bra ^ ket
+    bra_only, ket_only = bra & diff, ket & diff
     # Applying the operators one by one, each substituted orbital passes
     # every orbital the two determinants share below it: the sign is the
     # parity of the shared orbitals lying below an odd number of the
     # substituted ones (bit k of `below` is the parity of diff's bits above k).
     below = diff >> 1
     shift = 1
-    while shift < m:
+    while shift < space.m:
         below ^= below >> shift
         shift *= 2
-    return 1 - 2 * (np.bitwise_count(bra & ket & below) & 1).astype(np.int8)
+    sign = 1 - 2 * (np.bitwise_count(bra & ket & below) & 1).astype(np.int8)
+    is_single = np.bitwise_count(bra_only) == 1
+    single, double = np.flatnonzero(is_single), np.flatnonzero(~is_single)
+    singles = (i[single], j[single], sign[single])
+    p, q = bit_index(bra_only[single]), bit_index(ket_only[single])
+    bra_only, ket_only = bra_only[double], ket_only[double]
+    p_low, q_low = lowest_bit(bra_only), lowest_bit(ket_only)
+    doubles = (
+        bit_index(p_low), bit_index(bra_only ^ p_low),
+        bit_index(q_low), bit_index(ket_only ^ q_low),
+    )
+    rho_index = np.minimum(p, q) * space.m + np.maximum(p, q)
+    _read_only((i, j, sign, single, *singles, p, q, rho_index, double, *doubles))
+    return Pairs(i, j, sign, single, singles, p, q, rho_index, double, doubles)
 
 
 @cache

@@ -5,7 +5,7 @@ symmetric, trace ``N``, eigenvalues between 0 and 1.  Off the diagonal only
 determinant pairs one substitution apart contribute.  The size rule of the
 Hamiltonian (``fermipin.ci.DENSE_CROSSOVER``) decides where they come from:
 a space at or below it takes the singles among its cached
-:attr:`~fermipin.fock.ConfigurationSpace.plan`, the pairs the Hamiltonian
+:attr:`~fermipin.fock.ConfigurationSpace.pairs`, the pairs the Hamiltonian
 was built from; a larger one generates every single with
 :func:`~fermipin.fock.substitutions`, once, and keeps them as
 :attr:`~fermipin.fock.ConfigurationSpace.spin_singles`, so no quadratic
@@ -79,14 +79,12 @@ def one_rdm(vector: CIVector) -> OneRDM:
     space = vector.space
     m, c = space.m, vector.coeffs
     occupation = space.occupation
-    plan = space.plan if len(space) <= ci.DENSE_CROSSOVER else space.spin_singles
-    singles = plan.singles
+    pairs = space.pairs if len(space) <= ci.DENSE_CROSSOVER else space.spin_singles
+    i, j, sign = pairs.singles
     # bincount adds its weights in input order, so every element is the
     # same sum, term for term, as a loop over the determinants and then
     # over the single excitations in pair order
-    upper = np.bincount(
-        plan.rho_index, singles.sign * c[singles.i] * c[singles.j], minlength=m * m
-    ).reshape(m, m)
+    upper = np.bincount(pairs.rho_index, sign * c[i] * c[j], minlength=m * m).reshape(m, m)
     diagonal = np.bincount(occupation.orbital, (c * c)[occupation.det], minlength=m)
     rho = np.diag(diagonal) + upper + upper.T
 
@@ -171,7 +169,7 @@ def natural_spectrum(
     A 1-RDM with a layout is diagonalized per spin block, so every natural
     orbital has a definite spin and the rotation carries the layout of the
     natural basis, which keeps it sector-safe.  Natural-orbital rows are
-    sign-fixed the same way CI vectors are (largest component positive).
+    sign-fixed the same way CI vectors are, by :func:`~fermipin.ci.sign_fixed`.
     """
     trace = rdm.trace
     N = int(round(trace))
@@ -194,9 +192,7 @@ def natural_spectrum(
     occupations = np.concatenate(values)
     order = np.argsort(-occupations, kind="stable")
     n = occupations[order]
-    U = np.concatenate(rows)[order]
-    lead = np.abs(U).argmax(axis=1)
-    U = np.where((U[np.arange(rdm.m), lead] < 0)[:, None], -U, U)
+    U = ci.sign_fixed(np.concatenate(rows)[order])
     layout = None if rdm.layout is None else SpinOrbitalLayout(tuple(spins[k] for k in order))
     rotation = OrbitalRotation(U, layout)
 

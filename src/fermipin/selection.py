@@ -48,7 +48,7 @@ from .fock import (
     enumerate_space,
     occupation_bits,
 )
-from .gpc import GPConstraint
+from .gpc import GPConstraint, classify_regime_36
 from .integrals import SpinOrbitalIntegrals
 from .rdm import OccupationSpectrum, natural_spectrum, one_rdm
 
@@ -106,6 +106,8 @@ def ls_reconstruct_36(spectrum: OccupationSpectrum, regime: str) -> CIVector:
 
     in close analogy to the Lowdin-Shull two-electron functional.
     """
+    if regime not in ("weak", "strong"):
+        raise ValueError(f"regime must be 'weak' or 'strong', not {regime!r}")
     if spectrum.m != 6 or spectrum.N != 3:
         raise ValueError("reconstruction applies to (N, m) = (3, 6) only")
     n = spectrum.n
@@ -114,17 +116,14 @@ def ls_reconstruct_36(spectrum: OccupationSpectrum, regime: str) -> CIVector:
         raise RepresentabilityError(
             "occupations do not satisfy the rank-six pair sums n_r + n_{7-r} = 1"
         )
+    found = classify_regime_36(spectrum, tol=1e-8)
+    if found not in (regime, "border"):
+        raise RegimeError(f"spectrum is in the {found} regime, not the {regime} one")
 
     if regime == "weak":
-        if abs(n[0] + n[1] + n[3] - 2.0) > 1e-8:
-            raise RegimeError("spectrum is not on the weak facet n1+n2+n4 = 2")
         amplitudes = {(1, 2, 3): n[2], (1, 4, 5): n[4], (2, 4, 6): n[5]}
-    elif regime == "strong":
-        if abs(n[0] + n[1] + n[2] - 2.0) > 1e-8:
-            raise RegimeError("spectrum is not on the strong plane n1+n2+n3 = 2")
-        amplitudes = {(1, 2, 4): n[3], (1, 3, 5): n[4], (2, 3, 6): n[5]}
     else:
-        raise ValueError(f"regime must be 'weak' or 'strong', not {regime!r}")
+        amplitudes = {(1, 2, 4): n[3], (1, 3, 5): n[4], (2, 3, 6): n[5]}
 
     space = enumerate_space(3, 6)
     coeffs = np.zeros(len(space))

@@ -16,9 +16,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fermipin import cli
+from fermipin.ci import solve_ground
 from fermipin.cli import main
-from fermipin.fock import MAX_WIDTH, space_size
-from fermipin.integrals import hubbard_chain, save_integral_file
+from fermipin.fock import MAX_WIDTH, enumerate_space, space_size
+from fermipin.integrals import hubbard_chain, save_integral_file, to_spin_orbitals
+from fermipin.rdm import natural_spectrum, one_rdm
 
 HUB36 = ["--model", "hubbard", "--sites", "3", "--N", "3", "--sz", "1", "--U", "2"]
 
@@ -362,6 +364,37 @@ def test_census_preset_rejects_space_flags(capsys) -> None:
     assert "--sz" in err and "--N" not in err
 
 
+def test_unknown_constraint_index_exits_2_naming_it(capsys) -> None:
+    code, out, err = _run(capsys, ["truncate", *HUB36, "--mu", "99"])
+    assert (code, out, err) == (2, "", "error: no constraint 99 in the (3,6) catalog\n")
+
+
+def test_repeated_constraint_index_exits_2(capsys) -> None:
+    for argv, message in (
+        (["census", "--N", "3", "--m", "6", "--mu", "1,1", "--format", "json"],
+         "constraint index 1 repeated: '1,1'"),
+        (["truncate", *HUB36, "--mu", "2,1,2"], "constraint index 2 repeated: '2,1,2'"),
+    ):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.endswith(f"error: argument --mu: {message}\n"), argv
+
+
+def test_rank_keeps_the_leading_spin_orbitals(capsys) -> None:
+    hubbard = ["solve", "--model", "hubbard", "--sites", "4", "--N", "3", "--sz", "1"]
+    code, out, err = _run(capsys, [*hubbard, "--rank", "6", "--format", "json"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    ints = to_spin_orbitals(hubbard_chain(4, 1, 0)).truncated(6)
+    state = solve_ground(ints, enumerate_space(3, 6, ints.layout, 1))[0]
+    assert (payload["m"], payload["space_size"]) == (6, len(state.space)) == (6, 9)
+    assert payload["energy"] == state.energy
+    assert payload["occupations"] == natural_spectrum(one_rdm(state)).n.tolist()
+    for rank in ("0", "99"):
+        code, out, err = _run(capsys, [*hubbard, "--rank", rank])
+        assert (code, out, err) == (2, "", f"error: cannot truncate width 8 to {rank}\n")
+
+
 def test_oversize_space_exits_2_before_enumerating(capsys, monkeypatch, tmp_path) -> None:
     calls = []
 
@@ -497,17 +530,17 @@ def test_polytope_decodes_its_space_once(capsys, monkeypatch) -> None:
 
     calls = []
 
-    def spy(space, pairs):
+    def spy(space):
         calls.append(len(space))
-        return plan(space, pairs)
+        return search(space)
 
-    plan = fermipin.fock.pair_plan
-    monkeypatch.setattr(fermipin.fock, "pair_plan", spy)
+    search = fermipin.fock.excitations
+    monkeypatch.setattr(fermipin.fock, "excitations", spy)
     code, out, _ = _run(capsys, ["polytope", "--N", "3", "--m", "8", "--random", "100",
                                  "--format", "json"])
     assert code == 0
     assert len(json.loads(out)["samples"]) == 100
-    # one plan of the 56-determinant space serves all hundred 1-RDMs
+    # one decoded pair list of the 56-determinant space serves all hundred 1-RDMs
     assert calls == [56]
 
 

@@ -213,11 +213,22 @@ def _connected_pairs(space) -> list:
     return pairs
 
 
-def _listed(pairs) -> list:
-    return [
-        (i, j, _bits(bra_only), _bits(ket_only), sign)
-        for i, j, bra_only, ket_only, sign in zip(*(a.tolist() for a in pairs))
-    ]
+def _listed(space, pairs) -> list:
+    """(i, j, ps, qs, sign) for every pair of a decoded pair list of
+    ``space``, ps and qs 1-based, as :func:`_connected_pairs` lists them."""
+    moved = [None] * len(pairs.i)
+    for k, p, q in zip(pairs.single.tolist(), pairs.p.tolist(), pairs.q.tolist()):
+        moved[k] = ((p + 1,), (q + 1,))
+    for k, p1, p2, q1, q2 in zip(*(a.tolist() for a in (pairs.double, *pairs.doubles))):
+        moved[k] = ((p1 + 1, p2 + 1), (q1 + 1, q2 + 1))
+    # the singles' own entries are those at their positions
+    for single, whole in zip(pairs.singles, (pairs.i, pairs.j, pairs.sign)):
+        assert single.tolist() == whole[pairs.single].tolist()
+    low, high = np.minimum(pairs.p, pairs.q), np.maximum(pairs.p, pairs.q)
+    assert pairs.rho_index.tolist() == (low * space.m + high).tolist()
+    return [(i, j, *ps_qs, sign)
+            for i, j, ps_qs, sign in zip(pairs.i.tolist(), pairs.j.tolist(), moved,
+                                         pairs.sign.tolist())]
 
 
 @pytest.mark.parametrize("max_degree", [1, 2])
@@ -227,12 +238,9 @@ def test_excitations_match_operator_application(name: str, max_degree: int) -> N
     space = KERNEL_SPACES[name]()
     expected = [pair for pair in _connected_pairs(space) if len(pair[2]) <= max_degree]
     assert expected
-    got = [pair for pair in _listed(excitations(space)) if len(pair[2]) <= max_degree]
+    got = [pair for pair in _listed(space, excitations(space))
+           if len(pair[2]) <= max_degree]
     assert got == expected
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    return tuple(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)
 
 
 SUBSTITUTION_SPACES = dict(
@@ -264,7 +272,7 @@ def test_substitutions_match_operator_application(name: str, screen: str) -> Non
 
     expected = [pair for pair in _connected_pairs(space) if allowed(pair[2], pair[3])]
     assert expected
-    assert _listed(substitutions(space, singles, doubles)) == expected
+    assert _listed(space, substitutions(space, singles, doubles)) == expected
 
 
 def test_excitation_degree_rejects_mismatches() -> None:
