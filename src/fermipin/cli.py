@@ -40,6 +40,7 @@ from .fock import (
 )
 from .gpc import (
     DEFAULT_TIERS,
+    TIER_NAMES,
     Catalog,
     GPConstraint,
     catalog,
@@ -133,16 +134,14 @@ def _chosen_constraints(
     if cfg.mu == "auto":
         if spectrum is None:
             raise ValueError("auto constraint selection needs a solved spectrum")
-        chosen = list(cat.equalities)
-        chosen += [
-            c for c in cat.constraints if c.residual(spectrum.n) <= cfg.tiers[1]
-        ]
-        if not [c for c in chosen if not c.equality]:
+        tiers = evaluate(cat, spectrum, cfg.tiers).tiers
+        chosen = [c for c in cat.constraints if tiers[c.mu] in TIER_NAMES[:2]]
+        if not chosen:
             raise ValueError(
                 "auto selection found no inequality within the "
                 f"strong-quasipinning threshold {cfg.tiers[1]:g}; pass --mu explicitly"
             )
-        return tuple(chosen)
+        return (*cat.equalities, *chosen)
     chosen = list(cat.equalities) if cfg.with_equalities else []
     chosen += [cat.find(mu) for mu in cfg.mu]
     if not chosen:
@@ -297,19 +296,17 @@ def _scan_grid(cfg: argparse.Namespace) -> tuple[str, list[tuple[str, argparse.N
         return argparse.Namespace(**{**vars(cfg), **overrides})
 
     if cfg.files:
+        if cfg.model is not None:
+            raise ValueError("--files gives each point's model; it conflicts with --model")
         return "file", [(path, point(model=f"file:{path}")) for path in cfg.files]
-    if cfg.scan is None:
-        raise ValueError("scan needs --scan NAME=START:STOP:STEPS or --files")
     try:
         name, spec = cfg.scan.split("=", 1)
         start, stop, steps = spec.split(":")
         with np.errstate(all="ignore"):  # a range too wide for a float step
-            values = np.linspace(_finite_float(start), _finite_float(stop), int(steps))
-        if len(values) == 0:
-            raise ValueError("the grid has no points")
+            values = np.linspace(_finite_float(start), _finite_float(stop), _parse_count(steps))
         if not np.isfinite(values).all():
             raise ValueError("the grid's points overflow to non-finite values")
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, MemoryError, argparse.ArgumentTypeError) as exc:
         raise ValueError(f"bad --scan {cfg.scan!r}: {exc}") from None
     allowed = {"hubbard": ("U", "t"), "pairing": ("G", "spacing")}.get(cfg.model, ())
     if name not in allowed:
@@ -360,8 +357,6 @@ def cmd_scan(cfg: argparse.Namespace) -> dict:
 
 
 def cmd_polytope(cfg: argparse.Namespace) -> dict:
-    if cfg.N is None or cfg.m is None:
-        raise ValueError("polytope needs --N and --m")
     cat = _resolve_catalog(cfg, cfg.N, cfg.m)
     spectra: list[tuple[str, OccupationSpectrum]] = []
     if cfg.occupations is not None:
@@ -733,14 +728,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="residual trajectories over a parameter grid")
     _add_model(p)
-    p.add_argument("--scan", default=None, help="NAME=START:STOP:STEPS, e.g. U=0:8:9")
-    p.add_argument("--files", nargs="+", default=None, help="integral files to scan over")
+    axis = p.add_mutually_exclusive_group(required=True)
+    axis.add_argument("--scan", help="NAME=START:STOP:STEPS, e.g. U=0:8:9")
+    axis.add_argument("--files", nargs="+", help="integral files to scan over")
     _add_common(p)
     p.set_defaults(format="csv", run=cmd_scan, table=_table_scan, csv=_csv_scan)
 
     p = sub.add_parser("polytope", help="evaluate occupation vectors directly")
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
     source = p.add_mutually_exclusive_group()
     source.add_argument("--occupations", type=_parse_occupations, default=None)
     source.add_argument(

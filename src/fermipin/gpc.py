@@ -355,44 +355,32 @@ def evaluate(
     if not (0 < thresholds[0] <= thresholds[1] <= thresholds[2]):
         raise ValueError("tier thresholds must be positive and ascending")
 
-    residuals = []
-    tiers: dict[int | str, str] = {}
-    for c in cat.constraints:
-        value = c.residual(spectrum.n)
-        if value < -NEGATIVITY_TOL:
-            raise RepresentabilityError(
-                f"constraint {c.label} = {value:.3e} is negative: "
-                "spectrum is not consistent with a pure state of this rank"
-            )
-        residuals.append((c.mu, value))
-        tiers[c.mu] = classify_tier(max(value, 0.0), thresholds)
-
-    equality_residuals = []
-    for c in cat.equalities:
-        value = c.residual(spectrum.n)
-        if abs(value) > NEGATIVITY_TOL:
-            raise RepresentabilityError(
-                f"equality {c.label} deviates by {value:.3e}"
-            )
-        equality_residuals.append((c.mu, value))
-
-    warn = False
-    for group in spectrum.degeneracy_groups:
-        if len(group) < 2:
-            continue
-        for c in cat.constraints + cat.equalities:
-            weights = {c.kappa[i - 1] for i in group}
-            if len(weights) > 1:
-                warn = True
-                break
-        if warn:
-            break
+    residuals = tuple((c.mu, c.residual(spectrum.n)) for c in cat.constraints)
+    equality_residuals = tuple((c.mu, c.residual(spectrum.n)) for c in cat.equalities)
+    violations = [
+        f"constraint {c.label} = {value:.3e} is negative: "
+        "spectrum is not consistent with a pure state of this rank"
+        for c, (_, value) in zip(cat.constraints, residuals)
+        if value < -NEGATIVITY_TOL
+    ] + [
+        f"equality {c.label} deviates by {value:.3e}"
+        for c, (_, value) in zip(cat.equalities, equality_residuals)
+        if abs(value) > NEGATIVITY_TOL
+    ]
+    if violations:
+        raise RepresentabilityError(violations[0])
+    # a tie group whose members carry different weights in some constraint
+    warn = any(
+        len({c.kappa[i - 1] for i in group}) > 1
+        for group in spectrum.degeneracy_groups if len(group) > 1
+        for c in cat.constraints + cat.equalities
+    )
 
     return PinningReport(
         cat,
-        tuple(residuals),
-        tiers,
-        tuple(equality_residuals),
+        residuals,
+        {mu: classify_tier(max(value, 0.0), thresholds) for mu, value in residuals},
+        equality_residuals,
         xi=hf_distance(spectrum),
         thresholds=tuple(thresholds),
         degeneracy_warning=warn,

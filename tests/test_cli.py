@@ -354,6 +354,60 @@ def test_scan_grid_that_overflows_exits_2_without_warnings(capsys) -> None:
         assert caught == []
 
 
+def test_scan_steps_are_a_count_and_an_unallocatable_grid_exits_2(capsys) -> None:
+    for steps in ("0", "x"):
+        scan = f"U=0:8:{steps}"
+        code, out, err = _run(capsys, ["scan", *HUB36, "--scan", scan])
+        assert (code, out) == (2, "")
+        assert err == f"error: bad --scan {scan!r}: expected a count of at least 1: {steps!r}\n"
+    # 10**16 float64 points are 71 PiB, beyond any 64-bit address space
+    scan = f"U=0:8:{10**16}"
+    code, out, err = _run(capsys, ["scan", *HUB36, "--scan", scan])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad --scan {scan!r}: ") and "Traceback" not in err
+
+
+def test_scan_axis_flags_exclude_each_other_and_the_model(capsys, tmp_path) -> None:
+    spatial = hubbard_chain(3, 1.0, 2.0)
+    spatial.n_electrons, spatial.ms2 = 3, 1
+    path = tmp_path / "geom.ints"
+    save_integral_file(str(path), spatial)
+    code, out, err = _run(capsys, ["scan", "--files", str(path), "--sz", "1",
+                                   "--scan", "U=0:8:3"])
+    assert (code, out) == (2, "")
+    assert "argument --scan: not allowed with argument --files" in err
+    code, out, err = _run(capsys, ["scan", "--model", "pairing", "--files", str(path),
+                                   "--sz", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: --files gives each point's model; it conflicts with --model\n"
+    code, out, err = _run(capsys, ["scan", *HUB36])
+    assert (code, out) == (2, "")
+    assert "one of the arguments --scan --files is required" in err
+
+
+def test_polytope_needs_n_and_m(capsys) -> None:
+    code, out, err = _run(capsys, ["polytope", "--N", "3", "--random", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: fermipin polytope")
+    assert "the following arguments are required: --m" in err
+
+
+def test_truncate_auto_applies_the_tier_rules_of_analyze(capsys, tmp_path) -> None:
+    descending = ["--tiers", "1e-2,1e-4,1e-10"]
+    refused = _run(capsys, ["analyze", *HUB36, *descending])
+    assert refused == (2, "", "error: tier thresholds must be positive and ascending\n")
+    assert _run(capsys, ["truncate", *HUB36, "--mu", "auto", *descending]) == refused
+    # a catalog facet the ground state violates is a representability error
+    path = tmp_path / "violated.cat"
+    path.write_text("3 6 51 -1 0 0 0 0 0 0\n")
+    violated = ["--catalog", str(path)]
+    for argv in (["analyze", *HUB36, *violated],
+                 ["truncate", *HUB36, "--mu", "auto", *violated]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (3, ""), argv
+        assert "constraint D^51 = -1.000e+00 is negative" in err
+
+
 def test_census_preset_rejects_space_flags(capsys) -> None:
     code, out, err = _run(capsys, ["census", "--preset", "4in8-restricted",
                                    "--N", "3", "--m", "6", "--sz", "1"])
@@ -641,7 +695,8 @@ def _cli_argv(draw) -> tuple[list[str], int, bool]:
         argv += ["--model", model, size_flag, str(n)]
         size = space_size(N, 2 * n) if N is not None and 2 * n <= MAX_WIDTH else 0
         if command == "scan":
-            argv += ["--scan", f"{scanned}=0:2:3"]
+            steps = draw(st.sampled_from(["3", "0", "x", str(10**16)]))
+            argv += ["--scan", f"{scanned}=0:2:{steps}"]
         if bad is not None:
             argv += [f"{draw(st.sampled_from(['--U', '--G']))}={bad}"]
     if command != "polytope":
