@@ -59,6 +59,12 @@ from .selection import SECTOR_PRESETS, filter_pinned, pinned_solve
 
 LEADING_COEFFICIENTS = 8
 DEGREE_NAMES = {0: "reference", 1: "singles", 2: "doubles", 3: "triples"}
+# the flags each model reads, with their defaults; a file: model reads none,
+# and the float-valued ones are what scan may vary
+MODEL_FLAGS = {
+    "hubbard": {"sites": 2, "U": 0.0, "t": 1.0, "periodic": False},
+    "pairing": {"levels": 2, "G": 0.0, "spacing": 1.0},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -69,20 +75,26 @@ def _resolve_model(cfg: argparse.Namespace) -> tuple[SpinOrbitalIntegrals, str]:
     """Build spin-orbital integrals for the configured model."""
     if cfg.model is None:
         raise ValueError("this command needs --model")
+    if cfg.model not in MODEL_FLAGS and not cfg.model.startswith("file:"):
+        raise ValueError(f"unknown model {cfg.model!r}")
+    own = MODEL_FLAGS.get(cfg.model, {})
+    for flag in (flag for flags in MODEL_FLAGS.values() for flag in flags):
+        if flag not in own and getattr(cfg, flag) is not None:
+            raise ValueError(f"--{flag} does not apply to model {cfg.model!r}")
+        if flag in own and getattr(cfg, flag) is None:
+            setattr(cfg, flag, own[flag])
     if cfg.model == "hubbard":
         spatial = hubbard_chain(cfg.sites, cfg.t, cfg.U, cfg.periodic)
         name = f"hubbard(sites={cfg.sites}, t={cfg.t:g}, U={cfg.U:g})"
     elif cfg.model == "pairing":
         spatial = pairing_model(cfg.levels, cfg.spacing, cfg.G)
         name = f"pairing(levels={cfg.levels}, spacing={cfg.spacing:g}, G={cfg.G:g})"
-    elif cfg.model.startswith("file:"):
+    else:
         path = cfg.model[len("file:") :]
         spatial = load_integral_file(path)
         name = path
         if cfg.N is None:
             cfg.N = spatial.n_electrons
-    else:
-        raise ValueError(f"unknown model {cfg.model!r}")
     so = to_spin_orbitals(spatial, cfg.ordering)
     if cfg.rank is not None:
         so = so.truncated(cfg.rank)
@@ -306,9 +318,11 @@ def _scan_grid(cfg: argparse.Namespace) -> tuple[str, list[tuple[str, argparse.N
             values = np.linspace(_finite_float(start), _finite_float(stop), _parse_count(steps))
         if not np.isfinite(values).all():
             raise ValueError("the grid's points overflow to non-finite values")
-    except (ValueError, MemoryError, argparse.ArgumentTypeError) as exc:
+    # np.linspace fails on 2**63 - 1 points with an IndexError on an empty array
+    except (ValueError, MemoryError, IndexError, argparse.ArgumentTypeError) as exc:
         raise ValueError(f"bad --scan {cfg.scan!r}: {exc}") from None
-    allowed = {"hubbard": ("U", "t"), "pairing": ("G", "spacing")}.get(cfg.model, ())
+    allowed = tuple(flag for flag, default in MODEL_FLAGS.get(cfg.model, {}).items()
+                    if isinstance(default, float))
     if name not in allowed:
         raise ValueError(
             f"cannot scan {name!r} for model {cfg.model!r}; choose from {allowed}"
@@ -618,19 +632,21 @@ def _add_common(
 
 
 def _add_model(sub: argparse.ArgumentParser) -> None:
+    """--model and its flags; a model flag left out is None here and gets
+    its default from MODEL_FLAGS once the model is known."""
     sub.add_argument("--model", help="hubbard, pairing, or file:<path>")
-    sub.add_argument("--sites", type=int, default=2, help="hubbard chain length")
+    sub.add_argument("--sites", type=int, help="hubbard chain length")
     # argparse reads -1e-3 and -inf as option strings, so a negative value
     # with an exponent must be attached with '=', as in --U=-1e-3
-    sub.add_argument("--t", type=_finite_float, default=1.0,
+    sub.add_argument("--t", type=_finite_float,
                      help="hubbard hopping; write -1e-3 as --t=-1e-3")
-    sub.add_argument("--U", type=_finite_float, default=0.0,
+    sub.add_argument("--U", type=_finite_float,
                      help="hubbard on-site repulsion; write -1e-3 as --U=-1e-3")
-    sub.add_argument("--periodic", action="store_true")
-    sub.add_argument("--levels", type=int, default=2, help="pairing level count")
-    sub.add_argument("--spacing", type=_finite_float, default=1.0,
+    sub.add_argument("--periodic", action="store_true", default=None)
+    sub.add_argument("--levels", type=int, help="pairing level count")
+    sub.add_argument("--spacing", type=_finite_float,
                      help="pairing level spacing; write -1e-3 as --spacing=-1e-3")
-    sub.add_argument("--G", type=_finite_float, default=0.0,
+    sub.add_argument("--G", type=_finite_float,
                      help="pairing strength; write -1e-3 as --G=-1e-3")
     sub.add_argument("--N", type=int, default=None, help="number of electrons")
     sub.add_argument("--sz", type=int, default=None, help="2*S_z sector (omit for the full space)")

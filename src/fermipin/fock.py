@@ -156,9 +156,6 @@ class Determinant:
         """Occupied orbital indices, ascending, 1-based."""
         return _orbitals_of(self.mask)
 
-    def occupied(self, i: int) -> bool:
-        return bool(self.mask >> (i - 1) & 1)
-
     def __str__(self) -> str:
         return "[" + ",".join(str(i) for i in self.orbitals()) + "]"
 
@@ -211,10 +208,6 @@ class ConfigurationSpace:
         if i == len(self.masks) or self.masks[i] != det.mask:
             raise KeyError(det.mask)
         return i
-
-    def __contains__(self, det: Determinant) -> bool:
-        i = np.searchsorted(self.masks, np.uint64(det.mask))
-        return det.m == self.m and i < len(self.masks) and self.masks[i] == det.mask
 
     def restrict(self, keep: np.ndarray) -> ConfigurationSpace:
         """Subspace of the determinants whose entry of the boolean array
@@ -538,13 +531,6 @@ class ExcitationCensus:
     @property
     def total(self) -> int:
         return sum(self.counts.values())
-
-    def count(self, degree: int) -> int:
-        return self.counts.get(degree, 0)
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.counts) if self.counts else 0
 
 
 def census(space: ConfigurationSpace, reference: Determinant) -> ExcitationCensus:

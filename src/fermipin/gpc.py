@@ -98,8 +98,6 @@ class Catalog:
     m: int
     constraints: tuple[GPConstraint, ...]
     equalities: tuple[GPConstraint, ...] = ()
-    source: str = "built-in"
-    complete: bool = True
 
     def __post_init__(self) -> None:
         for c in self.constraints + self.equalities:
@@ -127,8 +125,6 @@ class Catalog:
             self.m,
             self.constraints + other.constraints,
             self.equalities + other.equalities,
-            source=f"{self.source}+{other.source}",
-            complete=self.complete and other.complete,
         )
 
 
@@ -189,7 +185,6 @@ _CAT_38 = Catalog(
         (2, (-1, -2, 1, 0, -1, 1, 0, -1)),
         (0, (-1, -1, 2, 1, 1, 0, 0, 0)),
     ]),
-    complete=False,
 )
 
 # four fermions, eight orbitals: 7 base facets, their particle-hole
@@ -265,18 +260,7 @@ def load_catalog_file(path: str) -> Catalog:
             constraints.append(GPConstraint(N, m, mu, kappa0, kappa))
     if shape is None:
         raise ParseError("catalog file holds no constraints")
-    return Catalog(shape[0], shape[1], tuple(constraints), source="file", complete=False)
-
-
-def save_catalog_file(path: str, cat: Catalog) -> None:
-    """Write the inequality rows of ``cat`` in load_catalog_file's format."""
-    lines = [f"# constraints for N={cat.N}, m={cat.m} ({cat.source})"]
-    for c in cat.constraints:
-        if not isinstance(c.mu, int):
-            raise ValueError(f"constraint {c.mu!r} has no integer index for the file format")
-        lines.append(" ".join(str(v) for v in (c.N, c.m, c.mu, c.kappa0, *c.kappa)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return Catalog(shape[0], shape[1], tuple(constraints))
 
 
 @dataclass
@@ -290,18 +274,6 @@ class PinningReport:
     xi: float
     thresholds: tuple[float, float, float]
     degeneracy_warning: bool = False
-
-    def tier_counts(self) -> dict[str, int]:
-        counts = {name: 0 for name in TIER_NAMES}
-        for tier in self.tiers.values():
-            counts[tier] += 1
-        return counts
-
-    def residual(self, mu: int | str) -> float:
-        for label, value in self.residuals + self.equality_residuals:
-            if label == mu:
-                return value
-        raise KeyError(f"no residual for constraint {mu!r}")
 
     def payload(self) -> dict:
         """The report as plain JSON-ready values, one entry per constraint in

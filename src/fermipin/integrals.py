@@ -29,7 +29,6 @@ from .errors import ParseError, SymmetryViolationError, WidthError
 from .fock import MAX_WIDTH, UP, SpinOrbitalLayout, blocked_layout, interleaved_layout
 
 _CONFLICT_TOL = 1e-10
-_SYMMETRY_TOL = 1e-12
 
 
 @dataclass
@@ -53,15 +52,6 @@ class SpatialIntegrals:
         self.g = np.asarray(self.g, dtype=float)
         if self.h.shape != (n, n) or self.g.shape != (n, n, n, n):
             raise ValueError("integral array shapes do not match n_spatial")
-
-    def validate(self) -> None:
-        """Check the index symmetries h = h^T and the 8-fold symmetry of g."""
-        if not np.allclose(self.h, self.h.T, atol=_SYMMETRY_TOL, rtol=0.0):
-            raise SymmetryViolationError("h is not symmetric")
-        g = self.g
-        for axes in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
-            if not np.allclose(g, g.transpose(axes), atol=_SYMMETRY_TOL, rtol=0.0):
-                raise SymmetryViolationError(f"g breaks index symmetry {axes}")
 
 
 @dataclass

@@ -200,20 +200,6 @@ def natural_spectrum(
     return OccupationSpectrum(n, N, rotation, _tie_groups(n, tie_tolerance))
 
 
-def smith_check(spectrum: OccupationSpectrum, tol: float = 1e-8) -> tuple[bool, float]:
-    """Whether the sorted occupations come in degenerate pairs.
-
-    Time-reversal-symmetric singlet states of even particle number have
-    doubly degenerate natural occupations; the returned deviation is the
-    largest in-pair mismatch ``|n(2k-1) - n(2k)|``.
-    """
-    if spectrum.m % 2:
-        raise ValueError("pair degeneracy needs an even number of orbitals")
-    pairs = spectrum.n.reshape(-1, 2)
-    deviation = float(np.abs(pairs[:, 0] - pairs[:, 1]).max())
-    return deviation <= tol, deviation
-
-
 def hf_distance(spectrum: OccupationSpectrum) -> float:
     """How far the leading occupations sit from a single determinant:
     ``sqrt(sum_{i<=N} (1-n_i)^2)``, the depletion of the N strongest

@@ -61,10 +61,6 @@ class PinnedSpace:
     imposed: tuple[GPConstraint, ...]
     survivors: ConfigurationSpace
 
-    @property
-    def removed(self) -> int:
-        return len(self.base) - len(self.survivors)
-
     def __len__(self) -> int:
         return len(self.survivors)
 

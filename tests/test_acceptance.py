@@ -214,7 +214,7 @@ def test_criterion_8_doubles_only_rule() -> None:
         assert census(survivors, ref).counts == {0: 1, 2: expected_doubles}
         for det in survivors:
             if det != ref:
-                assert not det.occupied(N)
+                assert not det.mask & 1 << (N - 1)
 
     # The 30-determinant unrestricted preset: the published census row is
     # compared against the enumeration oracle and reported, not asserted.

@@ -365,6 +365,12 @@ def test_scan_steps_are_a_count_and_an_unallocatable_grid_exits_2(capsys) -> Non
     code, out, err = _run(capsys, ["scan", *HUB36, "--scan", scan])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: bad --scan {scan!r}: ") and "Traceback" not in err
+    # np.linspace raises IndexError on 2**63 - 1 points, before any allocation
+    scan = f"U=0:8:{2**63 - 1}"
+    code, out, err = _run(capsys, ["scan", "--model", "hubbard", "--sites", "3", "--N", "3",
+                                   "--sz", "1", "--scan", scan])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad --scan {scan!r}: ") and "Traceback" not in err
 
 
 def test_scan_axis_flags_exclude_each_other_and_the_model(capsys, tmp_path) -> None:
@@ -383,6 +389,44 @@ def test_scan_axis_flags_exclude_each_other_and_the_model(capsys, tmp_path) -> N
     code, out, err = _run(capsys, ["scan", *HUB36])
     assert (code, out) == (2, "")
     assert "one of the arguments --scan --files is required" in err
+
+
+def test_a_model_refuses_the_flags_of_another(capsys, tmp_path) -> None:
+    hubbard_flags = ["--sites", "9", "--U", "5", "--periodic"]
+    code, out, err = _run(capsys, ["solve", "--model", "pairing", "--levels", "2", "--N", "2",
+                                   "--sz", "0", *hubbard_flags])
+    assert (code, out, err) == (2, "", "error: --sites does not apply to model 'pairing'\n")
+    code, out, err = _run(capsys, ["solve", "--model", "hubbard", "--sites", "2", "--N", "2",
+                                   "--G", "3"])
+    assert (code, out, err) == (2, "", "error: --G does not apply to model 'hubbard'\n")
+    # an integral file fixes the whole model, so it reads no model flag at all
+    spatial = hubbard_chain(3, 1.0, 2.0)
+    spatial.n_electrons, spatial.ms2 = 3, 1
+    path = tmp_path / "geom.ints"
+    save_integral_file(str(path), spatial)
+    code, out, err = _run(capsys, ["solve", "--model", f"file:{path}", "--sz", "1", "--U", "2"])
+    assert (code, out, err) == (2, "", f"error: --U does not apply to model 'file:{path}'\n")
+    code, out, err = _run(capsys, ["scan", "--files", str(path), "--sz", "1", "--levels", "3"])
+    assert (code, out, err) == (2, "", f"error: --levels does not apply to model 'file:{path}'\n")
+    # a model's own flags, given at their defaults, change nothing
+    plain = _run(capsys, ["solve", "--model", "pairing", "--N", "2", "--sz", "0"])
+    assert plain[0] == 0
+    assert _run(capsys, ["solve", "--model", "pairing", "--N", "2", "--sz", "0", "--levels",
+                         "2", "--spacing", "1", "--G", "0"]) == plain
+
+
+def test_scan_varies_only_the_float_flags_of_its_model(capsys) -> None:
+    pairing = ["scan", "--model", "pairing", "--levels", "3", "--N", "3", "--sz", "1"]
+    for model, name, allowed in ((HUB36, "G", "('U', 't')"),
+                                 (pairing[1:], "U", "('G', 'spacing')"),
+                                 (pairing[1:], "levels", "('G', 'spacing')")):
+        argv = ["scan", *model, "--scan", f"{name}=0:1:3"]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err == (f"error: cannot scan {name!r} for model {model[1]!r}; "
+                       f"choose from {allowed}\n"), argv
+    code, out, err = _run(capsys, [*pairing, "--scan", "spacing=1:2:3"])
+    assert (code, err) == (0, "") and len(_rows(out)) == 3
 
 
 def test_polytope_needs_n_and_m(capsys) -> None:
@@ -675,7 +719,8 @@ NON_FINITE = ("nan", "inf", "-inf")
 @st.composite
 def _cli_argv(draw) -> tuple[list[str], int, bool]:
     """A command line, the size of the largest space it can build, and
-    whether it carries a non-finite number."""
+    whether it must exit 2: it carries a non-finite number, or it gives a
+    model the size flag of the other model."""
     command = draw(st.sampled_from(["solve", "analyze", "census", "truncate", "scan",
                                     "polytope"]))
     N = draw(st.integers(2, 4) | st.sampled_from([None, 0, 1, 9]))
@@ -684,18 +729,24 @@ def _cli_argv(draw) -> tuple[list[str], int, bool]:
     bad = None
     if command != "census" and draw(st.integers(0, 3)) == 0:
         bad = draw(st.sampled_from(NON_FINITE))
+    refused = bad is not None
     if command in ("census", "polytope"):
         m = draw(st.integers(5, 8) | st.sampled_from([None, 0, 33, 10**6]))
         argv += [] if m is None else ["--m", str(m)]
         size = space_size(N, m) if None not in (N, m) else 0
     else:
-        model, size_flag, scanned = draw(st.sampled_from(
-            [("hubbard", "--sites", "U"), ("pairing", "--levels", "G")]))
+        model, size_flag, other_flag, scanned = draw(st.sampled_from(
+            [("hubbard", "--sites", "--levels", "U"), ("pairing", "--levels", "--sites", "G")]))
         n = draw(FUZZ_SIZES)
         argv += ["--model", model, size_flag, str(n)]
         size = space_size(N, 2 * n) if N is not None and 2 * n <= MAX_WIDTH else 0
+        if draw(st.integers(0, 7)) == 0:
+            argv += [other_flag, "2"]
+            refused = True
         if command == "scan":
-            steps = draw(st.sampled_from(["3", "0", "x", str(10**16)]))
+            # half the scans get a count that no grid can hold
+            steps = draw(st.sampled_from(["3", "0", "x"])
+                         | st.sampled_from([str(10**16), str(2**63 - 1)]))
             argv += ["--scan", f"{scanned}=0:2:{steps}"]
         if bad is not None:
             argv += [f"{draw(st.sampled_from(['--U', '--G']))}={bad}"]
@@ -714,17 +765,17 @@ def _cli_argv(draw) -> tuple[list[str], int, bool]:
         else:
             argv += ["--random", str(draw(st.integers(1, 2)))]
     argv += ["--format", draw(st.sampled_from(["table", "json", "csv"]))]
-    return argv, size, bad is not None
+    return argv, size, refused
 
 
 @settings(max_examples=150, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(_cli_argv())
 def test_fuzzed_command_lines_exit_with_a_documented_code(drawn) -> None:
-    argv, size, non_finite = drawn
-    assume(size <= FUZZ_CAP or non_finite)
+    argv, size, refused = drawn
+    assume(size <= FUZZ_CAP or refused)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code in ((2,) if non_finite else (0, 2, 3, 4)), (argv, err.getvalue())
+    assert code in ((2,) if refused else (0, 2, 3, 4)), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()

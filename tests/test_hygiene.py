@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "fermipin"
+README = SOURCE.parent.parent / "README.md"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -39,6 +41,37 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path: Path) -> None:
     assert _unused_imports(path) == []
+
+
+def test_every_public_definition_is_read() -> None:
+    """No public ``def`` or ``class`` in the package is dead surface.
+
+    A name counts as read when some line of the package uses it as a name,
+    an attribute or an imported name, or when it is a word of the README.
+    The check goes by name alone, so it misses a definition whose name some
+    other identifier shares: an unread method named ``count`` passes because
+    lists have one, and so does one named like a local variable
+    (``occupied``) or like another class's method (``residual``).
+    """
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.glob("*.py"))}
+    read = set(re.findall(r"\w+", README.read_text(encoding="utf-8")))
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in read
+    ]
+    assert unread == []
 
 
 def _imported_modules(tree: ast.AST) -> list[tuple[str, int]]:

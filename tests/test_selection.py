@@ -98,7 +98,7 @@ def test_rank_six_equalities_select_the_structured_octet() -> None:
         "[3,5,6]",
         "[4,5,6]",
     ]
-    assert pinned.removed == 12
+    assert len(space) - len(pinned) == 12
     ref = Determinant.from_orbitals((1, 2, 3), 6)
     assert census(pinned.survivors, ref).counts == {0: 1, 1: 3, 2: 3, 3: 1}
 
@@ -231,7 +231,7 @@ def test_doubles_only_rule() -> None:
         assert counts == {0: 1, 2: (N - 1) * comb(m - N, 2)}
         for det in pinned.survivors:
             if det != ref:
-                assert not det.occupied(N)
+                assert not det.mask & 1 << (N - 1)
 
     # the built-in catalogs contain two members of this family
     assert catalog(3, 8).find(5).kappa == (-1, -1, 1, 0, 0, 0, 0, 0)
