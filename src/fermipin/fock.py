@@ -22,12 +22,12 @@ the one pair record, :class:`Pairs`:
   result as :attr:`ConfigurationSpace.pairs`; the Hamiltonian and the
   1-RDM read it only on spaces of at most ``fermipin.ci.DENSE_CROSSOVER``
   determinants, the spaces solved densely.
-* :func:`substitutions` generates, from each determinant, the singles and
-  doubles that boolean screens over orbital indices allow, and finds each
-  target by binary search.  Its work grows with the space size times the
-  substitutions of one determinant, and with a screen built from the
-  integrals it makes only the pairs whose matrix element can be nonzero.
-  The large-space Hamiltonian and 1-RDM use it.
+* :func:`substitutions` turns boolean screens over orbital indices into
+  one table of allowed moves, tests every determinant against every move
+  with one mask comparison, and finds each target by binary search.  Its
+  work grows with the space size times the number of moves, and with a
+  screen built from the integrals it makes only the pairs whose matrix
+  element can be nonzero.  The large-space Hamiltonian and 1-RDM use it.
 
 Whatever the Hamiltonian and the 1-RDM need of the determinants alone is
 worked out once per space and cached, read-only: the occupation bits and
@@ -67,7 +67,7 @@ import numpy as np
 from .errors import SectorError, WidthError
 
 MAX_WIDTH = 64
-_BLOCK = 250_000  # mask pairs, or candidate substitutions, per block of a pair kernel
+_BLOCK = 250_000  # mask pairs, or (determinant, move) candidates, per block of a pair kernel
 
 Spin = Literal["up", "down"]
 UP: Spin = "up"
@@ -417,49 +417,36 @@ def substitutions(
     same order and with the same signs as :func:`excitations`.  Only
     substitutions that raise the mask (the highest created orbital above the
     highest annihilated one) are taken, so ``j > i`` and each pair comes out
-    once.  The work grows with the space
-    size times the substitutions of one determinant, not with its square.
+    once.  Each allowed substitution is a move of two masks, ``take`` (the
+    orbitals it empties) and ``moved`` (those and the ones it fills): it
+    applies to a determinant ``mask`` exactly when ``mask & moved == take``,
+    and leads to ``mask ^ moved``.  The work grows with the space size times
+    the number of moves, not with its square.
     """
     m, masks = space.m, space.masks
     n = len(masks)
-    occ = space.occupation.bits
-    occupied = (np.flatnonzero(occ) % m).reshape(n, space.N)
-    empty = (np.flatnonzero(~occ) % m).reshape(n, m - space.N)
     bit = np.uint64(1) << np.arange(m, dtype=np.uint64)
     o = np.arange(m)
-    # Each kind of substitution is a table allowed[ps, qs] over orbital sets,
-    # the sets each determinant can give up and take in as indices into it,
-    # and the mask of each set.  A double's sets are pairs p1 * m + p2.
-    kinds = [(singles & (o[:, None] < o), occupied, empty, bit)]
+    p, q = np.nonzero(singles & (o[:, None] < o))
+    take, moved = [bit[p]], [bit[p] | bit[q]]
     if doubles is not None:
         p1, p2, q1, q2 = o[:, None, None, None], o[:, None, None], o[:, None], o
         # ordered, disjoint pairs whose substitution raises the mask
         raising = (p1 < p2) & (q1 < q2) & (p2 < q2) & (q1 != p1) & (q1 != p2)
-        a, b = np.triu_indices(space.N, 1)
-        c, d = np.triu_indices(m - space.N, 1)
-        kinds.append((
-            (doubles & raising).reshape(m * m, m * m),
-            occupied[:, a] * m + occupied[:, b],
-            empty[:, c] * m + empty[:, d],
-            (bit[:, None] | bit).ravel(),
-        ))
+        p1, p2, q1, q2 = np.nonzero(doubles & raising)
+        take.append(bit[p1] | bit[p2])
+        moved.append(take[-1] | bit[q1] | bit[q2])
+    take, moved = np.concatenate(take), np.concatenate(moved)
     found = [(np.zeros(0, np.intp), np.zeros(0, np.intp))]
-    for allowed, bra_sets, ket_sets, set_bits in kinds:
-        # only the sets a determinant gives up that some substitution takes
-        live = np.flatnonzero(allowed.any(axis=1)[bra_sets])
-        dets, bras = live // bra_sets.shape[1], bra_sets.ravel()[live]
-        # about _BLOCK candidate substitutions per block
-        step = max(1, _BLOCK // max(1, ket_sets.shape[1]))
-        for start in range(0, len(dets), step):
-            block_dets, block_bras = dets[start : start + step], bras[start : start + step]
-            kets = ket_sets[block_dets]
-            taken = np.flatnonzero(allowed.ravel()[block_bras[:, None] * len(allowed) + kets])
-            row = taken // kets.shape[1]
-            i = block_dets[row]
-            target = masks[i] ^ set_bits[block_bras[row]] ^ set_bits[kets.ravel()[taken]]
-            j = np.searchsorted(masks, target)
-            inside = masks[np.minimum(j, n - 1)] == target
-            found.append((i[inside], j[inside]))
+    # about _BLOCK (determinant, move) candidates per block
+    step = max(1, _BLOCK // max(1, len(moved)))
+    for start in range(0, n, step):
+        rows, k = np.nonzero(masks[start : start + step, None] & moved == take)
+        i = rows + start
+        target = masks[i] ^ moved[k]
+        j = np.searchsorted(masks, target)
+        inside = masks[np.minimum(j, n - 1)] == target
+        found.append((i[inside], j[inside]))
     i, j = (np.concatenate(arrays) for arrays in zip(*found))
     order = np.argsort(i * n + j)
     return _decoded(space, i[order], j[order])

@@ -57,7 +57,6 @@ class GPConstraint:
     mu: int | str
     kappa0: int
     kappa: tuple[int, ...]
-    equality: bool = False
 
     def __post_init__(self) -> None:
         if len(self.kappa) != self.m:
@@ -141,7 +140,7 @@ _CAT_36 = Catalog(
     3, 6,
     _rows(3, 6, [(2, (-1, -1, 0, -1, 0, 0))]),
     equalities=tuple(
-        GPConstraint(3, 6, f"n{r}+n{7 - r}", 1, kappa, equality=True)
+        GPConstraint(3, 6, f"n{r}+n{7 - r}", 1, kappa)
         for r, kappa in (
             (1, (-1, 0, 0, 0, 0, -1)),
             (2, (0, -1, 0, 0, -1, 0)),

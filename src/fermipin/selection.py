@@ -139,7 +139,6 @@ class SectorPreset:
     N: int
     layout: SpinOrbitalLayout
     sector: int
-    description: str
 
     def space(self) -> ConfigurationSpace:
         return enumerate_space(self.N, self.layout.m, self.layout, self.sector)
@@ -148,22 +147,10 @@ class SectorPreset:
 SECTOR_PRESETS: dict[str, SectorPreset] = {
     preset.name: preset
     for preset in (
-        SectorPreset(
-            "4in8-restricted",
-            4,
-            SpinOrbitalLayout((UP, UP, UP, DOWN, UP, DOWN, DOWN, DOWN)),
-            2,
-            "four electrons, S_z = 1: natural orbitals 1-3 and 5 up, "
-            "4 and 6-8 down (16 determinants)",
-        ),
-        SectorPreset(
-            "4in8-unrestricted",
-            4,
-            SpinOrbitalLayout((UP, UP, UP, DOWN, UP, UP, DOWN, DOWN)),
-            2,
-            "four electrons, S_z = 1: natural orbitals 1-3, 5 and 6 up, "
-            "4, 7 and 8 down (30 determinants)",
-        ),
+        SectorPreset("4in8-restricted", 4,
+                     SpinOrbitalLayout((UP, UP, UP, DOWN, UP, DOWN, DOWN, DOWN)), 2),
+        SectorPreset("4in8-unrestricted", 4,
+                     SpinOrbitalLayout((UP, UP, UP, DOWN, UP, UP, DOWN, DOWN)), 2),
     )
 }
 

@@ -230,10 +230,22 @@ def _listed(space, pairs) -> list:
                                          pairs.sign.tolist())]
 
 
-@pytest.mark.parametrize("max_degree", [1, 2])
+def _with_block_sizes(values: list) -> list:
+    """Each value under its own id at the default block size of the pair
+    kernels, then again, suffixed "block 1", with one row per block, which
+    runs every block offset of both kernels."""
+    return ([pytest.param(value, None, id=str(value)) for value in values]
+            + [pytest.param(value, 1, id=f"{value}-block 1") for value in values])
+
+
+@pytest.mark.parametrize("max_degree, block", _with_block_sizes([1, 2]))
 @pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
-def test_excitations_match_operator_application(name: str, max_degree: int) -> None:
+def test_excitations_match_operator_application(
+    name: str, max_degree: int, block: int | None, monkeypatch
+) -> None:
     # every pair is checked, including those whose matrix element vanishes
+    if block:
+        monkeypatch.setattr("fermipin.fock._BLOCK", block)
     space = KERNEL_SPACES[name]()
     expected = [pair for pair in _connected_pairs(space) if len(pair[2]) <= max_degree]
     assert expected
@@ -250,12 +262,18 @@ SUBSTITUTION_SPACES = dict(
 )
 
 
-@pytest.mark.parametrize("screen", ["all", "random 1", "random 2", "singles only"])
+@pytest.mark.parametrize(
+    "screen, block", _with_block_sizes(["all", "random 1", "random 2", "singles only"])
+)
 @pytest.mark.parametrize("name", sorted(SUBSTITUTION_SPACES))
-def test_substitutions_match_operator_application(name: str, screen: str) -> None:
+def test_substitutions_match_operator_application(
+    name: str, screen: str, block: int | None, monkeypatch
+) -> None:
     # the generated pairs are the searched ones whose substitution the
     # screens allow; random screens are not symmetric, so a transposed
     # index would show
+    if block:
+        monkeypatch.setattr("fermipin.fock._BLOCK", block)
     space = SUBSTITUTION_SPACES[name]()
     m = space.m
     if screen.startswith("random"):

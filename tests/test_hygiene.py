@@ -12,6 +12,13 @@ import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "fermipin"
 README = SOURCE.parent.parent / "README.md"
+BENCH = SOURCE.parent.parent / "bench"
+
+
+def _parsed(directory: Path) -> dict[Path, ast.AST]:
+    """The syntax tree of each Python file of ``directory``, by path."""
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(directory.glob("*.py"))}
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -53,8 +60,7 @@ def test_every_public_definition_is_read() -> None:
     lists have one, and so does one named like a local variable
     (``occupied``) or like another class's method (``residual``).
     """
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SOURCE.glob("*.py"))}
+    trees = _parsed(SOURCE)
     read = set(re.findall(r"\w+", README.read_text(encoding="utf-8")))
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -70,6 +76,32 @@ def test_every_public_definition_is_read() -> None:
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not node.name.startswith("_") and node.name not in read
+    ]
+    assert unread == []
+
+
+def test_every_class_field_is_read() -> None:
+    """No annotated class field in the package is dead weight.
+
+    A field counts as read when some line of the package or of a benchmark
+    file reads it as an attribute, or when it is a word of the README (a
+    documented result field).  Setting a field through a constructor does
+    not count: a field that only ever receives a value is never used.  Like
+    the check above it goes by name, so a field passes when any attribute
+    of the same name is read.
+    """
+    trees = _parsed(SOURCE)
+    read = set(re.findall(r"\w+", README.read_text(encoding="utf-8")))
+    read.update(node.attr for tree in [*trees.values(), *_parsed(BENCH).values()]
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    unread = [
+        f"{path.name}:{node.lineno} {cls.name}.{node.target.id}"
+        for path, tree in trees.items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        and node.target.id not in read
     ]
     assert unread == []
 
