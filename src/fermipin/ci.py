@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import (
     FermipinError,
-    NormalizationError,
     RotationError,
     SpaceTooLargeError,
     WidthError,
@@ -87,10 +86,6 @@ class CIVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def require_normalized(self, tol: float = 1e-12) -> None:
-        if abs(self.norm - 1.0) > tol:
-            raise NormalizationError(f"vector norm {self.norm!r} is not 1")
-
     def leading(self, k: int = 5) -> list[tuple[Determinant, float]]:
         """The ``k`` determinants with the largest weights, heaviest first."""
         order = np.argsort(-np.abs(self.coeffs), kind="stable")[:k]
@@ -116,15 +111,21 @@ class OrbitalRotation:
         m = self.U.shape[0]
         if self.U.shape != (m, m):
             raise RotationError("rotation matrix must be square")
-        defect = np.abs(self.U @ self.U.T - np.eye(m)).max()
-        if defect > ORTHOGONALITY_TOL:
-            raise RotationError(f"matrix is not orthogonal (defect {defect:.2e})")
+        require_orthogonal(self.U)
         if self.layout is not None and self.layout.m != m:
             raise RotationError(f"a width-{self.layout.m} layout for a width-{m} rotation")
 
     @property
     def m(self) -> int:
         return self.U.shape[0]
+
+
+def require_orthogonal(U: np.ndarray) -> None:
+    """Refuse ``U``, a square matrix or a stack of them, unless every
+    ``U @ U.T`` is the identity within ``ORTHOGONALITY_TOL``."""
+    defect = np.abs(U @ U.swapaxes(-1, -2) - np.eye(U.shape[-1])).max()
+    if defect > ORTHOGONALITY_TOL:
+        raise RotationError(f"matrix is not orthogonal (defect {defect:.2e})")
 
 
 def sign_fixed(rows: np.ndarray) -> np.ndarray:
@@ -136,8 +137,8 @@ def sign_fixed(rows: np.ndarray) -> np.ndarray:
 
 
 def _sequential_sum(terms: np.ndarray) -> np.ndarray:
-    """Row sums of ``terms``, added strictly left to right."""
-    return np.cumsum(terms, axis=1)[:, -1]
+    """Sums of ``terms`` over the last axis, added strictly left to right."""
+    return np.cumsum(terms, axis=-1)[..., -1]
 
 
 def _hamiltonian_entries(

@@ -15,7 +15,10 @@ sitting exactly on a facet is *pinned* there; sitting very close is
     quasipinned         D <= 1e-2
     unpinned            otherwise
 
-with the thresholds adjustable per evaluation.
+with the thresholds adjustable per evaluation.  A residual is ``kappa0``
+plus the products ``kappa_i n_i`` summed strictly left to right, the same
+on any BLAS; :func:`evaluate_stack` computes those of a whole stack of
+spectra with one such sum, and :func:`evaluate` is it on a stack of one.
 
 Built-in catalogs cover three fermions on six, seven, and eight orbitals
 and four fermions on eight.  The rank-(3,8) list carries the 19
@@ -41,10 +44,12 @@ from .errors import (
     UnsupportedRankError,
     WidthError,
 )
+from .ci import _sequential_sum
 from .rdm import OccupationSpectrum, hf_distance
 
 DEFAULT_TIERS = (1e-10, 1e-4, 1e-2)
 TIER_NAMES = ("pinned", "strong-quasipinned", "quasipinned", "unpinned")
+_TIER_ARRAY = np.array(TIER_NAMES)
 NEGATIVITY_TOL = 1e-9
 
 
@@ -72,7 +77,8 @@ class GPConstraint:
         """The constraint value on a sorted occupation vector."""
         if len(n) != self.m:
             raise WidthError(f"{len(n)} occupations for a width-{self.m} constraint")
-        return float(self.kappa0 + np.dot(self.kappa, n))
+        kappa = np.array([self.kappa], float)
+        return float(_residuals(self.kappa0, kappa, np.asarray(n, float))[0])
 
     @cached_property
     def formula(self) -> str:
@@ -108,6 +114,16 @@ class Catalog:
 
     def __len__(self) -> int:
         return len(self.constraints)
+
+    @cached_property
+    def _forms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``kappa0`` and the rows of ``kappa`` of every inequality, then every
+        equality, as float arrays, and where some form weighs neighbouring
+        positions ``i + 1`` and ``i + 2`` differently; built once."""
+        forms = self.constraints + self.equalities
+        kappa = np.array([c.kappa for c in forms], float).reshape(len(forms), self.m)
+        uneven = (kappa[:, :-1] != kappa[:, 1:]).any(axis=0)
+        return np.array([c.kappa0 for c in forms], float), kappa, uneven
 
     def find(self, mu: int | str) -> GPConstraint:
         for c in self.constraints + self.equalities:
@@ -298,11 +314,84 @@ class PinningReport:
         return json.dumps(self.payload())
 
 
-def classify_tier(residual: float, thresholds=DEFAULT_TIERS) -> str:
-    for name, bound in zip(TIER_NAMES, thresholds):
-        if residual <= bound:
-            return name
-    return TIER_NAMES[-1]
+def _residuals(kappa0, kappa: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``kappa0 + sum_i kappa_i n_i``: the products summed strictly left to
+    right, then ``kappa0`` added.  With ``kappa`` of shape ``(forms, m)`` and
+    ``n`` of shape ``(count, m)`` it gives every form on every spectrum."""
+    return kappa0 + _sequential_sum(n[..., None, :] * kappa)
+
+
+def classify_tier(residual, thresholds=DEFAULT_TIERS):
+    """The first tier whose threshold the residual does not exceed (a NaN
+    exceeds them all); an array of residuals gives an array of tier names."""
+    return _TIER_ARRAY[np.searchsorted(thresholds, residual)]
+
+
+def evaluate_stack(
+    cat: Catalog,
+    spectra: OccupationSpectrum,
+    thresholds: tuple[float, float, float] = DEFAULT_TIERS,
+) -> list[PinningReport]:
+    """Evaluate every constraint of ``cat`` on each spectrum of a stack, one
+    report per row; a single spectrum is a stack of one.
+
+    Each residual is ``kappa0`` plus the products ``kappa_i n_i`` summed
+    strictly left to right, so it does not depend on the BLAS, and all of
+    them come from one sum over the stack.  Raises ``RepresentabilityError``
+    when an inequality dips below -1e-9 or an equality misses zero by more
+    than 1e-9 — for a correctly computed pure-state spectrum that can only
+    mean the inputs do not belong together.  The message names the first
+    such row's first violated inequality, or else its first equality.
+    """
+    if spectra.m != cat.m:
+        raise WidthError(f"spectrum width {spectra.m} vs catalog width {cat.m}")
+    if spectra.N != cat.N:
+        raise ValueError(f"spectrum has N={spectra.N}, catalog N={cat.N}")
+    n = spectra.n.reshape(-1, cat.m)
+    if np.any(np.diff(n, axis=1) > 1e-12):
+        raise ValueError("occupations must be sorted in descending order")
+    if not (0 < thresholds[0] <= thresholds[1] <= thresholds[2]):
+        raise ValueError("tier thresholds must be positive and ascending")
+
+    kappa0, kappa, uneven = cat._forms
+    values = _residuals(kappa0, kappa, n)
+    inequality, equality = values[:, : len(cat.constraints)], values[:, len(cat.constraints) :]
+    violated = ((inequality < -NEGATIVITY_TOL).any(axis=1)
+                | (np.abs(equality) > NEGATIVITY_TOL).any(axis=1))
+    if violated.any():
+        k = np.argmax(violated)
+        violations = [
+            f"constraint {c.label} = {value:.3e} is negative: "
+            "spectrum is not consistent with a pure state of this rank"
+            for c, value in zip(cat.constraints, inequality[k].tolist())
+            if value < -NEGATIVITY_TOL
+        ] + [
+            f"equality {c.label} deviates by {value:.3e}"
+            for c, value in zip(cat.equalities, equality[k].tolist())
+            if abs(value) > NEGATIVITY_TOL
+        ]
+        raise RepresentabilityError(violations[0])
+    # a run of ties whose members carry different weights in some constraint
+    warn = (spectra.ties.reshape(len(n), -1) & uneven).any(axis=1)
+    tiers = classify_tier(np.maximum(inequality, 0.0), thresholds).tolist()
+    xi = np.reshape(hf_distance(spectra), -1)
+
+    mus = [c.mu for c in cat.constraints]
+    equality_mus = [c.mu for c in cat.equalities]
+    return [
+        PinningReport(
+            cat,
+            tuple(zip(mus, row)),
+            dict(zip(mus, row_tiers)),
+            tuple(zip(equality_mus, row_equalities)),
+            xi=row_xi,
+            thresholds=tuple(thresholds),
+            degeneracy_warning=row_warn,
+        )
+        for row, row_tiers, row_equalities, row_xi, row_warn in zip(
+            inequality.tolist(), tiers, equality.tolist(), xi.tolist(), warn.tolist()
+        )
+    ]
 
 
 def evaluate(
@@ -310,52 +399,9 @@ def evaluate(
     spectrum: OccupationSpectrum,
     thresholds: tuple[float, float, float] = DEFAULT_TIERS,
 ) -> PinningReport:
-    """Evaluate every constraint of ``cat`` on a sorted spectrum.
-
-    Raises ``RepresentabilityError`` when an inequality dips below
-    -1e-9 or an equality misses zero by more than 1e-9 — for a correctly
-    computed pure-state spectrum that can only mean the inputs do not
-    belong together.
-    """
-    if spectrum.m != cat.m:
-        raise WidthError(f"spectrum width {spectrum.m} vs catalog width {cat.m}")
-    if spectrum.N != cat.N:
-        raise ValueError(f"spectrum has N={spectrum.N}, catalog N={cat.N}")
-    if np.any(np.diff(spectrum.n) > 1e-12):
-        raise ValueError("occupations must be sorted in descending order")
-    if not (0 < thresholds[0] <= thresholds[1] <= thresholds[2]):
-        raise ValueError("tier thresholds must be positive and ascending")
-
-    residuals = tuple((c.mu, c.residual(spectrum.n)) for c in cat.constraints)
-    equality_residuals = tuple((c.mu, c.residual(spectrum.n)) for c in cat.equalities)
-    violations = [
-        f"constraint {c.label} = {value:.3e} is negative: "
-        "spectrum is not consistent with a pure state of this rank"
-        for c, (_, value) in zip(cat.constraints, residuals)
-        if value < -NEGATIVITY_TOL
-    ] + [
-        f"equality {c.label} deviates by {value:.3e}"
-        for c, (_, value) in zip(cat.equalities, equality_residuals)
-        if abs(value) > NEGATIVITY_TOL
-    ]
-    if violations:
-        raise RepresentabilityError(violations[0])
-    # a tie group whose members carry different weights in some constraint
-    warn = any(
-        len({c.kappa[i - 1] for i in group}) > 1
-        for group in spectrum.degeneracy_groups if len(group) > 1
-        for c in cat.constraints + cat.equalities
-    )
-
-    return PinningReport(
-        cat,
-        residuals,
-        {mu: classify_tier(max(value, 0.0), thresholds) for mu, value in residuals},
-        equality_residuals,
-        xi=hf_distance(spectrum),
-        thresholds=tuple(thresholds),
-        degeneracy_warning=warn,
-    )
+    """Evaluate every constraint of ``cat`` on a sorted spectrum:
+    :func:`evaluate_stack` on a stack of one."""
+    return evaluate_stack(cat, spectrum, thresholds)[0]
 
 
 def classify_regime_36(spectrum: OccupationSpectrum, tol: float = 1e-9) -> str:

@@ -25,22 +25,31 @@ still sorted globally.
 
 Sorting is deterministic under degeneracy: descending occupation, up before
 down, block order last.  Exactly which orbital of a tied group comes first
-is physically meaningless — the ``degeneracy_groups`` of the spectrum say
-which positions are interchangeable, and constraint evaluation downstream
-warns when a result depends on such a choice.
+is physically meaningless — the ``ties`` of the spectrum say which
+positions are interchangeable, and constraint evaluation downstream warns
+when a result depends on such a choice.
+
+Many states go through as one stack: :func:`one_rdms` sums the 1-RDMs of a
+block of coefficient rows with one ``np.bincount``, each state's terms
+offset to a matrix of its own, and :func:`natural_spectra` diagonalizes
+them with one ``np.linalg.eigh`` over the stack, then sorts, sign-fixes and
+clamps them together.  Each matrix comes out bit for bit as it does alone;
+:func:`one_rdm` and :func:`natural_spectrum` are the same code on a stack
+of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from . import ci
 from .ci import CIVector, OrbitalRotation
-from .errors import SpectralRangeError
-from .fock import DOWN, UP, SpinOrbitalLayout
+from .errors import NormalizationError, SpectralRangeError
+from .fock import DOWN, UP, ConfigurationSpace, SpinOrbitalLayout
 
 TRACE_TOL = 1e-10
 RANGE_TOL = 1e-10
@@ -49,10 +58,11 @@ DEFAULT_TIE_TOL = 1e-8
 
 @dataclass
 class OneRDM:
-    """A one-particle reduced density matrix over ``m`` spin orbitals.
+    """A one-particle reduced density matrix over ``m`` spin orbitals, or a
+    stack of them: ``rho`` of shape ``(count, m, m)``, one per state.
 
     ``layout`` is set only when ``rho`` is spin-blocked in it: no element
-    couples an up and a down spin orbital.
+    (of any matrix of a stack) couples an up and a down spin orbital.
     """
 
     rho: np.ndarray
@@ -60,64 +70,111 @@ class OneRDM:
 
     def __post_init__(self) -> None:
         self.rho = np.asarray(self.rho, dtype=float)
-        m = self.rho.shape[0]
-        if self.rho.shape != (m, m):
+        if self.rho.ndim not in (2, 3) or self.rho.shape[-2] != self.rho.shape[-1]:
             raise ValueError("density matrix must be square")
 
     @property
     def m(self) -> int:
-        return self.rho.shape[0]
+        return self.rho.shape[-1]
 
     @property
-    def trace(self) -> float:
-        return float(np.trace(self.rho))
+    def trace(self) -> float | np.ndarray:
+        """The trace, or for a stack the traces, one per matrix."""
+        return np.trace(self.rho, axis1=-2, axis2=-1)
 
 
-def one_rdm(vector: CIVector) -> OneRDM:
-    """The 1-RDM of a normalized CI vector, symmetric by construction."""
-    vector.require_normalized(1e-10)
-    space = vector.space
-    m, c = space.m, vector.coeffs
-    occupation = space.occupation
-    pairs = space.pairs if len(space) <= ci.DENSE_CROSSOVER else space.spin_singles
-    i, j, sign = pairs.singles
-    # bincount adds its weights in input order, so every element is the
-    # same sum, term for term, as a loop over the determinants and then
-    # over the single excitations in pair order
-    upper = np.bincount(pairs.rho_index, sign * c[i] * c[j], minlength=m * m).reshape(m, m)
-    diagonal = np.bincount(occupation.orbital, (c * c)[occupation.det], minlength=m)
-    rho = np.diag(diagonal) + upper + upper.T
+# how each space's 1-RDM terms are gathered and scattered, worked out once per space
+_TERMS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _terms(space: ConfigurationSpace) -> tuple[np.ndarray, ...]:
+    """``(left, right, factor, scatter)``: term ``t`` of the 1-RDM of a
+    vector ``c`` over ``space`` adds ``factor[t] * c[left[t]] * c[right[t]]``
+    to element ``scatter[t]`` of the flattened ``m x m`` matrix.  The terms
+    are every single, at its upper-triangle element, then every occupied
+    orbital, on the diagonal."""
+    terms = _TERMS.get(space)
+    if terms is None:
+        m, occupation = space.m, space.occupation
+        pairs = space.pairs if len(space) <= ci.DENSE_CROSSOVER else space.spin_singles
+        i, j, sign = pairs.singles
+        terms = _TERMS[space] = (
+            np.concatenate([i, occupation.det]),
+            np.concatenate([j, occupation.det]),
+            np.concatenate([sign, np.ones(len(occupation.det), np.int8)]),
+            np.concatenate([pairs.rho_index, occupation.orbital * (m + 1)]),
+        )
+    return terms
+
+
+def one_rdms(space: ConfigurationSpace, coeffs: np.ndarray) -> OneRDM:
+    """The 1-RDMs of normalized CI vectors over ``space``, one per row of
+    ``coeffs``, as one stack, symmetric by construction.  The layout is kept
+    only when every matrix of the stack is spin-blocked in it."""
+    # the norm np.linalg.norm gives each row, bit for bit; NaN is refused too
+    for norm in np.sqrt(np.vecdot(coeffs, coeffs)).tolist():
+        if not abs(norm - 1.0) <= 1e-10:
+            raise NormalizationError(f"vector norm {norm!r} is not 1")
+    left, right, factor, scatter = _terms(space)
+    count, m = len(coeffs), space.m
+    # state k's terms go to the bins offset by k m^2; bincount adds its
+    # weights in input order and each element takes terms of one kind only,
+    # so every element is the same sum, term for term, as a loop over the
+    # determinants and then over the single excitations in pair order
+    bins = scatter + np.arange(0, count * m * m, m * m)[:, None]
+    # factor is +-1, so the product is exact in any order; in place it keeps
+    # the stack's temporaries to two arrays of its terms
+    weights = coeffs.take(left, axis=1)
+    weights *= coeffs.take(right, axis=1)
+    weights *= factor
+    upper = np.bincount(bins.ravel(), weights.ravel(), minlength=count * m * m)
+    # mirroring the upper triangle adds exact zeros to it and doubles the
+    # diagonal, which is then copied back
+    upper = upper.reshape(count, m, m)
+    rho = upper + upper.transpose(0, 2, 1)
+    rho.reshape(count, -1)[:, :: m + 1] = upper.reshape(count, -1)[:, :: m + 1]
 
     layout = space.layout
     if layout is not None:
         up, down = layout.spin_blocks
-        if not (len(up) and len(down) and np.abs(rho[up[:, None], down]).max() <= 1e-12):
+        if not (len(up) and len(down) and np.abs(rho[:, up[:, None], down]).max() <= 1e-12):
             layout = None
 
     return OneRDM(rho, layout)
 
 
+def one_rdm(vector: CIVector) -> OneRDM:
+    """The 1-RDM of a normalized CI vector: :func:`one_rdms` of a stack of one."""
+    stack = one_rdms(vector.space, vector.coeffs[None])
+    return OneRDM(stack.rho[0], stack.layout)
+
+
 @dataclass
 class OccupationSpectrum:
-    """Natural occupations sorted in descending order.
+    """Natural occupations sorted in descending order, or a stack of such
+    spectra: ``n`` of shape ``(count, m)``, one row per state, all with the
+    same ``N``.
 
     ``natural_rotation`` maps the original orbitals to the natural ones
-    (``None`` for spectra supplied as bare numbers).  ``degeneracy_groups``
-    partitions the 1-based positions into runs whose occupations agree
-    within the tie tolerance used at construction.
+    (``None`` for spectra supplied as bare numbers, and for stacks).
+    ``ties[..., i]`` is True when occupations ``i + 1`` and ``i + 2``
+    (1-based) differ by at most the tie tolerance used at construction; a
+    run of ties is a degenerate group, whose positions are interchangeable.
     """
 
     n: np.ndarray
     N: int
     natural_rotation: OrbitalRotation | None = None
-    degeneracy_groups: tuple[tuple[int, ...], ...] = ()
+    ties: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.n = np.asarray(self.n, dtype=float)
+        if self.ties is None:
+            self.ties = np.zeros((*self.n.shape[:-1], max(self.m - 1, 0)), dtype=bool)
 
     @property
     def m(self) -> int:
-        return len(self.n)
+        return self.n.shape[-1]
 
     @classmethod
     def from_occupations(
@@ -139,26 +196,65 @@ class OccupationSpectrum:
             N = int(round(total))
         if not 0 < N <= len(n):
             raise ValueError(f"N={N} inconsistent with {len(n)} occupations")
-        return cls(n, N, None, _tie_groups(n, tie_tolerance))
+        return cls(n, N, None, n[:-1] - n[1:] <= tie_tolerance)
 
 
 def _clamp_range(n: np.ndarray, tol: float) -> np.ndarray:
-    # written so that a NaN, which fails every comparison, is refused too
-    if not (n.min() >= -tol and n.max() <= 1.0 + tol):
-        raise SpectralRangeError(
-            f"occupations outside [0,1]: min {n.min()!r}, max {n.max()!r}"
-        )
+    """``n`` clipped to [0, 1], refused where a spectrum (a row of a stack)
+    strays more than ``tol`` outside; the message names the first such."""
+    for row in n.reshape(-1, n.shape[-1]):
+        # written so that a NaN, which fails every comparison, is refused too
+        if not (row.min() >= -tol and row.max() <= 1.0 + tol):
+            raise SpectralRangeError(
+                f"occupations outside [0,1]: min {row.min()!r}, max {row.max()!r}"
+            )
     return np.clip(n, 0.0, 1.0)
 
 
-def _tie_groups(n: np.ndarray, tie_tolerance: float) -> tuple[tuple[int, ...], ...]:
-    groups: list[list[int]] = [[1]]
-    for i in range(1, len(n)):
-        if n[i - 1] - n[i] <= tie_tolerance:
-            groups[-1].append(i + 1)
-        else:
-            groups.append([i + 1])
-    return tuple(tuple(g) for g in groups)
+def _natural(rdm: OneRDM, tie_tolerance: float):
+    """The natural spectra of a 1-RDM or a stack of them, each as a stack:
+    occupations, the electron count, natural-orbital rows, the layout of
+    each natural basis (``None`` without a layout) and ties."""
+    rho = rdm.rho.reshape(-1, rdm.m, rdm.m)
+    traces = np.trace(rho, axis1=1, axis2=2).tolist()
+    N = round(traces[0])
+    for trace in traces:
+        if not abs(trace - N) <= TRACE_TOL:
+            raise SpectralRangeError(f"1-RDM trace {trace!r} is not close to the integer {N}")
+
+    count, m = len(rho), rdm.m
+    blocks = (np.arange(m),) if rdm.layout is None else rdm.layout.spin_blocks
+    values, vectors = [], np.zeros((count, m, m))
+    start = 0
+    for idx in blocks:
+        # one eigh for the whole stack, bit for bit one eigh per matrix
+        vals, vecs = np.linalg.eigh(rho.take(idx, axis=1).take(idx, axis=2))
+        values.append(vals[:, ::-1])
+        vectors[:, start : start + len(idx), idx] = vecs[:, :, ::-1].transpose(0, 2, 1)
+        start += len(idx)
+    # descending occupation; ties keep block order, then position in block
+    occupations = np.concatenate(values, axis=1)
+    order = np.argsort(-occupations, axis=1, kind="stable")
+    state = np.arange(count)[:, None]
+    U = ci.sign_fixed(vectors[state, order].reshape(-1, m)).reshape(count, m, m)
+    if rdm.layout is None:
+        layouts = [None] * count
+    else:
+        spins = [UP] * len(blocks[0]) + [DOWN] * len(blocks[1])
+        layouts = [SpinOrbitalLayout(tuple(spins[k] for k in row)) for row in order.tolist()]
+
+    n = _clamp_range(occupations[state, order], tol=RANGE_TOL)
+    return n, N, U, layouts, n[:, :-1] - n[:, 1:] <= tie_tolerance
+
+
+def natural_spectra(rdm: OneRDM, tie_tolerance: float = DEFAULT_TIE_TOL) -> OccupationSpectrum:
+    """The natural occupations of a stack of 1-RDMs as one stacked spectrum,
+    row ``k`` for matrix ``k``, computed as :func:`natural_spectrum` computes
+    each.  The rotations are not kept; the orthogonality test of
+    :class:`~fermipin.ci.OrbitalRotation` runs once over all of them."""
+    n, N, U, _, ties = _natural(rdm, tie_tolerance)
+    ci.require_orthogonal(U)
+    return OccupationSpectrum(n, N, None, ties)
 
 
 def natural_spectrum(
@@ -170,39 +266,16 @@ def natural_spectrum(
     orbital has a definite spin and the rotation carries the layout of the
     natural basis, which keeps it sector-safe.  Natural-orbital rows are
     sign-fixed the same way CI vectors are, by :func:`~fermipin.ci.sign_fixed`.
+    The computation is that of :func:`natural_spectra` on a stack of one.
     """
-    trace = rdm.trace
-    N = int(round(trace))
-    if abs(trace - N) > TRACE_TOL:
-        raise SpectralRangeError(f"1-RDM trace {trace!r} is not close to an integer")
-
-    if rdm.layout is not None:
-        blocks = zip((UP, DOWN), rdm.layout.spin_blocks)
-    else:
-        blocks = [(None, np.arange(rdm.m))]
-    values, rows, spins = [], [], []
-    for spin, idx in blocks:
-        vals, vecs = np.linalg.eigh(rdm.rho.take(idx, axis=0).take(idx, axis=1))
-        block_rows = np.zeros((len(idx), rdm.m))
-        block_rows[:, idx] = vecs[:, ::-1].T
-        values.append(vals[::-1])
-        rows.append(block_rows)
-        spins += [spin] * len(idx)
-    # descending occupation; ties keep block order, then position in block
-    occupations = np.concatenate(values)
-    order = np.argsort(-occupations, kind="stable")
-    n = occupations[order]
-    U = ci.sign_fixed(np.concatenate(rows)[order])
-    layout = None if rdm.layout is None else SpinOrbitalLayout(tuple(spins[k] for k in order))
-    rotation = OrbitalRotation(U, layout)
-
-    n = _clamp_range(n, tol=RANGE_TOL)
-    return OccupationSpectrum(n, N, rotation, _tie_groups(n, tie_tolerance))
+    n, N, U, layouts, ties = _natural(rdm, tie_tolerance)
+    return OccupationSpectrum(n[0], N, OrbitalRotation(U[0], layouts[0]), ties[0])
 
 
-def hf_distance(spectrum: OccupationSpectrum) -> float:
+def hf_distance(spectrum: OccupationSpectrum) -> float | np.ndarray:
     """How far the leading occupations sit from a single determinant:
     ``sqrt(sum_{i<=N} (1-n_i)^2)``, the depletion of the N strongest
-    natural orbitals.  Zero exactly for a one-determinant state."""
-    holes = 1.0 - spectrum.n[: spectrum.N]
-    return float(np.sqrt(np.sum(holes * holes)))
+    natural orbitals.  Zero exactly for a one-determinant state.  A stacked
+    spectrum gives one distance per row."""
+    holes = 1.0 - spectrum.n[..., : spectrum.N]
+    return np.sqrt(np.sum(holes * holes, axis=-1))

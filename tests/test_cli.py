@@ -16,9 +16,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fermipin import cli
-from fermipin.ci import solve_ground
+from fermipin.ci import DENSE_CROSSOVER, CIVector, solve_ground
 from fermipin.cli import main
 from fermipin.fock import MAX_WIDTH, enumerate_space, space_size
+from fermipin.gpc import catalog, evaluate
 from fermipin.integrals import hubbard_chain, save_integral_file, to_spin_orbitals
 from fermipin.rdm import natural_spectrum, one_rdm
 
@@ -373,6 +374,28 @@ def test_scan_steps_are_a_count_and_an_unallocatable_grid_exits_2(capsys) -> Non
     assert err.startswith(f"error: bad --scan {scan!r}: ") and "Traceback" not in err
 
 
+def test_scan_steps_above_the_bound_exit_2_before_the_grid_is_built(capsys,
+                                                                  monkeypatch) -> None:
+    grids = []
+
+    def spy(*args, **kwargs):
+        grids.append(args)
+        return linspace(*args, **kwargs)
+
+    linspace = np.linspace
+    monkeypatch.setattr(np, "linspace", spy)
+    scan = "U=0:8:100000000"
+    code, out, err = _run(capsys, ["scan", *HUB36, "--scan", scan])
+    assert (code, out, grids) == (2, "", [])
+    assert err == (f"error: bad --scan {scan!r}: "
+                   f"at most {cli.MAX_SCAN_STEPS} steps, got 100000000\n")
+    # the bound itself is allowed, one step more is not
+    monkeypatch.setattr(cli, "MAX_SCAN_STEPS", 3)
+    assert _run(capsys, ["scan", *HUB36, "--scan", "U=0:8:3"])[0] == 0
+    assert _run(capsys, ["scan", *HUB36, "--scan", "U=0:8:4"])[0] == 2
+    assert grids == [(0.0, 8.0, 3)]
+
+
 def test_scan_axis_flags_exclude_each_other_and_the_model(capsys, tmp_path) -> None:
     spatial = hubbard_chain(3, 1.0, 2.0)
     spatial.n_electrons, spatial.ms2 = 3, 1
@@ -640,6 +663,78 @@ def test_polytope_decodes_its_space_once(capsys, monkeypatch) -> None:
     assert len(json.loads(out)["samples"]) == 100
     # one decoded pair list of the 56-determinant space serves all hundred 1-RDMs
     assert calls == [56]
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7])
+def test_polytope_stacks_print_the_same_bytes_with_one_eigh_each(capsys, monkeypatch,
+                                                                 rows) -> None:
+    argv = ["polytope", "--N", "3", "--m", "8", "--random", "20", "--seed", "3",
+            "--format", "json"]
+    expected = _run(capsys, argv)
+    shapes = []
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    if rows is not None:
+        # rows samples of the 56-determinant space per stack; 7 does not divide 20
+        monkeypatch.setattr(cli, "_RANDOM_BLOCK", rows * space_size(3, 8))
+    assert _run(capsys, argv) == expected
+    rows = rows or cli._RANDOM_BLOCK // space_size(3, 8)
+    sizes = [rows] * (20 // rows) + [20 % rows] * (20 % rows > 0)
+    assert shapes == [(size, 8, 8) for size in sizes]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from([(3, 6), (3, 7), (3, 8), (4, 8)]), st.integers(0, 2**32 - 1),
+       st.integers(1, 40), st.integers(1, 40))
+def test_stacked_polytope_equals_the_per_state_pipeline(shape, seed, count, rows) -> None:
+    N, m = shape
+    cfg = cli._build_parser().parse_args(
+        ["polytope", "--N", str(N), "--m", str(m), "--random", str(count), "--seed", str(seed)]
+    )
+    block, cli._RANDOM_BLOCK = cli._RANDOM_BLOCK, rows * space_size(N, m)
+    try:
+        samples = cli.cmd_polytope(cfg)["samples"]
+    finally:
+        cli._RANDOM_BLOCK = block
+    rng = np.random.default_rng(seed)
+    space, cat = enumerate_space(N, m), catalog(N, m)
+    expected = []
+    for k in range(count):
+        coeffs = rng.standard_normal(len(space))
+        coeffs /= np.linalg.norm(coeffs)
+        spectrum = natural_spectrum(one_rdm(CIVector(space, coeffs)))
+        expected.append({"sample": f"random-{k}", "occupations": [float(v) for v in spectrum.n],
+                         **evaluate(cat, spectrum).payload()})
+    # repr tells -0.0 from 0.0, so equal text is equal bits
+    assert json.dumps(samples) == json.dumps(expected)
+
+
+def test_wide_file_catalog_residuals_are_the_dot_product_within_4_ulp(capsys,
+                                                                      tmp_path) -> None:
+    # 560 determinants: above the crossover, the 1-RDM takes the generated singles
+    assert space_size(3, 16) > DENSE_CROSSOVER
+    rng = np.random.default_rng(5)
+    kappas = rng.integers(-3, 4, size=(6, 16))
+    kappa0 = np.abs(kappas).sum(axis=1)  # no residual can be negative
+    path = tmp_path / "wide.cat"
+    path.write_text("".join(f"3 16 {mu} {k0} {' '.join(map(str, kappa))}\n"
+                            for mu, (k0, kappa) in enumerate(zip(kappa0, kappas), start=1)))
+    code, out, err = _run(capsys, ["polytope", "--N", "3", "--m", "16", "--random", "25",
+                                   "--catalog", str(path), "--format", "json"])
+    assert (code, err) == (0, "")
+    samples = json.loads(out)["samples"]
+    assert len(samples) == 25
+    for sample in samples:
+        n = np.array(sample["occupations"])
+        for entry, k0, kappa in zip(sample["constraints"], kappa0, kappas, strict=True):
+            # the sum as BLAS's ddot adds it, which rounds differently at this width
+            dot = float(k0 + np.dot(kappa, n))
+            assert abs(entry["residual"] - dot) <= 4 * np.spacing(dot)
 
 
 def test_scan_gives_a_point_of_another_width_its_own_space(capsys, monkeypatch,

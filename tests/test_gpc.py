@@ -19,6 +19,7 @@ from fermipin.gpc import (
     classify_regime_36,
     classify_tier,
     evaluate,
+    evaluate_stack,
     load_catalog_file,
 )
 from fermipin.rdm import OccupationSpectrum
@@ -202,6 +203,31 @@ def test_evaluate_input_checks() -> None:
         evaluate(catalog(3, 6), unsorted)
     with pytest.raises(ValueError):
         evaluate(catalog(3, 6), spectrum, thresholds=(1e-4, 1e-10, 1e-2))
+
+
+def test_a_stack_reports_each_row_as_evaluate_does() -> None:
+    rows = [[0.85, 0.75, 0.60, 0.40, 0.25, 0.15, 0.0],
+            [0.8, 0.8, 0.6, 0.4, 0.2, 0.2, 0.0],
+            [0.9, 0.8, 0.7, 0.3, 0.2, 0.1, 0.0]]
+    alone = [OccupationSpectrum.from_occupations(row, N=3) for row in rows]
+    stack = OccupationSpectrum(np.array(rows), 3, None, np.array([s.ties for s in alone]))
+    thresholds = (1e-3, 0.05, 0.2)
+    for stacked, spectrum in zip(evaluate_stack(catalog(3, 7), stack, thresholds), alone,
+                                 strict=True):
+        assert stacked == evaluate(catalog(3, 7), spectrum, thresholds)
+
+
+def test_a_stack_raises_the_first_violating_rows_message() -> None:
+    good = [0.85, 0.75, 0.60, 0.40, 0.25, 0.15]
+    bad = [0.95, 0.9, 0.6, 0.4, 0.1, 0.05]  # 2 - n1 - n2 - n4 = -0.25
+    cat = catalog(3, 6)
+    with pytest.raises(RepresentabilityError) as alone:
+        evaluate(cat, OccupationSpectrum.from_occupations(bad, N=3))
+    stack = OccupationSpectrum(np.array([good, bad, [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]]), 3)
+    with pytest.raises(RepresentabilityError) as stacked:
+        evaluate_stack(cat, stack)
+    assert str(stacked.value) == str(alone.value)
+    assert str(alone.value).startswith("constraint D^1 = -2.500e-01 is negative")
 
 
 def test_degeneracy_warning_fires_on_unequal_weights() -> None:

@@ -18,8 +18,10 @@ from fermipin.integrals import hubbard_chain, pairing_model, to_spin_orbitals
 from fermipin.rdm import (
     OccupationSpectrum,
     hf_distance,
+    natural_spectra,
     natural_spectrum,
     one_rdm,
+    one_rdms,
 )
 
 from .oracles import brute_force_one_rdm, random_coefficients, rotate_ci
@@ -169,6 +171,37 @@ def test_sector_vectors_give_rdms_that_keep_the_layout() -> None:
     assert rho_full.layout is None  # a random vector mixes spins
 
 
+def test_a_stack_of_sector_states_matches_each_state_alone() -> None:
+    # a layout, so each stacked matrix is diagonalized per spin block
+    ints = to_spin_orbitals(hubbard_chain(4, 1.0, 4.0))
+    space = enumerate_space(3, 8, ints.layout, 1)
+    rng = np.random.default_rng(8)
+    vectors = [random_vector(space, rng) for _ in range(5)]
+    stack = one_rdms(space, np.array([v.coeffs for v in vectors]))
+    assert stack.layout == space.layout and stack.rho.shape == (5, 8, 8)
+    spectra = natural_spectra(stack)
+    assert spectra.N == 3 and spectra.natural_rotation is None
+    for k, vector in enumerate(vectors):
+        alone = one_rdm(vector)
+        assert np.array_equal(stack.rho[k], alone.rho)
+        spectrum = natural_spectrum(alone)
+        assert spectra.n[k].tobytes() == spectrum.n.tobytes()
+        assert np.array_equal(spectra.ties[k], spectrum.ties)
+        assert np.array_equal(hf_distance(spectra)[k], hf_distance(spectrum))
+
+
+def test_a_stack_names_its_first_unnormalized_row() -> None:
+    space = enumerate_space(2, 4)
+    coeffs = np.full((3, len(space)), 1 / np.sqrt(len(space)))
+    coeffs[1] *= 2.0
+    coeffs[2] *= 3.0
+    with pytest.raises(NormalizationError, match="vector norm 2.0 is not 1"):
+        one_rdms(space, coeffs)
+    coeffs[1, 0] = np.nan
+    with pytest.raises(NormalizationError, match="vector norm nan is not 1"):
+        one_rdms(space, coeffs)
+
+
 def test_one_rdm_requires_normalization() -> None:
     space = enumerate_space(2, 4)
     vec = CIVector(space, np.ones(len(space)))
@@ -245,11 +278,12 @@ def test_smith_check_on_pairing_singlet() -> None:
     assert np.abs(pairs[:, 0] - pairs[:, 1]).max() < 1e-12
 
 
-def test_degeneracy_groups_partition_positions() -> None:
+def test_ties_mark_the_degenerate_groups() -> None:
     spec = OccupationSpectrum.from_occupations(
         [0.9, 0.9, 0.5, 0.35, 0.35, 0.0], N=3, tie_tolerance=1e-6
     )
-    assert spec.degeneracy_groups == ((1, 2), (3,), (4, 5), (6,))
+    # the runs of ties are the groups (1, 2), (3,), (4, 5) and (6,)
+    assert spec.ties.tolist() == [True, False, False, True, False]
 
 
 def test_from_occupations_sorts_and_validates() -> None:
