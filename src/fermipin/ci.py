@@ -150,16 +150,16 @@ def _hamiltonian_entries(
     Each element is summed term by term in the order of the Slater-Condon
     rules over the occupied orbitals, ascending; an empty orbital adds an
     exact zero, so the bit-matrix sums equal the orbital-by-orbital ones.
-    Which orbitals each sum runs over comes from the space's cached
-    :attr:`~fermipin.fock.ConfigurationSpace.occupation` and, at or below
-    the crossover, its cached :attr:`~fermipin.fock.ConfigurationSpace.pairs`,
-    so a call only gathers integrals and adds them.
+    Which orbitals each sum runs over comes from the cached ``bits`` and
+    ``diagonal_terms`` of the :class:`~fermipin.fock.ConfigurationSpace`
+    and, at or below the crossover, its cached ``pairs``, so a call only
+    gathers integrals and adds them.
     """
     if ints.m != space.m:
         raise WidthError("integral width does not match the space")
     p, q = orbital_pairs(space.m)
     terms = np.concatenate([[ints.core_energy], np.diag(ints.h), ints.g[p, q, p, q]])
-    diag = _sequential_sum(space.occupation.terms * terms)
+    diag = _sequential_sum(space.diagonal_terms * terms)
 
     # exchange[p, q, c] = <pc||qc>
     exchange = ints.g.diagonal(axis1=1, axis2=3)
@@ -169,7 +169,7 @@ def _hamiltonian_entries(
         # a single's element is h[p,q] + sum_c <pc||qc>, a double's <p1p2||q1q2>
         pairs = substitutions(space, (ints.h != 0) | (exchange != 0).any(axis=2), ints.g != 0)
     (single_i, single_j, _), p, q = pairs.singles, pairs.p, pairs.q
-    bits = space.occupation.bits
+    bits = space.bits
     # <pc||qc> over the orbitals c both determinants occupy
     shared = bits[single_i] & bits[single_j]
     values = np.empty(len(pairs.i))

@@ -29,12 +29,12 @@ the one pair record, :class:`Pairs`:
   screen built from the integrals it makes only the pairs whose matrix
   element can be nonzero.  The large-space Hamiltonian and 1-RDM use it.
 
-Whatever the Hamiltonian and the 1-RDM need of the determinants alone is
-worked out once per space and cached, read-only: the occupation bits and
-diagonal terms (:attr:`ConfigurationSpace.occupation`), the searched pairs (:attr:`ConfigurationSpace.pairs`), and the 1-RDM's
-generated singles (:attr:`ConfigurationSpace.spin_singles`).  A layout
-caches its spin-block index arrays the same way.  A sum over a space then
-only gathers and adds.
+What the Hamiltonian reads of the determinants alone on every build is
+worked out once per space and cached, read-only: the occupation bits
+(:attr:`ConfigurationSpace.bits`), the flags of the Slater-Condon diagonal
+terms (:attr:`ConfigurationSpace.diagonal_terms`) and the searched pairs
+(:attr:`ConfigurationSpace.pairs`).  A layout caches its spin-block index
+arrays the same way.  A sum over a space then only gathers and adds.
 
 The maximum width is 64 spin orbitals.  That bound is far beyond what the
 solvers can use; it exists so every mask fits one ``uint64`` array entry.
@@ -47,7 +47,6 @@ enumerate_space    : all N-electron determinants, optionally in an S_z sector
 space_size         : the size enumerate_space would return, without building it
 excitations        : connected determinant pairs of a space, by an O(n^2) search
 substitutions      : the pairs that screened substitutions reach, generated per determinant
-occupation_bits    : the boolean occupation matrix of an array of masks
 orbital_pairs      : the orbital pairs p < q of a width, as two index arrays
 lowest_bit         : the lowest set bit of each mask of an array
 bit_index          : the position of the one set bit of each mask of an array
@@ -218,13 +217,25 @@ class ConfigurationSpace:
         return ConfigurationSpace(self.N, self.m, self.masks[keep], self.layout, self.sector)
 
     @cached_property
-    def occupation(self) -> Occupation:
-        """Which orbitals each determinant occupies, worked out once."""
-        bits = occupation_bits(self.masks, self.m)
+    def bits(self) -> np.ndarray:
+        """Boolean matrix whose row ``k`` flags the orbitals determinant ``k``
+        occupies (column ``p - 1`` for spin orbital ``p``), built once."""
+        bits = (self.masks[:, None] >> np.arange(self.m, dtype=np.uint64) & 1).astype(bool)
+        bits.flags.writeable = False
+        return bits
+
+    @cached_property
+    def diagonal_terms(self) -> np.ndarray:
+        """Row ``k`` flags the terms of the Slater-Condon diagonal of
+        determinant ``k``: the core energy (always), each ``h[p, p]``, then
+        each ``<pq||pq>`` over the pairs ``p < q`` of :func:`orbital_pairs`.
+        Built once."""
+        bits = self.bits
         p, q = orbital_pairs(self.m)
         always = np.ones((len(self), 1), bool)
         terms = np.concatenate([always, bits, bits[:, p] & bits[:, q]], axis=1)
-        return _read_only(Occupation(bits, *np.nonzero(bits), terms))
+        terms.flags.writeable = False
+        return terms
 
     @cached_property
     def pairs(self) -> Pairs:
@@ -235,14 +246,6 @@ class ConfigurationSpace:
         run the quadratic search and generate their pairs with
         :func:`substitutions` instead."""
         return excitations(self)
-
-    @cached_property
-    def spin_singles(self) -> Pairs:
-        """Every single of the space that keeps the spin of the electron
-        moved, generated by :func:`substitutions`, once.  In a space without
-        a sector every single is kept, spin flips included."""
-        spins = np.array(self.layout.spin_of) if self.sector is not None else np.zeros(self.m)
-        return substitutions(self, spins[:, None] == spins)
 
 
 def enumerate_space(
@@ -328,23 +331,6 @@ def _orbitals_of(mask: int) -> tuple[int, ...]:
     return tuple(orbitals)
 
 
-class Occupation(NamedTuple):
-    """The occupied orbitals of each determinant of a space.
-
-    ``bits[k, p]`` is true when determinant ``k`` occupies orbital ``p``
-    (0-based).  ``det`` and ``orbital`` list every occupied orbital as
-    ``np.nonzero(bits)`` does, determinant by determinant and ascending
-    within one.  ``terms[k]`` flags the terms of the Slater-Condon diagonal
-    of determinant ``k``: the core energy (always), each ``h[p, p]``, then
-    each ``<pq||pq>`` over the pairs ``p < q`` of :func:`orbital_pairs`.
-    """
-
-    bits: np.ndarray
-    det: np.ndarray
-    orbital: np.ndarray
-    terms: np.ndarray
-
-
 class Pairs(NamedTuple):
     """Connected determinant pairs of a space, with the orbitals each
     substitution moves decoded (0-based), for the callers that sum over them.
@@ -357,10 +343,8 @@ class Pairs(NamedTuple):
 
     ``single`` and ``double`` are the positions of the pairs one and two
     substitutions apart, and ``singles`` holds the ``(i, j, sign)`` of the
-    singles.  Single ``k`` has ``ps = (p[k],)`` and ``qs = (q[k],)``, and
-    ``rho_index[k]`` is ``min(p, q) * m + max(p, q)``, the upper-triangle
-    entry of the pair in a flattened ``m x m`` matrix.  ``doubles`` holds
-    the ``(p1, p2, q1, q2)`` of each double.
+    singles.  Single ``k`` has ``ps = (p[k],)`` and ``qs = (q[k],)``.
+    ``doubles`` holds the ``(p1, p2, q1, q2)`` of each double.
     """
 
     i: np.ndarray
@@ -370,7 +354,6 @@ class Pairs(NamedTuple):
     singles: tuple[np.ndarray, np.ndarray, np.ndarray]
     p: np.ndarray
     q: np.ndarray
-    rho_index: np.ndarray
     double: np.ndarray
     doubles: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
@@ -479,9 +462,8 @@ def _decoded(space: ConfigurationSpace, i: np.ndarray, j: np.ndarray) -> Pairs:
         bit_index(p_low), bit_index(bra_only ^ p_low),
         bit_index(q_low), bit_index(ket_only ^ q_low),
     )
-    rho_index = np.minimum(p, q) * space.m + np.maximum(p, q)
-    _read_only((i, j, sign, single, *singles, p, q, rho_index, double, *doubles))
-    return Pairs(i, j, sign, single, singles, p, q, rho_index, double, doubles)
+    _read_only((i, j, sign, single, *singles, p, q, double, *doubles))
+    return Pairs(i, j, sign, single, singles, p, q, double, doubles)
 
 
 @cache
@@ -500,12 +482,6 @@ def lowest_bit(masks: np.ndarray) -> np.ndarray:
 def bit_index(single_bits: np.ndarray) -> np.ndarray:
     """0-based position of the one set bit of each mask."""
     return np.bitwise_count(single_bits - 1).astype(np.intp)
-
-
-def occupation_bits(masks: np.ndarray, m: int) -> np.ndarray:
-    """Boolean matrix whose row ``k`` flags the bits of ``masks[k]``
-    (column ``p - 1`` for spin orbital ``p``)."""
-    return (masks[:, None] >> np.arange(m, dtype=np.uint64) & 1).astype(bool)
 
 
 @dataclass(frozen=True)

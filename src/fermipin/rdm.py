@@ -6,13 +6,12 @@ determinant pairs one substitution apart contribute.  The size rule of the
 Hamiltonian (``fermipin.ci.DENSE_CROSSOVER``) decides where they come from:
 a space at or below it takes the singles among its cached
 :attr:`~fermipin.fock.ConfigurationSpace.pairs`, the pairs the Hamiltonian
-was built from; a larger one generates every single with
-:func:`~fermipin.fock.substitutions`, once, and keeps them as
-:attr:`~fermipin.fock.ConfigurationSpace.spin_singles`, so no quadratic
-search runs.  In a sector space it generates only the spin-conserving
-ones, because a spin flip leaves the sector; a space without a sector
-keeps the spin-flip singles.  Both routes give the pairs in the same
-order, so both give the same sums.  Its eigenvalues, sorted in descending order, are the natural
+was built from; a larger one generates them with one
+:func:`~fermipin.fock.substitutions` call, so no quadratic search runs.  In
+a sector space it generates only the spin-conserving singles, because a
+spin flip leaves the sector; a space without a sector keeps the spin-flip
+singles.  Both routes give the pairs in the same order, so both give the
+same sums.  Its eigenvalues, sorted in descending order, are the natural
 occupation numbers that all constraint analysis runs on; its eigenvectors
 define the natural orbitals.
 
@@ -49,7 +48,7 @@ import numpy as np
 from . import ci
 from .ci import CIVector, OrbitalRotation
 from .errors import NormalizationError, SpectralRangeError
-from .fock import DOWN, UP, ConfigurationSpace, SpinOrbitalLayout
+from .fock import DOWN, UP, ConfigurationSpace, SpinOrbitalLayout, substitutions
 
 TRACE_TOL = 1e-10
 RANGE_TOL = 1e-10
@@ -95,14 +94,19 @@ def _terms(space: ConfigurationSpace) -> tuple[np.ndarray, ...]:
     orbital, on the diagonal."""
     terms = _TERMS.get(space)
     if terms is None:
-        m, occupation = space.m, space.occupation
-        pairs = space.pairs if len(space) <= ci.DENSE_CROSSOVER else space.spin_singles
-        i, j, sign = pairs.singles
+        m = space.m
+        if len(space) <= ci.DENSE_CROSSOVER:
+            pairs = space.pairs
+        else:
+            spins = np.array(space.layout.spin_of) if space.sector is not None else np.zeros(m)
+            pairs = substitutions(space, spins[:, None] == spins)
+        (i, j, sign), p, q = pairs.singles, pairs.p, pairs.q
+        det, orbital = np.nonzero(space.bits)
         terms = _TERMS[space] = (
-            np.concatenate([i, occupation.det]),
-            np.concatenate([j, occupation.det]),
-            np.concatenate([sign, np.ones(len(occupation.det), np.int8)]),
-            np.concatenate([pairs.rho_index, occupation.orbital * (m + 1)]),
+            np.concatenate([i, det]),
+            np.concatenate([j, det]),
+            np.concatenate([sign, np.ones(len(det), np.int8)]),
+            np.concatenate([np.minimum(p, q) * m + np.maximum(p, q), orbital * (m + 1)]),
         )
     return terms
 
@@ -110,7 +114,8 @@ def _terms(space: ConfigurationSpace) -> tuple[np.ndarray, ...]:
 def one_rdms(space: ConfigurationSpace, coeffs: np.ndarray) -> OneRDM:
     """The 1-RDMs of normalized CI vectors over ``space``, one per row of
     ``coeffs``, as one stack, symmetric by construction.  The layout is kept
-    only when every matrix of the stack is spin-blocked in it."""
+    only when every matrix of the stack is spin-blocked in it, as all are
+    when a spin block is empty."""
     # the norm np.linalg.norm gives each row, bit for bit; NaN is refused too
     for norm in np.sqrt(np.vecdot(coeffs, coeffs)).tolist():
         if not abs(norm - 1.0) <= 1e-10:
@@ -137,7 +142,7 @@ def one_rdms(space: ConfigurationSpace, coeffs: np.ndarray) -> OneRDM:
     layout = space.layout
     if layout is not None:
         up, down = layout.spin_blocks
-        if not (len(up) and len(down) and np.abs(rho[:, up[:, None], down]).max() <= 1e-12):
+        if len(up) and len(down) and not np.abs(rho[:, up[:, None], down]).max() <= 1e-12:
             layout = None
 
     return OneRDM(rho, layout)
@@ -211,7 +216,7 @@ def _clamp_range(n: np.ndarray, tol: float) -> np.ndarray:
     return np.clip(n, 0.0, 1.0)
 
 
-def _natural(rdm: OneRDM, tie_tolerance: float):
+def _natural(rdm: OneRDM):
     """The natural spectra of a 1-RDM or a stack of them, each as a stack:
     occupations, the electron count, natural-orbital rows, the layout of
     each natural basis (``None`` without a layout) and ties."""
@@ -244,22 +249,20 @@ def _natural(rdm: OneRDM, tie_tolerance: float):
         layouts = [SpinOrbitalLayout(tuple(spins[k] for k in row)) for row in order.tolist()]
 
     n = _clamp_range(occupations[state, order], tol=RANGE_TOL)
-    return n, N, U, layouts, n[:, :-1] - n[:, 1:] <= tie_tolerance
+    return n, N, U, layouts, n[:, :-1] - n[:, 1:] <= DEFAULT_TIE_TOL
 
 
-def natural_spectra(rdm: OneRDM, tie_tolerance: float = DEFAULT_TIE_TOL) -> OccupationSpectrum:
+def natural_spectra(rdm: OneRDM) -> OccupationSpectrum:
     """The natural occupations of a stack of 1-RDMs as one stacked spectrum,
     row ``k`` for matrix ``k``, computed as :func:`natural_spectrum` computes
     each.  The rotations are not kept; the orthogonality test of
     :class:`~fermipin.ci.OrbitalRotation` runs once over all of them."""
-    n, N, U, _, ties = _natural(rdm, tie_tolerance)
+    n, N, U, _, ties = _natural(rdm)
     ci.require_orthogonal(U)
     return OccupationSpectrum(n, N, None, ties)
 
 
-def natural_spectrum(
-    rdm: OneRDM, tie_tolerance: float = DEFAULT_TIE_TOL
-) -> OccupationSpectrum:
+def natural_spectrum(rdm: OneRDM) -> OccupationSpectrum:
     """Diagonalize a 1-RDM into occupations and a natural-orbital rotation.
 
     A 1-RDM with a layout is diagonalized per spin block, so every natural
@@ -268,7 +271,7 @@ def natural_spectrum(
     sign-fixed the same way CI vectors are, by :func:`~fermipin.ci.sign_fixed`.
     The computation is that of :func:`natural_spectra` on a stack of one.
     """
-    n, N, U, layouts, ties = _natural(rdm, tie_tolerance)
+    n, N, U, layouts, ties = _natural(rdm)
     return OccupationSpectrum(n[0], N, OrbitalRotation(U[0], layouts[0]), ties[0])
 
 

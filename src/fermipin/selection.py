@@ -46,7 +46,6 @@ from .fock import (
     SpinOrbitalLayout,
     census,
     enumerate_space,
-    occupation_bits,
 )
 from .gpc import GPConstraint, classify_regime_36
 from .integrals import SpinOrbitalIntegrals
@@ -85,7 +84,7 @@ def filter_pinned(
     if np.abs(coefficients).max(initial=0) > 2**46:  # then 65-term sums are exact floats
         raise ValueError("a constraint coefficient exceeds 2**46 in magnitude")
     kappa0, kappa = coefficients[:, 0], coefficients[:, 1:]
-    eigenvalues = kappa0 + occupation_bits(space.masks, space.m) @ kappa.T
+    eigenvalues = kappa0 + space.bits @ kappa.T
     survivors = space.restrict(np.all(eigenvalues == 0, axis=1))
     return PinnedSpace(space, imposed, survivors)
 

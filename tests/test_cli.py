@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from fermipin import cli
 from fermipin.ci import DENSE_CROSSOVER, CIVector, solve_ground
 from fermipin.cli import main
-from fermipin.fock import MAX_WIDTH, enumerate_space, space_size
+from fermipin.fock import MAX_WIDTH, UP, SpinOrbitalLayout, enumerate_space, space_size
 from fermipin.gpc import catalog, evaluate
 from fermipin.integrals import hubbard_chain, save_integral_file, to_spin_orbitals
 from fermipin.rdm import natural_spectrum, one_rdm
@@ -514,6 +514,23 @@ def test_rank_keeps_the_leading_spin_orbitals(capsys) -> None:
     for rank in ("0", "99"):
         code, out, err = _run(capsys, [*hubbard, "--rank", rank])
         assert (code, out, err) == (2, "", f"error: cannot truncate width 8 to {rank}\n")
+
+
+def test_a_sector_with_an_empty_spin_block_keeps_its_layout(capsys, tmp_path) -> None:
+    # the leading 6 spin orbitals of the blocked 6-site chain are all up, so
+    # 2*S_z = 3 is every determinant of 3 electrons, and the 1-RDM is
+    # spin-blocked with an empty down block
+    path = tmp_path / "C"
+    path.write_text("3 6 9 2 -1 -1 0 -1 0 0\n")
+    argv = ["truncate", "--model", "hubbard", "--sites", "6", "--U", "2", "--ordering",
+            "blocked", "--rank", "6", "--N", "3", "--mu", "9", "--catalog", str(path)]
+    code, out, err = _run(capsys, [*argv, "--sz", "3"])
+    assert (code, err) == (0, "")
+    assert out == _run(capsys, argv)[1]
+    ints = to_spin_orbitals(hubbard_chain(6, 1, 2), "blocked").truncated(6)
+    assert ints.layout == SpinOrbitalLayout((UP,) * 6)
+    state = solve_ground(ints, enumerate_space(3, 6, ints.layout, 3))[0]
+    assert one_rdm(state).layout == ints.layout
 
 
 def test_oversize_space_exits_2_before_enumerating(capsys, monkeypatch, tmp_path) -> None:

@@ -64,18 +64,23 @@ def test_solve_and_rdm_search_the_pairs_once(monkeypatch) -> None:
 def test_large_space_solve_and_rdm_never_search(monkeypatch) -> None:
     # The 8-site half-filled chain, 4900 determinants: the quadratic search
     # scans 12 million mask pairs and keeps 882 000 of them, and with it
-    # this solve peaks at 108 MiB.
+    # this solve peaks at 108 MiB.  The 1-RDM's 78 400 singles and 39 200
+    # occupied orbitals are kept once, as its gather and scatter indices
+    # (2.9 MiB); a second copy of the singles, on the space, adds 5 MiB.
     calls = _spy_on_search(monkeypatch)
     ints = to_spin_orbitals(hubbard_chain(8, 1.0, 4.0))
     space = enumerate_space(8, 16, ints.layout, 0)
     tracemalloc.start()
     try:
-        rho = one_rdm(solve_ground(ints, space)[0])
-        _, peak = tracemalloc.get_traced_memory()
+        state = solve_ground(ints, space)[0]
+        before, _ = tracemalloc.get_traced_memory()
+        rho = one_rdm(state)
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert calls == []
     assert peak < 40 * 2**20
+    assert kept - before < 4 * 2**20
     assert rho.trace == pytest.approx(8.0, abs=1e-10)
 
 
