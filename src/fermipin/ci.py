@@ -26,8 +26,9 @@ matrix, and finds one state more than requested, so the degeneracy flag
 keeps its meaning, by block thick-restart Lanczos written in numpy alone; no
 scipy is used.  The solve stops when every residual ‖Hc - Ec‖ is within
 ``LANCZOS_TOL`` times the largest |H_ij|, and it starts from a fixed
-random block, so a run repeats to the last bit.  ``MAX_DENSE_SPACE`` caps
-both routes.
+random block, so a run repeats to the last bit.  Neither route checks the
+space size: :mod:`fermipin.fock` holds the dense budget,
+``MAX_DENSE_SPACE``, and no space is built past it.
 """
 
 from __future__ import annotations
@@ -36,12 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    FermipinError,
-    RotationError,
-    SpaceTooLargeError,
-    WidthError,
-)
+from .errors import FermipinError, RotationError, WidthError
 from .fock import (
     ConfigurationSpace,
     Determinant,
@@ -51,7 +47,6 @@ from .fock import (
 )
 from .integrals import SpinOrbitalIntegrals
 
-MAX_DENSE_SPACE = 20000
 # Largest space solved with dense eigh.  With one BLAS thread, eigh of the
 # whole matrix and the sparse Lanczos for two states break even between 100
 # and 225 determinants (Hubbard sectors); at 400, Lanczos takes 8 ms against
@@ -81,10 +76,6 @@ class CIVector:
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if self.coeffs.shape != (len(self.space),):
             raise ValueError("coefficient length does not match the space")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
     def leading(self, k: int = 5) -> list[tuple[Determinant, float]]:
         """The ``k`` determinants with the largest weights, heaviest first."""
@@ -292,10 +283,6 @@ def solve_ground(
     """
     if len(space) == 0:
         raise ValueError("cannot solve on an empty space")
-    if len(space) > MAX_DENSE_SPACE:
-        raise SpaceTooLargeError(
-            f"{len(space)} determinants exceed the dense budget of {MAX_DENSE_SPACE}"
-        )
     if not 1 <= k <= len(space):
         raise ValueError(f"k={k} outside 1..{len(space)}")
 

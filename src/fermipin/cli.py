@@ -20,23 +20,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .ci import MAX_DENSE_SPACE, CIVector, solve_ground
+from .ci import CIVector, solve_ground
 from .errors import (
     FermipinError,
     NoSurvivorsError,
     RepresentabilityError,
-    SpaceTooLargeError,
     SpectralRangeError,
 )
 from .fock import (
     ConfigurationSpace,
     Determinant,
     ExcitationCensus,
-    SpinOrbitalLayout,
     census,
     enumerate_space,
     interleaved_layout,
-    space_size,
 )
 from .gpc import (
     DEFAULT_TIERS,
@@ -108,22 +105,10 @@ def _resolve_model(cfg: argparse.Namespace) -> tuple[SpinOrbitalIntegrals, str]:
     return so, name
 
 
-def _bounded_space(
-    N: int, m: int, layout: SpinOrbitalLayout | None = None, sector: int | None = None
-):
-    """``enumerate_space``, refused before enumerating past the dense budget."""
-    size = space_size(N, m, layout, sector)
-    if size > MAX_DENSE_SPACE:
-        raise SpaceTooLargeError(
-            f"{size} determinants exceed the dense budget of {MAX_DENSE_SPACE}"
-        )
-    return enumerate_space(N, m, layout, sector)
-
-
 def _resolve_space(cfg: argparse.Namespace, ints: SpinOrbitalIntegrals):
     if cfg.N is None:
         raise ValueError("this command needs --N (electron count)")
-    return _bounded_space(cfg.N, ints.m, ints.layout, cfg.sz)
+    return enumerate_space(cfg.N, ints.m, ints.layout, cfg.sz)
 
 
 def _resolve_catalog(cfg: argparse.Namespace, N: int, m: int) -> Catalog:
@@ -243,7 +228,7 @@ def cmd_census(cfg: argparse.Namespace) -> dict:
         layout = interleaved_layout(cfg.m // 2) if cfg.sz is not None else None
         if layout is not None and layout.m != cfg.m:
             raise ValueError("--sz needs an even --m (interleaved layout)")
-        space = _bounded_space(cfg.N, cfg.m, layout, cfg.sz)
+        space = enumerate_space(cfg.N, cfg.m, layout, cfg.sz)
     reference = Determinant.from_orbitals(range(1, space.N + 1), space.m)
 
     imposed: tuple[GPConstraint, ...] = ()
@@ -397,7 +382,7 @@ def cmd_polytope(cfg: argparse.Namespace) -> dict:
     else:
         count = cfg.random if cfg.random is not None else 1
         rng = np.random.default_rng(cfg.seed)
-        space = _bounded_space(cfg.N, cfg.m)
+        space = enumerate_space(cfg.N, cfg.m)
         # the samples go through as stacks of about _RANDOM_BLOCK coefficients,
         # so memory does not grow with --random beyond the payload
         rows = max(1, _RANDOM_BLOCK // len(space))

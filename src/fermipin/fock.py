@@ -38,6 +38,11 @@ arrays the same way.  A sum over a space then only gathers and adds.
 
 The maximum width is 64 spin orbitals.  That bound is far beyond what the
 solvers can use; it exists so every mask fits one ``uint64`` array entry.
+The dense budget, ``MAX_DENSE_SPACE`` determinants, bounds every space and
+lives here alone: :func:`enumerate_space` counts a space with
+:func:`space_size` and refuses an over-budget one before it builds anything,
+and :class:`ConfigurationSpace` refuses one built directly from too many
+masks.
 
 Functions
 =========
@@ -63,9 +68,11 @@ from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import SectorError, WidthError
+from .errors import SectorError, SpaceTooLargeError, WidthError
 
 MAX_WIDTH = 64
+# the most determinants a space may hold: the dense budget
+MAX_DENSE_SPACE = 20000
 _BLOCK = 250_000  # mask pairs, or (determinant, move) candidates, per block of a pair kernel
 
 Spin = Literal["up", "down"]
@@ -178,6 +185,7 @@ class ConfigurationSpace:
     sector: int | None = None
 
     def __post_init__(self) -> None:
+        _check_budget(len(self.masks))
         if self.m > MAX_WIDTH:
             raise WidthError(f"space width {self.m} exceeds {MAX_WIDTH}")
         if self.layout is not None and self.layout.m != self.m:
@@ -259,8 +267,10 @@ def enumerate_space(
     With ``sector`` (an integer 2*S_z) the enumeration is restricted to
     determinants with ``n_up - n_down == sector``; a ``layout`` is then
     required to know which spin orbitals are up.  Determinants come out in
-    increasing mask order.
+    increasing mask order.  A space of more than ``MAX_DENSE_SPACE``
+    determinants is refused before any of it is built.
     """
+    _check_budget(space_size(N, m, layout, sector))
     if m > MAX_WIDTH:
         raise WidthError(f"m={m} exceeds the {MAX_WIDTH}-orbital width limit")
     if not 0 < N <= m:
@@ -291,6 +301,14 @@ def space_size(
     except SectorError:
         return 0
     return comb(len(up), n_up) * comb(len(down), n_down)
+
+
+def _check_budget(size: int) -> None:
+    """Refuse a space of ``size`` determinants past the dense budget."""
+    if size > MAX_DENSE_SPACE:
+        raise SpaceTooLargeError(
+            f"{size} determinants exceed the dense budget of {MAX_DENSE_SPACE}"
+        )
 
 
 def _sector_blocks(

@@ -55,7 +55,8 @@ NEGATIVITY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GPConstraint:
-    """One linear facet ``kappa0 + sum kappa_i n_i >= 0`` (or ``= 0``)."""
+    """One linear facet ``kappa0 + sum kappa_i n_i >= 0`` (or ``= 0``), with
+    integer coefficients of at most 2**46 in magnitude."""
 
     N: int
     m: int
@@ -68,6 +69,9 @@ class GPConstraint:
             raise WidthError(
                 f"constraint {self.mu}: {len(self.kappa)} coefficients for m={self.m}"
             )
+        # within the bound, every sum of up to 65 coefficients is an exact float
+        if max(map(abs, (self.kappa0, *self.kappa))) > 2**46:
+            raise ValueError("a constraint coefficient exceeds 2**46 in magnitude")
 
     @property
     def label(self) -> str:

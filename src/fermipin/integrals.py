@@ -21,6 +21,7 @@ line by more than 1e-10 are rejected.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,17 +312,11 @@ def save_integral_file(path: str, spatial: SpatialIntegrals) -> None:
         for j in range(i, n + 1):
             if spatial.h[i - 1, j - 1] != 0.0:
                 out.append(f"{spatial.h[i - 1, j - 1]:.17g} {i} {j} 0 0")
-    seen: set[tuple[int, int, int, int]] = set()
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    key = min(_images(i, j, k, l))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    value = spatial.g[key[0] - 1, key[1] - 1, key[2] - 1, key[3] - 1]
-                    if value != 0.0:
-                        out.append(f"{value:.17g} {key[0]} {key[1]} {key[2]} {key[3]}")
+    # in ascending order each symmetry orbit is first met at its smallest image
+    for key in itertools.product(range(1, n + 1), repeat=4):
+        if key == min(_images(*key)):
+            value = spatial.g[tuple(index - 1 for index in key)]
+            if value != 0.0:
+                out.append(f"{value:.17g} {' '.join(map(str, key))}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(out) + "\n")

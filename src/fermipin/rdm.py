@@ -76,11 +76,6 @@ class OneRDM:
     def m(self) -> int:
         return self.rho.shape[-1]
 
-    @property
-    def trace(self) -> float | np.ndarray:
-        """The trace, or for a stack the traces, one per matrix."""
-        return np.trace(self.rho, axis1=-2, axis2=-1)
-
 
 # how each space's 1-RDM terms are gathered and scattered, worked out once per space
 _TERMS: WeakKeyDictionary = WeakKeyDictionary()
@@ -182,12 +177,7 @@ class OccupationSpectrum:
         return self.n.shape[-1]
 
     @classmethod
-    def from_occupations(
-        cls,
-        values: Sequence[float],
-        N: int | None = None,
-        tie_tolerance: float = DEFAULT_TIE_TOL,
-    ) -> OccupationSpectrum:
+    def from_occupations(cls, values: Sequence[float], N: int | None = None) -> OccupationSpectrum:
         """Wrap externally supplied occupations (tables, files, CLI input).
 
         Values are sorted downward and lightly clamped to [0, 1]; the trace
@@ -201,7 +191,7 @@ class OccupationSpectrum:
             N = int(round(total))
         if not 0 < N <= len(n):
             raise ValueError(f"N={N} inconsistent with {len(n)} occupations")
-        return cls(n, N, None, n[:-1] - n[1:] <= tie_tolerance)
+        return cls(n, N, None, n[:-1] - n[1:] <= DEFAULT_TIE_TOL)
 
 
 def _clamp_range(n: np.ndarray, tol: float) -> np.ndarray:

@@ -70,9 +70,10 @@ def filter_pinned(
     """Keep the determinants with eigenvalue zero under every constraint.
 
     The eigenvalues of every determinant under every constraint come from
-    one matrix product of occupation bits and coefficients.  Simultaneous
-    filtering equals sequential filtering in any order, since the lifted
-    operators are all diagonal here.  The result may be empty;
+    one matrix product of occupation bits and coefficients, exact in floats
+    because :class:`~fermipin.gpc.GPConstraint` bounds its coefficients.
+    Simultaneous filtering equals sequential filtering in any order, since
+    the lifted operators are all diagonal here.  The result may be empty;
     callers that cannot use an empty space raise on it.
     """
     imposed = tuple(constraints)
@@ -81,8 +82,6 @@ def filter_pinned(
             raise WidthError(f"constraint {c.label} has width {c.m}, space {space.m}")
     coefficients = np.array([(c.kappa0, *c.kappa) for c in imposed], dtype=float)
     coefficients = coefficients.reshape(len(imposed), space.m + 1)
-    if np.abs(coefficients).max(initial=0) > 2**46:  # then 65-term sums are exact floats
-        raise ValueError("a constraint coefficient exceeds 2**46 in magnitude")
     kappa0, kappa = coefficients[:, 0], coefficients[:, 1:]
     eigenvalues = kappa0 + space.bits @ kappa.T
     survivors = space.restrict(np.all(eigenvalues == 0, axis=1))

@@ -219,13 +219,13 @@ def rotate_ci(vector: CIVector, rotation: OrbitalRotation) -> CIVector:
     overlap = np.linalg.det(blocks)
     new_coeffs = overlap @ vector.coeffs
 
-    norm = float(np.linalg.norm(new_coeffs))
-    if abs(norm - vector.norm) > 1e-8:
+    before, norm = float(np.linalg.norm(vector.coeffs)), float(np.linalg.norm(new_coeffs))
+    if abs(norm - before) > 1e-8:
         raise RotationError(
-            f"rotation leaks amplitude out of the space (norm {vector.norm!r} -> {norm!r})"
+            f"rotation leaks amplitude out of the space (norm {before!r} -> {norm!r})"
         )
     if norm > 0.0:
-        new_coeffs *= vector.norm / norm
+        new_coeffs *= before / norm
 
     return CIVector(out_space, new_coeffs, energy=vector.energy,
                     degenerate=vector.degenerate)

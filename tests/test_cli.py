@@ -540,7 +540,7 @@ def test_oversize_space_exits_2_before_enumerating(capsys, monkeypatch, tmp_path
         calls.append(args)
         raise AssertionError("an oversize space was enumerated")
 
-    monkeypatch.setattr("fermipin.cli.enumerate_space", spy)
+    monkeypatch.setattr("fermipin.fock._subset_masks", spy)
     for command in (["solve"], ["scan", "--scan", "U=0:8:3"]):
         code, out, err = _run(capsys, [*command, "--model", "hubbard", "--sites", "10",
                                        "--N", "10", "--sz", "0"])
@@ -555,6 +555,25 @@ def test_oversize_space_exits_2_before_enumerating(capsys, monkeypatch, tmp_path
         assert "847660528 determinants exceed the dense budget" in err
         assert out == ""
     assert calls == []
+
+
+def test_catalog_coefficients_past_2_46_exit_2(capsys, tmp_path) -> None:
+    # a kappa0 or a kappa_i too large for exact float sums, whether or not it
+    # fits a float at all, is refused where its constraint is built
+    commands = [
+        ["analyze", *HUB36],
+        ["truncate", *HUB36, "--mu", "99"],
+        ["census", "--N", "3", "--m", "6", "--mu", "99"],
+        ["polytope", "--N", "3", "--m", "6", "--random", "1"],
+    ]
+    path = tmp_path / "huge.cat"
+    for line in (f"3 6 99 {10**400} -1 0 0 0 0 0", f"3 6 99 1 -1 0 0 0 0 {-10**400}",
+                 f"3 6 99 1 {2**46 + 1} 0 0 0 0 0"):
+        path.write_text(line + "\n")
+        for command in commands:
+            code, out, err = _run(capsys, [*command, "--catalog", str(path)])
+            assert (code, out) == (2, ""), command
+            assert err == "error: a constraint coefficient exceeds 2**46 in magnitude\n"
 
 
 def test_truncate_auto_solves_the_full_space_once(capsys, monkeypatch) -> None:

@@ -7,9 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from fermipin.errors import SectorError, WidthError
+from fermipin import fock
+
+from fermipin.errors import SectorError, SpaceTooLargeError, WidthError
 from fermipin.fock import (
     DOWN,
+    MAX_DENSE_SPACE,
     UP,
     ConfigurationSpace,
     Determinant,
@@ -158,6 +161,27 @@ def test_enumeration_rejects_bad_arguments() -> None:
         enumerate_space(7, 6)
     with pytest.raises(WidthError):
         enumerate_space(2, 65)
+
+
+def test_oversize_space_is_refused_before_it_is_built(monkeypatch) -> None:
+    subsets = fock._subset_masks
+
+    def spy(*args):
+        raise AssertionError("an oversize space was enumerated")
+
+    monkeypatch.setattr(fock, "_subset_masks", spy)
+    with pytest.raises(SpaceTooLargeError, match="^847660528 determinants exceed the dense"):
+        enumerate_space(10, 40)
+    with pytest.raises(SpaceTooLargeError, match="^63504 determinants"):
+        enumerate_space(10, 20, interleaved_layout(10), 0)
+    # the count comes before the width check
+    with pytest.raises(SpaceTooLargeError, match="^43680 determinants"):
+        enumerate_space(3, 65)
+    # a space built directly from its masks holds the same budget
+    masks = np.sort(subsets(range(64), 3))[: MAX_DENSE_SPACE + 1]
+    assert len(ConfigurationSpace(3, 64, masks[:-1])) == MAX_DENSE_SPACE
+    with pytest.raises(SpaceTooLargeError, match="^20001 determinants exceed the dense budget"):
+        ConfigurationSpace(3, 64, masks)
 
 
 def test_excitation_degree_counts_substitutions() -> None:

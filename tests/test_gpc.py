@@ -232,9 +232,7 @@ def test_a_stack_raises_the_first_violating_rows_message() -> None:
 
 def test_degeneracy_warning_fires_on_unequal_weights() -> None:
     # positions 5 and 6 are tied; D^3 weights them differently
-    tied = OccupationSpectrum.from_occupations(
-        [0.8, 0.8, 0.6, 0.4, 0.2, 0.2, 0.0], N=3, tie_tolerance=1e-8
-    )
+    tied = OccupationSpectrum.from_occupations([0.8, 0.8, 0.6, 0.4, 0.2, 0.2, 0.0], N=3)
     report = evaluate(catalog(3, 7), tied)
     assert report.degeneracy_warning
     clear = OccupationSpectrum.from_occupations(

@@ -80,6 +80,35 @@ def test_every_public_definition_is_read() -> None:
     assert unread == []
 
 
+def test_every_public_member_is_read() -> None:
+    """No public method or property of a package class is dead surface.
+
+    A member counts as read only through an attribute access in the package
+    that is not rooted at ``np``, or as a word of the README.  A local
+    variable or a numpy function of the same name (``trace``, ``norm``)
+    does not hide an unread member here, as it does in the check above.
+    """
+    trees = _parsed(SOURCE)
+    read = set(re.findall(r"\w+", README.read_text(encoding="utf-8")))
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if not (isinstance(root, ast.Name) and root.id == "np"):
+                    read.add(node.attr)
+    unread = [
+        f"{path.name}:{node.lineno} {cls.name}.{node.name}"
+        for path, tree in trees.items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_") and node.name not in read
+    ]
+    assert unread == []
+
+
 def test_every_class_field_is_read() -> None:
     """No annotated class field in the package is dead weight.
 

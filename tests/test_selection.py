@@ -75,9 +75,8 @@ def test_filter_pinned_matches_the_eigenvalue_oracle(N: int, m: int) -> None:
 
 def test_filter_pinned_refuses_inexact_coefficients() -> None:
     space = enumerate_space(3, 6)
-    huge = GPConstraint(3, 6, "huge", -(2**60), (2**60, 0, 0, 0, 0, 1))
     with pytest.raises(ValueError):
-        filter_pinned(space, [huge])
+        filter_pinned(space, [GPConstraint(3, 6, "huge", -(2**60), (2**60, 0, 0, 0, 0, 1))])
     exact = GPConstraint(3, 6, "exact", -(2**46), (2**46, 0, 0, 0, 0, 1))
     assert [d.mask for d in filter_pinned(space, [exact]).survivors] == _oracle_filter(
         space, [exact]
