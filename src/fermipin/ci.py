@@ -4,8 +4,9 @@ Hamiltonian elements over a :class:`~fermipin.fock.ConfigurationSpace` follow
 the Slater-Condon rules with antisymmetrized spin-orbital integrals.  One
 routine turns a decoded pair list (:class:`~fermipin.fock.Pairs`: the phase
 and the substituted orbitals of each pair), all at once, into the diagonal
-and the ``(i, j, value)`` entries of the singles and doubles.  Where the pairs come from depends on the size of the space, with
-``DENSE_CROSSOVER`` as the dividing line:
+and the ``(i, j, value)`` entries of the singles and doubles.  Where the
+pairs come from depends on the size of the space, with ``DENSE_CROSSOVER``
+as the dividing line:
 
 * a space of at most ``DENSE_CROSSOVER`` determinants reads its cached
   :attr:`~fermipin.fock.ConfigurationSpace.pairs`, found once by the
@@ -19,16 +20,16 @@ and the ``(i, j, value)`` entries of the singles and doubles.  Where the pairs c
 
 :func:`build_hamiltonian` scatters those entries into a dense matrix.
 
-:func:`solve_ground` keeps dense ``numpy.linalg.eigh`` for spaces of at most
-``DENSE_CROSSOVER`` determinants, where it is the faster route.  Above that
-it holds H as CSR arrays built straight from the entries, never a dense
-matrix, and finds one state more than requested, so the degeneracy flag
-keeps its meaning, by block thick-restart Lanczos written in numpy alone; no
-scipy is used.  The solve stops when every residual ‖Hc - Ec‖ is within
-``LANCZOS_TOL`` times the largest |H_ij|, and it starts from a fixed
-random block, so a run repeats to the last bit.  Neither route checks the
-space size: :mod:`fermipin.fock` holds the dense budget,
-``MAX_DENSE_SPACE``, and no space is built past it.
+:func:`solve_ground` finds the ground state only.  It keeps dense
+``numpy.linalg.eigh`` for spaces of at most ``DENSE_CROSSOVER``
+determinants, where it is the faster route.  Above that it holds H as CSR
+arrays built straight from the entries, never a dense matrix, and finds the
+two lowest states, so the degeneracy flag has the gap it reads, by block
+thick-restart Lanczos written in numpy alone; no scipy is used.  The solve
+stops when both residuals ‖Hc - Ec‖ are within ``LANCZOS_TOL`` times the
+largest |H_ij|, and it starts from a fixed random block, so a run repeats
+to the last bit.  Neither route checks the space size: :mod:`fermipin.fock`
+holds the dense budget, ``MAX_DENSE_SPACE``, and no space is built past it.
 """
 
 from __future__ import annotations
@@ -203,22 +204,22 @@ def _product(
 
 
 def _sparse_eigh(
-    ints: SpinOrbitalIntegrals, space: ConfigurationSpace, count: int
+    ints: SpinOrbitalIntegrals, space: ConfigurationSpace
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The ``count`` lowest eigenpairs of the Hamiltonian, by block
-    thick-restart Lanczos (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 602
-    (2000)) in numpy alone.
+    """The two lowest eigenpairs of the Hamiltonian, by block thick-restart
+    Lanczos (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)) in
+    numpy alone.
 
-    H is held as CSR arrays.  The Krylov space grows from a block of
-    ``count`` random vectors: one start vector reaches a single state of each
-    level, so it would show a degenerate level with fewer copies than it has.
-    Each new vector is orthogonalized against the basis by two classical
-    Gram-Schmidt passes, and T = VᵀHV is filled from the products.  A full
-    basis of sixteen blocks is solved by Rayleigh-Ritz; once every residual
-    ‖Hy - θy‖ of the ``count`` lowest Ritz pairs is within ``LANCZOS_TOL``
-    times the largest ``|H_ij|`` they are returned, and otherwise the lowest
-    half of the Ritz vectors is kept, with T = diag(θ), and the expansion goes
-    on from the last residual block.  A vector whose norm falls to 1e-12
+    H is held as CSR arrays.  The Krylov space grows from a block of two
+    random vectors: one start vector reaches a single state of each level,
+    so it would show a degenerate ground level as a simple one.  Each new
+    vector is orthogonalized against the basis by two classical Gram-Schmidt
+    passes, and T = VᵀHV is filled from the products.  A full basis of
+    sixteen blocks (32 vectors) is solved by Rayleigh-Ritz; once both
+    residuals ‖Hy - θy‖ of the two lowest Ritz pairs are within
+    ``LANCZOS_TOL`` times the largest ``|H_ij|`` they are returned, and
+    otherwise the 16 lowest Ritz vectors are kept, with T = diag(θ), and the
+    expansion goes on from the last residual block.  A vector whose norm falls to 1e-12
     times the largest ``|H_ij|`` (an invariant subspace) is replaced by a
     random one orthogonal to the basis, as ARPACK's ``dgetv0`` does.  Start
     and replacement vectors come from a fixed seed, so a run repeats to the
@@ -238,9 +239,9 @@ def _sparse_eigh(
     # a constant start vector can be orthogonal to the ground state by symmetry
     rng = np.random.default_rng(0)
 
-    size = min(n, 16 * count)
+    size = min(n, 32)
     V, HV, T = np.empty((size, n)), np.empty((size, n)), np.zeros((size, size))
-    filled, block = 0, rng.standard_normal((count, n))
+    filled, block = 0, rng.standard_normal((2, n))
     for _ in range(LANCZOS_RESTARTS):
         while filled < size:
             top = min(filled + len(block), size)
@@ -253,57 +254,42 @@ def _sparse_eigh(
             T[:top, filled:top] = V[:top] @ HV[filled:top].T
             block, filled = HV[filled:top], top
         theta, Y = np.linalg.eigh(T, UPLO="U")
-        ritz = Y[:, :count].T @ V
-        residual = Y[:, :count].T @ HV - theta[:count, None] * ritz
+        ritz = Y[:, :2].T @ V
+        residual = Y[:, :2].T @ HV - theta[:2, None] * ritz
         if np.linalg.norm(residual, axis=1).max() <= LANCZOS_TOL * scale:
-            return theta[:count], ritz.T
+            return theta[:2], ritz.T
         # the residual block goes on orthogonal to all of the basis it leaves
         block = block - (block @ V.T) @ V
-        filled = min(8 * count, size - 1)
+        filled = min(16, size - 1)
         V[:filled], HV[:filled] = Y[:, :filled].T @ V, Y[:, :filled].T @ HV
         T[:] = 0.0
         T[:filled, :filled] = np.diag(theta[:filled])
     raise FermipinError(f"sparse eigensolver did not converge in {LANCZOS_RESTARTS} restarts")
 
 
-def solve_ground(
-    ints: SpinOrbitalIntegrals, space: ConfigurationSpace, k: int = 1
-) -> list[CIVector]:
-    """The ``k`` lowest eigenstates of the Hamiltonian over ``space``.
+def solve_ground(ints: SpinOrbitalIntegrals, space: ConfigurationSpace) -> CIVector:
+    """The ground state of the Hamiltonian over ``space``.
 
-    Spaces of at most ``DENSE_CROSSOVER`` determinants, or whose ``k + 1``
-    lowest states are all of them, are solved densely with ``eigh``; larger
-    ones through a CSR matrix with block Lanczos for the ``k + 1`` lowest
-    states.
-    Eigenvectors are normalized and sign-fixed by :func:`sign_fixed`.  A state
-    whose eigenvalue sits within 1e-10 of a neighbouring one is flagged
-    ``degenerate``: its vector is then an arbitrary basis choice inside
-    the degenerate cluster and occupation analyses should be read with
-    care.
+    Spaces of at most ``DENSE_CROSSOVER`` determinants are solved densely
+    with ``eigh``; larger ones through a CSR matrix with block Lanczos for
+    the two lowest states.  The eigenvector is normalized and sign-fixed by
+    :func:`sign_fixed`.  The state is flagged ``degenerate`` when the next
+    eigenvalue lies within ``DEGENERACY_GAP`` of it: its vector is then an
+    arbitrary basis choice inside the degenerate level, and occupation
+    analyses should be read with care.
     """
     if len(space) == 0:
         raise ValueError("cannot solve on an empty space")
-    if not 1 <= k <= len(space):
-        raise ValueError(f"k={k} outside 1..{len(space)}")
-
-    if len(space) <= DENSE_CROSSOVER or k + 1 >= len(space):
+    if len(space) <= DENSE_CROSSOVER:
         try:
             values, vectors = np.linalg.eigh(build_hamiltonian(ints, space))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
             raise FermipinError(f"eigensolver failure: {exc}") from exc
     else:
-        values, vectors = _sparse_eigh(ints, space, k + 1)
-
-    states = []
-    for j, coeffs in enumerate(sign_fixed(vectors[:, :k].T)):
-        gap_below = values[j] - values[j - 1] if j > 0 else np.inf
-        gap_above = values[j + 1] - values[j] if j + 1 < len(values) else np.inf
-        states.append(
-            CIVector(
-                space,
-                coeffs,
-                energy=float(values[j]),
-                degenerate=bool(min(gap_below, gap_above) < DEGENERACY_GAP),
-            )
-        )
-    return states
+        values, vectors = _sparse_eigh(ints, space)
+    return CIVector(
+        space,
+        sign_fixed(vectors[:, :1].T)[0],
+        energy=float(values[0]),
+        degenerate=bool(len(values) > 1 and values[1] - values[0] < DEGENERACY_GAP),
+    )

@@ -171,7 +171,7 @@ def _ground(
     ints, name = _resolve_model(cfg)
     if space is None or (ints.m, ints.layout) != (space.m, space.layout):
         space = _resolve_space(cfg, ints)
-    state = solve_ground(ints, space)[0]
+    state = solve_ground(ints, space)
     return name, state, natural_spectrum(one_rdm(state))
 
 
@@ -262,7 +262,7 @@ def cmd_truncate(cfg: argparse.Namespace) -> dict:
         constraints = functools.partial(_chosen_constraints, cfg, cat)
     else:
         constraints = _chosen_constraints(cfg, cat, None)
-    state = solve_ground(ints, space)[0]
+    state = solve_ground(ints, space)
     result = pinned_solve(
         ints, state, constraints, cfg.max_iterations, cfg.occupation_tol
     )

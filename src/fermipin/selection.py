@@ -251,7 +251,7 @@ def pinned_solve(
             raise NoSurvivorsError(
                 "imposed constraints leave no determinants to expand in"
             )
-        truncated = solve_ground(nat_ints, pinned_space.survivors)[0]
+        truncated = solve_ground(nat_ints, pinned_space.survivors)
         previous, spectrum = spectrum, natural_spectrum(one_rdm(truncated))
         drift = float(np.abs(spectrum.n - previous.n).max())
         history.append((drift, len(pinned_space)))

@@ -95,7 +95,7 @@ def test_criterion_4_smith_reductions() -> None:
     """Pairing singlet: doubly degenerate occupations and reduced facets."""
     so = to_spin_orbitals(pairing_model(4, 1.0, 0.5))
     space = enumerate_space(4, 8, so.layout, 0)
-    state = solve_ground(so, space)[0]
+    state = solve_ground(so, space)
     n = natural_spectrum(one_rdm(state)).n
     degeneracy = np.abs(n[0::2] - n[1::2]).max()
     assert degeneracy < 1e-10
@@ -142,7 +142,7 @@ def test_criterion_6_variational_bound_and_weak_equality() -> None:
     for U in (0.5, 2.0, 8.0):
         so = to_spin_orbitals(hubbard_chain(3, 1.0, U))
         space = enumerate_space(3, 6, so.layout, 1)
-        result = pinned_solve(so, solve_ground(so, space)[0], weak_constraints)
+        result = pinned_solve(so, solve_ground(so, space), weak_constraints)
         assert result.pinned_energy >= result.full_energy - 1e-9
         equality_gap = max(
             equality_gap, abs(result.pinned_energy - result.full_energy)
@@ -158,7 +158,7 @@ def test_criterion_6_variational_bound_and_weak_equality() -> None:
         to_spin_orbitals(pairing_model(4, 1.0, 0.5)),
     ):
         space = enumerate_space(4, 8, so.layout, 0)
-        result = pinned_solve(so, solve_ground(so, space)[0], [d14])
+        result = pinned_solve(so, solve_ground(so, space), [d14])
         assert result.pinned_energy >= result.full_energy - 1e-9
         bound_margin = max(bound_margin, result.full_energy - result.pinned_energy)
     assert bound_margin <= 1e-9
@@ -193,7 +193,7 @@ def test_criterion_7_oracle_equivalence() -> None:
 
     t, U = 0.7, 2.3
     so = to_spin_orbitals(hubbard_chain(2, t, U))
-    energy = solve_ground(so, enumerate_space(2, 4, so.layout, 0))[0].energy
+    energy = solve_ground(so, enumerate_space(2, 4, so.layout, 0)).energy
     exact = (U - np.sqrt(U**2 + 16 * t**2)) / 2
     assert abs(energy - exact) < 1e-12
     print(

@@ -19,6 +19,7 @@ from fermipin.errors import (
 from fermipin.fock import (
     DOWN,
     UP,
+    ConfigurationSpace,
     Determinant,
     SpinOrbitalLayout,
     enumerate_space,
@@ -92,7 +93,7 @@ def test_noninteracting_ground_state_fills_the_band() -> None:
         model = hubbard_chain(sites, 1.0, 0.0)
         ints = to_spin_orbitals(model)
         space = enumerate_space(N, 2 * sites)
-        state = solve_ground(ints, space)[0]
+        state = solve_ground(ints, space)
         assert state.energy == pytest.approx(filled_band_energy(model.h, N), abs=1e-12)
 
 
@@ -100,18 +101,18 @@ def test_two_site_hubbard_ground_energy_formula() -> None:
     for t, U in ((1.0, 4.0), (0.5, 8.0), (1.0, 0.0), (0.7, 2.5)):
         ints = to_spin_orbitals(hubbard_chain(2, t, U))
         space = enumerate_space(2, 4, ints.layout, 0)
-        state = solve_ground(ints, space)[0]
+        state = solve_ground(ints, space)
         exact = (U - math.sqrt(U * U + 16 * t * t)) / 2
         assert state.energy == pytest.approx(exact, abs=1e-12)
         # the sector ground is also the global ground here
-        full = solve_ground(ints, enumerate_space(2, 4))[0]
+        full = solve_ground(ints, enumerate_space(2, 4))
         assert full.energy == pytest.approx(exact, abs=1e-12)
 
 
 def test_two_site_hubbard_ground_vector() -> None:
     ints = to_spin_orbitals(hubbard_chain(2, 1.0, 4.0))
     space = enumerate_space(2, 4, ints.layout, 0)
-    state = solve_ground(ints, space)[0]
+    state = solve_ground(ints, space)
     # eigenvector (a, b, -b, a) with a = -(sqrt(2)-1) b, up to global sign
     b = 1.0 / math.sqrt(2.0 * (3.0 - 2.0 * math.sqrt(2.0)) + 2.0)
     a = -(math.sqrt(2.0) - 1.0) * b
@@ -127,30 +128,37 @@ def test_pairing_ground_matches_pair_block() -> None:
     for levels, G in ((2, 0.5), (3, 0.33), (4, 0.21)):
         ints = to_spin_orbitals(pairing_model(levels, 1.0, G))
         space = enumerate_space(2, 2 * levels, ints.layout, 0)
-        state = solve_ground(ints, space)[0]
+        state = solve_ground(ints, space)
         block = np.linalg.eigvalsh(pairing_pair_block(levels, 1.0, G))
         assert state.energy == pytest.approx(block[0], abs=1e-12)
 
 
-def test_solver_orders_and_flags_degeneracies() -> None:
+def test_solver_returns_the_lowest_state_and_flags_degeneracy() -> None:
     ints = to_spin_orbitals(hubbard_chain(2, 1.0, 4.0))
     space = enumerate_space(2, 4, ints.layout, 0)
-    states = solve_ground(ints, space, k=3)
-    energies = [s.energy for s in states]
-    assert energies == sorted(energies)
-    assert not states[0].degenerate
+    state = solve_ground(ints, space)
+    assert isinstance(state, CIVector) and state.space is space
+    assert state.energy == pytest.approx(np.linalg.eigvalsh(build_hamiltonian(ints, space))[0])
+    assert not state.degenerate
+
+    # a one-determinant space has no second level, so no gap to flag
+    single = enumerate_space(2, 4, ints.layout, 2)
+    assert len(single) == 1
+    state = solve_ground(ints, single)
+    assert state.energy == build_hamiltonian(ints, single)[0, 0]
+    assert abs(state.coeffs[0]) == 1.0 and not state.degenerate
 
     # a zero Hamiltonian makes every state degenerate
     flat = to_spin_orbitals(pairing_model(2, 0.0, 0.0))
     zspace = enumerate_space(2, 4, flat.layout, 0)
-    assert solve_ground(flat, zspace)[0].degenerate
+    assert solve_ground(flat, zspace).degenerate
 
 
-def _sparse_and_dense(monkeypatch, ints, space, k):
-    dense = solve_ground(ints, space, k)
+def _sparse_and_dense(monkeypatch, ints, space):
+    dense = solve_ground(ints, space)
     with monkeypatch.context() as patch:
         patch.setattr(fermipin.ci, "DENSE_CROSSOVER", 0)
-        sparse = solve_ground(ints, space, k)
+        sparse = solve_ground(ints, space)
     return dense, sparse
 
 
@@ -201,10 +209,10 @@ def test_sparse_solve_agrees_with_dense(monkeypatch) -> None:
         ints = to_spin_orbitals(random_spatial(n_spatial, rng))
         layout = ints.layout if sector is not None else None
         cases.append((ints, enumerate_space(N, 2 * n_spatial, layout, sector)))
-    # The U=0 periodic 6-site ring: the Krylov space of one start vector
-    # becomes invariant after about 15 vectors and holds one state of each
-    # level, while the second level is four-fold.  A solver that stops there
-    # returns the level above as the third state.
+    # The U=0 periodic 6-site ring: its Krylov space becomes invariant
+    # before the basis fills, so the solver must replace a vector by a
+    # random one to go on; the ground state is simple, the level above it
+    # four-fold.
     ring = to_spin_orbitals(hubbard_chain(6, 1.0, 0.0, periodic=True))
     hubbard = to_spin_orbitals(hubbard_chain(7, 1.0, 4.0))
     pairing = to_spin_orbitals(pairing_model(7, 1.0, 0.5))
@@ -214,17 +222,16 @@ def test_sparse_solve_agrees_with_dense(monkeypatch) -> None:
         (pairing, enumerate_space(6, 14, pairing.layout, 0)),
     ]
     for ints, space in cases:
-        dense, sparse = _sparse_and_dense(monkeypatch, ints, space, 3)
+        d, s = _sparse_and_dense(monkeypatch, ints, space)
         H = build_hamiltonian(ints, space)
-        for d, s in zip(dense, sparse):
-            assert s.energy == pytest.approx(d.energy, abs=1e-10)
-            assert s.degenerate == d.degenerate
-            if not d.degenerate:
-                assert abs(d.coeffs @ s.coeffs) == pytest.approx(1.0, abs=1e-10)
-                assert s.coeffs[np.argmax(np.abs(s.coeffs))] > 0
-            assert np.linalg.norm(H @ s.coeffs - s.energy * s.coeffs) <= 1e-10
+        assert s.energy == pytest.approx(d.energy, abs=1e-10)
+        assert s.degenerate == d.degenerate
+        if not d.degenerate:
+            assert abs(d.coeffs @ s.coeffs) == pytest.approx(1.0, abs=1e-10)
+            assert s.coeffs[np.argmax(np.abs(s.coeffs))] > 0
+        assert np.linalg.norm(H @ s.coeffs - s.energy * s.coeffs) <= 1e-10
         if ints is ring:
-            assert [d.degenerate for d in dense] == [False, True, True]
+            assert not d.degenerate
 
 
 def test_sparse_solve_flags_degeneracy(monkeypatch) -> None:
@@ -236,18 +243,17 @@ def test_sparse_solve_flags_degeneracy(monkeypatch) -> None:
     for sites, U, N, sector in rings:
         ints = to_spin_orbitals(hubbard_chain(sites, 1.0, U, periodic=True))
         space = enumerate_space(N, 2 * sites, ints.layout, sector)
-        dense, sparse = _sparse_and_dense(monkeypatch, ints, space, 1)
-        assert dense[0].degenerate and sparse[0].degenerate
-        assert sparse[0].energy == pytest.approx(dense[0].energy, abs=1e-10)
+        dense, sparse = _sparse_and_dense(monkeypatch, ints, space)
+        assert dense.degenerate and sparse.degenerate
+        assert sparse.energy == pytest.approx(dense.energy, abs=1e-10)
 
 
 def test_sparse_solve_is_repeatable(monkeypatch) -> None:
     ints, space = hubbard_sector_space(5, 5, 1)
     monkeypatch.setattr(fermipin.ci, "DENSE_CROSSOVER", 0)
-    first, second = solve_ground(ints, space, 2), solve_ground(ints, space, 2)
-    for a, b in zip(first, second):
-        assert a.energy == b.energy
-        assert np.array_equal(a.coeffs, b.coeffs)
+    first, second = solve_ground(ints, space), solve_ground(ints, space)
+    assert first.energy == second.energy
+    assert np.array_equal(first.coeffs, second.coeffs)
 
 
 def test_sparse_no_convergence_is_a_fermipin_error(monkeypatch) -> None:
@@ -261,11 +267,8 @@ def test_sparse_no_convergence_is_a_fermipin_error(monkeypatch) -> None:
 
 def test_solver_input_checks() -> None:
     ints = to_spin_orbitals(hubbard_chain(2, 1.0, 4.0))
-    space = enumerate_space(2, 4)
-    with pytest.raises(ValueError):
-        solve_ground(ints, space, k=0)
-    with pytest.raises(ValueError):
-        solve_ground(ints, space, k=7)
+    with pytest.raises(ValueError, match="empty space"):
+        solve_ground(ints, ConfigurationSpace(2, 4, ()))
     with pytest.raises(WidthError):
         build_hamiltonian(ints, enumerate_space(2, 6))
     with pytest.raises(SpaceTooLargeError):
@@ -274,7 +277,7 @@ def test_solver_input_checks() -> None:
 
 def test_identity_rotation_is_a_no_op() -> None:
     ints, space = hubbard_sector_space(3, 3, 1)
-    state = solve_ground(ints, space)[0]
+    state = solve_ground(ints, space)
     rot = OrbitalRotation(np.eye(6), space.layout)
     out = rotate_ci(state, rot)
     np.testing.assert_allclose(out.coeffs, state.coeffs, atol=1e-14)
@@ -299,7 +302,7 @@ def test_general_rotation_preserves_norm_and_energy() -> None:
     spatial = random_spatial(3, rng)
     ints = to_spin_orbitals(spatial)
     space = enumerate_space(3, 6)
-    state = solve_ground(ints, space)[0]
+    state = solve_ground(ints, space)
 
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     rot = OrbitalRotation(q)
@@ -315,7 +318,7 @@ def test_general_rotation_preserves_norm_and_energy() -> None:
 def test_blocked_rotation_keeps_sector_and_energy() -> None:
     rng = np.random.default_rng(13)
     ints, space = hubbard_sector_space(3, 3, 1)
-    state = solve_ground(ints, space)[0]
+    state = solve_ground(ints, space)
 
     U = np.zeros((6, 6))
     qu, _ = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -346,7 +349,7 @@ def test_rotation_validation() -> None:
         OrbitalRotation(np.eye(3), interleaved_layout(2))  # layout of width 4
 
     ints, space = hubbard_sector_space(2, 2, 0)
-    state = solve_ground(ints, space)[0]
+    state = solve_ground(ints, space)
     q, _ = np.linalg.qr(np.random.default_rng(14).standard_normal((4, 4)))
     with pytest.raises(SectorError):
         rotate_ci(state, OrbitalRotation(q))
@@ -372,6 +375,6 @@ def test_random_vectors_rotate_back_exactly() -> None:
 def test_ci_vector_leading() -> None:
     ints = to_spin_orbitals(hubbard_chain(2, 1.0, 4.0))
     space = enumerate_space(2, 4, ints.layout, 0)
-    state = solve_ground(ints, space)[0]
+    state = solve_ground(ints, space)
     top = state.leading(2)
     assert [abs(c) for _, c in top] == sorted(np.abs(state.coeffs), reverse=True)[:2]

@@ -507,7 +507,7 @@ def test_rank_keeps_the_leading_spin_orbitals(capsys) -> None:
     assert (code, err) == (0, "")
     payload = json.loads(out)
     ints = to_spin_orbitals(hubbard_chain(4, 1, 0)).truncated(6)
-    state = solve_ground(ints, enumerate_space(3, 6, ints.layout, 1))[0]
+    state = solve_ground(ints, enumerate_space(3, 6, ints.layout, 1))
     assert (payload["m"], payload["space_size"]) == (6, len(state.space)) == (6, 9)
     assert payload["energy"] == state.energy
     assert payload["occupations"] == natural_spectrum(one_rdm(state)).n.tolist()
@@ -529,7 +529,7 @@ def test_a_sector_with_an_empty_spin_block_keeps_its_layout(capsys, tmp_path) ->
     assert out == _run(capsys, argv)[1]
     ints = to_spin_orbitals(hubbard_chain(6, 1, 2), "blocked").truncated(6)
     assert ints.layout == SpinOrbitalLayout((UP,) * 6)
-    state = solve_ground(ints, enumerate_space(3, 6, ints.layout, 3))[0]
+    state = solve_ground(ints, enumerate_space(3, 6, ints.layout, 3))
     assert one_rdm(state).layout == ints.layout
 
 
@@ -583,9 +583,9 @@ def test_truncate_auto_solves_the_full_space_once(capsys, monkeypatch) -> None:
     sizes, rdm_sizes = [], []
     solve, rdm = fermipin.cli.solve_ground, fermipin.cli.one_rdm
 
-    def solve_spy(ints, space, k=1):
+    def solve_spy(ints, space):
         sizes.append(len(space))
-        return solve(ints, space, k)
+        return solve(ints, space)
 
     def rdm_spy(vector):
         rdm_sizes.append(len(vector.space))

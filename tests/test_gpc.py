@@ -315,6 +315,6 @@ def test_sector_ground_states_land_in_a_regime() -> None:
     for U in (0.5, 2.0, 8.0):
         ints = to_spin_orbitals(hubbard_chain(3, 1.0, U))
         space = enumerate_space(3, 6, ints.layout, 1)
-        state = solve_ground(ints, space)[0]
+        state = solve_ground(ints, space)
         spectrum = natural_spectrum(one_rdm(state))
         assert classify_regime_36(spectrum) in ("weak", "strong", "border")

@@ -198,7 +198,7 @@ def test_rotation_is_bitwise_the_optimizer_planned_einsum(m: int) -> None:
 
 def test_natural_rotation_is_bitwise_the_optimizer_planned_einsum() -> None:
     so = to_spin_orbitals(hubbard_chain(4, 1.0, 4.0))
-    state = solve_ground(so, enumerate_space(3, 8, so.layout, 1))[0]
+    state = solve_ground(so, enumerate_space(3, 8, so.layout, 1))
     rotation = natural_spectrum(one_rdm(state)).natural_rotation
     assert rotation.layout is not None and rotation.layout != so.layout  # spin-blocked
     U = rotation.U

@@ -70,6 +70,10 @@ DIGESTS = {
         "e2fdca054fca3c026e17cf4a90accfa7931a048faae6cb76b761b746f8555027",
     "truncate --model hubbard --sites 3 --U 2.0 --N 3 --sz 1 --mu auto --format json":
         "e776489d5c1061050ae20cbcfcdab0c573afe17ace08ddd263bdadb5aee3040a",
+    # 1 225 determinants: the only entry above ci.DENSE_CROSSOVER, so the
+    # only one that reaches the block Lanczos solve
+    "solve --model hubbard --sites 7 --U 4 --N 7 --sz 1 --format json":
+        "2ea9b2fe75b080d63bd09421642933bf944ef69eacbb78c41ce8e0c22a73c487",
 }
 
 

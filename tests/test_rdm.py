@@ -57,7 +57,7 @@ def test_solve_and_rdm_search_the_pairs_once(monkeypatch) -> None:
         monkeypatch.setattr(fermipin.ci, "DENSE_CROSSOVER", crossover)
         calls.clear()
         space = enumerate_space(4, 8, ints.layout, 0)
-        one_rdm(solve_ground(ints, space)[0])
+        one_rdm(solve_ground(ints, space))
         assert calls == searched
 
 
@@ -72,7 +72,7 @@ def test_large_space_solve_and_rdm_never_search(monkeypatch) -> None:
     space = enumerate_space(8, 16, ints.layout, 0)
     tracemalloc.start()
     try:
-        state = solve_ground(ints, space)[0]
+        state = solve_ground(ints, space)
         before, _ = tracemalloc.get_traced_memory()
         rho = one_rdm(state)
         kept, peak = tracemalloc.get_traced_memory()
@@ -231,7 +231,7 @@ def test_natural_rotation_diagonalizes_the_vector_rdm() -> None:
     spatial = random_spatial(3, rng)
     ints = to_spin_orbitals(spatial)
     space = enumerate_space(3, 6)
-    state = solve_ground(ints, space)[0]
+    state = solve_ground(ints, space)
     spec = natural_spectrum(one_rdm(state))
     rotated = rotate_ci(state, spec.natural_rotation)
     rho_nat = one_rdm(rotated)
@@ -243,7 +243,7 @@ def test_natural_rotation_diagonalizes_the_vector_rdm() -> None:
 def test_sector_spectrum_rotation_keeps_sector_machinery_intact() -> None:
     ints = to_spin_orbitals(hubbard_chain(3, 1.0, 4.0))
     space = enumerate_space(3, 6, ints.layout, 1)
-    state = solve_ground(ints, space)[0]
+    state = solve_ground(ints, space)
     spec = natural_spectrum(one_rdm(state))
     rot = spec.natural_rotation
     assert rot.layout is not None
@@ -278,7 +278,7 @@ def test_smith_check_on_pairing_singlet() -> None:
     # the sorted spectrum pairs up as n(2k-1) = n(2k)
     ints = to_spin_orbitals(pairing_model(3, 1.0, 0.4))
     space = enumerate_space(2, 6, ints.layout, 0)
-    state = solve_ground(ints, space)[0]
+    state = solve_ground(ints, space)
     pairs = natural_spectrum(one_rdm(state)).n.reshape(-1, 2)
     assert np.abs(pairs[:, 0] - pairs[:, 1]).max() < 1e-12
 

@@ -308,7 +308,7 @@ def test_reconstruction_matches_an_actual_ground_state() -> None:
     """In the weak regime the natural-basis state *is* the reconstruction."""
     so = to_spin_orbitals(hubbard_chain(3, 1.0, 2.0))
     space = enumerate_space(3, 6, so.layout, 1)
-    state = solve_ground(so, space)[0]
+    state = solve_ground(so, space)
     spectrum = natural_spectrum(one_rdm(state))
     assert classify_regime_36(spectrum) == "weak"
     natural = rotate_ci(state, spectrum.natural_rotation)
@@ -349,7 +349,7 @@ def test_zero_variance_certificate() -> None:
     for U in (0.5, 2.0, 8.0):
         so = to_spin_orbitals(hubbard_chain(3, 1.0, U))
         space = enumerate_space(3, 6, so.layout, 1)
-        state = solve_ground(so, space)[0]
+        state = solve_ground(so, space)
         spectrum = natural_spectrum(one_rdm(state))
         assert classify_regime_36(spectrum) == "weak"
         natural = rotate_ci(state, spectrum.natural_rotation)
@@ -365,7 +365,7 @@ def test_pinned_solve_recovers_weak_rank_six_exactly() -> None:
     for U in (0.5, 2.0, 8.0):
         so = to_spin_orbitals(hubbard_chain(3, 1.0, U))
         space = enumerate_space(3, 6, so.layout, 1)
-        result = pinned_solve(so, solve_ground(so, space)[0], constraints)
+        result = pinned_solve(so, solve_ground(so, space), constraints)
         assert result.converged
         assert result.iterations == 1
         assert abs(result.pinned_energy - result.full_energy) < 1e-9
@@ -384,7 +384,7 @@ def test_pinned_solve_is_variational_and_self_consistent() -> None:
     ]
     for so in instances:
         space = enumerate_space(4, 8, so.layout, 0)
-        result = pinned_solve(so, solve_ground(so, space)[0], [d14])
+        result = pinned_solve(so, solve_ground(so, space), [d14])
         assert result.converged
         assert result.pinned_energy >= result.full_energy - 1e-9
         assert 0.0 < result.recovered_fraction <= 1.0 + 1e-9
@@ -397,15 +397,15 @@ def test_pinned_solve_guards() -> None:
     so = to_spin_orbitals(hubbard_chain(3, 1.0, 2.0))
     space = enumerate_space(3, 6, so.layout, 1)
     with pytest.raises(ValueError):
-        pinned_solve(so, solve_ground(so, space)[0], [])
+        pinned_solve(so, solve_ground(so, space), [])
     impossible = GPConstraint(3, 6, "impossible", 1, (0, 0, 0, 0, 0, 0))
     with pytest.raises(NoSurvivorsError):
-        pinned_solve(so, solve_ground(so, space)[0], [impossible])
+        pinned_solve(so, solve_ground(so, space), [impossible])
     wide = GPConstraint(3, 7, "wide", 2, (-1, -1, 0, -1, 0, 0, -1))
     with pytest.raises(WidthError):
-        pinned_solve(so, solve_ground(so, space)[0], [wide])
+        pinned_solve(so, solve_ground(so, space), [wide])
     with pytest.raises(ValueError):
-        pinned_solve(so, solve_ground(so, space)[0], [catalog(3, 6).find(1)], max_iterations=0)
+        pinned_solve(so, solve_ground(so, space), [catalog(3, 6).find(1)], max_iterations=0)
     with pytest.raises(ValueError):  # an unsolved vector carries no energy
         pinned_solve(so, CIVector(space, np.eye(len(space))[0]), [catalog(3, 6).find(1)])
 
@@ -413,7 +413,7 @@ def test_pinned_solve_guards() -> None:
 def test_pinned_solve_picks_constraints_from_the_full_spectrum() -> None:
     cat = catalog(3, 6)
     so = to_spin_orbitals(hubbard_chain(3, 1.0, 2.0))
-    state = solve_ground(so, enumerate_space(3, 6, so.layout, 1))[0]
+    state = solve_ground(so, enumerate_space(3, 6, so.layout, 1))
     seen = []
 
     def select(spectrum):
@@ -442,7 +442,7 @@ def test_pinned_solve_rotates_once_per_iteration(monkeypatch) -> None:
     monkeypatch.setattr(SpinOrbitalIntegrals, "rotated", spy)
     d14 = catalog(4, 8).find(14)
     so = to_spin_orbitals(hubbard_chain(4, 1.0, 1.0))
-    state = solve_ground(so, enumerate_space(4, 8, so.layout, 0))[0]
+    state = solve_ground(so, enumerate_space(4, 8, so.layout, 0))
     # one run that converges, one that stops at max_iterations
     for tol, max_iterations, converged in ((1e-10, 100, True), (0.0, 3, False)):
         rotations.clear()
@@ -468,7 +468,7 @@ def _unshared_pinned_loop(so, state, constraints, max_iterations=100, tol=1e-10)
             nat_space = enumerate_space(space.N, space.m, layout, space.sector)
         layouts.append(layout)
         survivors = filter_pinned(nat_space, constraints).survivors
-        truncated = solve_ground(ints, survivors)[0]
+        truncated = solve_ground(ints, survivors)
         previous, spectrum = spectrum, natural_spectrum(one_rdm(truncated))
         history.append((float(np.abs(spectrum.n - previous.n).max()), len(survivors)))
         if history[-1][0] < tol or len(history) == max_iterations:
@@ -487,7 +487,7 @@ def test_pinned_solve_matches_a_loop_that_rebuilds_every_frame(
     import fermipin.selection as selection
 
     so = to_spin_orbitals(hubbard_chain(4, 1.0, 4.0))
-    state = solve_ground(so, enumerate_space(N, 8, so.layout if layout else None, sector))[0]
+    state = solve_ground(so, enumerate_space(N, 8, so.layout if layout else None, sector))
     constraints = [catalog(N, 8).find(mu)]
     truncated, spectrum, survivors, history, layouts = _unshared_pinned_loop(
         so, state, constraints
@@ -513,7 +513,7 @@ def test_pinned_solve_matches_a_loop_that_rebuilds_every_frame(
 
 def test_pinned_solve_history_records_each_iteration() -> None:
     so = to_spin_orbitals(hubbard_chain(4, 1.0, 4.0))
-    state = solve_ground(so, enumerate_space(3, 8, so.layout, 1))[0]
+    state = solve_ground(so, enumerate_space(3, 8, so.layout, 1))
     d2 = catalog(3, 8).find(2)
     for max_iterations, tol in ((100, 1e-10), (5, 1e-10), (100, 1.0)):
         result = pinned_solve(so, state, [d2], max_iterations, tol)
