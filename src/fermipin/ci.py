@@ -219,11 +219,11 @@ def _sparse_eigh(
     residuals ‖Hy - θy‖ of the two lowest Ritz pairs are within
     ``LANCZOS_TOL`` times the largest ``|H_ij|`` they are returned, and
     otherwise the 16 lowest Ritz vectors are kept, with T = diag(θ), and the
-    expansion goes on from the last residual block.  A vector whose norm falls to 1e-12
-    times the largest ``|H_ij|`` (an invariant subspace) is replaced by a
-    random one orthogonal to the basis, as ARPACK's ``dgetv0`` does.  Start
-    and replacement vectors come from a fixed seed, so a run repeats to the
-    last bit.
+    expansion goes on from the last residual block.  A vector whose norm
+    falls to 1e-12 times the largest ``|H_ij|`` (an invariant subspace) is
+    replaced by a random one orthogonal to the basis, as ARPACK's ``dgetv0``
+    does.  Start and replacement vectors come from a fixed seed, so a run
+    repeats to the last bit.
     """
     diag, i, j, values = _hamiltonian_entries(ints, space)
     keep = values != 0
