@@ -73,6 +73,8 @@ from .errors import SectorError, SpaceTooLargeError, WidthError
 MAX_WIDTH = 64
 # the most determinants a space may hold: the dense budget
 MAX_DENSE_SPACE = 20000
+# a count past this is refused without being worked out exactly
+_COUNT_CAP = 2**63
 _BLOCK = 250_000  # mask pairs, or (determinant, move) candidates, per block of a pair kernel
 
 Spin = Literal["up", "down"]
@@ -291,11 +293,20 @@ def space_size(
     sector: int | None = None,
 ) -> int:
     """The length of ``enumerate_space(N, m, layout, sector)``, counted
-    without building the space; 0 where no determinant fits."""
+    without building the space; 0 where no determinant fits.  A count past
+    2**63 is not worked out: some value past 2**63 stands for it."""
     if not 0 < N <= m:
         return 0
     if sector is None:
-        return comb(m, N)
+        # the partial products C(m - k + i, i) never fall as i grows, so the
+        # first one past the cap shows that the count is past it too
+        k, count = min(N, m - N), 1
+        for i in range(1, k + 1):
+            count = count * (m - k + i) // i
+            if count > _COUNT_CAP:
+                break
+        return count
+    # a layout is at most 64 orbitals wide, so these factors stay below the cap
     try:
         (up, n_up), (down, n_down) = _sector_blocks(N, layout, sector)
     except SectorError:
@@ -306,8 +317,9 @@ def space_size(
 def _check_budget(size: int) -> None:
     """Refuse a space of ``size`` determinants past the dense budget."""
     if size > MAX_DENSE_SPACE:
+        count = "more than 2**63" if size > _COUNT_CAP else size
         raise SpaceTooLargeError(
-            f"{size} determinants exceed the dense budget of {MAX_DENSE_SPACE}"
+            f"{count} determinants exceed the dense budget of {MAX_DENSE_SPACE}"
         )
 
 

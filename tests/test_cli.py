@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -555,6 +556,17 @@ def test_oversize_space_exits_2_before_enumerating(capsys, monkeypatch, tmp_path
         assert "847660528 determinants exceed the dense budget" in err
         assert out == ""
     assert calls == []
+
+
+def test_astronomical_space_is_refused_without_its_exact_count(capsys) -> None:
+    # C(10**1500, 3) has more digits than Python converts to text, and
+    # C(10**12, 10**5) takes seconds to work out exactly
+    for N, m in ((3, 10**1500), (10**5, 10**12)):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, ["census", "--N", str(N), "--m", str(m)])
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == "error: more than 2**63 determinants exceed the dense budget of 20000\n"
 
 
 def test_catalog_coefficients_past_2_46_exit_2(capsys, tmp_path) -> None:

@@ -201,6 +201,17 @@ def test_space_size_counts_what_enumeration_builds() -> None:
     assert space_size(9, 8) == space_size(0, 8) == 0
 
 
+def test_space_size_is_exact_up_to_2_63_and_past_it_beyond() -> None:
+    for N, m in [(1, 1), (3, 65), (10, 40), (32, 64), (31, 66), (2, 2**32 + 1), (40, 80)]:
+        exact = math.comb(m, N)
+        got = space_size(N, m)
+        assert got == exact if exact <= 2**63 else got > 2**63, (N, m)
+    # neither count is worked out exactly: one has 4 500 digits, the other
+    # takes seconds
+    assert space_size(3, 10**1500) > 2**63
+    assert space_size(10**5, 10**12) > 2**63
+
+
 KERNEL_SPACES = {
     "interleaved sector": lambda: enumerate_space(4, 8, interleaved_layout(4), 0),
     "blocked sector": lambda: enumerate_space(4, 8, blocked_layout(4), 2),
