@@ -276,7 +276,10 @@ def load_catalog_file(path: str) -> Catalog:
                 )
             if any(c.mu == mu for c in constraints):
                 raise ParseError(f"duplicate constraint index {mu}", lineno)
-            constraints.append(GPConstraint(N, m, mu, kappa0, kappa))
+            try:
+                constraints.append(GPConstraint(N, m, mu, kappa0, kappa))
+            except ValueError as exc:  # a coefficient past 2**46
+                raise ParseError(str(exc), lineno) from None
     if shape is None:
         raise ParseError("catalog file holds no constraints")
     return Catalog(shape[0], shape[1], tuple(constraints))

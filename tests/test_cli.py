@@ -581,11 +581,12 @@ def test_catalog_coefficients_past_2_46_exit_2(capsys, tmp_path) -> None:
     path = tmp_path / "huge.cat"
     for line in (f"3 6 99 {10**400} -1 0 0 0 0 0", f"3 6 99 1 -1 0 0 0 0 {-10**400}",
                  f"3 6 99 1 {2**46 + 1} 0 0 0 0 0"):
-        path.write_text(line + "\n")
+        # a good facet first, so the message must name the second line
+        path.write_text("3 6 1 2 -1 -1 0 -1 0 0\n" + line + "\n")
         for command in commands:
             code, out, err = _run(capsys, [*command, "--catalog", str(path)])
             assert (code, out) == (2, ""), command
-            assert err == "error: a constraint coefficient exceeds 2**46 in magnitude\n"
+            assert err == "error: line 2: a constraint coefficient exceeds 2**46 in magnitude\n"
 
 
 def test_truncate_auto_solves_the_full_space_once(capsys, monkeypatch) -> None:

@@ -124,6 +124,15 @@ def test_catalog_file_validation(tmp_path) -> None:
     assert cat.find(1).formula == "2 - n1 - n2 - n4"
 
 
+def test_catalog_file_names_the_line_of_an_oversize_coefficient(tmp_path) -> None:
+    # a coefficient too large for exact float sums is located like any other
+    # bad line
+    path = tmp_path / "huge.gpc"
+    path.write_text(f"3 6 1 2 -1 -1 0 -1 0 0\n3 6 2 1 -1 0 0 0 0 {2**46 + 1}\n")
+    with pytest.raises(ParseError, match=r"^line 2: a constraint coefficient exceeds 2\*\*46"):
+        load_catalog_file(str(path))
+
+
 def test_catalog_merging(tmp_path) -> None:
     base = catalog(3, 6)
     extra = Catalog(3, 6, (GPConstraint(3, 6, 99, 1, (0, 0, -1, 0, 0, 0)),))
