@@ -15,6 +15,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -765,6 +766,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _quiet_closed_stdout() -> None:
+    """Take a closed stdout pipe as its reader being done (``| head``).
+
+    Where stdout has a file descriptor, it is pointed at devnull, so the
+    flush at interpreter exit raises nothing; an in-memory stream has none.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -777,7 +793,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
         else:
-            print(text)
+            try:
+                print(text, flush=True)
+            except BrokenPipeError:
+                _quiet_closed_stdout()
     except NoSurvivorsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
