@@ -306,11 +306,11 @@ def space_size(
             if count > _COUNT_CAP:
                 break
         return count
-    # a layout is at most 64 orbitals wide, so these factors stay below the cap
     try:
         (up, n_up), (down, n_down) = _sector_blocks(N, layout, sector)
     except SectorError:
         return 0
+    # a layout is at most 64 orbitals wide, so this product stays below the cap
     return comb(len(up), n_up) * comb(len(down), n_down)
 
 
