@@ -210,8 +210,8 @@ def test_sparse_solve_agrees_with_dense(monkeypatch) -> None:
         layout = ints.layout if sector is not None else None
         cases.append((ints, enumerate_space(N, 2 * n_spatial, layout, sector)))
     # The U=0 periodic 6-site ring: its Krylov space becomes invariant
-    # before the basis fills, so the solver must replace a vector by a
-    # random one to go on; the ground state is simple, the level above it
+    # before the basis fills, so the solver replaces a vector by a random
+    # one to go on; the ground state is simple, the level above it
     # four-fold.
     ring = to_spin_orbitals(hubbard_chain(6, 1.0, 0.0, periodic=True))
     hubbard = to_spin_orbitals(hubbard_chain(7, 1.0, 4.0))
