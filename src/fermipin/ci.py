@@ -18,9 +18,11 @@ as the dividing line:
   zero, so the nonzero entries are the same either way, and no quadratic
   search runs.
 
-:func:`build_hamiltonian` scatters those entries into a dense matrix.
+:func:`build_hamiltonian` scatters those entries into a dense matrix.  An
+element that is not finite, such as a sum of finite integrals that
+overflows, is refused with a ``FermipinError`` that names it.
 
-:func:`solve_ground` finds the ground state only.  It keeps dense
+:func:`ground_states` finds ground states only.  It keeps dense
 ``numpy.linalg.eigh`` for spaces of at most ``DENSE_CROSSOVER``
 determinants, where it is the faster route.  Above that it holds H as CSR
 arrays built straight from the entries, never a dense matrix, and finds the
@@ -30,11 +32,19 @@ stops when both residuals ‖Hc - Ec‖ are within ``LANCZOS_TOL`` times the
 largest |H_ij|, and it starts from a fixed random block, so a run repeats
 to the last bit.  Neither route checks the space size: :mod:`fermipin.fock`
 holds the dense budget, ``MAX_DENSE_SPACE``, and no space is built past it.
+
+Many points of one space go through as one stack: integrals with a
+leading axis (a parameter scan's grid points) give the entries, the dense
+Hamiltonians and one ``eigh`` for the whole stack, each point bit for bit
+as it comes out alone, because every sum keeps its order.  A single point
+is a stack of one: :func:`solve_ground` is :func:`ground_states` on one
+point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -130,53 +140,104 @@ def sign_fixed(rows: np.ndarray) -> np.ndarray:
 
 def _sequential_sum(terms: np.ndarray) -> np.ndarray:
     """Sums of ``terms`` over the last axis, added strictly left to right."""
-    return np.cumsum(terms, axis=-1)[..., -1]
+    return terms.cumsum(axis=-1)[..., -1]
+
+
+def _gathers(space: ConfigurationSpace, pairs) -> tuple[np.ndarray, ...]:
+    """Where the terms of the Hamiltonian's elements over ``space`` sit in
+    one point's flattened integrals, for the connected ``pairs``: the
+    diagonal's ``h[p, p]`` and ``<pq||pq>``, each single's ``h[p, q]`` and
+    its ``<pc||qc>`` over every orbital ``c``, with the mask of the
+    orbitals both determinants occupy, and each double's ``<p1p2||q1q2>``.
+    A gather with one flat index array costs a stack no more than a point."""
+    m = space.m
+    p, q = orbital_pairs(m)
+    c = np.arange(m)
+    (single_i, single_j, _), sp, sq = pairs.singles, pairs.p, pairs.q
+    p1, p2, q1, q2 = pairs.doubles
+    return (
+        c * (m + 1),
+        ((p * m + q) * m + p) * m + q,
+        sp * m + sq,
+        ((sp[:, None] * m + c) * m + sq[:, None]) * m + c,
+        space.bits[single_i] & space.bits[single_j],
+        ((p1 * m + p2) * m + q1) * m + q2,
+    )
+
+
+# the gathers of each space at or below the crossover, whose pairs are fixed
+_GATHERS: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _hamiltonian_entries(
     ints: SpinOrbitalIntegrals, space: ConfigurationSpace
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The diagonal of the Hamiltonian over ``space`` and its entries
-    ``(i, j, value)`` with ``i < j`` for every connected pair.
+    ``(i, j, value)`` with ``i < j`` for every connected pair.  A stack of
+    integrals gives the diagonal and the values with the stack's leading
+    axis, one row per point, each summed as that point alone; above the
+    crossover the integrals are one point's.
 
     Each element is summed term by term in the order of the Slater-Condon
     rules over the occupied orbitals, ascending; an empty orbital adds an
     exact zero, so the bit-matrix sums equal the orbital-by-orbital ones.
     Which orbitals each sum runs over comes from the cached ``bits`` and
     ``diagonal_terms`` of the :class:`~fermipin.fock.ConfigurationSpace`
-    and, at or below the crossover, its cached ``pairs``, so a call only
-    gathers integrals and adds them.
+    and, at or below the crossover, its cached ``pairs`` and their
+    gathers, so a call only gathers integrals and adds them.  A sum that
+    overflows, or any other element that is not finite, is refused with a
+    ``FermipinError`` that names the first such element (of the first
+    point that has one).
     """
-    if ints.m != space.m:
+    m = ints.m
+    if m != space.m:
         raise WidthError("integral width does not match the space")
-    p, q = orbital_pairs(space.m)
-    terms = np.concatenate([[ints.core_energy], np.diag(ints.h), ints.g[p, q, p, q]])
-    diag = _sequential_sum(space.diagonal_terms * terms)
-
-    # exchange[p, q, c] = <pc||qc>
-    exchange = ints.g.diagonal(axis1=1, axis2=3)
     if len(space) <= DENSE_CROSSOVER:
         pairs = space.pairs
+        gathers = _GATHERS.get(space) or _GATHERS.setdefault(space, _gathers(space, pairs))
     else:
         # a single's element is h[p,q] + sum_c <pc||qc>, a double's <p1p2||q1q2>
-        pairs = substitutions(space, (ints.h != 0) | (exchange != 0).any(axis=2), ints.g != 0)
-    (single_i, single_j, _), p, q = pairs.singles, pairs.p, pairs.q
-    bits = space.bits
-    # <pc||qc> over the orbitals c both determinants occupy
-    shared = bits[single_i] & bits[single_j]
-    values = np.empty(len(pairs.i))
-    values[pairs.single] = _sequential_sum(
-        np.concatenate([ints.h[p, q][:, None], shared * exchange[p, q]], axis=1)
-    )
-    values[pairs.double] = ints.g[pairs.doubles]
-    return diag, pairs.i, pairs.j, pairs.sign * values
+        singles = (ints.h != 0) | (ints.g.diagonal(axis1=1, axis2=3) != 0).any(axis=2)
+        pairs = substitutions(space, singles, ints.g != 0)
+        gathers = _gathers(space, pairs)
+    diagonal_h, diagonal_g, single_h, single_g, shared, double_g = gathers
+    h = ints.h.reshape(*ints.h.shape[:-2], m * m)
+    g = ints.g.reshape(*ints.g.shape[:-4], m**4)
+    # a sum that overflows, or an infinity times an empty orbital's zero, is
+    # refused below, with no numpy warning printed first
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.concatenate(
+            [np.asarray(ints.core_energy)[..., None], h[..., diagonal_h], g[..., diagonal_g]],
+            axis=-1,
+        )
+        diag = _sequential_sum(space.diagonal_terms * terms[..., None, :])
+        values = np.empty((*h.shape[:-1], len(pairs.i)))
+        values[..., pairs.single] = _sequential_sum(
+            np.concatenate([h[..., single_h, None], shared * g[..., single_g]], axis=-1)
+        )
+    values[..., pairs.double] = g[..., double_g]
+    values *= pairs.sign
+    if not (np.isfinite(diag).all() and np.isfinite(values).all()):
+        # each point's diagonal, then its entries, one point after another
+        elements = np.concatenate([diag, values], axis=-1).ravel()
+        bad = np.flatnonzero(~np.isfinite(elements))
+        k = bad[0] % (len(space) + len(pairs.i))
+        i, j = (k, k) if k < len(space) else (pairs.i[k - len(space)], pairs.j[k - len(space)])
+        raise FermipinError(
+            f"Hamiltonian element between determinants {list(space[i].orbitals())} and "
+            f"{list(space[j].orbitals())} is {float(elements[bad[0]])!r}, not finite"
+        )
+    return diag, pairs.i, pairs.j, values
 
 
 def build_hamiltonian(ints: SpinOrbitalIntegrals, space: ConfigurationSpace) -> np.ndarray:
-    """The dense, exactly symmetric Hamiltonian matrix over ``space``."""
+    """The dense, exactly symmetric Hamiltonian matrix over ``space``; a
+    stack of integrals gives a stack of matrices, one per point."""
     diag, i, j, values = _hamiltonian_entries(ints, space)
-    H = np.diag(diag)
-    H[i, j] = H[j, i] = values
+    n = len(space)
+    H = np.zeros((*diag.shape, n))
+    H.reshape(*diag.shape[:-1], n * n)[..., :: n + 1] = diag
+    H[..., i, j] = H[..., j, i] = values
     return H
 
 
@@ -267,29 +328,45 @@ def _sparse_eigh(
     raise FermipinError(f"sparse eigensolver did not converge in {LANCZOS_RESTARTS} restarts")
 
 
-def solve_ground(ints: SpinOrbitalIntegrals, space: ConfigurationSpace) -> CIVector:
-    """The ground state of the Hamiltonian over ``space``.
+def ground_states(
+    ints: SpinOrbitalIntegrals, space: ConfigurationSpace
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ground states of a stack of integrals over ``space``, one per
+    point: their energies, their coefficient rows and their degeneracy
+    flags.  Integrals that are not a stack are a stack of one.
 
-    Spaces of at most ``DENSE_CROSSOVER`` determinants are solved densely
-    with ``eigh``; larger ones through a CSR matrix with block Lanczos for
-    the two lowest states.  The eigenvector is normalized and sign-fixed by
-    :func:`sign_fixed`.  The state is flagged ``degenerate`` when the next
-    eigenvalue lies within ``DEGENERACY_GAP`` of it: its vector is then an
-    arbitrary basis choice inside the degenerate level, and occupation
-    analyses should be read with care.
+    Spaces of at most ``DENSE_CROSSOVER`` determinants are solved densely,
+    with one ``eigh`` over the stack of Hamiltonians (bit for bit one
+    ``eigh`` per matrix); larger ones, one point at a time, through a CSR
+    matrix with block Lanczos for the two lowest states.  Each eigenvector
+    is normalized and sign-fixed by :func:`sign_fixed`.  A state is flagged
+    degenerate when the next eigenvalue lies within ``DEGENERACY_GAP`` of
+    it: its vector is then an arbitrary basis choice inside the degenerate
+    level, and occupation analyses should be read with care.
     """
-    if len(space) == 0:
+    n = len(space)
+    if n == 0:
         raise ValueError("cannot solve on an empty space")
-    if len(space) <= DENSE_CROSSOVER:
+    if n <= DENSE_CROSSOVER:
         try:
-            values, vectors = np.linalg.eigh(build_hamiltonian(ints, space))
+            values, vectors = np.linalg.eigh(build_hamiltonian(ints, space).reshape(-1, n, n))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
             raise FermipinError(f"eigensolver failure: {exc}") from exc
     else:
         values, vectors = _sparse_eigh(ints, space)
-    return CIVector(
-        space,
-        sign_fixed(vectors[:, :1].T)[0],
-        energy=float(values[0]),
-        degenerate=bool(len(values) > 1 and values[1] - values[0] < DEGENERACY_GAP),
-    )
+        values, vectors = values[None], vectors[None]
+    energies = values[:, 0]
+    # finite elements near the float limit can still give an energy past it
+    if not np.isfinite(energies).all():
+        energy = energies[np.argmin(np.isfinite(energies))]
+        raise FermipinError(f"ground-state energy {float(energy)!r} is not finite")
+    # a one-determinant space has no second level, and is not degenerate
+    degenerate = values[:, 1] - energies < DEGENERACY_GAP if n > 1 else np.zeros(len(values), bool)
+    return energies, sign_fixed(vectors[:, :, 0]), degenerate
+
+
+def solve_ground(ints: SpinOrbitalIntegrals, space: ConfigurationSpace) -> CIVector:
+    """The ground state of the Hamiltonian over ``space``: :func:`ground_states`
+    of a stack of one."""
+    energies, coeffs, degenerate = ground_states(ints, space)
+    return CIVector(space, coeffs[0], energy=float(energies[0]), degenerate=bool(degenerate[0]))

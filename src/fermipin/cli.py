@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ci import CIVector, solve_ground
+from .ci import DENSE_CROSSOVER, CIVector, ground_states, solve_ground
 from .errors import (
     FermipinError,
     NoSurvivorsError,
@@ -47,6 +47,7 @@ from .gpc import (
     load_catalog_file,
 )
 from .integrals import (
+    SpatialIntegrals,
     SpinOrbitalIntegrals,
     hubbard_chain,
     load_integral_file,
@@ -63,6 +64,11 @@ MAX_SCAN_STEPS = 10_000
 # 56-determinant (3, 8) space): stacks of 35 states ran 100 samples about
 # 1.5 ms faster but raised the peak memory of a survey pass by 0.2-0.6 MB
 _RANDOM_BLOCK = 500
+# bytes of spin-orbital two-electron integrals per stack of scan points:
+# 16 points at m = 8, where stacks of 16 ran the 41-point bench scan in
+# about half the time of one point at a time; without a cap, 10 000 points
+# at m = 16 would stack 5.2 GB
+_SCAN_BLOCK = 512 * 1024
 DEGREE_NAMES = {0: "reference", 1: "singles", 2: "doubles", 3: "triples"}
 # the flags each model reads, with their defaults; a file: model reads none,
 # and the float-valued ones are what scan may vary
@@ -76,8 +82,8 @@ MODEL_FLAGS = {
 # model and catalog resolution
 
 
-def _resolve_model(cfg: argparse.Namespace) -> tuple[SpinOrbitalIntegrals, str]:
-    """Build spin-orbital integrals for the configured model."""
+def _spatial_model(cfg: argparse.Namespace) -> tuple[SpatialIntegrals, str]:
+    """The spatial integrals of the configured model, and its name."""
     if cfg.model is None:
         raise ValueError("this command needs --model")
     if cfg.model not in MODEL_FLAGS and not cfg.model.startswith("file:"):
@@ -100,10 +106,20 @@ def _resolve_model(cfg: argparse.Namespace) -> tuple[SpinOrbitalIntegrals, str]:
         name = path
         if cfg.N is None:
             cfg.N = spatial.n_electrons
+    return spatial, name
+
+
+def _spin_orbitals(cfg: argparse.Namespace, spatial: SpatialIntegrals) -> SpinOrbitalIntegrals:
+    """Spatial integrals, or a stack of them, expanded in the configured
+    ordering and truncated to the configured rank."""
     so = to_spin_orbitals(spatial, cfg.ordering)
-    if cfg.rank is not None:
-        so = so.truncated(cfg.rank)
-    return so, name
+    return so if cfg.rank is None else so.truncated(cfg.rank)
+
+
+def _resolve_model(cfg: argparse.Namespace) -> tuple[SpinOrbitalIntegrals, str]:
+    """Build spin-orbital integrals for the configured model."""
+    spatial, name = _spatial_model(cfg)
+    return _spin_orbitals(cfg, spatial), name
 
 
 def _resolve_space(cfg: argparse.Namespace, ints: SpinOrbitalIntegrals):
@@ -329,13 +345,16 @@ def _scan_grid(cfg: argparse.Namespace) -> tuple[str, list[tuple[str, argparse.N
 def cmd_scan(cfg: argparse.Namespace) -> dict:
     parameter, grid = _scan_grid(cfg)
     # the geometry and the catalog come from the first grid point, whose
-    # integral file also fixes a missing --N for every point; its solve
-    # serves row 0, its space serves every point of the same width and
-    # layout, and later points that fail (or disagree) become NaN rows
-    # while the scan goes on
+    # integral file also fixes a missing --N for every point; it is solved
+    # alone, so that its failure ends the command, and its space serves
+    # every point of the same width and layout; later points that fail (or
+    # disagree) become NaN rows while the scan goes on
     first = grid[0][1]
-    _, state, spectrum = _ground(first)
-    space = state.space
+    first_spatial, _ = _spatial_model(first)
+    ints = _spin_orbitals(first, first_spatial)
+    space = _resolve_space(first, ints)
+    state = solve_ground(ints, space)
+    spectrum = natural_spectrum(one_rdm(state))
     cat = _resolve_catalog(cfg, space.N, space.m)
     # the residual columns follow the report's order: inequalities, then equalities
     columns = (
@@ -344,25 +363,73 @@ def cmd_scan(cfg: argparse.Namespace) -> dict:
         + [c.label for c in cat.constraints + cat.equalities]
         + ["xi"]
     )
-    rows: list[dict] = []
-    for label, point in grid:
-        try:
-            if point is not first:
-                point.N = first.N
+    errors = (FermipinError, OSError, ValueError)
+
+    def values(energies: list[float], spectra: OccupationSpectrum) -> list[list[float]]:
+        """The row values of each point of a stack of solved spectra."""
+        reports = evaluate_stack(cat, spectra, cfg.tiers)
+        return [
+            [energy, *n, *(value for _, value in report.residuals + report.equality_residuals),
+             report.xi]
+            for energy, n, report in zip(energies, spectra.n.reshape(len(reports), -1).tolist(),
+                                         reports, strict=True)
+        ]
+
+    results: list = []  # each point's row values, or the error that stopped it
+    try:
+        results.append(values([state.energy], spectrum)[0])
+    except errors as exc:
+        results.append(exc)
+    # the later points of the first's spatial width go through as stacks of
+    # about _SCAN_BLOCK bytes of g, on the dense path and in a sector only:
+    # there no 1-RDM couples the spins, so a stack keeps the layout that
+    # each point's own 1-RDM keeps; a stack that fails goes point by point
+    size = 1
+    if space.sector is not None and len(space) <= DENSE_CROSSOVER:
+        size = max(1, _SCAN_BLOCK // (8 * space.m**4))
+    for start in range(1, len(grid), size):
+        points = [point for _, point in grid[start : start + size]]
+        found: dict[int, SpatialIntegrals] = {}
+        for k, point in enumerate(points):
+            point.N = first.N
+            if size > 1:
+                try:
+                    spatial = _spatial_model(point)[0]
+                except errors:
+                    continue  # alone, it fails again with its own message
+                if spatial.n_spatial == first_spatial.n_spatial:
+                    found[k] = spatial
+        solved: dict[int, list[float]] = {}
+        if len(found) > 1:
+            stack = SpatialIntegrals(
+                first_spatial.n_spatial,
+                np.stack([spatial.h for spatial in found.values()]),
+                np.stack([spatial.g for spatial in found.values()]),
+                np.array([spatial.core_energy for spatial in found.values()]),
+            )
+            try:
+                energies, coeffs, _ = ground_states(_spin_orbitals(first, stack), space)
+                spectra = natural_spectra(one_rdms(space, coeffs))
+                solved = dict(zip(found, values(energies.tolist(), spectra), strict=True))
+            except errors:
+                pass  # each point goes alone, a failing one with its own message
+        for k, point in enumerate(points):
+            if k in solved:
+                results.append(solved[k])
+                continue
+            try:
                 _, state, spectrum = _ground(point, space)
-            report = evaluate(cat, spectrum, cfg.tiers)
-            values = (
-                [label, state.energy]
-                + [float(v) for v in spectrum.n]
-                + [value for _, value in report.residuals + report.equality_residuals]
-                + [report.xi]
-            )
-            rows.append(dict(zip(columns, values)))
-        except (FermipinError, OSError, ValueError) as exc:
-            print(f"warning: {parameter}={label}: {exc}", file=sys.stderr)
-            rows.append(
-                {columns[0]: label, **{c: float("nan") for c in columns[1:]}}
-            )
+                results.append(values([state.energy], spectrum)[0])
+            except errors as exc:
+                results.append(exc)
+
+    rows: list[dict] = []
+    for (label, _), result in zip(grid, results, strict=True):
+        if isinstance(result, Exception):
+            print(f"warning: {parameter}={label}: {result}", file=sys.stderr)
+            rows.append({columns[0]: label, **{c: float("nan") for c in columns[1:]}})
+        else:
+            rows.append(dict(zip(columns, [label, *result])))
     return {"command": "scan", "parameter": parameter, "columns": columns, "rows": rows}
 
 

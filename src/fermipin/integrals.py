@@ -34,7 +34,9 @@ _CONFLICT_TOL = 1e-10
 
 @dataclass
 class SpatialIntegrals:
-    """Spin-free integrals over ``n_spatial`` orbitals.
+    """Spin-free integrals over ``n_spatial`` orbitals, or a stack of them:
+    ``h`` of shape ``(count, n, n)``, ``g`` of shape ``(count, n, n, n, n)``
+    and ``core_energy`` of shape ``(count,)``, one entry per point.
 
     ``n_electrons`` and ``ms2`` (twice the spin projection) are bookkeeping
     carried by integral files; model builders leave them ``None``.
@@ -43,7 +45,7 @@ class SpatialIntegrals:
     n_spatial: int
     h: np.ndarray
     g: np.ndarray
-    core_energy: float = 0.0
+    core_energy: float | np.ndarray = 0.0
     n_electrons: int | None = None
     ms2: int | None = None
 
@@ -51,13 +53,17 @@ class SpatialIntegrals:
         n = self.n_spatial
         self.h = np.asarray(self.h, dtype=float)
         self.g = np.asarray(self.g, dtype=float)
-        if self.h.shape != (n, n) or self.g.shape != (n, n, n, n):
+        stack = self.h.shape[:-2]
+        if self.h.shape != (*stack, n, n) or self.g.shape != (*stack, n, n, n, n):
             raise ValueError("integral array shapes do not match n_spatial")
 
 
 @dataclass
 class SpinOrbitalIntegrals:
-    """Integrals expanded to ``m`` spin orbitals.
+    """Integrals expanded to ``m`` spin orbitals, or a stack of them over
+    one layout: ``h`` of shape ``(count, m, m)``, ``g`` of shape
+    ``(count, m, m, m, m)`` and ``core_energy`` of shape ``(count,)``, one
+    entry per point, as :func:`to_spin_orbitals` expands a stack.
 
     ``g`` is antisymmetrized, ``g[p-1, q-1, r-1, s-1] = <pq||rs>``, so
     Hamiltonian matrix elements never need explicit exchange terms.
@@ -68,18 +74,18 @@ class SpinOrbitalIntegrals:
     layout: SpinOrbitalLayout | None
     h: np.ndarray
     g: np.ndarray
-    core_energy: float = 0.0
+    core_energy: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        m = self.h.shape[0]
-        if self.h.shape != (m, m) or self.g.shape != (m, m, m, m):
+        m, stack = self.h.shape[-1], self.h.shape[:-2]
+        if self.h.shape != (*stack, m, m) or self.g.shape != (*stack, m, m, m, m):
             raise ValueError("integral arrays are not m x m and m x m x m x m")
         if self.layout is not None and self.layout.m != m:
             raise ValueError("integral array shapes do not match the layout")
 
     @property
     def m(self) -> int:
-        return self.h.shape[0]
+        return self.h.shape[-1]
 
     def truncated(self, m: int) -> SpinOrbitalIntegrals:
         """Restrict to the first ``m`` spin orbitals."""
@@ -87,8 +93,8 @@ class SpinOrbitalIntegrals:
             raise ValueError(f"cannot truncate width {self.m} to {m}")
         return SpinOrbitalIntegrals(
             None if self.layout is None else self.layout.truncated(m),
-            self.h[:m, :m].copy(),
-            self.g[:m, :m, :m, :m].copy(),
+            self.h[..., :m, :m].copy(),
+            self.g[..., :m, :m, :m, :m].copy(),
             self.core_energy,
         )
 
@@ -170,13 +176,18 @@ def pairing_model(levels: int, spacing: float, G: float) -> SpatialIntegrals:
 def to_spin_orbitals(
     spatial: SpatialIntegrals, ordering: str = "interleaved"
 ) -> SpinOrbitalIntegrals:
-    """Expand spatial integrals onto ``2 * n_spatial`` spin orbitals.
+    """Expand spatial integrals, or a stack of them, onto ``2 * n_spatial``
+    spin orbitals; a stack expands point by point, bit for bit as each
+    point alone.
 
     ``ordering`` selects the layout: ``"interleaved"`` alternates up/down
     within each spatial orbital, ``"blocked"`` puts all up spin orbitals
     first.  The two-electron output is antisymmetrized:
 
         <pq||rs> = (pr|qs) d(s_p,s_r) d(s_q,s_s) - (ps|qr) d(s_p,s_s) d(s_q,s_r)
+
+    A difference of two huge integrals can overflow to infinity; that is
+    not refused here but where a Hamiltonian element sums it.
     """
     n = spatial.n_spatial
     if ordering == "interleaved":
@@ -189,16 +200,16 @@ def to_spin_orbitals(
     up = np.array([s == UP for s in layout.spin_of])
     same = up[:, None] == up[None, :]
 
-    h = spatial.h[np.ix_(sp, sp)] * same
+    h = spatial.h[(..., *np.ix_(sp, sp))] * same
 
     # <pq|rs> = (pr|qs) d(s_p,s_r) d(s_q,s_s): one gather from the chemists'
     # tensor read in physicists' index order, masked by the spins; the
     # exchange term is the same array with r and s swapped
-    coulomb = spatial.g.transpose(0, 2, 1, 3)[np.ix_(sp, sp, sp, sp)]
+    coulomb = spatial.g.swapaxes(-3, -2)[(..., *np.ix_(sp, sp, sp, sp))]
     coulomb *= same[:, None, :, None] & same[None, :, None, :]
-    return SpinOrbitalIntegrals(
-        layout, h, coulomb - coulomb.transpose(0, 1, 3, 2), spatial.core_energy
-    )
+    with np.errstate(over="ignore"):
+        g = coulomb - coulomb.swapaxes(-2, -1)
+    return SpinOrbitalIntegrals(layout, h, g, spatial.core_energy)
 
 
 def load_integral_file(path: str) -> SpatialIntegrals:

@@ -34,7 +34,11 @@ offset to a matrix of its own, and :func:`natural_spectra` diagonalizes
 them with one ``np.linalg.eigh`` over the stack, then sorts, sign-fixes and
 clamps them together.  Each matrix comes out bit for bit as it does alone;
 :func:`one_rdm` and :func:`natural_spectrum` are the same code on a stack
-of one.
+of one.  Random samples (``polytope --random``) and the ground states of a
+parameter scan's points (``scan``, from
+:func:`~fermipin.ci.ground_states`) are such stacks.  A stack keeps a
+layout only when every matrix in it is spin-blocked, so a stack's spectra
+equal the states' own spectra when all of them are, as in a sector space.
 """
 
 from __future__ import annotations

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import fermipin.ci
-from fermipin.ci import CIVector, OrbitalRotation, build_hamiltonian, solve_ground
+from fermipin.ci import CIVector, OrbitalRotation, build_hamiltonian, ground_states, solve_ground
 from fermipin.errors import (
     FermipinError,
     RotationError,
@@ -27,6 +28,7 @@ from fermipin.fock import (
 )
 from fermipin.gpc import GPConstraint
 from fermipin.integrals import (
+    SpatialIntegrals,
     SpinOrbitalIntegrals,
     hubbard_chain,
     pairing_model,
@@ -254,6 +256,66 @@ def test_sparse_solve_is_repeatable(monkeypatch) -> None:
     first, second = solve_ground(ints, space), solve_ground(ints, space)
     assert first.energy == second.energy
     assert np.array_equal(first.coeffs, second.coeffs)
+
+
+def test_sparse_solve_restarts_from_an_invariant_zero_space() -> None:
+    # t = U = 0: H is zero on the 400-determinant sector, so every product
+    # is an exact zero vector and the Krylov space is invariant at once;
+    # only the random replacement vectors keep the basis orthonormal
+    ints = to_spin_orbitals(hubbard_chain(6, 0.0, 0.0))
+    space = enumerate_space(6, 12, ints.layout, 0)
+    assert len(space) == 400 > fermipin.ci.DENSE_CROSSOVER
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = solve_ground(ints, space)
+    assert state.energy == 0.0
+    assert np.isfinite(state.coeffs).all()
+    assert np.linalg.norm(state.coeffs) == pytest.approx(1.0, abs=1e-12)
+    assert state.degenerate
+
+
+def test_stacked_ground_states_equal_the_per_point_solves() -> None:
+    rng = np.random.default_rng(41)
+    for n_spatial, N, sector in ((3, 3, 1), (3, 3, None), (4, 4, 0), (3, 3, 3), (4, 3, -1)):
+        points = [random_spatial(n_spatial, rng) for _ in range(5)]
+        stack = to_spin_orbitals(SpatialIntegrals(
+            n_spatial, np.stack([p.h for p in points]), np.stack([p.g for p in points]),
+            np.array([p.core_energy for p in points])))
+        space = enumerate_space(N, 2 * n_spatial, stack.layout, sector)
+        energies, coeffs, degenerate = ground_states(stack, space)
+        H = build_hamiltonian(stack, space)
+        for k, point in enumerate(points):
+            ints = to_spin_orbitals(point)
+            assert np.array_equal(stack.g[k], ints.g) and np.array_equal(stack.h[k], ints.h)
+            assert np.array_equal(H[k], build_hamiltonian(ints, space))
+            state = solve_ground(ints, space)
+            assert energies[k] == state.energy
+            assert np.array_equal(coeffs[k], state.coeffs)
+            assert degenerate[k] == state.degenerate
+        if len(space) == 1:  # no second level to be degenerate with
+            assert not degenerate.any()
+
+
+def test_a_non_finite_hamiltonian_element_is_refused_by_name() -> None:
+    # finite integrals whose sums overflow: (11|11) + (11|22) on the diagonal
+    spatial = hubbard_chain(3, 1.0, 0.0)
+    spatial.g[0, 0, 0, 0] = 1e308
+    spatial.g[0, 0, 1, 1] = spatial.g[1, 1, 0, 0] = 1e308
+    bad = to_spin_orbitals(spatial)
+    good = to_spin_orbitals(hubbard_chain(3, 1.0, 2.0))
+    space = enumerate_space(3, 6, bad.layout, 1)
+    stack = SpinOrbitalIntegrals(bad.layout, np.stack([good.h, bad.h, bad.h]),
+                                 np.stack([good.g, bad.g, bad.g]), np.zeros(3))
+    message = r"between determinants \[1, 2, 3\] and \[1, 2, 3\] is inf, not finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ints in (bad, stack):
+            with pytest.raises(FermipinError, match=message):
+                build_hamiltonian(ints, space)
+        # an infinite integral makes empty orbitals' zero terms NaN
+        bad.h[4, 4] = -np.inf
+        with pytest.raises(FermipinError, match=r"is nan, not finite"):
+            solve_ground(bad, space)
 
 
 def test_sparse_no_convergence_is_a_fermipin_error(monkeypatch) -> None:

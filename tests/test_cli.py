@@ -13,12 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from fermipin import cli
 from fermipin.ci import DENSE_CROSSOVER, CIVector, solve_ground
 from fermipin.cli import main
+from fermipin.errors import FermipinError
 from fermipin.fock import MAX_WIDTH, UP, SpinOrbitalLayout, enumerate_space, space_size
 from fermipin.gpc import catalog, evaluate
 from fermipin.integrals import hubbard_chain, save_integral_file, to_spin_orbitals
@@ -691,8 +692,145 @@ def test_scan_builds_each_grid_point_once(capsys, monkeypatch) -> None:
     assert code == 0
     assert len(_rows(out)) == 41
     # the first point fixes the geometry and the catalog, serves row 0, and
-    # lends its space to every later point of the same width and layout
-    assert calls == {"to_spin_orbitals": 41, "enumerate_space": 1}
+    # lends its space to every later point of the same width and layout;
+    # the later points are expanded to spin orbitals a stack at a time
+    stacks = -(-40 // (cli._SCAN_BLOCK // (8 * 8**4)))
+    assert (stacks, calls) == (3, {"to_spin_orbitals": 1 + stacks, "enumerate_space": 1})
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7])
+def test_scan_stacks_print_the_same_bytes_with_one_eigh_each(capsys, monkeypatch,
+                                                             rows) -> None:
+    argv = ["scan", "--model", "hubbard", "--sites", "4", "--N", "4", "--sz", "0",
+            "--scan", "U=0:8:41", "--format", "json"]
+    expected = _run(capsys, argv)
+    shapes = []
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    if rows is not None:
+        # rows points of m = 8 per stack; 7 does not divide 41
+        monkeypatch.setattr(cli, "_SCAN_BLOCK", rows * 8 * 8**4)
+    assert _run(capsys, argv) == expected
+    rows = rows or cli._SCAN_BLOCK // (8 * 8**4)
+    # the first point alone, then the other 40 in stacks of rows points
+    sizes = [1] + [rows] * (40 // rows) + [40 % rows] * (40 % rows > 0)
+    # per stack: the 36-determinant Hamiltonians, then the up and down
+    # blocks of the 1-RDMs
+    assert shapes == [shape for size in sizes
+                      for shape in ((size, 36, 36), (size, 4, 4), (size, 4, 4))]
+
+
+# (model, size flag, size, N, rank) with a built-in catalog for (N, rank)
+SCAN_MODELS = [("hubbard", "--sites", 3, 3, 6), ("hubbard", "--sites", 4, 3, 8),
+               ("hubbard", "--sites", 4, 4, 8), ("pairing", "--levels", 3, 3, 6),
+               ("pairing", "--levels", 4, 3, 8), ("pairing", "--levels", 4, 4, 8),
+               ("hubbard", "--sites", 4, 3, 6), ("pairing", "--levels", 4, 3, 6)]
+
+
+@st.composite
+def _scan_argv(draw) -> tuple[list[str], int]:
+    """A scan command line, and the spin-orbital width of its points."""
+    model, size_flag, size, N, m = draw(st.sampled_from(SCAN_MODELS))
+    flag = draw(st.sampled_from(["U", "t"] if model == "hubbard" else ["G", "spacing"]))
+    start, stop = (draw(st.floats(-4.0, 8.0)) for _ in range(2))
+    steps = draw(st.integers(1, 40))
+    # every sector of N, or the full space
+    sz = draw(st.sampled_from([None, *range(-N, N + 1, 2)]))
+    return (["scan", "--model", model, size_flag, str(size), "--N", str(N),
+             "--scan", f"{flag}={start!r}:{stop!r}:{steps}",
+             "--ordering", draw(st.sampled_from(["interleaved", "blocked"]))]
+            + ([] if m == 2 * size else ["--rank", str(m)])
+            + ([] if sz is None else ["--sz", str(sz)])), m
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_scan_argv(), st.integers(1, 40))
+def test_stacked_scan_equals_the_per_point_pipeline(drawn, rows) -> None:
+    argv, m = drawn
+    cfg = cli._build_parser().parse_args(argv)
+    block, cli._SCAN_BLOCK = cli._SCAN_BLOCK, rows * 8 * m**4
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            payload = cli.cmd_scan(cfg)
+    except FermipinError as exc:
+        payload = exc
+    finally:
+        cli._SCAN_BLOCK = block
+    # the same grid, each point solved, analysed and evaluated alone
+    parameter, grid = cli._scan_grid(cli._build_parser().parse_args(argv))
+    first = grid[0][1]
+    try:
+        space = cli._ground(first)[1].space
+    except FermipinError as exc:  # such as a sector the truncated layout cannot hold
+        assert repr(payload) == repr(exc)
+        return
+    cat = catalog(space.N, space.m)
+    expected, warned = [], ""
+    for label, point in grid:
+        try:
+            point.N = first.N
+            _, state, spectrum = cli._ground(point, space)
+            report = evaluate(cat, spectrum, point.tiers)
+            values = ([label, state.energy, *(float(v) for v in spectrum.n)]
+                      + [v for _, v in report.residuals + report.equality_residuals]
+                      + [report.xi])
+        except (FermipinError, ValueError) as exc:
+            warned += f"warning: {parameter}={label}: {exc}\n"
+            values = [label] + [float("nan")] * (len(payload["columns"]) - 1)
+        expected.append(dict(zip(payload["columns"], values, strict=True)))
+    # repr tells -0.0 from 0.0, so equal text is equal bits
+    assert json.dumps(payload["rows"]) == json.dumps(expected)
+    assert err.getvalue() == warned
+
+
+OVERFLOWING_INTEGRALS = "NORB=3 NELEC=3 MS2=1\n-1 1 2 0 0\n-1 2 3 0 0\n1e308 1 1 1 1\n1e308 1 1 2 2\n"
+OVERFLOW_MESSAGE = "Hamiltonian element between determinants [1, 2, 3] and [1, 2, 3] is inf, not finite"
+
+
+def test_an_overflowing_integral_file_exits_2_naming_the_element(capsys, tmp_path) -> None:
+    # every entry is finite, but (11|11) + (11|22) on the diagonal is not
+    path = tmp_path / "over.ints"
+    path.write_text(OVERFLOWING_INTEGRALS)
+    for command in ("solve", "analyze"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run(capsys, [command, "--model", f"file:{path}", "--sz", "1",
+                                           "--format", "json"])
+        assert (code, out, err, caught) == (2, "", f"error: {OVERFLOW_MESSAGE}\n", [])
+
+
+def test_scan_gives_an_overflowing_file_in_a_stack_its_own_nan_row(capsys, tmp_path) -> None:
+    paths = []
+    for U in (1.0, 2.0, 3.0, 4.0, 5.0):
+        spatial = hubbard_chain(3, 1.0, U)
+        spatial.n_electrons, spatial.ms2 = 3, 1
+        paths.append(str(tmp_path / f"U{U:g}.ints"))
+        save_integral_file(paths[-1], spatial)
+    over = tmp_path / "over.ints"
+    over.write_text(OVERFLOWING_INTEGRALS)
+    # 50 points of m = 6 fit one stack, so each scan below is a single stack
+    assert cli._SCAN_BLOCK // (8 * 6**4) >= 6
+    code, clean, err = _run(capsys, ["scan", "--files", *paths, "--sz", "1"])
+    assert (code, err) == (0, "")
+    clean = clean.splitlines()
+    files = [*paths[:2], str(over), *paths[2:]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, ["scan", "--files", *files, "--sz", "1"])
+    assert (code, err, caught) == (0, f"warning: file={over}: {OVERFLOW_MESSAGE}\n", [])
+    lines = out.splitlines()
+    # the header, then every other file's row, byte for byte
+    assert lines[:3] + lines[4:] == clean
+    assert lines[3] == ",".join([str(over)] + ["nan"] * (len(lines[0].split(",")) - 1))
+    # the first file fixes the space, and its failure ends the scan
+    code, out, err = _run(capsys, ["scan", "--files", str(over), *paths, "--sz", "1"])
+    assert (code, out, err) == (2, "", f"error: {OVERFLOW_MESSAGE}\n")
 
 
 def test_polytope_decodes_its_space_once(capsys, monkeypatch) -> None:
@@ -881,6 +1019,32 @@ def test_negative_exponent_values_need_the_equals_form(capsys) -> None:
 FUZZ_SIZES = st.one_of(st.integers(2, 4), st.sampled_from([0, 1, 33, 10**6]))
 FUZZ_CAP = 200  # largest space a drawn command may build
 NON_FINITE = ("nan", "inf", "-inf")
+# Integral files drawn by name: (text, NORB or None when the file cannot
+# load, NELEC).  They stand in the directory FUZZ_DIR names in a command.
+FUZZ_DIR = "<fuzz-files>"
+FUZZ_FILES = {
+    "chain": ("NORB=3 NELEC=3 MS2=1\n-1 1 2 0 0\n-1 2 3 0 0\n"
+              "2 1 1 1 1\n2 2 2 2 2\n2 3 3 3 3\n", 3, 3),
+    "chain-U5": ("NORB=3 NELEC=3 MS2=1\n-1 1 2 0 0\n-1 2 3 0 0\n"
+                 "5 1 1 1 1\n5 2 2 2 2\n5 3 3 3 3\n", 3, 3),
+    "wide": ("NORB=4 NELEC=3 MS2=1\n-1 1 2 0 0\n-1 2 3 0 0\n-1 3 4 0 0\n"
+             "1 1 1 1 1\n1 4 4 4 4\n", 4, 3),
+    # finite entries whose sums overflow, whose antisymmetrized
+    # (11|22) - (12|21) does, and whose eigenvalues do
+    "overflow": (OVERFLOWING_INTEGRALS, 3, 3),
+    "overflow-exchange": ("NORB=3 NELEC=3 MS2=1\n1e308 1 1 2 2\n-1e308 1 2 1 2\n", 3, 3),
+    "huge": ("NORB=3 NELEC=3 MS2=1\n1e308 1 2 0 0\n1e308 2 3 0 0\n", 3, 3),
+    "non-finite": ("NORB=3 NELEC=3 MS2=1\n-1 1 2 0 0\ninf 1 1 1 1\n", None, 3),
+    "bad-header": ("NORB=three NELEC=3 MS2=1\n-1 1 2 0 0\n", None, 3),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory) -> Path:
+    directory = tmp_path_factory.mktemp("fuzz-files")
+    for name, (text, _, _) in FUZZ_FILES.items():
+        (directory / f"{name}.ints").write_text(text)
+    return directory
 
 
 @st.composite
@@ -904,13 +1068,26 @@ def _cli_argv(draw) -> tuple[list[str], int, bool]:
     else:
         model, size_flag, other_flag, scanned = draw(st.sampled_from(
             [("hubbard", "--sites", "--levels", "U"), ("pairing", "--levels", "--sites", "G")]))
-        n = draw(FUZZ_SIZES)
-        argv += ["--model", model, size_flag, str(n)]
-        size = space_size(N, 2 * n) if N is not None and 2 * n <= MAX_WIDTH else 0
+        # a third of the solves, analyses and scans read integral files,
+        # most of them with the electron count the first file gives
+        files = []
+        if command != "truncate" and draw(st.integers(0, 2)) == 0:
+            files = draw(st.lists(st.sampled_from(sorted(FUZZ_FILES)), min_size=1,
+                                  max_size=4 if command == "scan" else 1))
+            if draw(st.integers(0, 3)) > 0:
+                N, argv = None, [command]
+            paths = [f"{FUZZ_DIR}/{name}.ints" for name in files]
+            argv += ["--files", *paths] if command == "scan" else ["--model", f"file:{paths[0]}"]
+            _, norb, nelec = FUZZ_FILES[files[0]]
+            size = 0 if norb is None else space_size(nelec if N is None else N, 2 * norb)
+        else:
+            n = draw(FUZZ_SIZES)
+            argv += ["--model", model, size_flag, str(n)]
+            size = space_size(N, 2 * n) if N is not None and 2 * n <= MAX_WIDTH else 0
         if draw(st.integers(0, 7)) == 0:
             argv += [other_flag, "2"]
             refused = True
-        if command == "scan":
+        if command == "scan" and not files:
             # half the scans get a count that no grid can hold
             steps = draw(st.sampled_from(["3", "0", "x"])
                          | st.sampled_from([str(10**16), str(2**63 - 1)]))
@@ -935,14 +1112,27 @@ def _cli_argv(draw) -> tuple[list[str], int, bool]:
     return argv, size, refused
 
 
-@settings(max_examples=150, derandomize=True, deadline=None,
+@settings(max_examples=250, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
-@given(_cli_argv())
-def test_fuzzed_command_lines_exit_with_a_documented_code(drawn) -> None:
+@given(drawn=_cli_argv())
+# every kind of file in one scan, each after a valid first file
+@example(drawn=(["scan", "--files", *(f"{FUZZ_DIR}/{name}.ints" for name in ["chain", *FUZZ_FILES]),
+                 "--sz", "1", "--format", "csv"], 20, False))
+def test_fuzzed_command_lines_exit_with_a_documented_code(fuzz_files, drawn) -> None:
     argv, size, refused = drawn
     assume(size <= FUZZ_CAP or refused)
+    argv = [arg.replace(FUZZ_DIR, str(fuzz_files)) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
         code = main(argv)
     assert code in ((2,) if refused else (0, 2, 3, 4)), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert caught == [] and "RuntimeWarning" not in err.getvalue(), argv
+    if code == 0 and "--files" in argv:
+        files = [arg for arg in argv if arg.startswith(str(fuzz_files))]
+        text = out.getvalue()
+        rows = (json.loads(text)["rows"] if argv[-1] == "json"
+                else text.splitlines()[1:])  # a table and a CSV have one header line
+        assert len(rows) == len(files), argv
