@@ -30,8 +30,10 @@ two lowest states, so the degeneracy flag has the gap it reads, by block
 thick-restart Lanczos written in numpy alone; no scipy is used.  The solve
 stops when both residuals ‖Hc - Ec‖ are within ``LANCZOS_TOL`` times the
 largest |H_ij|, and it starts from a fixed random block, so a run repeats
-to the last bit.  Neither route checks the space size: :mod:`fermipin.fock`
-holds the dense budget, ``MAX_DENSE_SPACE``, and no space is built past it.
+to the last bit.  It refuses, by name, elements so large that its squared
+norms could overflow.  Neither route checks the space size:
+:mod:`fermipin.fock` holds the dense budget, ``MAX_DENSE_SPACE``, and no
+space is built past it.
 
 Many points of one space go through as one stack: integrals with a
 leading axis (a parameter scan's grid points) give the entries, the dense
@@ -70,6 +72,9 @@ DENSE_CROSSOVER = 200
 # largest |H_ij|, and gives up after this many restarts
 LANCZOS_TOL = 1e-13
 LANCZOS_RESTARTS = 200
+# Lanczos squares norms up to about 2‖H‖, so it refuses a bound on ‖H‖ past
+# this, about 1e-4 of the square root of the largest float
+_NORM_LIMIT = 1e150
 DEGENERACY_GAP = 1e-10
 ORTHOGONALITY_TOL = 1e-10
 
@@ -284,7 +289,9 @@ def _sparse_eigh(
     falls to 1e-12 times the largest ``|H_ij|`` (an invariant subspace) is
     replaced by a random one orthogonal to the basis, as ARPACK's ``dgetv0``
     does.  Start and replacement vectors come from a fixed seed, so a run
-    repeats to the last bit.
+    repeats to the last bit.  Elements so large that n times the largest
+    ``|H_ij|``, a bound on ‖H‖, passes ``_NORM_LIMIT`` are refused before
+    the first product: the squared norms of the products could overflow.
     """
     diag, i, j, values = _hamiltonian_entries(ints, space)
     keep = values != 0
@@ -297,6 +304,12 @@ def _sparse_eigh(
     vals = np.concatenate([diag, values, values])[order]
     row_starts = np.searchsorted(rows[order], np.arange(n))
     scale = max(np.abs(diag).max(), np.abs(values).max(initial=0.0))
+    # ‖H‖ ≤ n·scale bounds every vector the solver squares and sums
+    if scale > _NORM_LIMIT / n:
+        raise FermipinError(
+            f"Hamiltonian elements up to {float(scale)!r} in magnitude would overflow "
+            f"the sparse eigensolver's squared norms over {n} determinants"
+        )
     # a constant start vector can be orthogonal to the ground state by symmetry
     rng = np.random.default_rng(0)
 

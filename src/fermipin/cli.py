@@ -656,9 +656,67 @@ def _csv_scan(payload: dict) -> tuple[list[str], list[list]]:
     return cols, [[row[c] for c in cols] for row in payload["rows"]]
 
 
+@functools.cache
+def _flat_encoder(newline: str):
+    """json's C encoder for a container of scalars whose items each start a
+    line of ``newline``: it writes ``[a,<newline>b]``, and the caller puts
+    the bracket lines around it."""
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+        ": ", "," + newline, False, False, True)
+
+
+def _write_json(value, newline: str, parts: list[str]) -> None:
+    """Append the ``json.dumps(indent=2)`` text of ``value``, which starts on
+    a line of ``newline`` ("\\n" and its indentation), to ``parts``.
+
+    Only containers of containers are walked here; every scalar and every
+    container of scalars is written by json's C encoder, so each number and
+    string has json's own text.  Dict keys are ``str``.
+    """
+    if isinstance(value, dict):
+        opening, closing, items = "{", "}", value.values()
+    elif isinstance(value, (list, tuple)):
+        opening, closing, items = "[", "]", value
+    else:
+        parts += _flat_encoder(newline)(value, 0)
+        return
+    if not value:
+        parts.append(opening + closing)
+        return
+    inner = newline + "  "
+    if not any(isinstance(item, (dict, list, tuple)) for item in items):
+        text = "".join(_flat_encoder(inner)(value, 0))
+        parts += (opening, inner, text[1:-1], newline, closing)
+        return
+    separator = opening + inner
+    if closing == "}":
+        for key, item in value.items():
+            parts += (separator, json.encoder.encode_basestring_ascii(key), ": ")
+            _write_json(item, inner, parts)
+            separator = "," + inner
+    else:
+        for item in value:
+            parts.append(separator)
+            _write_json(item, inner, parts)
+            separator = "," + inner
+    parts += (newline, closing)
+
+
+def _json_text(payload) -> str:
+    """Exactly ``json.dumps(payload, indent=2)``, which runs json's
+    pure-Python encoder one token at a time, here with each container of
+    scalars encoded whole in C.  Without the C encoder it is that call."""
+    if json.encoder.c_make_encoder is None:
+        return json.dumps(payload, indent=2)
+    parts: list[str] = []
+    _write_json(payload, "\n", parts)
+    return "".join(parts)
+
+
 def _render(cfg: argparse.Namespace, payload: dict) -> str:
     if cfg.format == "json":
-        return json.dumps(payload, indent=2)
+        return _json_text(payload)
     if cfg.format == "csv":
         cols, rows = cfg.csv(payload)
         out = io.StringIO()

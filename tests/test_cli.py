@@ -805,6 +805,24 @@ def test_an_overflowing_integral_file_exits_2_naming_the_element(capsys, tmp_pat
         assert (code, out, err, caught) == (2, "", f"error: {OVERFLOW_MESSAGE}\n", [])
 
 
+def test_elements_past_the_lanczos_norm_bound_exit_2_before_iterating(capsys, tmp_path) -> None:
+    # every element and the energy are finite, but the 400-determinant
+    # sector is solved by Lanczos, whose squared norms of H·v would overflow
+    path = tmp_path / "huge.ints"
+    path.write_text("NORB=6 NELEC=6 MS2=0\n"
+                    + "".join(f"-1e308 {i} {i + 1} 0 0\n" for i in range(1, 6))
+                    + "".join(f"1e307 {i} {i} {i} {i}\n" for i in range(1, 7)))
+    started = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, ["solve", "--model", f"file:{path}", "--sz", "0"])
+    elapsed = time.perf_counter() - started
+    assert (code, out, caught) == (2, "", [])
+    assert err == ("error: Hamiltonian elements up to 1e+308 in magnitude would overflow the "
+                   "sparse eigensolver's squared norms over 400 determinants\n")
+    assert elapsed < 0.1  # all 200 restarts took about 0.4 s
+
+
 def test_scan_gives_an_overflowing_file_in_a_stack_its_own_nan_row(capsys, tmp_path) -> None:
     paths = []
     for U in (1.0, 2.0, 3.0, 4.0, 5.0):
@@ -978,6 +996,43 @@ def test_shared_parser_runs_each_command_as_a_fresh_process(capsys, tmp_path) ->
                                capture_output=True, text=True, timeout=120, check=False)
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert in_process[3][0] == 2 and "needs --N" in in_process[3][2]
+
+
+_JSON_STRINGS = ["", '"', "\\", "\x00\x1f\n\t\x7f", "é∑😀\ud800", "</script>"]
+_JSON_EDGES = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308, 2**64,
+               -(10**40), True, False, None, *_JSON_STRINGS]
+_JSON_SCALARS = (st.sampled_from(_JSON_EDGES) | st.none() | st.booleans() | st.integers()
+                 | st.floats() | st.text(max_size=6))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.sampled_from(_JSON_STRINGS) | st.text(max_size=3),
+                                     inner, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_JSON_VALUES)
+@example([])
+@example({})
+@example([[], {}, ()])
+@example({"a": [[], [{}]], "b": {"c": {}}})
+@example((1, (2.5, ()), {"x": (None,)}))
+def test_json_writer_prints_the_bytes_of_json_dumps(value) -> None:
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_without_the_c_encoder_is_json_dumps(capsys, monkeypatch) -> None:
+    argv = ["polytope", "--N", "3", "--m", "8", "--random", "2", "--seed", "1", "--format", "json"]
+    code, written, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+
+    def unreachable(*args):
+        raise AssertionError("the writer ran without the C encoder")
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(cli, "_write_json", unreachable)
+    assert _run(capsys, argv) == (0, written, "")
 
 
 def test_closed_output_pipe_exits_0_quietly(capsys) -> None:

@@ -64,6 +64,10 @@ DIGESTS = {
         "8f55991f2a1612ff2260b156a853ec77ad4eeb3c221bd5dced958b1173ddaa12",
     "polytope --N 3 --m 8 --random 2 --seed 1 --format csv":
         "1ac1da6d9928feb0ba1e011c4264f080598ebfd44ea9b5f7b67794e02553e6c0",
+    # the benchmark's survey report: 352 905 bytes, recorded when
+    # json.dumps(indent=2) printed it
+    "polytope --N 3 --m 8 --random 100 --seed 1 --format json":
+        "d41007f51961bb3af6239eb8c9e3928f5a3aa01e108a0dd2847714fafe2e01ef",
     "truncate --model hubbard --sites 4 --U 4.0 --N 4 --sz 0 --mu 1 --format json":
         "f4d970dd3e4344a25ca99178466f425c0c36164f0ca1ffe9cab42dc41f0174c1",
     "truncate --model pairing --levels 4 --G 0.5 --N 4 --sz 0 --mu 5 --format json":
