@@ -29,7 +29,6 @@ from .errors import (
     SpectralRangeError,
 )
 from .fock import (
-    ConfigurationSpace,
     Determinant,
     ExcitationCensus,
     census,
@@ -58,8 +57,9 @@ from .rdm import OccupationSpectrum, natural_spectra, natural_spectrum, one_rdm,
 from .selection import SECTOR_PRESETS, filter_pinned, pinned_solve
 
 LEADING_COEFFICIENTS = 8
-# the most grid points a --scan may ask for, each one a solve
-MAX_SCAN_STEPS = 10_000
+# the most grid points a --scan may ask for, each one a solve, and the most
+# states polytope --random may sample, each about 10 KB of report
+MAX_POINTS = 10_000
 # coefficients per stack of polytope --random samples (8 states of the
 # 56-determinant (3, 8) space): stacks of 35 states ran 100 samples about
 # 1.5 ms faster but raised the peak memory of a survey pass by 0.2-0.6 MB
@@ -96,7 +96,8 @@ def _spatial_model(cfg: argparse.Namespace) -> tuple[SpatialIntegrals, str]:
             setattr(cfg, flag, own[flag])
     if cfg.model == "hubbard":
         spatial = hubbard_chain(cfg.sites, cfg.t, cfg.U, cfg.periodic)
-        name = f"hubbard(sites={cfg.sites}, t={cfg.t:g}, U={cfg.U:g})"
+        periodic = ", periodic" if cfg.periodic else ""
+        name = f"hubbard(sites={cfg.sites}, t={cfg.t:g}, U={cfg.U:g}{periodic})"
     elif cfg.model == "pairing":
         spatial = pairing_model(cfg.levels, cfg.spacing, cfg.G)
         name = f"pairing(levels={cfg.levels}, spacing={cfg.spacing:g}, G={cfg.G:g})"
@@ -178,17 +179,11 @@ def _census_payload(tally: ExcitationCensus) -> dict:
     }
 
 
-def _ground(
-    cfg: argparse.Namespace, space: ConfigurationSpace | None = None
-) -> tuple[str, CIVector, OccupationSpectrum]:
+def _ground(cfg: argparse.Namespace) -> tuple[str, CIVector, OccupationSpectrum]:
     """The model name, its solved ground state and that state's natural
-    spectrum.  The state is solved over ``space`` when the model's
-    integrals have its width and layout, and over a space of its own
-    otherwise."""
+    spectrum."""
     ints, name = _resolve_model(cfg)
-    if space is None or (ints.m, ints.layout) != (space.m, space.layout):
-        space = _resolve_space(cfg, ints)
-    state = solve_ground(ints, space)
+    state = solve_ground(ints, _resolve_space(cfg, ints))
     return name, state, natural_spectrum(one_rdm(state))
 
 
@@ -325,8 +320,8 @@ def _scan_grid(cfg: argparse.Namespace) -> tuple[str, list[tuple[str, argparse.N
         start, stop, steps = spec.split(":")
         start, stop, count = _finite_float(start), _finite_float(stop), _parse_count(steps)
         # refused before the grid or any point is allocated
-        if count > MAX_SCAN_STEPS:
-            raise ValueError(f"at most {MAX_SCAN_STEPS} steps, got {count}")
+        if count > MAX_POINTS:
+            raise ValueError(f"at most {MAX_POINTS} steps, got {count}")
         with np.errstate(all="ignore"):  # a range too wide for a float step
             values = np.linspace(start, stop, count)
         if not np.isfinite(values).all():
@@ -353,8 +348,18 @@ def cmd_scan(cfg: argparse.Namespace) -> dict:
     first_spatial, _ = _spatial_model(first)
     ints = _spin_orbitals(first, first_spatial)
     space = _resolve_space(first, ints)
-    state = solve_ground(ints, space)
-    spectrum = natural_spectrum(one_rdm(state))
+
+    def solve(ints: SpinOrbitalIntegrals) -> tuple[list[float], OccupationSpectrum]:
+        """The ground-state energies and natural spectra of a point or a
+        stack of points, over the scan's space when the integrals have its
+        width and layout, and over a space of their own otherwise."""
+        own = space
+        if (ints.m, ints.layout) != (space.m, space.layout):
+            own = _resolve_space(first, ints)
+        energies, coeffs, _ = ground_states(ints, own)
+        return energies.tolist(), natural_spectra(one_rdms(own, coeffs))
+
+    energies, spectra = solve(ints)
     cat = _resolve_catalog(cfg, space.N, space.m)
     # the residual columns follow the report's order: inequalities, then equalities
     columns = (
@@ -377,49 +382,39 @@ def cmd_scan(cfg: argparse.Namespace) -> dict:
 
     results: list = []  # each point's row values, or the error that stopped it
     try:
-        results.append(values([state.energy], spectrum)[0])
+        results += values(energies, spectra)
     except errors as exc:
         results.append(exc)
-    # the later points of the first's spatial width go through as stacks of
-    # about _SCAN_BLOCK bytes of g, on the dense path and in a sector only:
-    # there no 1-RDM couples the spins, so a stack keeps the layout that
-    # each point's own 1-RDM keeps; a stack that fails goes point by point
+    # the later points go through as stacks of about _SCAN_BLOCK bytes of
+    # g, on the dense path and in a sector only: there no 1-RDM couples the
+    # spins, so a stack keeps the layout that each point's own 1-RDM keeps;
+    # a stack that fails, or that mixes in another spatial width than the
+    # first point's, goes point by point, so each failing point keeps its
+    # own NaN row and message
     size = 1
     if space.sector is not None and len(space) <= DENSE_CROSSOVER:
         size = max(1, _SCAN_BLOCK // (8 * space.m**4))
     for start in range(1, len(grid), size):
         points = [point for _, point in grid[start : start + size]]
-        found: dict[int, SpatialIntegrals] = {}
-        for k, point in enumerate(points):
+        for point in points:
             point.N = first.N
-            if size > 1:
-                try:
-                    spatial = _spatial_model(point)[0]
-                except errors:
-                    continue  # alone, it fails again with its own message
-                if spatial.n_spatial == first_spatial.n_spatial:
-                    found[k] = spatial
-        solved: dict[int, list[float]] = {}
-        if len(found) > 1:
-            stack = SpatialIntegrals(
-                first_spatial.n_spatial,
-                np.stack([spatial.h for spatial in found.values()]),
-                np.stack([spatial.g for spatial in found.values()]),
-                np.array([spatial.core_energy for spatial in found.values()]),
-            )
+        if len(points) > 1:
             try:
-                energies, coeffs, _ = ground_states(_spin_orbitals(first, stack), space)
-                spectra = natural_spectra(one_rdms(space, coeffs))
-                solved = dict(zip(found, values(energies.tolist(), spectra), strict=True))
-            except errors:
-                pass  # each point goes alone, a failing one with its own message
-        for k, point in enumerate(points):
-            if k in solved:
-                results.append(solved[k])
+                spatials = [_spatial_model(point)[0] for point in points]
+                # raises ValueError unless every point has the first's width
+                stack = SpatialIntegrals(
+                    first_spatial.n_spatial,
+                    np.stack([spatial.h for spatial in spatials]),
+                    np.stack([spatial.g for spatial in spatials]),
+                    np.array([spatial.core_energy for spatial in spatials]),
+                )
+                results += values(*solve(_spin_orbitals(first, stack)))
                 continue
+            except errors:
+                pass
+        for point in points:
             try:
-                _, state, spectrum = _ground(point, space)
-                results.append(values([state.energy], spectrum)[0])
+                results += values(*solve(_resolve_model(point)[0]))
             except errors as exc:
                 results.append(exc)
 
@@ -449,6 +444,8 @@ def cmd_polytope(cfg: argparse.Namespace) -> dict:
         add(["supplied"], OccupationSpectrum.from_occupations(cfg.occupations, N=cfg.N))
     else:
         count = cfg.random if cfg.random is not None else 1
+        if count > MAX_POINTS:  # refused before any sample is drawn
+            raise ValueError(f"--random takes at most {MAX_POINTS} samples, got {count}")
         rng = np.random.default_rng(cfg.seed)
         space = enumerate_space(cfg.N, cfg.m)
         # the samples go through as stacks of about _RANDOM_BLOCK coefficients,

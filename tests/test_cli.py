@@ -48,6 +48,18 @@ def test_analyze_table(capsys) -> None:
     assert "xi" in out
 
 
+def test_the_model_line_names_a_periodic_chain(capsys) -> None:
+    argv = ["solve", "--model", "hubbard", "--sites", "4", "--N", "4", "--sz", "0", "--U", "2"]
+    code, chain, _ = _run(capsys, argv)
+    assert code == 0
+    assert chain.splitlines()[0] == "model: hubbard(sites=4, t=1, U=2)"
+    code, ring, _ = _run(capsys, [*argv, "--periodic"])
+    assert code == 0
+    assert ring.splitlines()[0] == "model: hubbard(sites=4, t=1, U=2, periodic)"
+    # the two models have different ground states
+    assert chain.splitlines()[2] != ring.splitlines()[2]
+
+
 def test_json_is_the_source_of_truth(capsys) -> None:
     code, out, _ = _run(capsys, ["analyze", *HUB36, "--format", "json"])
     assert code == 0
@@ -211,6 +223,43 @@ def test_scan_over_files_tolerates_bad_points(capsys, tmp_path) -> None:
     assert not np.isnan(float(rows[0]["energy"]))
     assert not np.isnan(float(rows[1]["energy"]))
     assert np.isnan(float(rows[2]["energy"]))
+
+
+@pytest.mark.parametrize("ordering, spaces", [("blocked", 2), ("interleaved", 1)])
+def test_scan_files_of_another_width_equal_their_own_analysis(capsys, monkeypatch, tmp_path,
+                                                               ordering, spaces) -> None:
+    # truncated to 6 spin orbitals, the 4-site chain keeps the 3-site one's
+    # layout when interleaved, and has 4 up and 2 down orbitals when blocked
+    paths = []
+    for sites, U in ((3, 1.0), (4, 2.0), (3, 4.0)):
+        spatial = hubbard_chain(sites, 1.0, U)
+        spatial.n_electrons, spatial.ms2 = 3, 1
+        paths.append(str(tmp_path / f"chain{sites}-{U:g}.ints"))
+        save_integral_file(paths[-1], spatial)
+    flags = ["--sz", "1", "--rank", "6", "--ordering", ordering, "--format", "json"]
+    analyses = []
+    for path in paths:
+        code, out, _ = _run(capsys, ["analyze", "--model", f"file:{path}", *flags])
+        assert code == 0
+        analyses.append(json.loads(out))
+    assert (analyses[1]["space_size"] == analyses[0]["space_size"]) is (spaces == 1)
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return enumerate(*args, **kwargs)
+
+    enumerate = cli.enumerate_space
+    monkeypatch.setattr(cli, "enumerate_space", spy)
+    code, out, err = _run(capsys, ["scan", "--files", *paths, *flags])
+    assert (code, err, len(calls)) == (0, "", spaces)
+    payload = json.loads(out)
+    for row, analysis in zip(payload["rows"], analyses, strict=True):
+        expected = [analysis["energy"], *analysis["occupations"],
+                    *(entry["residual"] for entry in analysis["constraints"]),
+                    *(entry["residual"] for entry in analysis["equalities"]), analysis["xi"]]
+        assert [row[c] for c in payload["columns"][1:]] == expected
 
 
 def test_polytope_is_seeded_and_deterministic(capsys) -> None:
@@ -390,12 +439,33 @@ def test_scan_steps_above_the_bound_exit_2_before_the_grid_is_built(capsys,
     code, out, err = _run(capsys, ["scan", *HUB36, "--scan", scan])
     assert (code, out, grids) == (2, "", [])
     assert err == (f"error: bad --scan {scan!r}: "
-                   f"at most {cli.MAX_SCAN_STEPS} steps, got 100000000\n")
+                   f"at most {cli.MAX_POINTS} steps, got 100000000\n")
     # the bound itself is allowed, one step more is not
-    monkeypatch.setattr(cli, "MAX_SCAN_STEPS", 3)
+    monkeypatch.setattr(cli, "MAX_POINTS", 3)
     assert _run(capsys, ["scan", *HUB36, "--scan", "U=0:8:3"])[0] == 0
     assert _run(capsys, ["scan", *HUB36, "--scan", "U=0:8:4"])[0] == 2
     assert grids == [(0.0, 8.0, 3)]
+
+
+def test_random_samples_above_the_bound_exit_2_before_any_is_drawn(capsys,
+                                                                   monkeypatch) -> None:
+    draws = []
+
+    def spy(*args, **kwargs):
+        draws.append(args)
+        return default_rng(*args, **kwargs)
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    argv = ["polytope", "--N", "3", "--m", "8", "--random"]
+    code, out, err = _run(capsys, [*argv, "100000000"])
+    assert (code, out, draws) == (2, "", [])
+    assert err == f"error: --random takes at most {cli.MAX_POINTS} samples, got 100000000\n"
+    # the bound itself is allowed, one sample more is not
+    monkeypatch.setattr(cli, "MAX_POINTS", 3)
+    assert _run(capsys, [*argv, "3"])[0] == 0
+    assert _run(capsys, [*argv, "4"])[0] == 2
+    assert draws == [(0,)]
 
 
 def test_scan_axis_flags_exclude_each_other_and_the_model(capsys, tmp_path) -> None:
@@ -762,7 +832,8 @@ def test_stacked_scan_equals_the_per_point_pipeline(drawn, rows) -> None:
         payload = exc
     finally:
         cli._SCAN_BLOCK = block
-    # the same grid, each point solved, analysed and evaluated alone
+    # the same grid, each point solved over a space of its own, analysed
+    # and evaluated alone
     parameter, grid = cli._scan_grid(cli._build_parser().parse_args(argv))
     first = grid[0][1]
     try:
@@ -775,7 +846,9 @@ def test_stacked_scan_equals_the_per_point_pipeline(drawn, rows) -> None:
     for label, point in grid:
         try:
             point.N = first.N
-            _, state, spectrum = cli._ground(point, space)
+            ints = cli._resolve_model(point)[0]
+            state = solve_ground(ints, enumerate_space(point.N, ints.m, ints.layout, point.sz))
+            spectrum = natural_spectrum(one_rdm(state))
             report = evaluate(cat, spectrum, point.tiers)
             values = ([label, state.energy, *(float(v) for v in spectrum.n)]
                       + [v for _, v in report.residuals + report.equality_residuals]
