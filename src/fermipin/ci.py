@@ -118,21 +118,15 @@ class OrbitalRotation:
         m = self.U.shape[0]
         if self.U.shape != (m, m):
             raise RotationError("rotation matrix must be square")
-        require_orthogonal(self.U)
+        defect = np.abs(self.U @ self.U.T - np.eye(m)).max()
+        if defect > ORTHOGONALITY_TOL:
+            raise RotationError(f"matrix is not orthogonal (defect {defect:.2e})")
         if self.layout is not None and self.layout.m != m:
             raise RotationError(f"a width-{self.layout.m} layout for a width-{m} rotation")
 
     @property
     def m(self) -> int:
         return self.U.shape[0]
-
-
-def require_orthogonal(U: np.ndarray) -> None:
-    """Refuse ``U``, a square matrix or a stack of them, unless every
-    ``U @ U.T`` is the identity within ``ORTHOGONALITY_TOL``."""
-    defect = np.abs(U @ U.swapaxes(-1, -2) - np.eye(U.shape[-1])).max()
-    if defect > ORTHOGONALITY_TOL:
-        raise RotationError(f"matrix is not orthogonal (defect {defect:.2e})")
 
 
 def sign_fixed(rows: np.ndarray) -> np.ndarray:

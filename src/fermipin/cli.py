@@ -41,6 +41,7 @@ from .gpc import (
     Catalog,
     GPConstraint,
     catalog,
+    classify_tier,
     evaluate,
     evaluate_stack,
     load_catalog_file,
@@ -53,7 +54,7 @@ from .integrals import (
     pairing_model,
     to_spin_orbitals,
 )
-from .rdm import OccupationSpectrum, natural_spectra, natural_spectrum, one_rdm, one_rdms
+from .rdm import OccupationSpectrum, natural_spectrum, one_rdm, one_rdms
 from .selection import SECTOR_PRESETS, filter_pinned, pinned_solve
 
 LEADING_COEFFICIENTS = 8
@@ -165,7 +166,10 @@ def _chosen_constraints(
             )
         return (*cat.equalities, *chosen)
     chosen = list(cat.equalities) if cfg.with_equalities else []
-    chosen += [cat.find(mu) for mu in cfg.mu]
+    try:
+        chosen += [cat.find(mu) for mu in cfg.mu]
+    except KeyError as exc:  # str() of a KeyError is the repr of its key
+        raise ValueError(exc.args[0]) from None
     if not chosen:
         raise ValueError("no constraints selected; pass --mu (or --with-equalities)")
     return tuple(chosen)
@@ -339,6 +343,7 @@ def _scan_grid(cfg: argparse.Namespace) -> tuple[str, list[tuple[str, argparse.N
 
 def cmd_scan(cfg: argparse.Namespace) -> dict:
     parameter, grid = _scan_grid(cfg)
+    classify_tier(0.0, cfg.tiers)  # bad --tiers are refused before any point is solved
     # the geometry and the catalog come from the first grid point, whose
     # integral file also fixes a missing --N for every point; it is solved
     # alone, so that its failure ends the command, and its space serves
@@ -357,7 +362,7 @@ def cmd_scan(cfg: argparse.Namespace) -> dict:
         if (ints.m, ints.layout) != (space.m, space.layout):
             own = _resolve_space(first, ints)
         energies, coeffs, _ = ground_states(ints, own)
-        return energies.tolist(), natural_spectra(one_rdms(own, coeffs))
+        return energies.tolist(), natural_spectrum(one_rdms(own, coeffs))
 
     energies, spectra = solve(ints)
     cat = _resolve_catalog(cfg, space.N, space.m)
@@ -456,7 +461,7 @@ def cmd_polytope(cfg: argparse.Namespace) -> dict:
             # each row over its np.linalg.norm, bit for bit
             coeffs /= np.sqrt(np.vecdot(coeffs, coeffs))[:, None]
             labels = [f"random-{k}" for k in range(start, start + len(coeffs))]
-            add(labels, natural_spectra(one_rdms(space, coeffs)))
+            add(labels, natural_spectrum(one_rdms(space, coeffs)))
     return {
         "command": "polytope",
         "N": cfg.N,
@@ -927,9 +932,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except (FermipinError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:  # str() of a KeyError is the repr of its key
-        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     return 0
 

@@ -330,7 +330,10 @@ def _residuals(kappa0, kappa: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 def classify_tier(residual, thresholds=DEFAULT_TIERS):
     """The first tier whose threshold the residual does not exceed (a NaN
-    exceeds them all); an array of residuals gives an array of tier names."""
+    exceeds them all); an array of residuals gives an array of tier names.
+    Thresholds that are not positive and ascending raise ``ValueError``."""
+    if not (0 < thresholds[0] <= thresholds[1] <= thresholds[2]):
+        raise ValueError("tier thresholds must be positive and ascending")
     return _TIER_ARRAY[np.searchsorted(thresholds, residual)]
 
 
@@ -357,12 +360,12 @@ def evaluate_stack(
     n = spectra.n.reshape(-1, cat.m)
     if np.any(np.diff(n, axis=1) > 1e-12):
         raise ValueError("occupations must be sorted in descending order")
-    if not (0 < thresholds[0] <= thresholds[1] <= thresholds[2]):
-        raise ValueError("tier thresholds must be positive and ascending")
 
     kappa0, kappa, uneven = cat._forms
     values = _residuals(kappa0, kappa, n)
     inequality, equality = values[:, : len(cat.constraints)], values[:, len(cat.constraints) :]
+    # classified first, so bad thresholds are refused before a violation
+    tiers = classify_tier(np.maximum(inequality, 0.0), thresholds).tolist()
     violated = ((inequality < -NEGATIVITY_TOL).any(axis=1)
                 | (np.abs(equality) > NEGATIVITY_TOL).any(axis=1))
     if violated.any():
@@ -380,7 +383,6 @@ def evaluate_stack(
         raise RepresentabilityError(violations[0])
     # a run of ties whose members carry different weights in some constraint
     warn = (spectra.ties.reshape(len(n), -1) & uneven).any(axis=1)
-    tiers = classify_tier(np.maximum(inequality, 0.0), thresholds).tolist()
     xi = np.reshape(hf_distance(spectra), -1)
 
     mus = [c.mu for c in cat.constraints]

@@ -30,12 +30,14 @@ when a result depends on such a choice.
 
 Many states go through as one stack: :func:`one_rdms` sums the 1-RDMs of a
 block of coefficient rows with one ``np.bincount``, each state's terms
-offset to a matrix of its own, and :func:`natural_spectra` diagonalizes
-them with one ``np.linalg.eigh`` over the stack, then sorts, sign-fixes and
-clamps them together.  Each matrix comes out bit for bit as it does alone;
-:func:`one_rdm` and :func:`natural_spectrum` are the same code on a stack
-of one.  Random samples (``polytope --random``) and the ground states of a
-parameter scan's points (``scan``, from
+offset to a matrix of its own, and :func:`natural_spectrum` of the stack
+diagonalizes them with one ``np.linalg.eigh`` per spin block, then sorts
+and clamps them together.  Each matrix comes out bit for bit as it does
+alone; :func:`one_rdm` is :func:`one_rdms` on a stack of one.  A stack's
+spectrum keeps only occupations and ties, since no caller of a stack reads
+natural orbitals: it builds no rotation, no sign fix and no layout of a
+natural basis.  Random samples (``polytope --random``) and the ground
+states of a parameter scan's points (``scan``, from
 :func:`~fermipin.ci.ground_states`) are such stacks.  A stack keeps a
 layout only when every matrix in it is spin-blocked, so a stack's spectra
 equal the states' own spectra when all of them are, as in a sector space.
@@ -159,8 +161,9 @@ class OccupationSpectrum:
     spectra: ``n`` of shape ``(count, m)``, one row per state, all with the
     same ``N``.
 
-    ``natural_rotation`` maps the original orbitals to the natural ones
-    (``None`` for spectra supplied as bare numbers, and for stacks).
+    ``natural_rotation`` maps the original orbitals to the natural ones of
+    a single diagonalized 1-RDM; it is ``None`` for spectra supplied as bare
+    numbers and for every stack, whose natural orbitals are not kept.
     ``ties[..., i]`` is True when occupations ``i + 1`` and ``i + 2``
     (1-based) differ by at most the tie tolerance used at construction; a
     run of ties is a degenerate group, whose positions are interchangeable.
@@ -210,10 +213,17 @@ def _clamp_range(n: np.ndarray, tol: float) -> np.ndarray:
     return np.clip(n, 0.0, 1.0)
 
 
-def _natural(rdm: OneRDM):
-    """The natural spectra of a 1-RDM or a stack of them, each as a stack:
-    occupations, the electron count, natural-orbital rows, the layout of
-    each natural basis (``None`` without a layout) and ties."""
+def natural_spectrum(rdm: OneRDM) -> OccupationSpectrum:
+    """Diagonalize a 1-RDM into occupations and a natural-orbital rotation,
+    or a stack of 1-RDMs into a stacked spectrum, row ``k`` for matrix ``k``.
+
+    A 1-RDM with a layout is diagonalized per spin block, so every natural
+    orbital has a definite spin and the rotation carries the layout of the
+    natural basis, which keeps it sector-safe.  Natural-orbital rows are
+    sign-fixed the same way CI vectors are, by :func:`~fermipin.ci.sign_fixed`.
+    A stack keeps no rotations: its rows are the occupations and ties each
+    matrix gives alone.
+    """
     rho = rdm.rho.reshape(-1, rdm.m, rdm.m)
     traces = np.trace(rho, axis1=1, axis2=2).tolist()
     N = round(traces[0])
@@ -222,51 +232,31 @@ def _natural(rdm: OneRDM):
             raise SpectralRangeError(f"1-RDM trace {trace!r} is not close to the integer {N}")
 
     count, m = len(rho), rdm.m
+    single = rdm.rho.ndim == 2
     blocks = (np.arange(m),) if rdm.layout is None else rdm.layout.spin_blocks
-    values, vectors = [], np.zeros((count, m, m))
+    values, vectors = [], np.zeros((m, m))
     start = 0
     for idx in blocks:
         # one eigh for the whole stack, bit for bit one eigh per matrix
         vals, vecs = np.linalg.eigh(rho.take(idx, axis=1).take(idx, axis=2))
         values.append(vals[:, ::-1])
-        vectors[:, start : start + len(idx), idx] = vecs[:, :, ::-1].transpose(0, 2, 1)
+        if single:
+            vectors[start : start + len(idx), idx] = vecs[0, :, ::-1].T
         start += len(idx)
     # descending occupation; ties keep block order, then position in block
     occupations = np.concatenate(values, axis=1)
     order = np.argsort(-occupations, axis=1, kind="stable")
-    state = np.arange(count)[:, None]
-    U = ci.sign_fixed(vectors[state, order].reshape(-1, m)).reshape(count, m, m)
-    if rdm.layout is None:
-        layouts = [None] * count
-    else:
+    n = _clamp_range(occupations[np.arange(count)[:, None], order], tol=RANGE_TOL)
+    ties = n[:, :-1] - n[:, 1:] <= DEFAULT_TIE_TOL
+    if not single:
+        return OccupationSpectrum(n, N, None, ties)
+
+    layout = None
+    if rdm.layout is not None:
         spins = [UP] * len(blocks[0]) + [DOWN] * len(blocks[1])
-        layouts = [SpinOrbitalLayout(tuple(spins[k] for k in row)) for row in order.tolist()]
-
-    n = _clamp_range(occupations[state, order], tol=RANGE_TOL)
-    return n, N, U, layouts, n[:, :-1] - n[:, 1:] <= DEFAULT_TIE_TOL
-
-
-def natural_spectra(rdm: OneRDM) -> OccupationSpectrum:
-    """The natural occupations of a stack of 1-RDMs as one stacked spectrum,
-    row ``k`` for matrix ``k``, computed as :func:`natural_spectrum` computes
-    each.  The rotations are not kept; the orthogonality test of
-    :class:`~fermipin.ci.OrbitalRotation` runs once over all of them."""
-    n, N, U, _, ties = _natural(rdm)
-    ci.require_orthogonal(U)
-    return OccupationSpectrum(n, N, None, ties)
-
-
-def natural_spectrum(rdm: OneRDM) -> OccupationSpectrum:
-    """Diagonalize a 1-RDM into occupations and a natural-orbital rotation.
-
-    A 1-RDM with a layout is diagonalized per spin block, so every natural
-    orbital has a definite spin and the rotation carries the layout of the
-    natural basis, which keeps it sector-safe.  Natural-orbital rows are
-    sign-fixed the same way CI vectors are, by :func:`~fermipin.ci.sign_fixed`.
-    The computation is that of :func:`natural_spectra` on a stack of one.
-    """
-    n, N, U, layouts, ties = _natural(rdm)
-    return OccupationSpectrum(n[0], N, OrbitalRotation(U[0], layouts[0]), ties[0])
+        layout = SpinOrbitalLayout(tuple(spins[k] for k in order[0].tolist()))
+    rotation = OrbitalRotation(ci.sign_fixed(vectors[order[0]]), layout)
+    return OccupationSpectrum(n[0], N, rotation, ties[0])
 
 
 def hf_distance(spectrum: OccupationSpectrum) -> float | np.ndarray:

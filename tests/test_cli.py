@@ -344,6 +344,10 @@ def test_usage_errors_exit_2(capsys, tmp_path) -> None:
     assert _run(capsys, ["scan", "--model", "hubbard", "--sites", "3", "--N", "3",
                          "--scan", "U=zero:8:9"])[0] == 2
     assert _run(capsys, ["truncate", *HUB36])[0] == 2  # no constraints picked
+    # descending --tiers, refused before any point is solved
+    assert _run(capsys, ["scan", "--model", "hubbard", "--sites", "3", "--N", "3", "--sz", "1",
+                         "--scan", "U=0:2:3", "--tiers", "1e-2,1e-4,1e-10"]) == (
+        2, "", "error: tier thresholds must be positive and ascending\n")
     assert _run(capsys, ["census", "--N", "3", "--m", "6", "--mu", "x"])[0] == 2
     assert _run(capsys, ["scan", "--model", "hubbard", "--sites", "2", "--N", "2",
                          "--sz", "0", "--scan", "U=0:8:0"])[0] == 2

@@ -160,6 +160,9 @@ def test_tier_thresholds() -> None:
     assert classify_tier(5e-3) == "quasipinned"
     assert classify_tier(0.2) == "unpinned"
     assert classify_tier(5e-3, (1e-12, 1e-6, 1e-1)) == "quasipinned"
+    for thresholds in ((1e-2, 1e-4, 1e-10), (0.0, 1e-4, 1e-2)):
+        with pytest.raises(ValueError, match="positive and ascending"):
+            classify_tier(0.0, thresholds)
 
 
 def test_evaluate_weak_regime_example() -> None:

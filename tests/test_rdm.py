@@ -18,7 +18,6 @@ from fermipin.integrals import hubbard_chain, pairing_model, to_spin_orbitals
 from fermipin.rdm import (
     OccupationSpectrum,
     hf_distance,
-    natural_spectra,
     natural_spectrum,
     one_rdm,
     one_rdms,
@@ -177,22 +176,38 @@ def test_sector_vectors_give_rdms_that_keep_the_layout() -> None:
 
 
 def test_a_stack_of_sector_states_matches_each_state_alone() -> None:
-    # a layout, so each stacked matrix is diagonalized per spin block
+    # a sector space's layout, so each stacked matrix is diagonalized per
+    # spin block; random states of the full space, as polytope draws them,
+    # keep no layout
     ints = to_spin_orbitals(hubbard_chain(4, 1.0, 4.0))
-    space = enumerate_space(3, 8, ints.layout, 1)
     rng = np.random.default_rng(8)
-    vectors = [random_vector(space, rng) for _ in range(5)]
-    stack = one_rdms(space, np.array([v.coeffs for v in vectors]))
-    assert stack.layout == space.layout and stack.rho.shape == (5, 8, 8)
-    spectra = natural_spectra(stack)
-    assert spectra.N == 3 and spectra.natural_rotation is None
-    for k, vector in enumerate(vectors):
-        alone = one_rdm(vector)
-        assert np.array_equal(stack.rho[k], alone.rho)
-        spectrum = natural_spectrum(alone)
-        assert spectra.n[k].tobytes() == spectrum.n.tobytes()
-        assert np.array_equal(spectra.ties[k], spectrum.ties)
-        assert np.array_equal(hf_distance(spectra)[k], hf_distance(spectrum))
+    for space in (enumerate_space(3, 8, ints.layout, 1), enumerate_space(3, 8)):
+        vectors = [random_vector(space, rng) for _ in range(5)]
+        stack = one_rdms(space, np.array([v.coeffs for v in vectors]))
+        assert stack.layout == space.layout and stack.rho.shape == (5, 8, 8)
+        spectra = natural_spectrum(stack)
+        assert spectra.N == 3 and spectra.natural_rotation is None
+        for k, vector in enumerate(vectors):
+            alone = one_rdm(vector)
+            assert np.array_equal(stack.rho[k], alone.rho)
+            spectrum = natural_spectrum(alone)
+            assert spectra.n[k].tobytes() == spectrum.n.tobytes()
+            assert spectra.ties[k].tobytes() == spectrum.ties.tobytes()
+            assert np.array_equal(hf_distance(spectra)[k], hf_distance(spectrum))
+
+
+def test_a_stacked_spectrum_builds_no_rotation(monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stack's rotations are built")
+
+    monkeypatch.setattr(fermipin.ci, "sign_fixed", refuse)
+    monkeypatch.setattr(fermipin.rdm, "OrbitalRotation", refuse)
+    space = enumerate_space(3, 8, to_spin_orbitals(hubbard_chain(4, 1.0, 4.0)).layout, 1)
+    rng = np.random.default_rng(9)
+    for count in (1, 3):
+        coeffs = np.array([random_vector(space, rng).coeffs for _ in range(count)])
+        spectra = natural_spectrum(one_rdms(space, coeffs))
+        assert spectra.n.shape == (count, 8) and spectra.natural_rotation is None
 
 
 def test_a_stack_names_its_first_unnormalized_row() -> None:
