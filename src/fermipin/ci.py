@@ -24,14 +24,20 @@ overflows, is refused with a ``FermipinError`` that names it.
 
 :func:`ground_states` finds ground states only.  It keeps dense
 ``numpy.linalg.eigh`` for spaces of at most ``DENSE_CROSSOVER``
-determinants, where it is the faster route.  Above that it holds H as CSR
-arrays built straight from the entries, never a dense matrix, and finds the
-two lowest states, so the degeneracy flag has the gap it reads, by block
-thick-restart Lanczos written in numpy alone; no scipy is used.  The solve
-stops when both residuals ‖Hc - Ec‖ are within ``LANCZOS_TOL`` times the
-largest |H_ij|, and it starts from a fixed random block, so a run repeats
-to the last bit.  It refuses, by name, elements so large that its squared
-norms could overflow.  Neither route checks the space size:
+determinants, where it is the faster route.  Above that it never builds a
+dense matrix of the whole space.  It splits the determinants into the
+blocks that H's nonzero entries connect (exact selection rules, such as
+the seniority of the pairing model, make many) and lets the crossover
+decide per block: small blocks go through one stacked ``eigvalsh`` per
+block size, each larger one through CSR arrays built straight from its
+entries and block thick-restart Lanczos written in numpy alone; no scipy
+is used.  Every block gives its two lowest values, so the degeneracy flag
+has the gap it reads, across blocks too.  Lanczos stops when both
+residuals ‖Hc - Ec‖ are within ``LANCZOS_TOL`` times the largest |H_ij| of
+the space, and it starts from a fixed random block, so a run repeats to
+the last bit; a connected space is one block and solves as one matrix.
+It refuses, by name, elements so large that its squared norms could
+overflow.  Neither route checks the space size:
 :mod:`fermipin.fock` holds the dense budget, ``MAX_DENSE_SPACE``, and no
 space is built past it.
 
@@ -60,13 +66,14 @@ from .fock import (
 )
 from .integrals import SpinOrbitalIntegrals
 
-# Largest space solved with dense eigh.  With one BLAS thread, eigh of the
-# whole matrix and the sparse Lanczos for two states break even between 100
-# and 225 determinants (Hubbard sectors); at 400, Lanczos takes 8 ms against
-# 25 ms.  It is also the largest space whose pairs come from the quadratic
-# search (the Hamiltonian and the 1-RDM): below it, generating them costs
-# more in numpy call overhead than searching (Hubbard sectors, entries plus
-# 1-RDM: 0.87 against 0.52 ms at 36 determinants, even at 225).
+# Largest space, and above it the largest connected block of H, solved
+# densely.  With one BLAS thread, eigh of the whole matrix and the sparse
+# Lanczos for two states break even between 100 and 225 determinants
+# (Hubbard sectors); at 400, Lanczos takes 8 ms against 25 ms.  It is also
+# the largest space whose pairs come from the quadratic search (the
+# Hamiltonian and the 1-RDM): below it, generating them costs more in numpy
+# call overhead than searching (Hubbard sectors, entries plus 1-RDM: 0.87
+# against 0.52 ms at 36 determinants, even at 225).
 DENSE_CROSSOVER = 200
 # Lanczos stops when every wanted residual is within this multiple of the
 # largest |H_ij|, and gives up after this many restarts
@@ -263,47 +270,36 @@ def _product(
     return HX
 
 
-def _sparse_eigh(
-    ints: SpinOrbitalIntegrals, space: ConfigurationSpace
+def _lanczos(
+    diag: np.ndarray, i: np.ndarray, j: np.ndarray, values: np.ndarray, scale: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The two lowest eigenpairs of the Hamiltonian, by block thick-restart
-    Lanczos (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)) in
-    numpy alone.
+    """The (up to) two lowest eigenpairs of the symmetric matrix with
+    diagonal ``diag`` and upper-triangle entries ``(i, j, values)``, by
+    block thick-restart Lanczos (Wu and Simon, SIAM J. Matrix Anal. Appl.
+    22, 602 (2000)) in numpy alone: their values and the lowest vector.
 
-    H is held as CSR arrays.  The Krylov space grows from a block of two
-    random vectors: one start vector reaches a single state of each level,
-    so it would show a degenerate ground level as a simple one.  Each new
-    vector is orthogonalized against the basis by two classical Gram-Schmidt
-    passes, and T = VᵀHV is filled from the products.  A full basis of
-    sixteen blocks (32 vectors) is solved by Rayleigh-Ritz; once both
-    residuals ‖Hy - θy‖ of the two lowest Ritz pairs are within
-    ``LANCZOS_TOL`` times the largest ``|H_ij|`` they are returned, and
-    otherwise the 16 lowest Ritz vectors are kept, with T = diag(θ), and the
-    expansion goes on from the last residual block.  A vector whose norm
-    falls to 1e-12 times the largest ``|H_ij|`` (an invariant subspace) is
-    replaced by a random one orthogonal to the basis, as ARPACK's ``dgetv0``
-    does.  Start and replacement vectors come from a fixed seed, so a run
-    repeats to the last bit.  Elements so large that n times the largest
-    ``|H_ij|``, a bound on ‖H‖, passes ``_NORM_LIMIT`` are refused before
-    the first product: the squared norms of the products could overflow.
+    The matrix is held as CSR arrays.  The Krylov space grows from a block
+    of two random vectors: one start vector reaches a single state of each
+    level, so it would show a degenerate ground level as a simple one.  Each
+    new vector is orthogonalized against the basis by two classical
+    Gram-Schmidt passes, and T = VᵀHV is filled from the products.  A full
+    basis of sixteen blocks (32 vectors) is solved by Rayleigh-Ritz; once
+    both residuals ‖Hy - θy‖ of the two lowest Ritz pairs are within
+    ``LANCZOS_TOL`` times ``scale`` they are returned, and otherwise the 16
+    lowest Ritz vectors are kept, with T = diag(θ), and the expansion goes
+    on from the last residual block.  A vector whose norm falls to 1e-12
+    times ``scale`` (an invariant subspace) is replaced by a random one
+    orthogonal to the basis, as ARPACK's ``dgetv0`` does.  Start and
+    replacement vectors come from a fixed seed, so a run repeats to the
+    last bit.
     """
-    diag, i, j, values = _hamiltonian_entries(ints, space)
-    keep = values != 0
-    i, j, values = i[keep], j[keep], values[keep]
-    n = len(space)
+    n = len(diag)
     # the diagonal is stored even where it is zero, so no CSR row is empty
     rows = np.concatenate([np.arange(n), i, j])
     order = np.argsort(rows, kind="stable")
     cols = np.concatenate([np.arange(n), j, i])[order]
     vals = np.concatenate([diag, values, values])[order]
     row_starts = np.searchsorted(rows[order], np.arange(n))
-    scale = max(np.abs(diag).max(), np.abs(values).max(initial=0.0))
-    # ‖H‖ ≤ n·scale bounds every vector the solver squares and sums
-    if scale > _NORM_LIMIT / n:
-        raise FermipinError(
-            f"Hamiltonian elements up to {float(scale)!r} in magnitude would overflow "
-            f"the sparse eigensolver's squared norms over {n} determinants"
-        )
     # a constant start vector can be orthogonal to the ground state by symmetry
     rng = np.random.default_rng(0)
 
@@ -325,7 +321,7 @@ def _sparse_eigh(
         ritz = Y[:, :2].T @ V
         residual = Y[:, :2].T @ HV - theta[:2, None] * ritz
         if np.linalg.norm(residual, axis=1).max() <= LANCZOS_TOL * scale:
-            return theta[:2], ritz.T
+            return theta[:2], ritz[0]
         # the residual block goes on orthogonal to all of the basis it leaves
         block = block - (block @ V.T) @ V
         filled = min(16, size - 1)
@@ -333,6 +329,91 @@ def _sparse_eigh(
         T[:] = 0.0
         T[:filled, :filled] = np.diag(theta[:filled])
     raise FermipinError(f"sparse eigensolver did not converge in {LANCZOS_RESTARTS} restarts")
+
+
+def _blocks(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The connected block of each of ``n`` nodes joined by the edges
+    ``(i, j)``, blocks numbered in the order of their first node.  Each pass
+    jumps every label to its root, then hooks the larger root of each edge
+    whose ends disagree onto the smaller one, so a root stays the smallest
+    node of its tree."""
+    label = np.arange(n)
+    while True:
+        while not np.array_equal(root := label[label], label):
+            label = root
+        low, high = np.minimum(label[i], label[j]), np.maximum(label[i], label[j])
+        apart = low != high
+        if not apart.any():
+            return (np.cumsum(label == np.arange(n)) - 1)[label]
+        np.minimum.at(label, high[apart], low[apart])
+
+
+def _sparse_eigh(
+    ints: SpinOrbitalIntegrals, space: ConfigurationSpace
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two lowest eigenvalues of the Hamiltonian over ``space`` and its
+    sign-fixed ground vector, solved one connected block of H at a time.
+
+    The nonzero entries split the determinants into blocks that H does not
+    connect, as exact selection rules do: the pairing model keeps the
+    levels that hold an unpaired electron, so its 1 225-determinant S_z = 0
+    sector of seven levels is 64 blocks of at most 35.  Blocks of at most
+    ``DENSE_CROSSOVER`` determinants go through one stacked ``eigvalsh`` per
+    block size; each larger one goes through :func:`_lanczos` with the
+    largest ``|H_ij|`` of the whole space as its scale, so a connected
+    space is solved as one matrix.  The block that holds the lowest value
+    (the first, on a tie) gives the energy and the vector, from one
+    ``eigh`` if it is small; the vector is exactly ``+0.0`` outside that
+    block.  The second value is the lowest of all the rest, that block's
+    second included, so a ground level shared by blocks shows as
+    degenerate.  Elements so large that n times the largest ``|H_ij|``, a
+    bound on ‖H‖, passes ``_NORM_LIMIT`` are refused before any block is
+    solved: Lanczos's squared norms could overflow.
+    """
+    diag, i, j, values = _hamiltonian_entries(ints, space)
+    keep = values != 0
+    i, j, values = i[keep], j[keep], values[keep]
+    n = len(space)
+    scale = max(np.abs(diag).max(), np.abs(values).max(initial=0.0))
+    # ‖H‖ ≤ n·scale bounds every vector the solver squares and sums
+    if scale > _NORM_LIMIT / n:
+        raise FermipinError(
+            f"Hamiltonian elements up to {float(scale)!r} in magnitude would overflow "
+            f"the sparse eigensolver's squared norms over {n} determinants"
+        )
+    block = _blocks(n, i, j)
+    sizes = np.bincount(block)
+    # each determinant's place in its block, each block's in the stack of its size
+    local, starts = np.empty(n, np.intp), sizes.cumsum() - sizes
+    local[np.argsort(block, kind="stable")] = np.arange(n) - np.repeat(starts, sizes)
+    slot = np.empty(len(sizes), np.intp)
+    lowest, stacks, solved = np.empty(len(sizes)), {}, {}
+    for size in sorted(set(sizes.tolist())):
+        ids = np.flatnonzero(sizes == size)
+        if size <= DENSE_CROSSOVER:
+            slot[ids] = np.arange(len(ids))
+            at, edge = sizes[block] == size, sizes[block[i]] == size
+            H = stacks[size] = np.zeros((len(ids), size, size))
+            H[slot[block[at]], local[at], local[at]] = diag[at]
+            k, li, lj = slot[block[i[edge]]], local[i[edge]], local[j[edge]]
+            H[k, li, lj] = H[k, lj, li] = values[edge]
+            lowest[ids] = np.linalg.eigvalsh(H)[:, 0]
+            continue
+        for b in ids.tolist():
+            at, edge = block == b, block[i] == b
+            solved[b] = _lanczos(diag[at], local[i[edge]], local[j[edge]], values[edge], scale)
+            lowest[b] = solved[b][0][0]
+    b = int(np.argmin(lowest))
+    if b in solved:
+        found, vector = solved[b]
+    else:
+        found, vectors = np.linalg.eigh(stacks[sizes[b]][slot[b]])
+        vector = vectors[:, 0]
+    # the second value is the block's own second or another block's lowest
+    lowest[b] = found[1] if len(found) > 1 else np.inf
+    ground = np.zeros(n)
+    ground[block == b] = sign_fixed(vector[None])[0]
+    return np.array([found[0], lowest.min()]), ground
 
 
 def ground_states(
@@ -344,12 +425,14 @@ def ground_states(
 
     Spaces of at most ``DENSE_CROSSOVER`` determinants are solved densely,
     with one ``eigh`` over the stack of Hamiltonians (bit for bit one
-    ``eigh`` per matrix); larger ones, one point at a time, through a CSR
-    matrix with block Lanczos for the two lowest states.  Each eigenvector
-    is normalized and sign-fixed by :func:`sign_fixed`.  A state is flagged
-    degenerate when the next eigenvalue lies within ``DEGENERACY_GAP`` of
-    it: its vector is then an arbitrary basis choice inside the degenerate
-    level, and occupation analyses should be read with care.
+    ``eigh`` per matrix); larger ones, one point at a time, one connected
+    block of H at a time by :func:`_sparse_eigh`, which finds the two
+    lowest values over all blocks and a ground vector exactly zero outside
+    its block.  Each eigenvector is normalized and sign-fixed by
+    :func:`sign_fixed`.  A state is flagged degenerate when the next
+    eigenvalue lies within ``DEGENERACY_GAP`` of it: its vector is then an
+    arbitrary basis choice inside the degenerate level, and occupation
+    analyses should be read with care.
     """
     n = len(space)
     if n == 0:
@@ -359,9 +442,10 @@ def ground_states(
             values, vectors = np.linalg.eigh(build_hamiltonian(ints, space).reshape(-1, n, n))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
             raise FermipinError(f"eigensolver failure: {exc}") from exc
+        vectors = vectors[:, :, 0]
     else:
-        values, vectors = _sparse_eigh(ints, space)
-        values, vectors = values[None], vectors[None]
+        values, vector = _sparse_eigh(ints, space)
+        values, vectors = values[None], vector[None]
     energies = values[:, 0]
     # finite elements near the float limit can still give an energy past it
     if not np.isfinite(energies).all():
@@ -369,7 +453,7 @@ def ground_states(
         raise FermipinError(f"ground-state energy {float(energy)!r} is not finite")
     # a one-determinant space has no second level, and is not degenerate
     degenerate = values[:, 1] - energies < DEGENERACY_GAP if n > 1 else np.zeros(len(values), bool)
-    return energies, sign_fixed(vectors[:, :, 0]), degenerate
+    return energies, sign_fixed(vectors), degenerate
 
 
 def solve_ground(ints: SpinOrbitalIntegrals, space: ConfigurationSpace) -> CIVector:

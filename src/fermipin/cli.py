@@ -829,6 +829,12 @@ def _parse_count(text: str) -> int:
     return int(text)
 
 
+def _parse_seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer: {text!r}")
+    return int(text)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built once per process: each parse
@@ -886,7 +892,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--random", type=_parse_count, default=None, help="sample this many random states"
     )
     _add_common(p)
-    p.add_argument("--seed", type=int, default=0, help="seed of the --random samples")
+    p.add_argument("--seed", type=_parse_seed, default=0, help="seed of the --random samples")
     p.set_defaults(run=cmd_polytope, table=_table_polytope,
                    csv=lambda payload: _csv_samples(payload["samples"]))
 

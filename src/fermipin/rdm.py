@@ -11,9 +11,15 @@ was built from; a larger one generates them with one
 a sector space it generates only the spin-conserving singles, because a
 spin flip leaves the sector; a space without a sector keeps the spin-flip
 singles.  Both routes give the pairs in the same order, so both give the
-same sums.  Its eigenvalues, sorted in descending order, are the natural
-occupation numbers that all constraint analysis runs on; its eigenvectors
-define the natural orbitals.
+same sums.  Above the crossover the pairs are those of the subspace of the
+determinants that some state of the stack occupies (nonzero coefficient),
+when that leaves any out: the block solve of
+:func:`~fermipin.ci.ground_states` gives states that are exactly zero
+outside one block of H, and a dropped term is an exact zero, so the sums
+keep every bit; that subspace follows the same size rule.  The 1-RDM's
+eigenvalues, sorted in descending order, are the natural occupation
+numbers that all constraint analysis runs on; its eigenvectors define the
+natural orbitals.
 
 When the vector lives in a spin-projection sector, every cross-spin element
 of the 1-RDM vanishes identically (a single spin flip leaves the sector),
@@ -121,6 +127,12 @@ def one_rdms(space: ConfigurationSpace, coeffs: np.ndarray) -> OneRDM:
     for norm in np.sqrt(np.vecdot(coeffs, coeffs)).tolist():
         if not abs(norm - 1.0) <= 1e-10:
             raise NormalizationError(f"vector norm {norm!r} is not 1")
+    if len(space) > ci.DENSE_CROSSOVER:
+        # a determinant no row occupies adds only exact zeros to sums that
+        # never end at -0.0, so leaving it out keeps every bit
+        occupied = (coeffs != 0).any(axis=0)
+        if not occupied.all():
+            space, coeffs = space.restrict(occupied), coeffs[:, occupied]
     left, right, factor, scatter = _terms(space)
     count, m = len(coeffs), space.m
     # state k's terms go to the bins offset by k m^2; bincount adds its
@@ -208,7 +220,7 @@ def _clamp_range(n: np.ndarray, tol: float) -> np.ndarray:
         # written so that a NaN, which fails every comparison, is refused too
         if not (row.min() >= -tol and row.max() <= 1.0 + tol):
             raise SpectralRangeError(
-                f"occupations outside [0,1]: min {row.min()!r}, max {row.max()!r}"
+                f"occupations outside [0,1]: min {float(row.min())!r}, max {float(row.max())!r}"
             )
     return np.clip(n, 0.0, 1.0)
 

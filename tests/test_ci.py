@@ -258,10 +258,10 @@ def test_sparse_solve_is_repeatable(monkeypatch) -> None:
     assert np.array_equal(first.coeffs, second.coeffs)
 
 
-def test_sparse_solve_restarts_from_an_invariant_zero_space() -> None:
-    # t = U = 0: H is zero on the 400-determinant sector, so every product
-    # is an exact zero vector and the Krylov space is invariant at once;
-    # only the random replacement vectors keep the basis orthonormal
+def test_sparse_solve_of_a_zero_space_is_400_blocks_of_one() -> None:
+    # t = U = 0: H is zero on the 400-determinant sector, so no entry joins
+    # two determinants and each is a block of one, solved densely; the
+    # ground level is 400-fold
     ints = to_spin_orbitals(hubbard_chain(6, 0.0, 0.0))
     space = enumerate_space(6, 12, ints.layout, 0)
     assert len(space) == 400 > fermipin.ci.DENSE_CROSSOVER
@@ -272,6 +272,130 @@ def test_sparse_solve_restarts_from_an_invariant_zero_space() -> None:
     assert np.isfinite(state.coeffs).all()
     assert np.linalg.norm(state.coeffs) == pytest.approx(1.0, abs=1e-12)
     assert state.degenerate
+    # on an exact tie the first block gives the state
+    assert state.coeffs[0] == 1.0 and np.count_nonzero(state.coeffs) == 1
+
+
+def test_sparse_solve_restarts_from_an_invariant_krylov_space(monkeypatch) -> None:
+    # The U = 0 periodic 6-site ring is one connected block of 400
+    # determinants, so it reaches Lanczos; its Krylov space becomes
+    # invariant before the basis fills, and only a random replacement
+    # vector (a 1-D draw; the start block is 2-D) lets the solve go on
+    draws = []
+    real = np.random.default_rng
+
+    class Spy:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def standard_normal(self, size):
+            draws.append(size)
+            return self.rng.standard_normal(size)
+
+    ints = to_spin_orbitals(hubbard_chain(6, 1.0, 0.0, periodic=True))
+    space = enumerate_space(6, 12, ints.layout, 0)
+    assert len(space) == 400 > fermipin.ci.DENSE_CROSSOVER
+    monkeypatch.setattr(np.random, "default_rng", Spy)
+    state = solve_ground(ints, space)
+    assert draws[0] == (2, 400) and 400 in draws[1:]
+    H = build_hamiltonian(ints, space)
+    assert state.energy == pytest.approx(np.linalg.eigvalsh(H)[0], abs=1e-10)
+    assert np.linalg.norm(H @ state.coeffs - state.energy * state.coeffs) <= 1e-10
+    assert not state.degenerate
+
+
+def test_blocks_are_the_connected_components_in_order_of_first_node() -> None:
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        n = int(rng.integers(1, 60))
+        i, j = rng.integers(0, n, (2, int(rng.integers(0, 80))))
+        # breadth-first search, numbering each block when it is first met
+        neighbours = [set() for _ in range(n)]
+        for a, b in zip(i.tolist(), j.tolist()):
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+        expected = [-1] * n
+        count = 0
+        for start in range(n):
+            if expected[start] < 0:
+                expected[start], queue = count, [start]
+                for node in queue:
+                    for other in neighbours[node]:
+                        if expected[other] < 0:
+                            expected[other] = count
+                            queue.append(other)
+                count += 1
+        assert fermipin.ci._blocks(n, i, j).tolist() == expected
+
+
+def _spy_on_lanczos(monkeypatch) -> list[int]:
+    """The size of each block that goes through Lanczos, from now."""
+    sizes = []
+    lanczos = fermipin.ci._lanczos
+
+    def spy(diag, *args):
+        sizes.append(len(diag))
+        return lanczos(diag, *args)
+
+    monkeypatch.setattr(fermipin.ci, "_lanczos", spy)
+    return sizes
+
+
+def test_block_solve_of_the_pairing_model_matches_dense_eigh(monkeypatch) -> None:
+    # six levels, N = 6, S_z = 0: 400 determinants in blocks that keep
+    # which levels hold an unpaired electron, all at or below the
+    # crossover, so no block reaches Lanczos
+    sizes = _spy_on_lanczos(monkeypatch)
+    ints = to_spin_orbitals(pairing_model(6, 1.0, 0.5))
+    space = enumerate_space(6, 12, ints.layout, 0)
+    assert len(space) == 400 > fermipin.ci.DENSE_CROSSOVER
+    H = build_hamiltonian(ints, space)
+    exact, vectors = np.linalg.eigh(H)
+    values, ground = fermipin.ci._sparse_eigh(ints, space)
+    assert values == pytest.approx(exact[:2], abs=1e-12)
+    state = solve_ground(ints, space)
+    assert sizes == []
+    assert state.energy == values[0] and np.array_equal(state.coeffs, ground)
+    assert abs(vectors[:, 0] @ state.coeffs) == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.norm(H @ state.coeffs - state.energy * state.coeffs) <= 1e-10
+    # exactly +0.0 outside the ground state's block of the 20 paired states
+    outside = state.coeffs == 0
+    assert np.count_nonzero(~outside) == 20
+    assert not np.signbit(state.coeffs[outside]).any()
+    # a repulsive G, whose block vector eigh may return with a negative
+    # lead: the sign fix must leave the zeros outside the block +0.0
+    repulsive = to_spin_orbitals(pairing_model(7, 1.0, -0.5))
+    coeffs = solve_ground(repulsive, enumerate_space(6, 14, repulsive.layout, 0)).coeffs
+    assert np.count_nonzero(coeffs) < len(coeffs)
+    assert not np.signbit(coeffs[coeffs == 0]).any()
+
+
+def test_a_ground_level_shared_by_blocks_is_degenerate() -> None:
+    # no level spacing, N = 5, S_z = 1: the unpaired electron sits on any
+    # of the six levels, so the ground level is six-fold across blocks
+    ints = to_spin_orbitals(pairing_model(6, 0.0, 0.5))
+    space = enumerate_space(5, 12, ints.layout, 1)
+    assert len(space) == 300 > fermipin.ci.DENSE_CROSSOVER
+    exact = np.linalg.eigvalsh(build_hamiltonian(ints, space))
+    assert exact[5] - exact[0] < 1e-12 < exact[6] - exact[0]
+    state = solve_ground(ints, space)
+    assert state.degenerate
+    assert state.energy == pytest.approx(exact[0], abs=1e-12)
+
+
+def test_blocks_above_the_crossover_go_through_lanczos(monkeypatch) -> None:
+    # pairing-7, N = 6, S_z = 0: 64 blocks, one of 35, 28 of 20 and 35 of
+    # 18; at a crossover of 30 only the 35-determinant block is Lanczos's
+    ints = to_spin_orbitals(pairing_model(7, 1.0, 0.5))
+    space = enumerate_space(6, 14, ints.layout, 0)
+    dense = solve_ground(ints, space)
+    sizes = _spy_on_lanczos(monkeypatch)
+    monkeypatch.setattr(fermipin.ci, "DENSE_CROSSOVER", 30)
+    state = solve_ground(ints, space)
+    assert sizes == [35]
+    assert state.energy == pytest.approx(dense.energy, abs=1e-12)
+    assert abs(dense.coeffs @ state.coeffs) == pytest.approx(1.0, abs=1e-10)
+    assert np.count_nonzero(state.coeffs) == 35
 
 
 def test_stacked_ground_states_equal_the_per_point_solves() -> None:

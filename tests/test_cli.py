@@ -290,6 +290,11 @@ def test_polytope_rejects_infeasible_occupations(capsys) -> None:
     assert "negative" in err
 
 
+def test_occupations_out_of_range_print_plain_floats(capsys) -> None:
+    argv = ["polytope", "--N", "3", "--m", "6", "--occupations", "2,1,0,0,0,0"]
+    assert _run(capsys, argv) == (3, "", "error: occupations outside [0,1]: min 0.0, max 2.0\n")
+
+
 def test_vertex_spectrum_analysis(capsys) -> None:
     code, out, _ = _run(
         capsys,
@@ -357,6 +362,11 @@ def test_usage_errors_exit_2(capsys, tmp_path) -> None:
         assert _run(capsys, ["polytope", "--N", "3", "--m", "6", "--random", count])[0] == 2
     assert _run(capsys, ["polytope", "--N", "3", "--m", "6", "--random", "5",
                          "--occupations", "0.99,0.98,0.97,0.03,0.02,0.01"])[0] == 2
+    # a negative seed is refused by argparse, naming the flag
+    code, out, err = _run(capsys, ["polytope", "--N", "3", "--m", "6", "--random", "1",
+                                   "--seed", "-1"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --seed: expected a non-negative integer: '-1'\n")
     unwritable = str(tmp_path / "missing" / "report.txt")
     code, out, err = _run(capsys, ["solve", "--model", "hubbard", "--sites", "2", "--N", "2",
                                    "--output", unwritable])

@@ -99,6 +99,40 @@ def test_generated_singles_give_the_searched_rdm(monkeypatch) -> None:
         assert generated.layout == searched.layout
 
 
+def test_rdms_over_the_occupied_determinants_keep_every_bit(monkeypatch) -> None:
+    # Above the crossover the 1-RDM sums over the determinants some row
+    # occupies; what it leaves out is exact zeros, so the matrices must
+    # equal, bit for bit, the sums over the whole space.  The pairing
+    # model's ground state is nonzero on one block of 20 of 400
+    # determinants; two random rows over 1 225 determinants are nonzero on
+    # 300 and on 150 of them (50 shared), so the kept spaces of 20 and 150
+    # search for their singles and those of 300 and 400 generate them.
+    rng = np.random.default_rng(29)
+    ints = to_spin_orbitals(pairing_model(6, 1.0, 0.5))
+    ground = solve_ground(ints, enumerate_space(6, 12, ints.layout, 0))
+    assert np.count_nonzero(ground.coeffs) == 20
+    layout = to_spin_orbitals(hubbard_chain(7, 1.0, 4.0)).layout
+    big = enumerate_space(7, 14, layout, 1)
+    stack = np.zeros((2, len(big)))
+    order = rng.permutation(len(big))
+    stack[0, order[:300]] = random_coefficients(300, rng)
+    stack[1, order[250:400]] = random_coefficients(150, rng)
+    cases = [(ground.space, ground.coeffs[None], [20]), (big, stack[:1], []),
+             (big, stack[1:], [150]), (big, stack, [])]
+    calls = _spy_on_search(monkeypatch)
+    for space, coeffs, searched in cases:
+        assert len(space) > fermipin.ci.DENSE_CROSSOVER
+        calls.clear()
+        kept = one_rdms(space, coeffs)
+        assert calls == searched
+        with monkeypatch.context() as patch:
+            patch.setattr(fermipin.ci, "DENSE_CROSSOVER", len(space))
+            whole = one_rdms(space, coeffs)
+        assert np.array_equal(kept.rho, whole.rho)
+        assert not np.signbit(kept.rho[kept.rho == 0]).any()
+        assert kept.layout == whole.layout
+
+
 def test_a_space_generates_its_rdm_singles_once(monkeypatch) -> None:
     # the 1225-determinant sectors of the 7-site chain and the 7-level
     # pairing model: later 1-RDMs of the same space reuse its singles
