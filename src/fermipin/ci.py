@@ -25,14 +25,20 @@ overflows, is refused with a ``FermipinError`` that names it.
 :func:`ground_states` finds ground states only.  It keeps dense
 ``numpy.linalg.eigh`` for spaces of at most ``DENSE_CROSSOVER``
 determinants, where it is the faster route.  Above that it never builds a
-dense matrix of the whole space.  It splits the determinants into the
-blocks that H's nonzero entries connect (exact selection rules, such as
-the seniority of the pairing model, make many) and lets the crossover
-decide per block: small blocks go through one stacked ``eigvalsh`` per
-block size, each larger one through CSR arrays built straight from its
-entries and block thick-restart Lanczos written in numpy alone; no scipy
-is used.  Every block gives its two lowest values, so the degeneracy flag
-has the gap it reads, across blocks too.  Lanczos stops when both
+dense matrix of the whole space.  A complete S_z sector whose αβ
+interaction is density-density (a Hubbard chain) and whose H is connected
+is solved as alpha strings times beta strings: block thick-restart
+Lanczos, written in numpy alone (no scipy is used), with the product
+σ = H_α C + C H_β + D∘C on the n_α × n_β coefficient matrix (Knowles and
+Handy, Chem. Phys. Lett. 111, 315 (1984); Olsen et al., J. Chem. Phys.
+89, 2185 (1988)), so the entries of the whole space are never built.
+Every other space is split into the blocks that H's nonzero entries
+connect (exact selection rules, such as the seniority of the pairing
+model, make many) and the crossover decides per block: small blocks go
+through one stacked ``eigvalsh`` per block size, each larger one through
+the same Lanczos with CSR arrays built straight from its entries.  Every
+block gives its two lowest values, so the degeneracy flag has the gap it
+reads, across blocks too.  Lanczos stops when both
 residuals ‖Hc - Ec‖ are within ``LANCZOS_TOL`` times the largest |H_ij| of
 the space, and it starts from a fixed random block, so a run repeats to
 the last bit; a connected space is one block and solves as one matrix.
@@ -51,6 +57,7 @@ point.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
@@ -61,6 +68,7 @@ from .fock import (
     ConfigurationSpace,
     Determinant,
     SpinOrbitalLayout,
+    enumerate_space,
     orbital_pairs,
     substitutions,
 )
@@ -84,6 +92,9 @@ LANCZOS_RESTARTS = 200
 _NORM_LIMIT = 1e150
 DEGENERACY_GAP = 1e-10
 ORTHOGONALITY_TOL = 1e-10
+
+# the product of a symmetric matrix with each row of a block of vectors
+_Product = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -247,52 +258,13 @@ def build_hamiltonian(ints: SpinOrbitalIntegrals, space: ConfigurationSpace) -> 
     return H
 
 
-def _orthogonalized(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """``w`` less its projection on the orthonormal rows of ``basis``, by two
-    classical Gram-Schmidt passes."""
-    for _ in range(2):
-        w = w - (basis @ w) @ basis
-    return w
-
-
-def _product(
-    X: np.ndarray, cols: np.ndarray, vals: np.ndarray, row_starts: np.ndarray
-) -> np.ndarray:
-    """The CSR matrix times each row of ``X``.  Rows go two at a time, as
-    the real and imaginary parts of one complex vector, so that one gather
-    and one reduction serve both."""
-    HX = np.empty_like(X)
-    for r in range(0, len(X) - 1, 2):
-        hz = np.add.reduceat((X[r] + 1j * X[r + 1])[cols] * vals, row_starts)
-        HX[r], HX[r + 1] = hz.real, hz.imag
-    if len(X) % 2:
-        HX[-1] = np.add.reduceat(X[-1, cols] * vals, row_starts)
-    return HX
-
-
-def _lanczos(
-    diag: np.ndarray, i: np.ndarray, j: np.ndarray, values: np.ndarray, scale: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (up to) two lowest eigenpairs of the symmetric matrix with
-    diagonal ``diag`` and upper-triangle entries ``(i, j, values)``, by
-    block thick-restart Lanczos (Wu and Simon, SIAM J. Matrix Anal. Appl.
-    22, 602 (2000)) in numpy alone: their values and the lowest vector.
-
-    The matrix is held as CSR arrays.  The Krylov space grows from a block
-    of two random vectors: one start vector reaches a single state of each
-    level, so it would show a degenerate ground level as a simple one.  Each
-    new vector is orthogonalized against the basis by two classical
-    Gram-Schmidt passes, and T = VᵀHV is filled from the products.  A full
-    basis of sixteen blocks (32 vectors) is solved by Rayleigh-Ritz; once
-    both residuals ‖Hy - θy‖ of the two lowest Ritz pairs are within
-    ``LANCZOS_TOL`` times ``scale`` they are returned, and otherwise the 16
-    lowest Ritz vectors are kept, with T = diag(θ), and the expansion goes
-    on from the last residual block.  A vector whose norm falls to 1e-12
-    times ``scale`` (an invariant subspace) is replaced by a random one
-    orthogonal to the basis, as ARPACK's ``dgetv0`` does.  Start and
-    replacement vectors come from a fixed seed, so a run repeats to the
-    last bit.
-    """
+def _csr_product(
+    diag: np.ndarray, i: np.ndarray, j: np.ndarray, values: np.ndarray
+) -> _Product:
+    """The product of the symmetric matrix with diagonal ``diag`` and
+    upper-triangle entries ``(i, j, values)`` with each row of a block, held
+    as CSR arrays.  Rows go two at a time, as the real and imaginary parts
+    of one complex vector, so that one gather and one reduction serve both."""
     n = len(diag)
     # the diagonal is stored even where it is zero, so no CSR row is empty
     rows = np.concatenate([np.arange(n), i, j])
@@ -300,6 +272,47 @@ def _lanczos(
     cols = np.concatenate([np.arange(n), j, i])[order]
     vals = np.concatenate([diag, values, values])[order]
     row_starts = np.searchsorted(rows[order], np.arange(n))
+
+    def product(X: np.ndarray) -> np.ndarray:
+        HX = np.empty_like(X)
+        for r in range(0, len(X) - 1, 2):
+            hz = np.add.reduceat((X[r] + 1j * X[r + 1])[cols] * vals, row_starts)
+            HX[r], HX[r + 1] = hz.real, hz.imag
+        if len(X) % 2:
+            HX[-1] = np.add.reduceat(X[-1, cols] * vals, row_starts)
+        return HX
+
+    return product
+
+
+def _lanczos(
+    diag: np.ndarray, product: _Product, scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (up to) two lowest eigenpairs of the symmetric matrix with
+    diagonal ``diag`` whose product with each row of a block of vectors is
+    ``product(block)``, by block thick-restart Lanczos (Wu and Simon, SIAM
+    J. Matrix Anal. Appl. 22, 602 (2000)) in numpy alone: their values and
+    the lowest vector.  Only the length of ``diag`` is read.
+
+    The Krylov space grows from a block of two random vectors: one start
+    vector reaches a single state of each level, so it would show a
+    degenerate ground level as a simple one.  Each new block is
+    orthogonalized against the basis by two classical Gram-Schmidt passes
+    over the whole block, then each later row against the rows before it in
+    its block and once more against all of the basis before it, so a row that
+    is nearly dependent on its block does not carry the basis's rounding
+    errors into its normalized direction; T = VᵀHV is filled from the
+    products.  A full basis of sixteen blocks (32 vectors) is solved by
+    Rayleigh-Ritz; once both residuals ‖Hy - θy‖ of the two lowest Ritz
+    pairs are within ``LANCZOS_TOL`` times ``scale`` they are returned, and
+    otherwise the 16 lowest Ritz vectors are kept, with T = diag(θ), and the
+    expansion goes on from the last residual block.  A vector whose norm
+    falls to 1e-12 times ``scale`` (an invariant subspace) is replaced by a
+    random one orthogonal to the basis, as ARPACK's ``dgetv0`` does.  Start
+    and replacement vectors come from a fixed seed, so a run repeats to the
+    last bit.
+    """
+    n = len(diag)
     # a constant start vector can be orthogonal to the ground state by symmetry
     rng = np.random.default_rng(0)
 
@@ -309,12 +322,21 @@ def _lanczos(
     for _ in range(LANCZOS_RESTARTS):
         while filled < size:
             top = min(filled + len(block), size)
-            for row, w in zip(range(filled, top), block):
-                w = _orthogonalized(w, V[:row])
+            W = block[: top - filled]
+            for _ in range(2):
+                W = W - (W @ V[:filled].T) @ V[:filled]
+            for row, w in zip(range(filled, top), W):
+                if row > filled:
+                    w = w - (V[filled:row] @ w) @ V[filled:row]
+                    # a row that pass shrinks keeps rounding-level overlaps
+                    # with the basis, which normalizing it would magnify
+                    w = w - (V[:row] @ w) @ V[:row]
                 if w @ w <= (1e-12 * scale) ** 2:
-                    w = _orthogonalized(rng.standard_normal(n), V[:row])
+                    w = rng.standard_normal(n)
+                    for _ in range(2):
+                        w = w - (V[:row] @ w) @ V[:row]
                 V[row] = w / np.sqrt(w @ w)
-            HV[filled:top] = _product(V[filled:top], cols, vals, row_starts)
+            HV[filled:top] = product(V[filled:top])
             T[:top, filled:top] = V[:top] @ HV[filled:top].T
             block, filled = HV[filled:top], top
         theta, Y = np.linalg.eigh(T, UPLO="U")
@@ -348,39 +370,123 @@ def _blocks(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         np.minimum.at(label, high[apart], low[apart])
 
 
+def _string_hamiltonian(
+    ints: SpinOrbitalIntegrals, space: ConfigurationSpace
+) -> tuple[np.ndarray, _Product, float, np.ndarray, np.ndarray] | None:
+    """H over a complete S_z sector as a sum over alpha and beta strings,
+    or ``None`` where that form does not hold or is not one connected block.
+
+    Every determinant of the sector is an alpha string ``a`` (its up
+    orbitals) times a beta string ``b``.  When every mixed-spin
+    ``<pq||rs>`` is zero unless ``p = r`` and ``q = s`` (density-density
+    αβ interaction, as in a Hubbard chain), H in the signed product basis
+    is H_α ⊗ 1 + 1 ⊗ H_β + diag(D): H_α and H_β are the Hamiltonians,
+    without the core energy, over the strings of one spin alone, and
+    ``D[a, b]`` is the core energy plus the ``<pq||pq>`` of every up
+    orbital ``p`` of ``a`` with every down orbital ``q`` of ``b``.
+    Determinant ``at[k]`` of ``space`` is ``sign[k]`` times the product
+    state ``k = a * n_β + b``; the sign is the parity of the down orbitals
+    below each up one, +1 for blocked ordering.  H_α and H_β must each be
+    one connected block, which makes H one too.
+
+    Returns the diagonal of H in product order, the product of H with
+    each row of a block, the largest ``|H_ij|``, ``at`` and ``sign``; or
+    ``None`` for a stack of integrals, a restricted or spinless space, a
+    spin that holds no electron, any other αβ term, a split H, or any
+    element that is not finite.
+    """
+    layout, sector, n = space.layout, space.sector, len(space)
+    if ints.h.ndim != 2 or layout is None or sector is None:
+        return None
+    up, down = layout.spin_blocks
+    n_up = (space.N + sector) // 2
+    n_down = space.N - n_up
+    if not (0 < n_up <= len(up) and 0 < n_down <= len(down)):
+        return None
+    # <pq||rs> with p, r up and q, s down may be nonzero only where p = r, q = s
+    coulomb = ints.g[up[:, None], down, up[:, None], down]
+    if np.count_nonzero(ints.g[np.ix_(up, down, up, down)]) != np.count_nonzero(coulomb):
+        return None
+    alpha = enumerate_space(n_up, space.m, layout, n_up)
+    beta = enumerate_space(n_down, space.m, layout, -n_down)
+    target = (alpha.masks[:, None] | beta.masks).ravel()
+    # a complete sector holds every pair of strings and nothing else
+    if not np.array_equal(np.sort(target), space.masks):
+        return None
+    at = np.searchsorted(space.masks, target)
+    bare = SpinOrbitalIntegrals(ints.layout, ints.h, ints.g)
+    try:
+        H_a, H_b = build_hamiltonian(bare, alpha), build_hamiltonian(bare, beta)
+    except FermipinError:
+        return None
+    for H in (H_a, H_b):
+        if _blocks(len(H), *np.nonzero(np.triu(H, 1))).any():
+            return None
+    bits_a, bits_b = alpha.bits[:, up], beta.bits[:, down]
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = ints.core_energy + bits_a @ coulomb @ bits_b.T
+        diag = (H_a.diagonal()[:, None] + H_b.diagonal() + D).ravel()
+    if not np.isfinite(diag).all():
+        return None
+    count = bits_a.astype(np.intp) @ (down < up[:, None]) @ bits_b.T
+    sign = 1.0 - 2.0 * (count.ravel() & 1)
+    scale = max(np.abs(diag).max(), *(np.abs(np.triu(H, 1)).max() for H in (H_a, H_b)))
+
+    def product(X: np.ndarray) -> np.ndarray:
+        Y = X.reshape(len(X), len(alpha), len(beta))
+        return (H_a @ Y + Y @ H_b + D * Y).reshape(len(X), n)
+
+    return diag, product, scale, at, sign
+
+
 def _sparse_eigh(
     ints: SpinOrbitalIntegrals, space: ConfigurationSpace
 ) -> tuple[np.ndarray, np.ndarray]:
     """The two lowest eigenvalues of the Hamiltonian over ``space`` and its
     sign-fixed ground vector, solved one connected block of H at a time.
 
-    The nonzero entries split the determinants into blocks that H does not
-    connect, as exact selection rules do: the pairing model keeps the
-    levels that hold an unpaired electron, so its 1 225-determinant S_z = 0
-    sector of seven levels is 64 blocks of at most 35.  Blocks of at most
-    ``DENSE_CROSSOVER`` determinants go through one stacked ``eigvalsh`` per
-    block size; each larger one goes through :func:`_lanczos` with the
-    largest ``|H_ij|`` of the whole space as its scale, so a connected
-    space is solved as one matrix.  The block that holds the lowest value
-    (the first, on a tie) gives the energy and the vector, from one
-    ``eigh`` if it is small; the vector is exactly ``+0.0`` outside that
+    A complete S_z sector whose αβ interaction is density-density, such as
+    a Hubbard chain's, and whose H is one connected block is solved first,
+    before any entry of the whole space is built: :func:`_lanczos` runs on
+    alpha strings times beta strings, with the product
+    σ = H_α C + C H_β + D∘C of :func:`_string_hamiltonian`.
+
+    Otherwise the nonzero entries split the determinants into blocks that
+    H does not connect, as exact selection rules do: the pairing model
+    keeps the levels that hold an unpaired electron, so its 1 225-determinant
+    S_z = 0 sector of seven levels is 64 blocks of at most 35.  Blocks of at
+    most ``DENSE_CROSSOVER`` determinants go through one stacked ``eigvalsh``
+    per block size; each larger one goes through :func:`_lanczos` with its
+    CSR product and the largest ``|H_ij|`` of the whole space as its scale,
+    so a connected space is solved as one matrix.  The block that holds the
+    lowest value (the first, on a tie) gives the energy and the vector, from
+    one ``eigh`` if it is small; the vector is exactly ``+0.0`` outside that
     block.  The second value is the lowest of all the rest, that block's
     second included, so a ground level shared by blocks shows as
     degenerate.  Elements so large that n times the largest ``|H_ij|``, a
     bound on ‖H‖, passes ``_NORM_LIMIT`` are refused before any block is
     solved: Lanczos's squared norms could overflow.
     """
-    diag, i, j, values = _hamiltonian_entries(ints, space)
-    keep = values != 0
-    i, j, values = i[keep], j[keep], values[keep]
     n = len(space)
-    scale = max(np.abs(diag).max(), np.abs(values).max(initial=0.0))
+    strings = _string_hamiltonian(ints, space)
+    if strings is None:
+        diag, i, j, values = _hamiltonian_entries(ints, space)
+        keep = values != 0
+        i, j, values = i[keep], j[keep], values[keep]
+        scale = max(np.abs(diag).max(), np.abs(values).max(initial=0.0))
+    else:
+        diag, product, scale, at, sign = strings
     # ‖H‖ ≤ n·scale bounds every vector the solver squares and sums
     if scale > _NORM_LIMIT / n:
         raise FermipinError(
             f"Hamiltonian elements up to {float(scale)!r} in magnitude would overflow "
             f"the sparse eigensolver's squared norms over {n} determinants"
         )
+    if strings is not None:
+        found, vector = _lanczos(diag, product, scale)
+        ground = np.empty(n)
+        ground[at] = sign * vector
+        return np.append(found, np.inf)[:2], sign_fixed(ground[None])[0]
     block = _blocks(n, i, j)
     sizes = np.bincount(block)
     # each determinant's place in its block, each block's in the stack of its size
@@ -401,7 +507,8 @@ def _sparse_eigh(
             continue
         for b in ids.tolist():
             at, edge = block == b, block[i] == b
-            solved[b] = _lanczos(diag[at], local[i[edge]], local[j[edge]], values[edge], scale)
+            product = _csr_product(diag[at], local[i[edge]], local[j[edge]], values[edge])
+            solved[b] = _lanczos(diag[at], product, scale)
             lowest[b] = solved[b][0][0]
     b = int(np.argmin(lowest))
     if b in solved:

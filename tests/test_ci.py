@@ -156,14 +156,6 @@ def test_solver_returns_the_lowest_state_and_flags_degeneracy() -> None:
     assert solve_ground(flat, zspace).degenerate
 
 
-def _sparse_and_dense(monkeypatch, ints, space):
-    dense = solve_ground(ints, space)
-    with monkeypatch.context() as patch:
-        patch.setattr(fermipin.ci, "DENSE_CROSSOVER", 0)
-        sparse = solve_ground(ints, space)
-    return dense, sparse
-
-
 def test_generated_entries_equal_searched_entries(monkeypatch) -> None:
     # Above the crossover the Hamiltonian generates only the pairs the
     # integrals connect; its nonzero entries must be the searched ones, bit
@@ -205,35 +197,49 @@ def test_generated_entries_equal_searched_entries(monkeypatch) -> None:
 
 
 def test_sparse_solve_agrees_with_dense(monkeypatch) -> None:
+    # every Hubbard sector here qualifies for the string route; each case
+    # is solved on it and again through the CSR product
+    hubbard = [hubbard_sector_space(4, 4, 0), hubbard_sector_space(5, 5, 1)]
+    # open 6-site chains at U = 2 and 6, and the 7-site chain at U = 4
+    for sites, U, N, sector in ((6, 2.0, 6, 0), (6, 6.0, 6, 0), (7, 4.0, 7, 1)):
+        chain = to_spin_orbitals(hubbard_chain(sites, 1.0, U))
+        hubbard.append((chain, enumerate_space(N, 2 * sites, chain.layout, sector)))
+    # The U=0 periodic 6-site ring: its Krylov space becomes invariant
+    # before the basis fills (see the restart test below); the ground state
+    # is simple, the level above it four-fold.
+    ring = to_spin_orbitals(hubbard_chain(6, 1.0, 0.0, periodic=True))
+    hubbard.append((ring, enumerate_space(6, 12, ring.layout, 0)))
+    # The U=0 periodic 5-site ring with N=6: when each block row is
+    # orthogonalized against the older basis only once, a nearly dependent
+    # row keeps rounding-level components along it that normalizing
+    # magnifies, and the solve never converges.
+    five = to_spin_orbitals(hubbard_chain(5, 1.0, 0.0, periodic=True))
+    hubbard.append((five, enumerate_space(6, 10, five.layout, 0)))
     rng = np.random.default_rng(23)
-    cases = [hubbard_sector_space(4, 4, 0), hubbard_sector_space(5, 5, 1)]
+    others = []
     for n_spatial, N, sector in ((4, 3, None), (4, 4, 0), (5, 4, 2)):
         ints = to_spin_orbitals(random_spatial(n_spatial, rng))
         layout = ints.layout if sector is not None else None
-        cases.append((ints, enumerate_space(N, 2 * n_spatial, layout, sector)))
-    # The U=0 periodic 6-site ring: its Krylov space becomes invariant
-    # before the basis fills, so the solver replaces a vector by a random
-    # one to go on; the ground state is simple, the level above it
-    # four-fold.
-    ring = to_spin_orbitals(hubbard_chain(6, 1.0, 0.0, periodic=True))
-    hubbard = to_spin_orbitals(hubbard_chain(7, 1.0, 4.0))
+        others.append((ints, enumerate_space(N, 2 * n_spatial, layout, sector)))
     pairing = to_spin_orbitals(pairing_model(7, 1.0, 0.5))
-    cases += [
-        (ring, enumerate_space(6, 12, ring.layout, 0)),
-        (hubbard, enumerate_space(7, 14, hubbard.layout, 1)),
-        (pairing, enumerate_space(6, 14, pairing.layout, 0)),
-    ]
-    for ints, space in cases:
-        d, s = _sparse_and_dense(monkeypatch, ints, space)
-        H = build_hamiltonian(ints, space)
-        assert s.energy == pytest.approx(d.energy, abs=1e-10)
-        assert s.degenerate == d.degenerate
-        if not d.degenerate:
-            assert abs(d.coeffs @ s.coeffs) == pytest.approx(1.0, abs=1e-10)
-            assert s.coeffs[np.argmax(np.abs(s.coeffs))] > 0
-        assert np.linalg.norm(H @ s.coeffs - s.energy * s.coeffs) <= 1e-10
-        if ints is ring:
-            assert not d.degenerate
+    others.append((pairing, enumerate_space(6, 14, pairing.layout, 0)))
+    built = [build_hamiltonian(*case) for case in hubbard + others]
+    monkeypatch.setattr(fermipin.ci, "DENSE_CROSSOVER", 0)
+    for strings in (True, False):
+        taken = _spy_on_string_route(monkeypatch, strings)
+        for (ints, space), H in zip(hubbard + others, built):
+            values, vectors = np.linalg.eigh(H)
+            taken.clear()
+            s = solve_ground(ints, space)
+            assert taken == [strings and any(space is h for _, h in hubbard)]
+            assert s.energy == pytest.approx(values[0], abs=1e-12)
+            assert s.degenerate == (values[1] - values[0] < fermipin.ci.DEGENERACY_GAP)
+            if not s.degenerate:
+                assert abs(vectors[:, 0] @ s.coeffs) == pytest.approx(1.0, abs=1e-10)
+                assert s.coeffs[np.argmax(np.abs(s.coeffs))] > 0
+            assert np.linalg.norm(H @ s.coeffs - s.energy * s.coeffs) <= 1e-10
+            if ints is ring:
+                assert not s.degenerate
 
 
 def test_sparse_solve_flags_degeneracy(monkeypatch) -> None:
@@ -241,21 +247,33 @@ def test_sparse_solve_flags_degeneracy(monkeypatch) -> None:
     # the U=4 periodic 7-site ring with N=5: a momentum doublet, whose Krylov
     # space from one start vector never becomes invariant yet holds only one
     # of its two states
-    rings = [(4, 0.0, 4, 0), (7, 4.0, 5, 1)]
-    for sites, U, N, sector in rings:
+    rings = []
+    for sites, U, N, sector in ((4, 0.0, 4, 0), (7, 4.0, 5, 1)):
         ints = to_spin_orbitals(hubbard_chain(sites, 1.0, U, periodic=True))
         space = enumerate_space(N, 2 * sites, ints.layout, sector)
-        dense, sparse = _sparse_and_dense(monkeypatch, ints, space)
-        assert dense.degenerate and sparse.degenerate
-        assert sparse.energy == pytest.approx(dense.energy, abs=1e-10)
+        exact = np.linalg.eigvalsh(build_hamiltonian(ints, space))
+        assert exact[1] - exact[0] < fermipin.ci.DEGENERACY_GAP
+        rings.append((ints, space, exact[0]))
+    monkeypatch.setattr(fermipin.ci, "DENSE_CROSSOVER", 0)
+    for strings in (True, False):
+        taken = _spy_on_string_route(monkeypatch, strings)
+        for ints, space, energy in rings:
+            taken.clear()
+            sparse = solve_ground(ints, space)
+            assert taken == [strings]
+            assert sparse.degenerate
+            assert sparse.energy == pytest.approx(energy, abs=1e-10)
 
 
 def test_sparse_solve_is_repeatable(monkeypatch) -> None:
     ints, space = hubbard_sector_space(5, 5, 1)
     monkeypatch.setattr(fermipin.ci, "DENSE_CROSSOVER", 0)
-    first, second = solve_ground(ints, space), solve_ground(ints, space)
-    assert first.energy == second.energy
-    assert np.array_equal(first.coeffs, second.coeffs)
+    for strings in (True, False):
+        taken = _spy_on_string_route(monkeypatch, strings)
+        first, second = solve_ground(ints, space), solve_ground(ints, space)
+        assert taken == [strings] * 2
+        assert first.energy == second.energy
+        assert np.array_equal(first.coeffs, second.coeffs)
 
 
 def test_sparse_solve_of_a_zero_space_is_400_blocks_of_one() -> None:
@@ -279,8 +297,11 @@ def test_sparse_solve_of_a_zero_space_is_400_blocks_of_one() -> None:
 def test_sparse_solve_restarts_from_an_invariant_krylov_space(monkeypatch) -> None:
     # The U = 0 periodic 6-site ring is one connected block of 400
     # determinants, so it reaches Lanczos; its Krylov space becomes
-    # invariant before the basis fills, and only a random replacement
-    # vector (a 1-D draw; the start block is 2-D) lets the solve go on
+    # invariant before the basis fills.  Through the CSR product only a
+    # random replacement vector (a 1-D draw; the start block is 2-D) lets
+    # the solve go on.  On alpha and beta strings the residual row falls to
+    # about 1.04e-12 times the scale, just above the replacement threshold
+    # of 1e-12, and its rounding noise, orthogonalized, serves instead.
     draws = []
     real = np.random.default_rng
 
@@ -295,13 +316,17 @@ def test_sparse_solve_restarts_from_an_invariant_krylov_space(monkeypatch) -> No
     ints = to_spin_orbitals(hubbard_chain(6, 1.0, 0.0, periodic=True))
     space = enumerate_space(6, 12, ints.layout, 0)
     assert len(space) == 400 > fermipin.ci.DENSE_CROSSOVER
-    monkeypatch.setattr(np.random, "default_rng", Spy)
-    state = solve_ground(ints, space)
-    assert draws[0] == (2, 400) and 400 in draws[1:]
     H = build_hamiltonian(ints, space)
-    assert state.energy == pytest.approx(np.linalg.eigvalsh(H)[0], abs=1e-10)
-    assert np.linalg.norm(H @ state.coeffs - state.energy * state.coeffs) <= 1e-10
-    assert not state.degenerate
+    monkeypatch.setattr(np.random, "default_rng", Spy)
+    for strings in (True, False):
+        taken = _spy_on_string_route(monkeypatch, strings)
+        draws.clear()
+        state = solve_ground(ints, space)
+        assert taken == [strings]
+        assert draws[0] == (2, 400) and (strings or 400 in draws[1:])
+        assert state.energy == pytest.approx(np.linalg.eigvalsh(H)[0], abs=1e-10)
+        assert np.linalg.norm(H @ state.coeffs - state.energy * state.coeffs) <= 1e-10
+        assert not state.degenerate
 
 
 def test_blocks_are_the_connected_components_in_order_of_first_node() -> None:
@@ -398,6 +423,104 @@ def test_blocks_above_the_crossover_go_through_lanczos(monkeypatch) -> None:
     assert np.count_nonzero(state.coeffs) == 35
 
 
+def _string_form(ints, space):
+    """H over ``space`` rebuilt from the string route's product, diagonal
+    and scale, with the signed permutation back to the space's order."""
+    diag, product, scale, at, sign = fermipin.ci._string_hamiltonian(ints, space)
+    n = len(space)
+    P = np.zeros((n, n))
+    P[at, np.arange(n)] = sign
+    K = product(np.eye(n))
+    assert np.array_equal(np.diag(K), diag)
+    return P @ K @ P.T, scale
+
+
+def test_string_form_equals_the_built_hamiltonian() -> None:
+    # H_α ⊗ 1 + 1 ⊗ H_β + diag(D), permuted and signed, is the Hamiltonian
+    # itself: exactly on integer Hubbard chains in both orderings, open and
+    # periodic, odd and even S_z, and on a chain truncated to 13 spin
+    # orbitals (7 up, 6 down)
+    cases = []
+    for ordering in ("interleaved", "blocked"):
+        for periodic in (False, True):
+            ints = to_spin_orbitals(hubbard_chain(6, 1.0, 4.0, periodic=periodic), ordering)
+            for N, sector in ((6, 0), (5, 1), (6, 2), (5, -3)):
+                cases.append((ints, enumerate_space(N, 12, ints.layout, sector)))
+    truncated = to_spin_orbitals(hubbard_chain(7, 1.0, 4.0)).truncated(13)
+    cases.append((truncated, enumerate_space(5, 13, truncated.layout, 1)))
+    for ints, space in cases:
+        H = build_hamiltonian(ints, space)
+        form, scale = _string_form(ints, space)
+        assert np.array_equal(form, H)
+        assert scale == np.abs(H).max()
+    # random density-density integrals: h is dense, (ij|kl) is (ii|jj) alone
+    rng = np.random.default_rng(53)
+    h, V = rng.standard_normal((2, 5, 5))
+    g = np.zeros((5, 5, 5, 5))
+    g[np.arange(5)[:, None], np.arange(5)[:, None], np.arange(5), np.arange(5)] = V + V.T
+    for ordering in ("interleaved", "blocked"):
+        ints = to_spin_orbitals(SpatialIntegrals(5, h + h.T, g, 0.7), ordering)
+        for N, sector in ((5, 1), (4, 0), (6, -2)):
+            space = enumerate_space(N, 10, ints.layout, sector)
+            H = build_hamiltonian(ints, space)
+            form, scale = _string_form(ints, space)
+            assert np.abs(form - H).max() <= 1e-13 * np.abs(H).max()
+            assert scale == pytest.approx(np.abs(H).max(), rel=1e-15)
+
+
+def _spy_on_string_route(monkeypatch, on: bool = True) -> list[bool]:
+    """Whether each sparse solve, from now, takes the string route; with
+    ``on`` false the route is turned off, so every connected block goes
+    through the CSR product."""
+    taken = []
+    route = fermipin.ci._string_hamiltonian
+
+    def spy(ints, space):
+        result = route(ints, space) if on else None
+        taken.append(result is not None)
+        return result
+
+    monkeypatch.setattr(fermipin.ci, "_string_hamiltonian", spy)
+    return taken
+
+
+def test_only_a_connected_complete_density_density_sector_takes_the_string_route(
+    monkeypatch,
+) -> None:
+    taken = _spy_on_string_route(monkeypatch)
+    built = []
+    entries = fermipin.ci._hamiltonian_entries
+
+    def spy_entries(ints, space):
+        built.append(len(space))
+        return entries(ints, space)
+
+    monkeypatch.setattr(fermipin.ci, "_hamiltonian_entries", spy_entries)
+    hubbard = to_spin_orbitals(hubbard_chain(7, 1.0, 4.0))
+    sector = enumerate_space(7, 14, hubbard.layout, 1)
+    solve_ground(hubbard, sector)
+    # only the 35 alpha and the 35 beta strings have entries built
+    assert taken == [True] and built == [35, 35]
+    keep = np.ones(len(sector), bool)
+    keep[100] = False
+    rng = np.random.default_rng(59)
+    random_ints = to_spin_orbitals(random_spatial(6, rng))
+    wide = to_spin_orbitals(hubbard_chain(10, 1.0, 4.0))
+    hopless = to_spin_orbitals(hubbard_chain(7, 0.0, 4.0))
+    refused = [
+        (hubbard, sector.restrict(keep)),
+        (hubbard, enumerate_space(4, 14)),
+        (random_ints, enumerate_space(6, 12, random_ints.layout, 0)),
+        (wide, enumerate_space(4, 20, wide.layout, 4)),  # every electron up
+        (hopless, sector),  # t = 0: every string is its own block
+    ]
+    for ints, space in refused:
+        assert len(space) > fermipin.ci.DENSE_CROSSOVER
+        taken.clear()
+        solve_ground(ints, space)
+        assert taken == [False]
+
+
 def test_stacked_ground_states_equal_the_per_point_solves() -> None:
     rng = np.random.default_rng(41)
     for n_spatial, N, sector in ((3, 3, 1), (3, 3, None), (4, 4, 0), (3, 3, 3), (4, 3, -1)):
@@ -447,8 +570,11 @@ def test_sparse_no_convergence_is_a_fermipin_error(monkeypatch) -> None:
     ints, space = hubbard_sector_space(6, 6, 0)
     monkeypatch.setattr(fermipin.ci, "DENSE_CROSSOVER", 0)
     monkeypatch.setattr(fermipin.ci, "LANCZOS_RESTARTS", 1)
-    with pytest.raises(FermipinError, match="did not converge"):
-        solve_ground(ints, space)
+    for strings in (True, False):
+        taken = _spy_on_string_route(monkeypatch, strings)
+        with pytest.raises(FermipinError, match="did not converge"):
+            solve_ground(ints, space)
+        assert taken == [strings]
 
 
 def test_solver_input_checks() -> None:

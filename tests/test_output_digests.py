@@ -74,10 +74,13 @@ DIGESTS = {
         "e2fdca054fca3c026e17cf4a90accfa7931a048faae6cb76b761b746f8555027",
     "truncate --model hubbard --sites 3 --U 2.0 --N 3 --sz 1 --mu auto --format json":
         "e776489d5c1061050ae20cbcfcdab0c573afe17ace08ddd263bdadb5aee3040a",
-    # 1 225 determinants: the only entry above ci.DENSE_CROSSOVER, so the
-    # only one that reaches the block Lanczos solve
+    # 1 225 determinants: the only entries above ci.DENSE_CROSSOVER, so the
+    # only ones that reach Lanczos, on alpha strings times beta strings,
+    # whose signs depend on the ordering; both print one energy
     "solve --model hubbard --sites 7 --U 4 --N 7 --sz 1 --format json":
-        "2ea9b2fe75b080d63bd09421642933bf944ef69eacbb78c41ce8e0c22a73c487",
+        "4a71180c6396d4d5b90ebb912695b6e88786bc4d2f6cc1d9d41caff55b5e7255",
+    "solve --model hubbard --sites 7 --U 4 --N 7 --sz 1 --ordering blocked --format json":
+        "5883beffcf1a9b839853ce25742d66b1ed5e5b5ee04e7691fcbe1a01432f9a0c",
 }
 
 

@@ -66,6 +66,8 @@ def test_large_space_solve_and_rdm_never_search(monkeypatch) -> None:
     # this solve peaks at 108 MiB.  The 1-RDM's 78 400 singles and 39 200
     # occupied orbitals are kept once, as its gather and scatter indices
     # (2.9 MiB); a second copy of the singles, on the space, adds 5 MiB.
+    # The solve may search the 70 alpha and the 70 beta strings, which are
+    # below the crossover, but never the space itself.
     calls = _spy_on_search(monkeypatch)
     ints = to_spin_orbitals(hubbard_chain(8, 1.0, 4.0))
     space = enumerate_space(8, 16, ints.layout, 0)
@@ -77,7 +79,7 @@ def test_large_space_solve_and_rdm_never_search(monkeypatch) -> None:
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert calls == []
+    assert max(calls, default=0) <= fermipin.ci.DENSE_CROSSOVER < len(space)
     assert peak < 40 * 2**20
     assert kept - before < 4 * 2**20
     assert np.trace(rho.rho) == pytest.approx(8.0, abs=1e-10)
