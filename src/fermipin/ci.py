@@ -50,9 +50,10 @@ space is built past it.
 Many points of one space go through as one stack: integrals with a
 leading axis (a parameter scan's grid points) give the entries, the dense
 Hamiltonians and one ``eigh`` for the whole stack, each point bit for bit
-as it comes out alone, because every sum keeps its order.  A single point
-is a stack of one: :func:`solve_ground` is :func:`ground_states` on one
-point.
+as it comes out alone, because every sum keeps its order.  Above
+``DENSE_CROSSOVER`` each point of a stack is solved alone and the results
+are stacked.  A single point is a stack of one: :func:`solve_ground` is
+:func:`ground_states` on one point.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from .fock import (
     ConfigurationSpace,
     Determinant,
     SpinOrbitalLayout,
+    _sector_blocks,
     enumerate_space,
     orbital_pairs,
     substitutions,
@@ -296,25 +298,30 @@ def _lanczos(
 
     The Krylov space grows from a block of two random vectors: one start
     vector reaches a single state of each level, so it would show a
-    degenerate ground level as a simple one.  Each new block is
-    orthogonalized against the basis by two classical Gram-Schmidt passes
-    over the whole block, then each later row against the rows before it in
-    its block and once more against all of the basis before it, so a row that
-    is nearly dependent on its block does not carry the basis's rounding
-    errors into its normalized direction; T = VᵀHV is filled from the
-    products.  A full basis of sixteen blocks (32 vectors) is solved by
-    Rayleigh-Ritz; once both residuals ‖Hy - θy‖ of the two lowest Ritz
-    pairs are within ``LANCZOS_TOL`` times ``scale`` they are returned, and
-    otherwise the 16 lowest Ritz vectors are kept, with T = diag(θ), and the
-    expansion goes on from the last residual block.  A vector whose norm
-    falls to 1e-12 times ``scale`` (an invariant subspace) is replaced by a
-    random one orthogonal to the basis, as ARPACK's ``dgetv0`` does.  Start
-    and replacement vectors come from a fixed seed, so a run repeats to the
-    last bit.
+    degenerate ground level as a simple one.  Every new row, and every
+    random row that replaces one, gets two classical Gram-Schmidt passes
+    against every earlier row of the basis ("twice is enough": Giraud,
+    Langou and Rozložník, Comput. Math. Appl. 50, 1069 (2005)); T = VᵀHV
+    is filled from the products.  A full basis of sixteen blocks (32
+    vectors) is solved by Rayleigh-Ritz; once both residuals ‖Hy - θy‖ of
+    the two lowest Ritz pairs are within ``LANCZOS_TOL`` times ``scale``
+    they are returned, and otherwise the 16 lowest Ritz vectors are kept,
+    with T = diag(θ), and the expansion goes on from the last residual
+    block, first projected against all of the basis it leaves: the passes
+    see only the kept Ritz vectors, and without it the discarded ones fill
+    the next basis again.  A row whose norm falls to 1e-12 times ``scale``
+    (an invariant subspace) is replaced by a random one, as ARPACK's
+    ``dgetv0`` does.  Start and replacement vectors come from a fixed seed,
+    so a run repeats to the last bit.
     """
     n = len(diag)
     # a constant start vector can be orthogonal to the ground state by symmetry
     rng = np.random.default_rng(0)
+
+    def orthogonalized(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        for _ in range(2):
+            w = w - (basis @ w) @ basis
+        return w
 
     size = min(n, 32)
     V, HV, T = np.empty((size, n)), np.empty((size, n)), np.zeros((size, size))
@@ -322,19 +329,10 @@ def _lanczos(
     for _ in range(LANCZOS_RESTARTS):
         while filled < size:
             top = min(filled + len(block), size)
-            W = block[: top - filled]
-            for _ in range(2):
-                W = W - (W @ V[:filled].T) @ V[:filled]
-            for row, w in zip(range(filled, top), W):
-                if row > filled:
-                    w = w - (V[filled:row] @ w) @ V[filled:row]
-                    # a row that pass shrinks keeps rounding-level overlaps
-                    # with the basis, which normalizing it would magnify
-                    w = w - (V[:row] @ w) @ V[:row]
+            for row, w in zip(range(filled, top), block):
+                w = orthogonalized(w, V[:row])
                 if w @ w <= (1e-12 * scale) ** 2:
-                    w = rng.standard_normal(n)
-                    for _ in range(2):
-                        w = w - (V[:row] @ w) @ V[:row]
+                    w = orthogonalized(rng.standard_normal(n), V[:row])
                 V[row] = w / np.sqrt(w @ w)
             HV[filled:top] = product(V[filled:top])
             T[:top, filled:top] = V[:top] @ HV[filled:top].T
@@ -391,17 +389,15 @@ def _string_hamiltonian(
 
     Returns the diagonal of H in product order, the product of H with
     each row of a block, the largest ``|H_ij|``, ``at`` and ``sign``; or
-    ``None`` for a stack of integrals, a restricted or spinless space, a
-    spin that holds no electron, any other αβ term, a split H, or any
-    element that is not finite.
+    ``None`` for a restricted or spinless space, a spin that holds no
+    electron, any other αβ term, a split H, or any element that is not
+    finite.  The integrals are one point's.
     """
     layout, sector, n = space.layout, space.sector, len(space)
-    if ints.h.ndim != 2 or layout is None or sector is None:
+    if layout is None or sector is None:
         return None
-    up, down = layout.spin_blocks
-    n_up = (space.N + sector) // 2
-    n_down = space.N - n_up
-    if not (0 < n_up <= len(up) and 0 < n_down <= len(down)):
+    (up, n_up), (down, n_down) = _sector_blocks(space.N, layout, sector)
+    if not (n_up and n_down):
         return None
     # <pq||rs> with p, r up and q, s down may be nonzero only where p = r, q = s
     coulomb = ints.g[up[:, None], down, up[:, None], down]
@@ -532,14 +528,15 @@ def ground_states(
 
     Spaces of at most ``DENSE_CROSSOVER`` determinants are solved densely,
     with one ``eigh`` over the stack of Hamiltonians (bit for bit one
-    ``eigh`` per matrix); larger ones, one point at a time, one connected
-    block of H at a time by :func:`_sparse_eigh`, which finds the two
-    lowest values over all blocks and a ground vector exactly zero outside
-    its block.  Each eigenvector is normalized and sign-fixed by
-    :func:`sign_fixed`.  A state is flagged degenerate when the next
-    eigenvalue lies within ``DEGENERACY_GAP`` of it: its vector is then an
-    arbitrary basis choice inside the degenerate level, and occupation
-    analyses should be read with care.
+    ``eigh`` per matrix); above it each point is solved alone, as
+    integrals of its own, one connected block of H at a time by
+    :func:`_sparse_eigh`, which finds the two lowest values over all
+    blocks and a ground vector exactly zero outside its block.  Each
+    eigenvector is normalized and sign-fixed by :func:`sign_fixed`.  A
+    state is flagged degenerate when the next eigenvalue lies within
+    ``DEGENERACY_GAP`` of it: its vector is then an arbitrary basis choice
+    inside the degenerate level, and occupation analyses should be read
+    with care.
     """
     n = len(space)
     if n == 0:
@@ -551,8 +548,11 @@ def ground_states(
             raise FermipinError(f"eigensolver failure: {exc}") from exc
         vectors = vectors[:, :, 0]
     else:
-        values, vector = _sparse_eigh(ints, space)
-        values, vectors = values[None], vector[None]
+        m = ints.m
+        points = zip(ints.h.reshape(-1, m, m), ints.g.reshape(-1, m, m, m, m),
+                     np.ravel(ints.core_energy), strict=True)
+        solved = [_sparse_eigh(SpinOrbitalIntegrals(ints.layout, *p), space) for p in points]
+        values, vectors = map(np.array, zip(*solved))
     energies = values[:, 0]
     # finite elements near the float limit can still give an energy past it
     if not np.isfinite(energies).all():

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ci import DENSE_CROSSOVER, CIVector, ground_states, solve_ground
+from .ci import CIVector, ground_states, solve_ground
 from .errors import (
     FermipinError,
     NoSurvivorsError,
@@ -390,14 +390,13 @@ def cmd_scan(cfg: argparse.Namespace) -> dict:
         results += values(energies, spectra)
     except errors as exc:
         results.append(exc)
-    # the later points go through as stacks of about _SCAN_BLOCK bytes of
-    # g, on the dense path and in a sector only: there no 1-RDM couples the
-    # spins, so a stack keeps the layout that each point's own 1-RDM keeps;
-    # a stack that fails, or that mixes in another spatial width than the
-    # first point's, goes point by point, so each failing point keeps its
-    # own NaN row and message
+    # the later points go through as stacks of about _SCAN_BLOCK bytes of g
+    # in a sector, where no 1-RDM couples the spins, so a stack keeps the
+    # layout each point's own 1-RDM keeps; a stack that fails, or that mixes
+    # in another spatial width than the first point's, goes point by point,
+    # so each failing point keeps its own NaN row and message
     size = 1
-    if space.sector is not None and len(space) <= DENSE_CROSSOVER:
+    if space.sector is not None:
         size = max(1, _SCAN_BLOCK // (8 * space.m**4))
     for start in range(1, len(grid), size):
         points = [point for _, point in grid[start : start + size]]

@@ -543,6 +543,68 @@ def test_stacked_ground_states_equal_the_per_point_solves() -> None:
             assert not degenerate.any()
 
 
+def test_a_stack_above_the_crossover_equals_its_points_solved_alone() -> None:
+    # the 400-determinant S_z = 0 sector of the 6-site chain at U = 0, 2, 4:
+    # each point of the stack goes through the sparse solve on its own
+    points = [hubbard_chain(6, 1.0, U) for U in (0.0, 2.0, 4.0)]
+    stack = to_spin_orbitals(SpatialIntegrals(
+        6, np.stack([p.h for p in points]), np.stack([p.g for p in points]),
+        np.array([p.core_energy for p in points])))
+    space = enumerate_space(6, 12, stack.layout, 0)
+    assert len(space) == 400 > fermipin.ci.DENSE_CROSSOVER
+    energies, coeffs, degenerate = ground_states(stack, space)
+    assert energies.shape == degenerate.shape == (3,) and coeffs.shape == (3, 400)
+    for k, point in enumerate(points):
+        alone = ground_states(to_spin_orbitals(point), space)
+        assert energies[k] == alone[0][0]
+        assert np.array_equal(coeffs[k], alone[1][0])
+        assert degenerate[k] == alone[2][0]
+
+
+def _spy_on_krylov_rows(monkeypatch) -> list[np.ndarray]:
+    """The first basis of each Lanczos run, from now: the rows its first 16
+    products see, which fill the 32 rows of the basis before any restart."""
+    bases = []
+    lanczos = fermipin.ci._lanczos
+
+    def spy(diag, product, scale):
+        rows = []
+        bases.append(rows)
+
+        def recorded(X):
+            if len(rows) < 16:
+                rows.append(X.copy())
+            return product(X)
+
+        return lanczos(diag, recorded, scale)
+
+    monkeypatch.setattr(fermipin.ci, "_lanczos", spy)
+    return bases
+
+
+def test_the_krylov_basis_is_orthonormal(monkeypatch) -> None:
+    five = to_spin_orbitals(hubbard_chain(5, 1.0, 0.0, periodic=True))
+    seven = to_spin_orbitals(hubbard_chain(7, 1.0, 4.0))
+    random_ints = to_spin_orbitals(random_spatial(6, np.random.default_rng(61)))
+    ring = (five, enumerate_space(6, 10, five.layout, 0))
+    routes = {  # the ring on both routes, the others on their own
+        True: [ring, (seven, enumerate_space(7, 14, seven.layout, 1))],
+        False: [ring, (random_ints, enumerate_space(6, 12, random_ints.layout, 0))],
+    }
+    monkeypatch.setattr(fermipin.ci, "DENSE_CROSSOVER", 0)
+    bases = _spy_on_krylov_rows(monkeypatch)
+    for strings, cases in routes.items():
+        taken = _spy_on_string_route(monkeypatch, strings)
+        for ints, space in cases:
+            taken.clear()
+            bases.clear()
+            solve_ground(ints, space)
+            assert taken == [strings] and len(bases) == 1
+            R = np.concatenate(bases[0])
+            assert R.shape == (32, len(space))
+            assert np.abs(R @ R.T - np.eye(32)).max() <= 1e-13
+
+
 def test_a_non_finite_hamiltonian_element_is_refused_by_name() -> None:
     # finite integrals whose sums overflow: (11|11) + (11|22) on the diagonal
     spatial = hubbard_chain(3, 1.0, 0.0)

@@ -21,7 +21,7 @@ from fermipin.ci import DENSE_CROSSOVER, CIVector, solve_ground
 from fermipin.cli import main
 from fermipin.errors import FermipinError
 from fermipin.fock import MAX_WIDTH, UP, SpinOrbitalLayout, enumerate_space, space_size
-from fermipin.gpc import catalog, evaluate
+from fermipin.gpc import catalog, evaluate, load_catalog_file
 from fermipin.integrals import hubbard_chain, save_integral_file, to_spin_orbitals
 from fermipin.rdm import natural_spectrum, one_rdm
 
@@ -846,16 +846,23 @@ def test_stacked_scan_equals_the_per_point_pipeline(drawn, rows) -> None:
         payload = exc
     finally:
         cli._SCAN_BLOCK = block
-    # the same grid, each point solved over a space of its own, analysed
-    # and evaluated alone
-    parameter, grid = cli._scan_grid(cli._build_parser().parse_args(argv))
-    first = grid[0][1]
+    first = cli._scan_grid(cli._build_parser().parse_args(argv))[1][0][1]
     try:
         space = cli._ground(first)[1].space
     except FermipinError as exc:  # such as a sector the truncated layout cannot hold
         assert repr(payload) == repr(exc)
         return
-    cat = catalog(space.N, space.m)
+    expected, warned = _per_point_scan(argv, catalog(space.N, space.m), payload["columns"])
+    # repr tells -0.0 from 0.0, so equal text is equal bits
+    assert json.dumps(payload["rows"]) == json.dumps(expected)
+    assert err.getvalue() == warned
+
+
+def _per_point_scan(argv: list[str], cat, columns: list[str]) -> tuple[list[dict], str]:
+    """The rows and the warnings of the scan ``argv`` with each grid point
+    solved over a space of its own, analysed and evaluated alone."""
+    parameter, grid = cli._scan_grid(cli._build_parser().parse_args(argv))
+    first = grid[0][1]
     expected, warned = [], ""
     for label, point in grid:
         try:
@@ -869,11 +876,39 @@ def test_stacked_scan_equals_the_per_point_pipeline(drawn, rows) -> None:
                       + [report.xi])
         except (FermipinError, ValueError) as exc:
             warned += f"warning: {parameter}={label}: {exc}\n"
-            values = [label] + [float("nan")] * (len(payload["columns"]) - 1)
-        expected.append(dict(zip(payload["columns"], values, strict=True)))
-    # repr tells -0.0 from 0.0, so equal text is equal bits
+            values = [label] + [float("nan")] * (len(columns) - 1)
+        expected.append(dict(zip(columns, values, strict=True)))
+    return expected, warned
+
+
+# a one-constraint (6,12) catalog, for scans of the 6-site chain at N = 6
+CATALOG_6_12 = "6 12 1 1 -1 0 0 0 0 0 0 0 0 0 0 0\n"
+
+
+def test_a_sector_scan_above_the_crossover_goes_as_stacks(monkeypatch, tmp_path) -> None:
+    # 400 determinants, m = 12: the first point alone, then stacks of the
+    # three points whose g fits in _SCAN_BLOCK, each point solved alone
+    # inside ground_states and printed as the per-point pipeline prints it
+    path = tmp_path / "c.txt"
+    path.write_text(CATALOG_6_12)
+    argv = ["scan", "--model", "hubbard", "--sites", "6", "--N", "6", "--sz", "0",
+            "--scan", "U=0:4:9", "--catalog", str(path), "--format", "csv"]
+    stacks = []
+    solve = cli.ground_states
+
+    def spy(ints, space):
+        assert len(space) == 400 > DENSE_CROSSOVER
+        stacks.append(len(ints.h) if ints.h.ndim == 3 else 1)
+        return solve(ints, space)
+
+    monkeypatch.setattr(cli, "ground_states", spy)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        payload = cli.cmd_scan(cli._build_parser().parse_args(argv))
+    assert stacks == [1, 3, 3, 2]
+    expected, warned = _per_point_scan(argv, load_catalog_file(str(path)), payload["columns"])
     assert json.dumps(payload["rows"]) == json.dumps(expected)
-    assert err.getvalue() == warned
+    assert err.getvalue() == warned == ""
 
 
 OVERFLOWING_INTEGRALS = "NORB=3 NELEC=3 MS2=1\n-1 1 2 0 0\n-1 2 3 0 0\n1e308 1 1 1 1\n1e308 1 1 2 2\n"

@@ -78,9 +78,9 @@ DIGESTS = {
     # only ones that reach Lanczos, on alpha strings times beta strings,
     # whose signs depend on the ordering; both print one energy
     "solve --model hubbard --sites 7 --U 4 --N 7 --sz 1 --format json":
-        "4a71180c6396d4d5b90ebb912695b6e88786bc4d2f6cc1d9d41caff55b5e7255",
+        "e3281e395eaef87709b5d9c6899a0f1c9ea994157d79b0f9178d2e9cd674841f",
     "solve --model hubbard --sites 7 --U 4 --N 7 --sz 1 --ordering blocked --format json":
-        "5883beffcf1a9b839853ce25742d66b1ed5e5b5ee04e7691fcbe1a01432f9a0c",
+        "32310cf7ccb3ee182c3cd5b0fb9da6d36776fdba52661c44ac305283c3d30a92",
 }
 
 
