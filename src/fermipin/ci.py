@@ -194,8 +194,7 @@ def _hamiltonian_entries(
     """The diagonal of the Hamiltonian over ``space`` and its entries
     ``(i, j, value)`` with ``i < j`` for every connected pair.  A stack of
     integrals gives the diagonal and the values with the stack's leading
-    axis, one row per point, each summed as that point alone; above the
-    crossover the integrals are one point's.
+    axis, one row per point, each summed as that point alone.
 
     Each element is summed term by term in the order of the Slater-Condon
     rules over the occupied orbitals, ascending; an empty orbital adds an
@@ -215,9 +214,11 @@ def _hamiltonian_entries(
         pairs = space.pairs
         gathers = _GATHERS.get(space) or _GATHERS.setdefault(space, _gathers(space, pairs))
     else:
-        # a single's element is h[p,q] + sum_c <pc||qc>, a double's <p1p2||q1q2>
-        singles = (ints.h != 0) | (ints.g.diagonal(axis1=1, axis2=3) != 0).any(axis=2)
-        pairs = substitutions(space, singles, ints.g != 0)
+        # a single's element is h[p,q] + sum_c <pc||qc>, a double's
+        # <p1p2||q1q2>; a stack is screened by the union over its points
+        singles = (ints.h != 0) | (ints.g.diagonal(axis1=-3, axis2=-1) != 0).any(axis=-1)
+        points = tuple(range(ints.h.ndim - 2))
+        pairs = substitutions(space, singles.any(axis=points), (ints.g != 0).any(axis=points))
         gathers = _gathers(space, pairs)
     diagonal_h, diagonal_g, single_h, single_g, shared, double_g = gathers
     h = ints.h.reshape(*ints.h.shape[:-2], m * m)

@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -659,21 +660,42 @@ def _csv_scan(payload: dict) -> tuple[list[str], list[list]]:
 
 @functools.cache
 def _flat_encoder(newline: str):
-    """json's C encoder for a container of scalars whose items each start a
-    line of ``newline``: it writes ``[a,<newline>b]``, and the caller puts
-    the bracket lines around it."""
+    """json's C encoder for a container of scalars (or a list of flat
+    dicts) whose items each start a line of ``newline``: it writes
+    ``[a,<newline>b]``, and the caller puts the bracket lines around it."""
     return json.encoder.c_make_encoder(
         None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
         ": ", "," + newline, False, False, True)
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _flat(items) -> bool:
+    """Whether every item of the iterable ``items`` is a scalar of a
+    built-in type; anything else, a subclass too, is walked."""
+    return _SCALARS.issuperset(map(type, items))
+
+
+def _records(value: list | tuple) -> bool:
+    """Whether the items of ``value`` are all non-empty flat dicts."""
+    return all(type(item) is dict and item for item in value) and _flat(
+        itertools.chain.from_iterable(map(dict.values, value)))
 
 
 def _write_json(value, newline: str, parts: list[str]) -> None:
     """Append the ``json.dumps(indent=2)`` text of ``value``, which starts on
     a line of ``newline`` ("\\n" and its indentation), to ``parts``.
 
-    Only containers of containers are walked here; every scalar and every
-    container of scalars is written by json's C encoder, so each number and
-    string has json's own text.  Dict keys are ``str``.
+    Only containers of containers are walked here; every scalar, every
+    container of scalars and every list of flat dicts (records) is written
+    by json's C encoder, so each number and string has json's own text.
+    Dict keys are ``str``.  A list of records is encoded in one call whose
+    separator carries the records' own indentation, ``deep``; one replace of
+    ``},<deep>{`` then puts each record's braces on lines of their own.
+    That replace is exact: the ASCII string encoder never writes a raw
+    newline, and no encoded scalar ends in ``}``, so the pattern occurs
+    only between two records.
     """
     if isinstance(value, dict):
         opening, closing, items = "{", "}", value.values()
@@ -686,9 +708,15 @@ def _write_json(value, newline: str, parts: list[str]) -> None:
         parts.append(opening + closing)
         return
     inner = newline + "  "
-    if not any(isinstance(item, (dict, list, tuple)) for item in items):
+    if _flat(items):
         text = "".join(_flat_encoder(inner)(value, 0))
         parts += (opening, inner, text[1:-1], newline, closing)
+        return
+    if closing == "]" and _records(value):
+        deep = inner + "  "
+        text = "".join(_flat_encoder(deep)(value, 0))[2:-2].replace(
+            "}," + deep + "{", inner + "}," + inner + "{" + deep)
+        parts += (opening, inner, "{", deep, text, inner, "}", newline, closing)
         return
     separator = opening + inner
     if closing == "}":

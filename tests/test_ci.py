@@ -561,6 +561,23 @@ def test_a_stack_above_the_crossover_equals_its_points_solved_alone() -> None:
         assert degenerate[k] == alone[2][0]
 
 
+@pytest.mark.parametrize("sites", [4, 6])
+def test_a_stacked_hamiltonian_equals_its_points_built_alone(sites) -> None:
+    # the S_z = 0 sectors of the 4- and 6-site chains (36 and 400
+    # determinants) at U = 0, 2, 4: U = 0 screens out every double, and
+    # above the crossover the stack is screened by the union of its points
+    points = [hubbard_chain(sites, 1.0, U) for U in (0.0, 2.0, 4.0)]
+    stack = to_spin_orbitals(SpatialIntegrals(
+        sites, np.stack([p.h for p in points]), np.stack([p.g for p in points]),
+        np.array([p.core_energy for p in points])))
+    space = enumerate_space(sites, 2 * sites, stack.layout, 0)
+    assert (len(space) > fermipin.ci.DENSE_CROSSOVER) is (sites == 6)
+    H = build_hamiltonian(stack, space)
+    assert H.shape == (3, len(space), len(space))
+    for k, point in enumerate(points):
+        assert np.array_equal(H[k], build_hamiltonian(to_spin_orbitals(point), space))
+
+
 def _spy_on_krylov_rows(monkeypatch) -> list[np.ndarray]:
     """The first basis of each Lanczos run, from now: the rows its first 16
     products see, which fill the 32 rows of the basis before any restart."""

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -223,6 +224,13 @@ def test_scan_over_files_tolerates_bad_points(capsys, tmp_path) -> None:
     assert not np.isnan(float(rows[0]["energy"]))
     assert not np.isnan(float(rows[1]["energy"]))
     assert np.isnan(float(rows[2]["energy"]))
+
+    # the JSON rows, the bad point's NaN row among them, are one record list
+    code, out, err = _run(capsys, ["scan", "--files", *paths, "--sz", "1", "--format", "json"])
+    assert code == 0 and "broken.ints" in err
+    payload = json.loads(out)
+    assert [math.isnan(row["energy"]) for row in payload["rows"]] == [False, False, True]
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("ordering, spaces", [("blocked", 2), ("interleaved", 1)])
@@ -1125,23 +1133,99 @@ _JSON_EDGES = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308, 2
                -(10**40), True, False, None, *_JSON_STRINGS]
 _JSON_SCALARS = (st.sampled_from(_JSON_EDGES) | st.none() | st.booleans() | st.integers()
                  | st.floats() | st.text(max_size=6))
+_JSON_KEYS = st.sampled_from(_JSON_STRINGS) | st.text(max_size=3)
+# lists of 1-4 non-empty flat dicts (records), and of flat lists and
+# tuples, which are walked one row at a time
+_JSON_ROWS = st.lists(_JSON_SCALARS, min_size=1, max_size=4)
+_JSON_RECORDS = (st.lists(st.dictionaries(_JSON_KEYS, _JSON_SCALARS, min_size=1, max_size=4),
+                          min_size=1, max_size=4)
+                 | st.lists(_JSON_ROWS | _JSON_ROWS.map(tuple), min_size=1, max_size=4))
 _JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
+    _JSON_SCALARS | _JSON_RECORDS,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-                   | st.dictionaries(st.sampled_from(_JSON_STRINGS) | st.text(max_size=3),
-                                     inner, max_size=4)),
+                   | st.dictionaries(_JSON_KEYS, inner, max_size=4)),
     max_leaves=40)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+class _Record(dict):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+# each of these record lists has one item that is not a non-empty flat dict
+# of built-in scalars
+_NOT_RECORDS = [
+    [{"a": 1}, {}, {"b": 2}],
+    [{"a": 1}, _Record(b=2)],
+    [{"a": 1}, {"b": [2]}],
+    [{"a": 1}, {"b": _Float(2.5)}],
+]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(_JSON_VALUES)
 @example([])
 @example({})
 @example([[], {}, ()])
 @example({"a": [[], [{}]], "b": {"c": {}}})
 @example((1, (2.5, ()), {"x": (None,)}))
+@example({"rows": [{"a": "x}", "b": "]"}, {"a": "}"}], "lists": [["}", "]"], ("]",)]})
+@example([{"a": '"},\n    {"', "b": "\n"}, {'"},\n    {"': "\n  }\n"}])
+@example([{'": {': 1}, {'x": {"y': "}"}])
+@example([{"a": float("nan"), "b": float("inf")},
+          {"c": -float("inf"), "d": -0.0, "e": 5e-324}])
+@example([[float("nan"), float("inf"), -float("inf")], (-0.0, 5e-324)])
+@example(((1, 2), (3,), ("a", None)))
+@example(_NOT_RECORDS)
 def test_json_writer_prints_the_bytes_of_json_dumps(value) -> None:
     assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def _count_encoder_calls(monkeypatch) -> list[int]:
+    """A one-item list that counts the calls of every ``cli._flat_encoder``
+    encoder from now."""
+    calls = [0]
+    encoder = cli._flat_encoder
+
+    def counted(newline):
+        encode = encoder(newline)
+
+        def call(value, level):
+            calls[0] += 1
+            return encode(value, level)
+
+        return call
+
+    monkeypatch.setattr(cli, "_flat_encoder", counted)
+    return calls
+
+
+@pytest.mark.parametrize("value, count", [
+    ([{"a": 1, "b": "x"}, {"c": None}], 1),
+    # one call per non-empty flat container, not one for the whole list
+    *((value, 2) for value in _NOT_RECORDS),
+    ([[1, "}"], (None, 2.5)], 2),
+])
+def test_a_record_list_is_one_encoder_call_and_any_other_list_is_walked(
+        monkeypatch, value, count) -> None:
+    calls = _count_encoder_calls(monkeypatch)
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+    assert calls[0] == count
+
+
+def test_the_random_polytope_report_takes_the_record_path(capsys, monkeypatch) -> None:
+    # 100 samples of 19 four-key constraints: the 1 900 records go through
+    # one encoder call per sample (804 calls in all; 2 604 one per record)
+    argv = ["polytope", "--N", "3", "--m", "8", "--random", "100", "--seed", "1",
+            "--format", "json"]
+    calls = _count_encoder_calls(monkeypatch)
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert calls[0] <= 810
 
 
 def test_json_without_the_c_encoder_is_json_dumps(capsys, monkeypatch) -> None:
