@@ -177,7 +177,8 @@ class ConfigurationSpace:
     matrix built on the space.  Iterating or indexing yields
     :class:`Determinant` views built on demand.  ``sector`` is twice the
     spin projection (the integer 2*S_z), or ``None`` when the space is not
-    spin-resolved.
+    spin-resolved; a sector needs a ``layout``, and every mask must lie in
+    it, or :class:`~fermipin.errors.SectorError` is raised.
     """
 
     N: int
@@ -197,6 +198,11 @@ class ConfigurationSpace:
             raise ValueError("determinant masks must be strictly increasing")
         if len(masks) and (int(masks[-1]) >> self.m or (np.bitwise_count(masks) != self.N).any()):
             raise ValueError(f"a mask is not an {self.N}-electron determinant of width {self.m}")
+        if self.sector is not None:
+            (up, n_up), _ = _sector_blocks(self.N, self.layout, self.sector)
+            up_bits = np.bitwise_or.reduce(np.uint64(1) << up.astype(np.uint64))
+            if (np.bitwise_count(masks & up_bits) != n_up).any():
+                raise SectorError(f"a mask is not in the sector 2*S_z={self.sector}")
         masks.flags.writeable = False
         object.__setattr__(self, "masks", masks)
 

@@ -14,18 +14,20 @@ and re-solving inside them is the *force-pinned* approximation to the
 ground state.
 
 Orbital labels here are natural-orbital labels ordered by decreasing
-occupation.  :func:`pinned_solve` starts from an already solved full-space
-ground state, moves to its natural orbitals, and keeps that ordering
-self-consistent by re-diagonalizing the truncated 1-RDM until the
-occupations stop moving.  The integrals are rotated once per iteration;
-the frame's filtered space, which the natural layout alone determines, is
-reused across iterations by layout.
+occupation.  :func:`natural_frame` holds the frame rule: it rotates the
+integrals to a state's natural orbitals, and refuses a spin-mixing
+rotation of a sector state.  :func:`pinned_solve` starts from an already
+solved full-space ground state, moves to its natural frame, and keeps that
+ordering self-consistent by re-diagonalizing the truncated 1-RDM until the
+occupations stop moving.  Every frame, the first included, comes from
+:func:`natural_frame`, once per iteration; the frame's filtered space,
+which the natural layout alone determines, is built once per layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -170,14 +172,16 @@ class PinnedSolveResult:
     history: tuple[tuple[float, int], ...]  # (max |dn|, survivor count) per iteration
 
 
-def _natural_rotation(space, spectrum):
-    """The rotation to the natural orbitals of ``spectrum``, as ``(U, layout)``."""
+def natural_frame(
+    ints: SpinOrbitalIntegrals, space: ConfigurationSpace, spectrum: OccupationSpectrum
+) -> SpinOrbitalIntegrals:
+    """``ints`` rotated to the natural orbitals of ``spectrum``, with the frame's
+    layout.  ``space`` is the full space the spectrum's state lies in; a
+    spin-mixing rotation of a sector state raises :class:`SectorError`."""
     rotation = spectrum.natural_rotation
     if space.sector is not None and rotation.layout is None:
-        raise SectorError(
-            "sector-restricted space produced a spin-mixing natural rotation"
-        )
-    return rotation.U, rotation.layout
+        raise SectorError("sector-restricted space produced a spin-mixing natural rotation")
+    return ints.rotated(rotation.U, rotation.layout)
 
 
 def _frame_space(space, layout):
@@ -191,8 +195,8 @@ def _frame_space(space, layout):
 def pinned_solve(
     ints: SpinOrbitalIntegrals,
     full_state: CIVector,
-    constraints: Sequence[GPConstraint]
-    | Callable[[OccupationSpectrum], Sequence[GPConstraint]],
+    constraints: Iterable[GPConstraint]
+    | Callable[[OccupationSpectrum], Iterable[GPConstraint]],
     max_iterations: int = 100,
     occupation_tol: float = 1e-10,
 ) -> PinnedSolveResult:
@@ -202,16 +206,17 @@ def pinned_solve(
     :func:`~fermipin.ci.solve_ground` returns it; it is not solved again.
     ``constraints`` are the constraints to impose, or a function that picks
     them from the natural spectrum of ``full_state``, so that a caller
-    choosing by the occupations does not diagonalize the same 1-RDM twice.
+    choosing by the occupations does not diagonalize the same 1-RDM twice;
+    either may give an iterator, which is read once.
     The natural-orbital labels the constraints refer to are kept
     self-consistent: the basis starts at the natural orbitals of
     ``full_state``, and after each truncated solve it is rotated to the
     new natural orbitals and the cycle repeats until no occupation moves
     by more than ``occupation_tol`` (or ``max_iterations`` is hit, which is
-    reported rather than raised).  The integrals are rotated on every
-    iteration, but a frame's space is filtered only the first time its
-    natural layout appears: the loop often revisits a few frames, and a
-    revisited one reuses its survivor space with the pairs cached on it.
+    reported rather than raised).  Each iteration's frame comes from
+    :func:`natural_frame`, but a frame's space is filtered only the first
+    time its natural layout appears: the loop often revisits a few frames,
+    and a revisited one reuses its survivor space with the pairs cached on it.
     ``history`` records each iteration's largest occupation change and
     survivor count.
 
@@ -229,23 +234,23 @@ def pinned_solve(
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
 
     spectrum = natural_spectrum(one_rdm(full_state))
-    if callable(constraints):
-        constraints = constraints(spectrum)
+    # read once, so that an iterator filters every frame and not just the first
+    constraints = tuple(constraints(spectrum) if callable(constraints) else constraints)
     if not constraints:
         raise ValueError("at least one constraint is required")
-    U, layout = _natural_rotation(space, spectrum)
-    nat_ints, nat_space = ints.rotated(U, layout), _frame_space(space, layout)
+    nat_ints = natural_frame(ints, space, spectrum)
 
     reference = Determinant.from_orbitals(range(1, space.N + 1), space.m)
     ref_space = ConfigurationSpace(space.N, space.m, (reference.mask,))
     reference_energy = float(build_hamiltonian(nat_ints, ref_space)[0, 0])
-    census_full = census(nat_space, reference)
 
     # N, m and the sector stay fixed, so a frame's layout alone fixes its
     # filtered space; a recurring frame reuses it with its cached pairs
-    frames = {layout: filter_pinned(nat_space, constraints)}
-    history = []
+    frames, history = {}, []
     while True:
+        layout = nat_ints.layout
+        if layout not in frames:
+            frames[layout] = filter_pinned(_frame_space(space, layout), constraints)
         pinned_space = frames[layout]
         if len(pinned_space) == 0:
             raise NoSurvivorsError(
@@ -258,11 +263,9 @@ def pinned_solve(
         converged = drift < occupation_tol
         if converged or len(history) == max_iterations:
             break
-        U, layout = _natural_rotation(space, spectrum)
-        nat_ints = nat_ints.rotated(U, layout)
-        if layout not in frames:
-            frames[layout] = filter_pinned(_frame_space(space, layout), constraints)
+        nat_ints = natural_frame(nat_ints, space, spectrum)
 
+    census_full = census(next(iter(frames.values())).base, reference)  # the first frame
     census_pinned = census(pinned_space.survivors, reference)
     full_correlation = reference_energy - full_state.energy
     pinned_correlation = reference_energy - truncated.energy

@@ -16,6 +16,7 @@ from fermipin.fock import (
     UP,
     ConfigurationSpace,
     Determinant,
+    SpinOrbitalLayout,
     blocked_layout,
     census,
     enumerate_space,
@@ -152,6 +153,25 @@ def test_sector_enumeration_random_product_counts() -> None:
 def test_sector_requires_layout() -> None:
     with pytest.raises(SectorError):
         enumerate_space(3, 6, None, 1)
+
+
+def test_a_space_refuses_masks_outside_its_sector() -> None:
+    lay = interleaved_layout(4)
+    # all 28 two-electron masks, of which only 16 have S_z = 0
+    masks = enumerate_space(2, 8, lay).masks
+    with pytest.raises(SectorError, match=r"not in the sector 2\*S_z=0"):
+        ConfigurationSpace(2, 8, masks, lay, 0)
+    sector = enumerate_space(2, 8, lay, 0)
+    assert ConfigurationSpace(2, 8, sector.masks, lay, 0).masks.tobytes() == sector.masks.tobytes()
+    # every determinant of a space with no up orbital is all down
+    down = SpinOrbitalLayout((DOWN,) * 4)
+    assert len(ConfigurationSpace(2, 4, enumerate_space(2, 4).masks, down, -2)) == 6
+
+
+def test_a_space_refuses_a_sector_without_a_layout() -> None:
+    masks = enumerate_space(2, 8, interleaved_layout(4), 0).masks
+    with pytest.raises(SectorError, match="requires a layout"):
+        ConfigurationSpace(2, 8, masks, None, 0)
 
 
 def test_enumeration_rejects_bad_arguments() -> None:

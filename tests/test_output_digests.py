@@ -74,6 +74,9 @@ DIGESTS = {
         "e2fdca054fca3c026e17cf4a90accfa7931a048faae6cb76b761b746f8555027",
     "truncate --model hubbard --sites 3 --U 2.0 --N 3 --sz 1 --mu auto --format json":
         "e776489d5c1061050ae20cbcfcdab0c573afe17ace08ddd263bdadb5aee3040a",
+    # no --sz: the full 70-determinant space, whose frames keep its masks
+    "truncate --model hubbard --sites 4 --U 4.0 --N 4 --mu 1 --format json":
+        "eec5eeb7d44d6863dbe53fb796c2e5a5b3e650c91b8199f916e8b73d4b7e2e07",
     # 1 225 determinants: the only entries above ci.DENSE_CROSSOVER, so the
     # only ones that reach Lanczos, on alpha strings times beta strings,
     # whose signs depend on the ordering; both print one energy

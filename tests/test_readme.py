@@ -30,6 +30,8 @@ def test_readme_python_blocks_run_and_hold_their_claims() -> None:
     assert namespace["report"].tiers[1] == "pinned"
     # "1.0 — the 3-determinant solve is exact here"
     assert abs(namespace["result"].recovered_fraction - 1.0) <= 1e-12
+    # "zero to rounding: the same ground state"
+    assert abs(namespace["natural"].energy - namespace["state"].energy) <= 1e-12
 
 
 def test_readme_command_lines_run_and_hold_their_claims(capsys, tmp_path,

@@ -1,15 +1,17 @@
 """Tests for super-selection filtering and force-pinned solves."""
 
+from itertools import product
 from math import comb
 
 import numpy as np
 import pytest
 
-from fermipin.ci import CIVector, solve_ground
+from fermipin.ci import CIVector, OrbitalRotation, build_hamiltonian, solve_ground
 from fermipin.errors import (
     NoSurvivorsError,
     RegimeError,
     RepresentabilityError,
+    SectorError,
     WidthError,
 )
 from fermipin.fock import (
@@ -26,10 +28,12 @@ from fermipin.selection import (
     SECTOR_PRESETS,
     filter_pinned,
     ls_reconstruct_36,
+    natural_frame,
     pinned_solve,
 )
 
 from .oracles import constraint_eigenvalue, random_coefficients, rotate_ci
+from .test_integrals import random_spatial
 
 
 def _dets(space_or_pinned) -> list[str]:
@@ -509,6 +513,80 @@ def test_pinned_solve_matches_a_loop_that_rebuilds_every_frame(
     # one filter per distinct frame, in the order the loop first meets them
     assert calls == list(dict.fromkeys(layouts))
     assert len(calls) == frames
+
+
+@pytest.mark.parametrize("form", ["generator", "selector returning a generator"])
+def test_pinned_solve_filters_every_frame_with_an_iterator_of_constraints(form) -> None:
+    # the cycling case above: three frames, 100 iterations without converging
+    so = to_spin_orbitals(hubbard_chain(4, 1.0, 4.0))
+    state = solve_ground(so, enumerate_space(3, 8, so.layout, 1))
+    d2 = catalog(3, 8).find(2)
+    given = pinned_solve(so, state, [d2])
+    if form == "generator":
+        result = pinned_solve(so, state, (c for c in [d2]))
+    else:
+        result = pinned_solve(so, state, lambda spectrum: (c for c in [d2]))
+    assert result.survivors.imposed == given.survivors.imposed == (d2,)
+    assert np.float64(result.pinned_energy).tobytes() == np.float64(given.pinned_energy).tobytes()
+    assert result.occupations.tobytes() == given.occupations.tobytes()
+    assert result.survivors.survivors.masks.tobytes() == given.survivors.survivors.masks.tobytes()
+    assert result.history == given.history
+    with pytest.raises(ValueError, match="at least one constraint"):
+        pinned_solve(so, state, iter(()))
+
+
+_MODELS = {
+    "hubbard": lambda n, rng: hubbard_chain(n, 1.0, rng.uniform(0, 8), bool(rng.integers(2))),
+    "pairing": lambda n, rng: pairing_model(n, 1.0, rng.uniform(0.1, 1.0)),
+    "random": random_spatial,
+}
+
+
+@pytest.mark.parametrize("model", list(_MODELS))
+def test_the_natural_frame_is_an_exact_change_of_basis(model) -> None:
+    """Re-solved over the frame's space, the frame's integrals give the
+    state's energy and natural spectrum back.  The frame's space is built
+    here from ``enumerate_space``: a whole S_z sector in the new layout, or
+    every mask.  A restricted space without a sector does not qualify, since
+    its masks span another subspace in the new orbitals."""
+    rng = np.random.default_rng(sum(map(ord, model)))
+    solved = dict.fromkeys(product(["interleaved", "blocked"], ["sector", "spins", "no spins"]), 0)
+    for ordering, kind in list(solved) * 16:
+        n_spatial = int(rng.integers(2, 5))
+        so = to_spin_orbitals(_MODELS[model](n_spatial, rng), ordering)
+        N = int(rng.integers(1, 2 * n_spatial))
+        n_up = int(rng.integers(max(0, N - n_spatial), min(N, n_spatial) + 1))
+        sector = 2 * n_up - N if kind == "sector" else None
+        space = enumerate_space(N, so.m, None if kind == "no spins" else so.layout, sector)
+        state = solve_ground(so, space)
+        if state.degenerate:
+            continue
+        spectrum = natural_spectrum(one_rdm(state))
+        frame = natural_frame(so, space, spectrum)
+        assert (frame.layout is None) is (kind == "no spins")
+        resolved = solve_ground(frame, enumerate_space(N, so.m, frame.layout, sector))
+        # max|h| too: a filled spin block alone has H = 0, and its energy in
+        # the frame is a rotated trace, zero only to rounding
+        H = build_hamiltonian(so, space)
+        scale = max(abs(state.energy), np.abs(H).max(), np.abs(so.h).max())
+        assert abs(resolved.energy - state.energy) <= 1e-12 * scale
+        assert np.abs(natural_spectrum(one_rdm(resolved)).n - spectrum.n).max() <= 1e-10
+        solved[ordering, kind] += 1
+    assert min(solved.values()) > 0, solved
+
+
+def test_the_natural_frame_refuses_a_spin_mixing_rotation_of_a_sector() -> None:
+    so = to_spin_orbitals(hubbard_chain(3, 1.0, 2.0))
+    space = enumerate_space(3, 6, so.layout, 1)
+    spectrum = natural_spectrum(one_rdm(solve_ground(so, space)))
+    assert natural_frame(so, space, spectrum).layout == spectrum.natural_rotation.layout
+    mixing = OccupationSpectrum(
+        spectrum.n, spectrum.N, OrbitalRotation(spectrum.natural_rotation.U, None)
+    )
+    with pytest.raises(SectorError, match="spin-mixing"):
+        natural_frame(so, space, mixing)
+    whole = enumerate_space(3, 6, so.layout)
+    assert natural_frame(so, whole, mixing).layout is None
 
 
 def test_pinned_solve_history_records_each_iteration() -> None:
