@@ -138,7 +138,10 @@ class OrbitalRotation:
         m = self.U.shape[0]
         if self.U.shape != (m, m):
             raise RotationError("rotation matrix must be square")
-        defect = np.abs(self.U @ self.U.T - np.eye(m)).max()
+        # U Uᵀ - 1, with the identity subtracted from the diagonal in place
+        gram = self.U @ self.U.T
+        gram.reshape(-1)[:: m + 1] -= 1.0
+        defect = np.abs(gram).max()
         if defect > ORTHOGONALITY_TOL:
             raise RotationError(f"matrix is not orthogonal (defect {defect:.2e})")
         if self.layout is not None and self.layout.m != m:

@@ -23,10 +23,10 @@ natural orbitals.
 
 When the vector lives in a spin-projection sector, every cross-spin element
 of the 1-RDM vanishes identically (a single spin flip leaves the sector),
-so the 1-RDM keeps the space's layout, diagonalization proceeds block by
-block, and the natural orbitals inherit definite spins: the natural
-rotation carries the layout of the new basis.  The merged spectrum is
-still sorted globally.
+so the 1-RDM keeps the space's layout without a check, diagonalization
+proceeds block by block, and the natural orbitals inherit definite spins:
+the natural rotation carries the layout of the new basis.  The merged
+spectrum is still sorted globally.
 
 Sorting is deterministic under degeneracy: descending occupation, up before
 down, block order last.  Exactly which orbital of a tied group comes first
@@ -39,7 +39,11 @@ block of coefficient rows with one ``np.bincount``, each state's terms
 offset to a matrix of its own, and :func:`natural_spectrum` of the stack
 diagonalizes them with one ``np.linalg.eigh`` per spin block, then sorts
 and clamps them together.  Each matrix comes out bit for bit as it does
-alone; :func:`one_rdm` is :func:`one_rdms` on a stack of one.  A stack's
+alone.  A single state, as :func:`one_rdm` and every iteration of
+:func:`~fermipin.selection.pinned_solve` give it, takes the same steps
+without the stack's axis: no offset of its bins, no second ``OneRDM``,
+no row index for its sorted occupations; its matrix and its spectrum are
+those of a stack of one, bit for bit.  A stack's
 spectrum keeps only occupations and ties, since no caller of a stack reads
 natural orbitals: it builds no rotation, no sign fix and no layout of a
 natural basis.  Random samples (``polytope --random``) and the ground
@@ -120,51 +124,56 @@ def _terms(space: ConfigurationSpace) -> tuple[np.ndarray, ...]:
 
 def one_rdms(space: ConfigurationSpace, coeffs: np.ndarray) -> OneRDM:
     """The 1-RDMs of normalized CI vectors over ``space``, one per row of
-    ``coeffs``, as one stack, symmetric by construction.  The layout is kept
-    only when every matrix of the stack is spin-blocked in it, as all are
-    when a spin block is empty."""
+    ``coeffs``, as one stack, symmetric by construction; a single vector
+    (``coeffs`` of one dimension) gives a single matrix, the one a stack
+    gives as its row.  The layout is kept only when every matrix of the
+    stack is spin-blocked in it, as all are when a spin block is empty."""
     # the norm np.linalg.norm gives each row, bit for bit; NaN is refused too
-    for norm in np.sqrt(np.vecdot(coeffs, coeffs)).tolist():
+    for norm in np.sqrt(np.vecdot(coeffs, coeffs)).reshape(-1).tolist():
         if not abs(norm - 1.0) <= 1e-10:
             raise NormalizationError(f"vector norm {norm!r} is not 1")
     if len(space) > ci.DENSE_CROSSOVER:
         # a determinant no row occupies adds only exact zeros to sums that
         # never end at -0.0, so leaving it out keeps every bit
-        occupied = (coeffs != 0).any(axis=0)
+        occupied = (coeffs != 0).reshape(-1, len(space)).any(axis=0)
         if not occupied.all():
-            space, coeffs = space.restrict(occupied), coeffs[:, occupied]
+            space, coeffs = space.restrict(occupied), coeffs[..., occupied]
     left, right, factor, scatter = _terms(space)
-    count, m = len(coeffs), space.m
-    # state k's terms go to the bins offset by k m^2; bincount adds its
-    # weights in input order and each element takes terms of one kind only,
-    # so every element is the same sum, term for term, as a loop over the
-    # determinants and then over the single excitations in pair order
-    bins = scatter + np.arange(0, count * m * m, m * m)[:, None]
-    # factor is +-1, so the product is exact in any order; in place it keeps
-    # the stack's temporaries to two arrays of its terms
-    weights = coeffs.take(left, axis=1)
-    weights *= coeffs.take(right, axis=1)
+    stack, m = coeffs.shape[:-1], space.m
+    size = m * m
+    if stack:
+        # state k's terms go to the bins offset by k m^2
+        size *= len(coeffs)
+        scatter = scatter + np.arange(0, size, m * m)[:, None]
+    # bincount adds its weights in input order and each element takes terms
+    # of one kind only, so every element is the same sum, term for term, as
+    # a loop over the determinants and then over the single excitations in
+    # pair order; factor is +-1, so the product is exact in any order, and
+    # in place it keeps the stack's temporaries to two arrays of its terms
+    weights = coeffs.take(left, axis=-1)
+    weights *= coeffs.take(right, axis=-1)
     weights *= factor
-    upper = np.bincount(bins.ravel(), weights.ravel(), minlength=count * m * m)
+    upper = np.bincount(scatter.ravel(), weights.ravel(), minlength=size)
     # mirroring the upper triangle adds exact zeros to it and doubles the
     # diagonal, which is then copied back
-    upper = upper.reshape(count, m, m)
-    rho = upper + upper.transpose(0, 2, 1)
-    rho.reshape(count, -1)[:, :: m + 1] = upper.reshape(count, -1)[:, :: m + 1]
+    upper = upper.reshape(*stack, m, m)
+    rho = upper + upper.swapaxes(-2, -1)
+    rho.reshape(*stack, -1)[..., :: m + 1] = upper.reshape(*stack, -1)[..., :: m + 1]
 
+    # a sector's singles all conserve spin, so only a space without one can
+    # give a matrix that couples the spins
     layout = space.layout
-    if layout is not None:
+    if layout is not None and space.sector is None:
         up, down = layout.spin_blocks
-        if len(up) and len(down) and not np.abs(rho[:, up[:, None], down]).max() <= 1e-12:
+        if len(up) and len(down) and not np.abs(rho[..., up[:, None], down]).max() <= 1e-12:
             layout = None
 
     return OneRDM(rho, layout)
 
 
 def one_rdm(vector: CIVector) -> OneRDM:
-    """The 1-RDM of a normalized CI vector: :func:`one_rdms` of a stack of one."""
-    stack = one_rdms(vector.space, vector.coeffs[None])
-    return OneRDM(stack.rho[0], stack.layout)
+    """The 1-RDM of a normalized CI vector: :func:`one_rdms` of the single vector."""
+    return one_rdms(vector.space, vector.coeffs)
 
 
 @dataclass
@@ -216,13 +225,16 @@ class OccupationSpectrum:
 def _clamp_range(n: np.ndarray, tol: float) -> np.ndarray:
     """``n`` clipped to [0, 1], refused where a spectrum (a row of a stack)
     strays more than ``tol`` outside; the message names the first such."""
-    for row in n.reshape(-1, n.shape[-1]):
-        # written so that a NaN, which fails every comparison, is refused too
-        if not (row.min() >= -tol and row.max() <= 1.0 + tol):
-            raise SpectralRangeError(
-                f"occupations outside [0,1]: min {float(row.min())!r}, max {float(row.max())!r}"
-            )
-    return np.clip(n, 0.0, 1.0)
+    low, high = n.min(axis=-1), n.max(axis=-1)
+    # written so that a NaN, which fails every comparison, is refused too
+    inside = (low >= -tol) & (high <= 1.0 + tol)
+    if not inside.all():
+        first = np.argmin(inside)
+        raise SpectralRangeError(
+            f"occupations outside [0,1]: min {float(np.ravel(low)[first])!r}, "
+            f"max {float(np.ravel(high)[first])!r}"
+        )
+    return n.clip(0.0, 1.0)
 
 
 def natural_spectrum(rdm: OneRDM) -> OccupationSpectrum:
@@ -236,39 +248,38 @@ def natural_spectrum(rdm: OneRDM) -> OccupationSpectrum:
     A stack keeps no rotations: its rows are the occupations and ties each
     matrix gives alone.
     """
-    rho = rdm.rho.reshape(-1, rdm.m, rdm.m)
-    traces = np.trace(rho, axis1=1, axis2=2).tolist()
+    rho, m = rdm.rho, rdm.m
+    single = rho.ndim == 2
+    traces = rho.trace(axis1=-2, axis2=-1).reshape(-1).tolist()
     N = round(traces[0])
     for trace in traces:
         if not abs(trace - N) <= TRACE_TOL:
             raise SpectralRangeError(f"1-RDM trace {trace!r} is not close to the integer {N}")
 
-    count, m = len(rho), rdm.m
-    single = rdm.rho.ndim == 2
     blocks = (np.arange(m),) if rdm.layout is None else rdm.layout.spin_blocks
     values, vectors = [], np.zeros((m, m))
     start = 0
     for idx in blocks:
         # one eigh for the whole stack, bit for bit one eigh per matrix
-        vals, vecs = np.linalg.eigh(rho.take(idx, axis=1).take(idx, axis=2))
-        values.append(vals[:, ::-1])
+        vals, vecs = np.linalg.eigh(rho.take(idx, axis=-2).take(idx, axis=-1))
+        values.append(vals[..., ::-1])
         if single:
-            vectors[start : start + len(idx), idx] = vecs[0, :, ::-1].T
+            vectors[start : start + len(idx), idx] = vecs[:, ::-1].T
         start += len(idx)
     # descending occupation; ties keep block order, then position in block
-    occupations = np.concatenate(values, axis=1)
-    order = np.argsort(-occupations, axis=1, kind="stable")
-    n = _clamp_range(occupations[np.arange(count)[:, None], order], tol=RANGE_TOL)
-    ties = n[:, :-1] - n[:, 1:] <= DEFAULT_TIE_TOL
+    occupations = np.concatenate(values, axis=-1)
+    order = np.argsort(-occupations, axis=-1, kind="stable")
     if not single:
-        return OccupationSpectrum(n, N, None, ties)
+        n = _clamp_range(occupations[np.arange(len(rho))[:, None], order], tol=RANGE_TOL)
+        return OccupationSpectrum(n, N, None, n[:, :-1] - n[:, 1:] <= DEFAULT_TIE_TOL)
 
+    n = _clamp_range(occupations[order], tol=RANGE_TOL)
     layout = None
     if rdm.layout is not None:
         spins = [UP] * len(blocks[0]) + [DOWN] * len(blocks[1])
-        layout = SpinOrbitalLayout(tuple(spins[k] for k in order[0].tolist()))
-    rotation = OrbitalRotation(ci.sign_fixed(vectors[order[0]]), layout)
-    return OccupationSpectrum(n[0], N, rotation, ties[0])
+        layout = SpinOrbitalLayout(tuple(spins[k] for k in order.tolist()))
+    rotation = OrbitalRotation(ci.sign_fixed(vectors[order]), layout)
+    return OccupationSpectrum(n, N, rotation, n[:-1] - n[1:] <= DEFAULT_TIE_TOL)
 
 
 def hf_distance(spectrum: OccupationSpectrum) -> float | np.ndarray:

@@ -48,6 +48,7 @@ from .fock import (
     SpinOrbitalLayout,
     census,
     enumerate_space,
+    space_size,
 )
 from .gpc import GPConstraint, classify_regime_36
 from .integrals import SpinOrbitalIntegrals
@@ -185,8 +186,9 @@ def natural_frame(
 
 
 def _frame_space(space, layout):
-    """``space`` in a natural frame with ``layout``: its masks kept when it
-    has no sector, its sector enumerated again in the new spins otherwise."""
+    """The complete ``space`` in a natural frame with ``layout``: its masks,
+    all of (N, m), kept when it has no sector, its sector enumerated again
+    in the new spins otherwise."""
     if space.sector is None:
         return ConfigurationSpace(space.N, space.m, space.masks, layout, None)
     return enumerate_space(space.N, space.m, layout, space.sector)
@@ -204,6 +206,10 @@ def pinned_solve(
 
     ``full_state`` is the ground state of ``ints`` over its own space, as
     :func:`~fermipin.ci.solve_ground` returns it; it is not solved again.
+    That space must be complete, every determinant of its S_z sector or,
+    without a sector, of its (N, m): a rotation to natural orbitals maps
+    only such a space onto itself, so a frame of any other would solve in
+    a different subspace.  An incomplete one raises ``ValueError``.
     ``constraints`` are the constraints to impose, or a function that picks
     them from the natural spectrum of ``full_state``, so that a caller
     choosing by the occupations does not diagonalize the same 1-RDM twice;
@@ -232,6 +238,13 @@ def pinned_solve(
         raise WidthError("integral width does not match the space")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+    # a natural frame spans the same subspace only for a whole space or sector
+    complete = space_size(space.N, space.m, space.layout, space.sector)
+    if len(space) != complete:
+        raise ValueError(
+            f"full_state.space holds {len(space)} of the {complete} determinants of its "
+            f"{'sector' if space.sector is not None else 'space'}; pinned_solve needs all of them"
+        )
 
     spectrum = natural_spectrum(one_rdm(full_state))
     # read once, so that an iterator filters every frame and not just the first

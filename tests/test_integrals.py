@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -197,15 +198,25 @@ def test_rotation_is_bitwise_the_optimizer_planned_einsum(m: int) -> None:
 
 
 def test_natural_rotation_is_bitwise_the_optimizer_planned_einsum() -> None:
-    so = to_spin_orbitals(hubbard_chain(4, 1.0, 4.0))
-    state = solve_ground(so, enumerate_space(3, 8, so.layout, 1))
-    rotation = natural_spectrum(one_rdm(state)).natural_rotation
-    assert rotation.layout is not None and rotation.layout != so.layout  # spin-blocked
-    U = rotation.U
-    planned = np.einsum("pi,qj,rk,sl,ijkl->pqrs", U, U, U, U, so.g, optimize=True)
-    rotated = so.rotated(U, rotation.layout)
-    assert np.array_equal(rotated.g, planned)
-    assert rotated.g.flags.c_contiguous and rotated.layout == rotation.layout
+    # spin-blocked natural rotations of Hubbard and pairing states (m = 4..12,
+    # both orderings, two fillings each, the cycling 3-in-8 case among them)
+    # hold exact zeros between the spins; the rotated g must keep every bit,
+    # the sign of each zero included
+    models = {"hubbard": lambda n: hubbard_chain(n, 1.0, 4.0),
+              "pairing": lambda n: pairing_model(n, 1.0, 0.5)}
+    for model, ordering, n_spatial in itertools.product(
+        models, ["interleaved", "blocked"], range(2, 7)
+    ):
+        so = to_spin_orbitals(models[model](n_spatial), ordering)
+        for N in (n_spatial - 1, n_spatial + 1):
+            state = solve_ground(so, enumerate_space(N, so.m, so.layout, N % 2))
+            rotation = natural_spectrum(one_rdm(state)).natural_rotation
+            assert rotation.layout is not None and (rotation.U == 0).any()  # spin-blocked
+            U = rotation.U
+            planned = np.einsum("pi,qj,rk,sl,ijkl->pqrs", U, U, U, U, so.g, optimize=True)
+            rotated = so.rotated(U, rotation.layout)
+            assert rotated.g.tobytes() == planned.tobytes(), (model, ordering, N)
+            assert rotated.g.flags.c_contiguous and rotated.layout == rotation.layout
 
 
 def test_rotated_integrals_store_exactly_the_given_layout() -> None:

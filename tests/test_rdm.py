@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -17,6 +18,7 @@ from fermipin.fock import DOWN, UP, enumerate_space
 from fermipin.integrals import hubbard_chain, pairing_model, to_spin_orbitals
 from fermipin.rdm import (
     OccupationSpectrum,
+    OneRDM,
     hf_distance,
     natural_spectrum,
     one_rdm,
@@ -230,6 +232,52 @@ def test_a_stack_of_sector_states_matches_each_state_alone() -> None:
             assert spectra.n[k].tobytes() == spectrum.n.tobytes()
             assert spectra.ties[k].tobytes() == spectrum.ties.tobytes()
             assert np.array_equal(hf_distance(spectra)[k], hf_distance(spectrum))
+
+
+@pytest.mark.parametrize("side", ["at or below the crossover", "above the crossover"])
+def test_a_single_state_is_bit_for_bit_a_row_of_its_stack(monkeypatch, side) -> None:
+    # one_rdm and natural_spectrum of one state skip the stack machinery;
+    # each must give what a stack gives as that state's row.  Spaces: random
+    # S_z sectors, spaces with spins but no sector, spaces with no spins,
+    # and the unrestricted preset, whose spin blocks differ in size.  Above
+    # the crossover the terms are generated, and zeroed coefficients make
+    # the sums run over the occupied subspace.
+    from fermipin.selection import SECTOR_PRESETS
+
+    if side == "above the crossover":
+        monkeypatch.setattr(fermipin.ci, "DENSE_CROSSOVER", 0)
+    rng = np.random.default_rng(31)
+    spaces = [SECTOR_PRESETS["4in8-unrestricted"].space()]
+    for ordering, kind in list(
+        itertools.product(["interleaved", "blocked"], ["sector", "spins", "no spins"])
+    ) * 3:
+        n_spatial = int(rng.integers(2, 5))
+        layout = to_spin_orbitals(hubbard_chain(n_spatial, 1.0, 1.0), ordering).layout
+        N = int(rng.integers(1, 2 * n_spatial))
+        n_up = int(rng.integers(max(0, N - n_spatial), min(N, n_spatial) + 1))
+        sector = 2 * n_up - N if kind == "sector" else None
+        spaces.append(enumerate_space(N, 2 * n_spatial, None if kind == "no spins" else layout,
+                                      sector))
+    for space in spaces:
+        coeffs = np.array([random_coefficients(len(space), rng) for _ in range(3)])
+        coeffs[1, 1::2] = 0.0
+        coeffs[1] /= np.linalg.norm(coeffs[1])
+        stack = one_rdms(space, coeffs)
+        spectra = natural_spectrum(stack)
+        for k, row in enumerate(coeffs):
+            alone = one_rdm(CIVector(space, row))
+            assert alone.rho.shape == (space.m, space.m)
+            assert alone.rho.tobytes() == one_rdms(space, row[None]).rho[0].tobytes()
+            assert alone.rho.tobytes() == stack.rho[k].tobytes()
+            assert alone.layout == one_rdms(space, row[None]).layout
+            spectrum = natural_spectrum(alone)
+            of_one = natural_spectrum(OneRDM(alone.rho[None], alone.layout))
+            assert spectrum.N == of_one.N
+            assert spectrum.n.tobytes() == of_one.n[0].tobytes()
+            assert spectrum.ties.tobytes() == of_one.ties[0].tobytes()
+            if stack.layout == alone.layout:
+                assert spectrum.n.tobytes() == spectra.n[k].tobytes()
+                assert spectrum.ties.tobytes() == spectra.ties[k].tobytes()
 
 
 def test_a_stacked_spectrum_builds_no_rotation(monkeypatch) -> None:

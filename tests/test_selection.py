@@ -414,6 +414,32 @@ def test_pinned_solve_guards() -> None:
         pinned_solve(so, CIVector(space, np.eye(len(space))[0]), [catalog(3, 6).find(1)])
 
 
+def test_pinned_solve_refuses_half_of_a_space_without_a_sector() -> None:
+    # in a natural frame the 35 kept masks span another subspace: before the
+    # refusal this case gave a pinned energy of -1.1362 below the full -1.0714
+    so = to_spin_orbitals(hubbard_chain(4, 1.0, 4.0))
+    whole = enumerate_space(4, 8)
+    keep = np.zeros(len(whole), bool)
+    keep[::2] = True
+    state = solve_ground(so, whole.restrict(keep))
+    everything = GPConstraint(4, 8, "N", -4, (1,) * 8)  # removes no determinant
+    with pytest.raises(ValueError, match="holds 35 of the 70 determinants of its space"):
+        pinned_solve(so, state, [everything], max_iterations=1)
+
+
+def test_pinned_solve_refuses_half_of_a_sector() -> None:
+    # before the refusal the same constraint gave -1.9531 against a full
+    # -0.2491, a recovered fraction of -129.8
+    so = to_spin_orbitals(hubbard_chain(4, 1.0, 4.0))
+    sector = enumerate_space(4, 8, so.layout, 0)
+    keep = np.zeros(len(sector), bool)
+    keep[::2] = True
+    state = solve_ground(so, sector.restrict(keep))
+    everything = GPConstraint(4, 8, "N", -4, (1,) * 8)
+    with pytest.raises(ValueError, match="holds 18 of the 36 determinants of its sector"):
+        pinned_solve(so, state, [everything])
+
+
 def test_pinned_solve_picks_constraints_from_the_full_spectrum() -> None:
     cat = catalog(3, 6)
     so = to_spin_orbitals(hubbard_chain(3, 1.0, 2.0))
