@@ -138,7 +138,7 @@ class OrbitalRotation:
         m = self.U.shape[0]
         if self.U.shape != (m, m):
             raise RotationError("rotation matrix must be square")
-        # U Uᵀ - 1, with the identity subtracted from the diagonal in place
+        # U Uᵀ - 1, the identity taken off the diagonal in place
         gram = self.U @ self.U.T
         gram.reshape(-1)[:: m + 1] -= 1.0
         defect = np.abs(gram).max()

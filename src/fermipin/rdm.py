@@ -40,13 +40,12 @@ offset to a matrix of its own, and :func:`natural_spectrum` of the stack
 diagonalizes them with one ``np.linalg.eigh`` per spin block, then sorts
 and clamps them together.  Each matrix comes out bit for bit as it does
 alone.  A single state, as :func:`one_rdm` and every iteration of
-:func:`~fermipin.selection.pinned_solve` give it, takes the same steps
-without the stack's axis: no offset of its bins, no second ``OneRDM``,
-no row index for its sorted occupations; its matrix and its spectrum are
-those of a stack of one, bit for bit.  A stack's
-spectrum keeps only occupations and ties, since no caller of a stack reads
-natural orbitals: it builds no rotation, no sign fix and no layout of a
-natural basis.  Random samples (``polytope --random``) and the ground
+:func:`~fermipin.selection.pinned_solve` give it, goes through the same
+functions with no stack axis, so no bins are offset and no row index
+sorts its occupations; its matrix and its spectrum are those of a stack
+of one, bit for bit.  A stack's spectrum keeps only occupations and ties,
+since no caller of a stack reads natural orbitals: it builds no rotation,
+no sign fix and no layout of a natural basis.  Random samples (``polytope --random``) and the ground
 states of a parameter scan's points (``scan``, from
 :func:`~fermipin.ci.ground_states`) are such stacks.  A stack keeps a
 layout only when every matrix in it is spin-blocked, so a stack's spectra
