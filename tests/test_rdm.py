@@ -24,6 +24,7 @@ from fermipin.rdm import (
     one_rdm,
     one_rdms,
 )
+from fermipin.selection import SECTOR_PRESETS
 
 from .oracles import brute_force_one_rdm, random_coefficients, rotate_ci
 from .test_integrals import random_spatial
@@ -242,8 +243,6 @@ def test_a_single_state_is_bit_for_bit_a_row_of_its_stack(monkeypatch, side) -> 
     # and the unrestricted preset, whose spin blocks differ in size.  Above
     # the crossover the terms are generated, and zeroed coefficients make
     # the sums run over the occupied subspace.
-    from fermipin.selection import SECTOR_PRESETS
-
     if side == "above the crossover":
         monkeypatch.setattr(fermipin.ci, "DENSE_CROSSOVER", 0)
     rng = np.random.default_rng(31)
@@ -265,16 +264,15 @@ def test_a_single_state_is_bit_for_bit_a_row_of_its_stack(monkeypatch, side) -> 
         stack = one_rdms(space, coeffs)
         spectra = natural_spectrum(stack)
         for k, row in enumerate(coeffs):
-            alone = one_rdm(CIVector(space, row))
+            alone, of_one = one_rdm(CIVector(space, row)), one_rdms(space, row[None])
             assert alone.rho.shape == (space.m, space.m)
-            assert alone.rho.tobytes() == one_rdms(space, row[None]).rho[0].tobytes()
-            assert alone.rho.tobytes() == stack.rho[k].tobytes()
-            assert alone.layout == one_rdms(space, row[None]).layout
+            assert alone.rho.tobytes() == of_one.rho[0].tobytes() == stack.rho[k].tobytes()
+            assert alone.layout == of_one.layout
             spectrum = natural_spectrum(alone)
-            of_one = natural_spectrum(OneRDM(alone.rho[None], alone.layout))
-            assert spectrum.N == of_one.N
-            assert spectrum.n.tobytes() == of_one.n[0].tobytes()
-            assert spectrum.ties.tobytes() == of_one.ties[0].tobytes()
+            row_0 = natural_spectrum(OneRDM(alone.rho[None], alone.layout))
+            assert spectrum.N == row_0.N
+            assert spectrum.n.tobytes() == row_0.n[0].tobytes()
+            assert spectrum.ties.tobytes() == row_0.ties[0].tobytes()
             if stack.layout == alone.layout:
                 assert spectrum.n.tobytes() == spectra.n[k].tobytes()
                 assert spectrum.ties.tobytes() == spectra.ties[k].tobytes()
