@@ -32,6 +32,9 @@ Lanczos, written in numpy alone (no scipy is used), with the product
 σ = H_α C + C H_β + D∘C on the n_α × n_β coefficient matrix (Knowles and
 Handy, Chem. Phys. Lett. 111, 315 (1984); Olsen et al., J. Chem. Phys.
 89, 2185 (1988)), so the entries of the whole space are never built.
+The strings, and where and with what sign each product sits in the space,
+are the space's cached :attr:`~fermipin.fock.ConfigurationSpace.strings`,
+which the 1-RDM of :mod:`fermipin.rdm` reads too.
 Every other space is split into the blocks that H's nonzero entries
 connect (exact selection rules, such as the seniority of the pairing
 model, make many) and the crossover decides per block: small blocks go
@@ -69,8 +72,6 @@ from .fock import (
     ConfigurationSpace,
     Determinant,
     SpinOrbitalLayout,
-    _sector_blocks,
-    enumerate_space,
     orbital_pairs,
     substitutions,
 )
@@ -335,9 +336,11 @@ def _lanczos(
             top = min(filled + len(block), size)
             for row, w in zip(range(filled, top), block):
                 w = orthogonalized(w, V[:row])
-                if w @ w <= (1e-12 * scale) ** 2:
+                norm2 = w @ w
+                if norm2 <= (1e-12 * scale) ** 2:
                     w = orthogonalized(rng.standard_normal(n), V[:row])
-                V[row] = w / np.sqrt(w @ w)
+                    norm2 = w @ w
+                V[row] = w / np.sqrt(norm2)
             HV[filled:top] = product(V[filled:top])
             T[:top, filled:top] = V[:top] @ HV[filled:top].T
             block, filled = HV[filled:top], top
@@ -393,27 +396,22 @@ def _string_hamiltonian(
 
     Returns the diagonal of H in product order, the product of H with
     each row of a block, the largest ``|H_ij|``, ``at`` and ``sign``; or
-    ``None`` for a restricted or spinless space, a spin that holds no
-    electron, any other αβ term, a split H, or any element that is not
-    finite.  The integrals are one point's.
+    ``None`` for a space without the
+    :attr:`~fermipin.fock.ConfigurationSpace.strings` of a complete
+    sector with electrons of both spins, any other αβ term, a split H, or
+    any element that is not finite.  The integrals are one point's.
     """
-    layout, sector, n = space.layout, space.sector, len(space)
-    if layout is None or sector is None:
+    if space.sector is None:
         return None
-    (up, n_up), (down, n_down) = _sector_blocks(space.N, layout, sector)
-    if not (n_up and n_down):
-        return None
+    up, down = space.layout.spin_blocks
     # <pq||rs> with p, r up and q, s down may be nonzero only where p = r, q = s
     coulomb = ints.g[up[:, None], down, up[:, None], down]
     if np.count_nonzero(ints.g[np.ix_(up, down, up, down)]) != np.count_nonzero(coulomb):
         return None
-    alpha = enumerate_space(n_up, space.m, layout, n_up)
-    beta = enumerate_space(n_down, space.m, layout, -n_down)
-    target = (alpha.masks[:, None] | beta.masks).ravel()
-    # a complete sector holds every pair of strings and nothing else
-    if not np.array_equal(np.sort(target), space.masks):
+    strings = space.strings
+    if strings is None:
         return None
-    at = np.searchsorted(space.masks, target)
+    alpha, beta, at, sign = strings
     bare = SpinOrbitalIntegrals(ints.layout, ints.h, ints.g)
     try:
         H_a, H_b = build_hamiltonian(bare, alpha), build_hamiltonian(bare, beta)
@@ -428,15 +426,13 @@ def _string_hamiltonian(
         diag = (H_a.diagonal()[:, None] + H_b.diagonal() + D).ravel()
     if not np.isfinite(diag).all():
         return None
-    count = bits_a.astype(np.intp) @ (down < up[:, None]) @ bits_b.T
-    sign = 1.0 - 2.0 * (count.ravel() & 1)
     scale = max(np.abs(diag).max(), *(np.abs(np.triu(H, 1)).max() for H in (H_a, H_b)))
 
     def product(X: np.ndarray) -> np.ndarray:
         Y = X.reshape(len(X), len(alpha), len(beta))
-        return (H_a @ Y + Y @ H_b + D * Y).reshape(len(X), n)
+        return (H_a @ Y + Y @ H_b + D * Y).reshape(X.shape)
 
-    return diag, product, scale, at, sign
+    return diag, product, scale, at.ravel(), sign.ravel()
 
 
 def _sparse_eigh(

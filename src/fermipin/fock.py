@@ -29,12 +29,16 @@ the one pair record, :class:`Pairs`:
   screen built from the integrals it makes only the pairs whose matrix
   element can be nonzero.  The large-space Hamiltonian and 1-RDM use it.
 
-What the Hamiltonian reads of the determinants alone on every build is
+What the Hamiltonian and the 1-RDM read of the determinants alone is
 worked out once per space and cached, read-only: the occupation bits
 (:attr:`ConfigurationSpace.bits`), the flags of the Slater-Condon diagonal
-terms (:attr:`ConfigurationSpace.diagonal_terms`) and the searched pairs
-(:attr:`ConfigurationSpace.pairs`).  A layout caches its spin-block index
-arrays the same way.  A sum over a space then only gathers and adds.
+terms (:attr:`ConfigurationSpace.diagonal_terms`), the searched pairs
+(:attr:`ConfigurationSpace.pairs`) and, for a complete S_z sector with
+electrons of both spins, its decomposition into alpha strings times beta
+strings (:attr:`ConfigurationSpace.strings`, a :class:`Strings`: both
+string spaces, the index of each product in the space and its sign).  A
+layout caches its spin-block index arrays the same way.  A sum over a
+space then only gathers and adds.
 
 The maximum width is 64 spin orbitals.  That bound is far beyond what the
 solvers can use; it exists so every mask fits one ``uint64`` array entry.
@@ -254,6 +258,26 @@ class ConfigurationSpace:
         return terms
 
     @cached_property
+    def strings(self) -> Strings | None:
+        """The space as alpha strings times beta strings, built once and
+        read-only, or ``None`` unless the space is a complete S_z sector
+        with electrons of both spins.  The constructor refuses repeated
+        masks and masks outside the sector, so a sector space of the
+        sector's full size holds every product of strings."""
+        if self.sector is None or len(self) != space_size(self.N, self.m, self.layout, self.sector):
+            return None
+        (up, n_up), (down, n_down) = _sector_blocks(self.N, self.layout, self.sector)
+        if not (n_up and n_down):
+            return None
+        alpha = enumerate_space(n_up, self.m, self.layout, n_up)
+        beta = enumerate_space(n_down, self.m, self.layout, -n_down)
+        at = np.searchsorted(self.masks, alpha.masks[:, None] | beta.masks)
+        # the parity of the down orbitals below each up one
+        count = alpha.bits[:, up].astype(np.intp) @ (down < up[:, None]) @ beta.bits[:, down].T
+        sign = (1 - 2 * (count & 1)).astype(np.int8)
+        return Strings(alpha, beta, *_read_only((at, sign)))
+
+    @cached_property
     def pairs(self) -> Pairs:
         """The connected determinant pairs of the space, searched for once by
         :func:`excitations` and shared, read-only, by every caller.  The
@@ -365,6 +389,23 @@ def _orbitals_of(mask: int) -> tuple[int, ...]:
         orbitals.append(low.bit_length())
         mask ^= low
     return tuple(orbitals)
+
+
+class Strings(NamedTuple):
+    """A complete S_z sector as products of strings of one spin each.
+
+    ``alpha`` and ``beta`` are the spaces of the sector's up strings and of
+    its down strings, each in increasing mask order.  Determinant
+    ``at[a, b]`` of the sector is ``sign[a, b]`` (``int8``, +-1) times the
+    product state of up string ``a`` and down string ``b``, all up
+    creation operators to the left of all down ones: the sign is the parity
+    of the down orbitals below each up one, +1 for blocked ordering.
+    """
+
+    alpha: ConfigurationSpace
+    beta: ConfigurationSpace
+    at: np.ndarray
+    sign: np.ndarray
 
 
 class Pairs(NamedTuple):

@@ -107,7 +107,8 @@ class SpinOrbitalIntegrals:
         ones.  ``layout`` is the layout of the rotated basis, as
         :class:`~fermipin.ci.OrbitalRotation` carries it, and is stored as
         given: the default ``None`` says the new orbitals have no definite
-        spins.
+        spins.  The integrals must be one point's: a stack is refused with
+        a ``ValueError`` that names its leading shape, before any product.
 
         ``g`` is transformed one index at a time, in the contraction order
         einsum's optimizer picks, by four products that copy nothing: each
@@ -120,6 +121,11 @@ class SpinOrbitalIntegrals:
         threads), while at odd widths from 17 up the transposed product
         can round the last bit differently.
         """
+        if self.h.ndim != 2:
+            raise ValueError(
+                f"cannot rotate a stack of integrals (leading shape {self.h.shape[:-2]}); "
+                "rotate one point at a time"
+            )
         U = np.asarray(U, dtype=float)
         m = self.m
         if U.shape != (m, m):

@@ -6,17 +6,25 @@ determinant pairs one substitution apart contribute.  The size rule of the
 Hamiltonian (``fermipin.ci.DENSE_CROSSOVER``) decides where they come from:
 a space at or below it takes the singles among its cached
 :attr:`~fermipin.fock.ConfigurationSpace.pairs`, the pairs the Hamiltonian
-was built from; a larger one generates them with one
+was built from.  A larger complete S_z sector with electrons of both spins
+builds them from its cached
+:attr:`~fermipin.fock.ConfigurationSpace.strings`, the ones the string
+route of :func:`~fermipin.ci.ground_states` solves on: each single of an
+alpha string with every beta string and each single of a beta string with
+every alpha string, signed and sorted into the order of the generated
+pairs.  Every other larger space generates them with one
 :func:`~fermipin.fock.substitutions` call, so no quadratic search runs.  In
-a sector space it generates only the spin-conserving singles, because a
+a sector space only the spin-conserving singles are taken, because a
 spin flip leaves the sector; a space without a sector keeps the spin-flip
-singles.  Both routes give the pairs in the same order, so both give the
-same sums.  Above the crossover the pairs are those of the subspace of the
-determinants that some state of the stack occupies (nonzero coefficient),
-when that leaves any out: the block solve of
-:func:`~fermipin.ci.ground_states` gives states that are exactly zero
-outside one block of H, and a dropped term is an exact zero, so the sums
-keep every bit; that subspace follows the same size rule.  The 1-RDM's
+singles.  All three routes give the pairs in the same order and with the
+same signs, so all give the same sums, bit for bit.  Above the crossover
+the pairs are those of the subspace of the determinants that some state
+of the stack occupies (nonzero coefficient), when that leaves any out:
+the block solve of :func:`~fermipin.ci.ground_states` gives states that
+are exactly zero outside one block of H, and a dropped term is an exact
+zero, so the sums keep every bit.  That subspace follows the same size
+rule; it is no complete sector, so above the line it generates its
+singles.  The 1-RDM's
 eigenvalues, sorted in descending order, are the natural occupation
 numbers that all constraint analysis runs on; its eigenvectors define the
 natural orbitals.
@@ -100,17 +108,12 @@ def _terms(space: ConfigurationSpace) -> tuple[np.ndarray, ...]:
     """``(left, right, factor, scatter)``: term ``t`` of the 1-RDM of a
     vector ``c`` over ``space`` adds ``factor[t] * c[left[t]] * c[right[t]]``
     to element ``scatter[t]`` of the flattened ``m x m`` matrix.  The terms
-    are every single, at its upper-triangle element, then every occupied
-    orbital, on the diagonal."""
+    are every single of :func:`_singles`, at its upper-triangle element,
+    then every occupied orbital, on the diagonal."""
     terms = _TERMS.get(space)
     if terms is None:
         m = space.m
-        if len(space) <= ci.DENSE_CROSSOVER:
-            pairs = space.pairs
-        else:
-            spins = np.array(space.layout.spin_of) if space.sector is not None else np.zeros(m)
-            pairs = substitutions(space, spins[:, None] == spins)
-        (i, j, sign), p, q = pairs.singles, pairs.p, pairs.q
+        i, j, sign, p, q = _singles(space)
         det, orbital = np.nonzero(space.bits)
         terms = _TERMS[space] = (
             np.concatenate([i, det]),
@@ -119,6 +122,51 @@ def _terms(space: ConfigurationSpace) -> tuple[np.ndarray, ...]:
             np.concatenate([np.minimum(p, q) * m + np.maximum(p, q), orbital * (m + 1)]),
         )
     return terms
+
+
+def _singles(space: ConfigurationSpace) -> tuple[np.ndarray, ...]:
+    """``(i, j, sign, p, q)`` of every pair of ``space`` one substitution
+    ``p -> q`` apart that conserves spin in a sector space (any other leaves
+    the sector), in the order and with the signs of
+    :class:`~fermipin.fock.Pairs`: from the cached pairs at or below the
+    crossover, above it from the strings of a space that has them, and
+    generated by :func:`~fermipin.fock.substitutions` otherwise."""
+    if len(space) <= ci.DENSE_CROSSOVER:
+        pairs = space.pairs
+    elif space.strings is not None:
+        return _string_singles(space)
+    else:
+        spins = np.array(space.layout.spin_of) if space.sector is not None else np.zeros(space.m)
+        pairs = substitutions(space, spins[:, None] == spins)
+    (i, j, sign), p, q = pairs.singles, pairs.p, pairs.q
+    return i, j, sign, p, q
+
+
+def _string_singles(space: ConfigurationSpace) -> tuple[np.ndarray, ...]:
+    """The :func:`_singles` of a complete sector, from the singles of its
+    alpha and beta strings (Olsen et al., J. Chem. Phys. 89, 2185 (1988)):
+    each alpha single with every beta string, and each beta single with
+    every alpha string.  A substitution's operator pair is even, so in the
+    product basis it takes its string's sign alone, and both product signs
+    turn that into the determinants' sign.  A single changes one string
+    of a product, and two products that share the other string are
+    ordered as the changed strings are, so every pair comes out with
+    ``i < j``; one sort then gives the order of
+    :func:`~fermipin.fock.substitutions`, bit for bit."""
+    alpha, beta, at, sign = space.strings
+    n_alpha, n_beta = at.shape
+    a_i, a_j, a_sign, a_p, a_q = _singles(alpha)
+    b_i, b_j, b_sign, b_p, b_q = _singles(beta)
+    i = np.concatenate([at[a_i].ravel(), at[:, b_i].ravel()])
+    j = np.concatenate([at[a_j].ravel(), at[:, b_j].ravel()])
+    signs = np.concatenate([
+        (a_sign[:, None] * sign[a_i] * sign[a_j]).ravel(),
+        (b_sign * sign[:, b_i] * sign[:, b_j]).ravel(),
+    ])
+    p = np.concatenate([np.repeat(a_p, n_beta), np.tile(b_p, n_alpha)])
+    q = np.concatenate([np.repeat(a_q, n_beta), np.tile(b_q, n_alpha)])
+    order = np.argsort(i * len(space) + j)
+    return i[order], j[order], signs[order], p[order], q[order]
 
 
 def one_rdms(space: ConfigurationSpace, coeffs: np.ndarray) -> OneRDM:

@@ -150,6 +150,42 @@ def test_sector_enumeration_random_product_counts() -> None:
         assert len(space) == math.comb(n_spatial, n_up) * math.comb(n_spatial, n_down)
 
 
+def test_strings_decompose_a_complete_sector() -> None:
+    # determinant at[a, b] is sign[a, b] times a+ of the up orbitals of
+    # string a, then of the down orbitals of string b, ascending, on |0>
+    for layout in (interleaved_layout(4), blocked_layout(4)):
+        for N, sector in ((4, 0), (3, 1), (4, 2), (5, -1)):
+            space = enumerate_space(N, 8, layout, sector)
+            alpha, beta, at, sign = space.strings
+            assert space.strings is space.strings
+            assert at.shape == sign.shape == (len(alpha), len(beta)) and sign.dtype == np.int8
+            assert not (at.flags.writeable or sign.flags.writeable)
+            assert sorted(at.ravel().tolist()) == list(range(len(space)))
+            for a, b in np.ndindex(at.shape):
+                mask, phase = 0, 1
+                for p in reversed(alpha[a].orbitals() + beta[b].orbitals()):
+                    mask, step = create(mask, p)
+                    phase *= step
+                assert (space.masks[at[a, b]], sign[a, b]) == (mask, phase)
+            if layout == blocked_layout(4):
+                assert (sign == 1).all()
+
+
+def test_only_a_complete_sector_with_both_spins_has_strings() -> None:
+    layout = interleaved_layout(4)
+    sector = enumerate_space(4, 8, layout, 0)
+    keep = np.ones(len(sector), bool)
+    keep[5] = False
+    for space in (
+        sector.restrict(keep),
+        enumerate_space(4, 8, layout),
+        enumerate_space(4, 8),
+        enumerate_space(3, 8, layout, 3),  # every electron up
+        enumerate_space(2, 8, layout, -2),  # every electron down
+    ):
+        assert space.strings is None
+
+
 def test_sector_requires_layout() -> None:
     with pytest.raises(SectorError):
         enumerate_space(3, 6, None, 1)

@@ -236,6 +236,14 @@ def test_rotated_integrals_store_exactly_the_given_layout() -> None:
         so.rotated(swap, interleaved_layout(3))
 
 
+def test_rotating_a_stack_is_refused_by_name() -> None:
+    point = hubbard_chain(2, 1.0, 4.0)
+    stack = to_spin_orbitals(SpatialIntegrals(
+        2, np.stack([point.h, point.h]), np.stack([point.g, point.g]), np.zeros(2)))
+    with pytest.raises(ValueError, match=r"stack of integrals \(leading shape \(2,\)\)"):
+        stack.rotated(np.eye(4))
+
+
 def test_minimal_file_loads(tmp_path) -> None:
     path = tmp_path / "tiny.ints"
     path.write_text(

@@ -14,7 +14,7 @@ import fermipin.fock
 import fermipin.rdm
 from fermipin.ci import CIVector, solve_ground
 from fermipin.errors import NormalizationError, SpectralRangeError
-from fermipin.fock import DOWN, UP, enumerate_space
+from fermipin.fock import DOWN, UP, ConfigurationSpace, enumerate_space
 from fermipin.integrals import hubbard_chain, pairing_model, to_spin_orbitals
 from fermipin.rdm import (
     OccupationSpectrum,
@@ -34,18 +34,19 @@ def random_vector(space, rng) -> CIVector:
     return CIVector(space, random_coefficients(len(space), rng))
 
 
-def _spy_on_search(monkeypatch) -> list[int]:
-    """The size of each space the quadratic pair search runs on, from now."""
+def _spy(monkeypatch, module, name: str) -> list[int]:
+    """The size of each space ``module.name`` is called on, from now, through
+    every fermipin binding of it."""
     calls = []
 
     def spy(space, *args):
         calls.append(len(space))
-        return search(space, *args)
+        return original(space, *args)
 
-    search = fermipin.fock.excitations
-    for module in (fermipin.fock, fermipin.ci, fermipin.rdm):  # every binding of it
-        if getattr(module, "excitations", None) is search:
-            monkeypatch.setattr(module, "excitations", spy)
+    original = getattr(module, name)
+    for owner in (fermipin.fock, fermipin.ci, fermipin.rdm):
+        if getattr(owner, name, None) is original:
+            monkeypatch.setattr(owner, name, spy)
     return calls
 
 
@@ -53,7 +54,7 @@ def test_solve_and_rdm_search_the_pairs_once(monkeypatch) -> None:
     # a dense-path space searches once and shares the pairs; a sparse-path
     # one generates its pairs and never searches.  rdm reads the crossover
     # through fermipin.ci, so one setting moves both rules.
-    calls = _spy_on_search(monkeypatch)
+    calls = _spy(monkeypatch, fermipin.fock, "excitations")
     ints = to_spin_orbitals(hubbard_chain(4, 1.0, 4.0))
     for crossover, searched in ((fermipin.ci.DENSE_CROSSOVER, [36]), (0, [])):
         monkeypatch.setattr(fermipin.ci, "DENSE_CROSSOVER", crossover)
@@ -71,7 +72,7 @@ def test_large_space_solve_and_rdm_never_search(monkeypatch) -> None:
     # (2.9 MiB); a second copy of the singles, on the space, adds 5 MiB.
     # The solve may search the 70 alpha and the 70 beta strings, which are
     # below the crossover, but never the space itself.
-    calls = _spy_on_search(monkeypatch)
+    calls = _spy(monkeypatch, fermipin.fock, "excitations")
     ints = to_spin_orbitals(hubbard_chain(8, 1.0, 4.0))
     space = enumerate_space(8, 16, ints.layout, 0)
     tracemalloc.start()
@@ -124,7 +125,7 @@ def test_rdms_over_the_occupied_determinants_keep_every_bit(monkeypatch) -> None
     stack[1, order[250:400]] = random_coefficients(150, rng)
     cases = [(ground.space, ground.coeffs[None], [20]), (big, stack[:1], []),
              (big, stack[1:], [150]), (big, stack, [])]
-    calls = _spy_on_search(monkeypatch)
+    calls = _spy(monkeypatch, fermipin.fock, "excitations")
     for space, coeffs, searched in cases:
         assert len(space) > fermipin.ci.DENSE_CROSSOVER
         calls.clear()
@@ -140,31 +141,97 @@ def test_rdms_over_the_occupied_determinants_keep_every_bit(monkeypatch) -> None
 
 def test_a_space_generates_its_rdm_singles_once(monkeypatch) -> None:
     # the 1225-determinant sectors of the 7-site chain and the 7-level
-    # pairing model: later 1-RDMs of the same space reuse its singles
-    calls = []
-
-    def spy(space, *args):
-        calls.append(len(space))
-        return generate(space, *args)
-
-    generate = fermipin.fock.substitutions
-    for module in (fermipin.fock, fermipin.ci, fermipin.rdm):  # every binding of it
-        if getattr(module, "substitutions", None) is generate:
-            monkeypatch.setattr(module, "substitutions", spy)
+    # pairing model build their singles from their strings, and the
+    # pairing sector's masks without a sector generate theirs: later
+    # 1-RDMs of the same space reuse its singles
+    built = _spy(monkeypatch, fermipin.rdm, "_string_singles")
+    generated = _spy(monkeypatch, fermipin.fock, "substitutions")
     rng = np.random.default_rng(28)
-    models = ((hubbard_chain(7, 1.0, 4.0), 7, 1), (pairing_model(7, 1.0, 0.5), 6, 0))
-    for model, N, sector in models:
-        layout = to_spin_orbitals(model).layout
-        space = enumerate_space(N, 14, layout, sector)
+    hubbard = to_spin_orbitals(hubbard_chain(7, 1.0, 4.0)).layout
+    pairing = to_spin_orbitals(pairing_model(7, 1.0, 0.5)).layout
+    cases = (
+        (lambda: enumerate_space(7, 14, hubbard, 1), built),
+        (lambda: enumerate_space(6, 14, pairing, 0), built),
+        (lambda: ConfigurationSpace(6, 14, enumerate_space(6, 14, pairing, 0).masks, pairing),
+         generated),
+    )
+    for make, calls in cases:
+        space = make()
+        built.clear()
+        generated.clear()
         one_rdm(random_vector(space, rng))
-        assert calls == [1225]
         vector = random_vector(space, rng)
         again = one_rdm(vector)
-        assert calls == [1225]
-        # the same sums as over a space that generates them afresh
-        fresh = one_rdm(CIVector(enumerate_space(N, 14, layout, sector), vector.coeffs))
+        assert calls == [1225] and len(built) + len(generated) == 1
+        # the same sums as over a space that builds them afresh
+        fresh = one_rdm(CIVector(make(), vector.coeffs))
         assert np.array_equal(again.rho, fresh.rho) and again.layout == fresh.layout
-        calls.clear()
+
+
+@pytest.mark.parametrize("ordering", ["interleaved", "blocked"])
+@pytest.mark.parametrize("model", ["hubbard", "pairing", "random"])
+def test_string_singles_equal_the_generated_ones(model: str, ordering: str) -> None:
+    # A complete sector above the crossover builds its 1-RDM terms from its
+    # strings; the same masks without a sector generate theirs, spin flips
+    # and all, whose targets lie outside the masks.  The terms must be the
+    # same arrays, dtypes included, and every 1-RDM the same bytes: the
+    # ground state, random states, each alone and as rows of a stack.
+    rng = np.random.default_rng(30)
+    spatial = {"hubbard": hubbard_chain(6, 1.0, 4.0), "pairing": pairing_model(6, 1.0, 0.5),
+               "random": random_spatial(6, rng)}[model]
+    ints = to_spin_orbitals(spatial, ordering)
+    for N, sector in ((6, 0), (5, 1), (6, 2)):
+        space = enumerate_space(N, 12, ints.layout, sector)
+        flat = ConfigurationSpace(N, 12, space.masks, ints.layout)
+        assert len(space) > fermipin.ci.DENSE_CROSSOVER
+        assert space.strings is not None and flat.strings is None
+        for built, generated in zip(fermipin.rdm._terms(space), fermipin.rdm._terms(flat),
+                                    strict=True):
+            assert built.dtype == generated.dtype and np.array_equal(built, generated)
+        stack = np.stack([solve_ground(ints, space).coeffs,
+                          *(random_coefficients(len(space), rng) for _ in range(2))])
+        rows = one_rdms(space, stack)
+        assert rows.rho.tobytes() == one_rdms(flat, stack).rho.tobytes()
+        for row, coeffs in zip(rows.rho, stack):
+            alone = one_rdm(CIVector(space, coeffs))
+            assert row.tobytes() == alone.rho.tobytes()
+            assert alone.rho.tobytes() == one_rdm(CIVector(flat, coeffs)).rho.tobytes()
+            assert alone.layout == rows.layout == ints.layout
+
+
+def test_spaces_without_strings_generate_their_singles(monkeypatch) -> None:
+    # a sector with one spin empty, a sector short of one determinant, and
+    # spaces without a sector or a layout keep the generated singles
+    built = _spy(monkeypatch, fermipin.rdm, "_string_singles")
+    generated = _spy(monkeypatch, fermipin.fock, "substitutions")
+    rng = np.random.default_rng(31)
+    layout = to_spin_orbitals(hubbard_chain(7, 1.0, 4.0)).layout
+    sector = enumerate_space(7, 14, layout, 1)
+    keep = np.ones(len(sector), bool)
+    keep[100] = False
+    spaces = (
+        enumerate_space(4, 24, to_spin_orbitals(hubbard_chain(12, 1.0, 4.0)).layout, 4),
+        sector.restrict(keep),
+        enumerate_space(5, 12, to_spin_orbitals(hubbard_chain(6, 1.0, 4.0)).layout),
+        enumerate_space(5, 12),
+    )
+    for space in spaces:
+        assert len(space) > fermipin.ci.DENSE_CROSSOVER and space.strings is None
+        generated.clear()
+        rho = one_rdm(random_vector(space, rng))
+        assert generated == [len(space)] and built == []
+        np.testing.assert_allclose(np.trace(rho.rho), space.N, atol=1e-12)
+
+
+def test_the_solves_rdm_generates_nothing(monkeypatch) -> None:
+    # the 1 225-determinant chain takes its σ and its 1-RDM from the same
+    # strings: only its 35 alpha and 35 beta strings are searched, once each
+    generated = _spy(monkeypatch, fermipin.fock, "substitutions")
+    searched = _spy(monkeypatch, fermipin.fock, "excitations")
+    ints = to_spin_orbitals(hubbard_chain(7, 1.0, 4.0))
+    state = solve_ground(ints, enumerate_space(7, 14, ints.layout, 1))
+    one_rdm(state)
+    assert generated == [] and searched == [35, 35]
 
 
 def test_rdm_matches_operator_oracle() -> None:
