@@ -77,6 +77,22 @@ DIGESTS = {
     # no --sz: the full 70-determinant space, whose frames keep its masks
     "truncate --model hubbard --sites 4 --U 4.0 --N 4 --mu 1 --format json":
         "eec5eeb7d44d6863dbe53fb796c2e5a5b3e650c91b8199f916e8b73d4b7e2e07",
+    # pinned_solve loops of several iterations, each iteration a solve,
+    # a 1-RDM, a spectrum and a rotation: 9 iterations, then 4 (blocked)
+    "truncate --model hubbard --sites 4 --U 2.0 --N 3 --sz 1 --mu 2 --format json":
+        "a95c7f2250815258572c57905ddfd3943504e41865b5f2b1b7a74596379234ce",
+    "truncate --model hubbard --sites 4 --U 2.0 --N 3 --sz 1 --mu 2 --ordering blocked "
+    "--format json":
+        "af534c250b9be74fb5f57e5418058a61428c337c00412155380b4104f8d71cff",
+    # 28 iterations, converged; tie-sensitive like the cycling truncate at
+    # U = 4 (ROADMAP item 1): near-tied occupations decide each frame's
+    # order, so a last-bit change anywhere in the loop can move this digest
+    "truncate --model hubbard --sites 4 --U 3.0 --N 3 --sz 1 --mu 2 --format json":
+        "e0ef03d419b6ff6afb5e32dc9f309e609f4690c4ecdd316878fc1b5668eb132d",
+    # 3 iterations in the blocked ordering
+    "truncate --model hubbard --sites 4 --U 4.0 --N 4 --sz 0 --mu 1 --ordering blocked "
+    "--format json":
+        "cb3f890fcc9e32d0a620c16df6cb9ecd8bf29e9e11f2893c7903f9e7ad710e57",
     # 1 225 determinants: the only entries above ci.DENSE_CROSSOVER, so the
     # only ones that reach Lanczos, on alpha strings times beta strings,
     # whose signs depend on the ordering; both print one energy

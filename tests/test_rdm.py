@@ -302,17 +302,10 @@ def test_a_stack_of_sector_states_matches_each_state_alone() -> None:
             assert np.array_equal(hf_distance(spectra)[k], hf_distance(spectrum))
 
 
-@pytest.mark.parametrize("side", ["at or below the crossover", "above the crossover"])
-def test_a_single_state_is_bit_for_bit_a_row_of_its_stack(monkeypatch, side) -> None:
-    # one_rdm and natural_spectrum of one state skip the stack machinery;
-    # each must give what a stack gives as that state's row.  Spaces: random
-    # S_z sectors, spaces with spins but no sector, spaces with no spins,
-    # and the unrestricted preset, whose spin blocks differ in size.  Above
-    # the crossover the terms are generated, and zeroed coefficients make
-    # the sums run over the occupied subspace.
-    if side == "above the crossover":
-        monkeypatch.setattr(fermipin.ci, "DENSE_CROSSOVER", 0)
-    rng = np.random.default_rng(31)
+def _mixed_spaces(rng) -> list[ConfigurationSpace]:
+    """The unrestricted preset, whose spin blocks differ in size, then random
+    S_z sectors, spaces with spins but no sector and spaces with no spins,
+    in both orderings."""
     spaces = [SECTOR_PRESETS["4in8-unrestricted"].space()]
     for ordering, kind in list(
         itertools.product(["interleaved", "blocked"], ["sector", "spins", "no spins"])
@@ -324,7 +317,21 @@ def test_a_single_state_is_bit_for_bit_a_row_of_its_stack(monkeypatch, side) -> 
         sector = 2 * n_up - N if kind == "sector" else None
         spaces.append(enumerate_space(N, 2 * n_spatial, None if kind == "no spins" else layout,
                                       sector))
-    for space in spaces:
+    return spaces
+
+
+@pytest.mark.parametrize("side", ["at or below the crossover", "above the crossover"])
+def test_a_single_state_is_bit_for_bit_a_row_of_its_stack(monkeypatch, side) -> None:
+    # one_rdm and natural_spectrum of one state skip the stack machinery;
+    # each must give what a stack gives as that state's row.  Spaces: random
+    # S_z sectors, spaces with spins but no sector, spaces with no spins,
+    # and the unrestricted preset, whose spin blocks differ in size.  Above
+    # the crossover the terms are generated, and zeroed coefficients make
+    # the sums run over the occupied subspace.
+    if side == "above the crossover":
+        monkeypatch.setattr(fermipin.ci, "DENSE_CROSSOVER", 0)
+    rng = np.random.default_rng(31)
+    for space in _mixed_spaces(rng):
         coeffs = np.array([random_coefficients(len(space), rng) for _ in range(3)])
         coeffs[1, 1::2] = 0.0
         coeffs[1] /= np.linalg.norm(coeffs[1])
@@ -343,6 +350,41 @@ def test_a_single_state_is_bit_for_bit_a_row_of_its_stack(monkeypatch, side) -> 
             if stack.layout == alone.layout:
                 assert spectrum.n.tobytes() == spectra.n[k].tobytes()
                 assert spectrum.ties.tobytes() == spectra.ties[k].tobytes()
+
+
+def test_a_single_states_natural_rotation_is_the_written_out_rule() -> None:
+    # the rule natural_spectrum promises for one 1-RDM, written out: one
+    # eigh per spin block (the whole matrix without a layout), each block's
+    # values and vectors reversed, a stable descending sort over the
+    # blocks in order, the occupations clamped, the rows sign-fixed, and
+    # the layout of the natural basis read off the sort
+    rng = np.random.default_rng(31)
+    for space in _mixed_spaces(rng):
+        for coeffs in (random_coefficients(len(space), rng) for _ in range(3)):
+            rdm = one_rdm(CIVector(space, coeffs))
+            m = rdm.m
+            blocks = (np.arange(m),) if rdm.layout is None else rdm.layout.spin_blocks
+            values, vectors, spins = [], np.zeros((m, m)), []
+            for block, spin in zip(blocks, (UP, DOWN)):
+                vals, vecs = np.linalg.eigh(rdm.rho[np.ix_(block, block)])
+                values.append(vals[::-1])
+                vectors[len(spins) : len(spins) + len(block), block] = vecs[:, ::-1].T
+                spins += [spin] * len(block)
+            occupations = np.concatenate(values)
+            order = np.argsort(-occupations, kind="stable")
+            n = occupations[order].clip(0.0, 1.0)
+            U = fermipin.ci.sign_fixed(vectors[order])
+
+            spectrum = natural_spectrum(rdm)
+            assert spectrum.N == space.N
+            assert spectrum.n.tobytes() == n.tobytes()
+            assert spectrum.ties.tobytes() == (n[:-1] - n[1:] <= 1e-8).tobytes()
+            rotation = spectrum.natural_rotation
+            assert rotation.U.tobytes() == U.tobytes()
+            if rdm.layout is None:
+                assert rotation.layout is None
+            else:
+                assert rotation.layout.spin_of == tuple(spins[k] for k in order)
 
 
 def test_a_stacked_spectrum_builds_no_rotation(monkeypatch) -> None:
