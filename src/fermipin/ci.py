@@ -63,6 +63,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -72,6 +73,7 @@ from .fock import (
     ConfigurationSpace,
     Determinant,
     SpinOrbitalLayout,
+    _read_only,
     orbital_pairs,
     substitutions,
 )
@@ -166,30 +168,55 @@ def _sequential_sum(terms: np.ndarray) -> np.ndarray:
     return terms.cumsum(axis=-1)[..., -1]
 
 
-def _gathers(space: ConfigurationSpace, pairs) -> tuple[np.ndarray, ...]:
-    """Where the terms of the Hamiltonian's elements over ``space`` sit in
-    one point's flattened integrals, for the connected ``pairs``: the
-    diagonal's ``h[p, p]`` and ``<pq||pq>``, each single's ``h[p, q]`` and
-    its ``<pc||qc>`` over every orbital ``c``, with the mask of the
-    orbitals both determinants occupy, and each double's ``<p1p2||q1q2>``.
-    A gather with one flat index array costs a stack no more than a point."""
-    m = space.m
+class _Gathers(NamedTuple):
+    """Where the terms of the Hamiltonian's elements over a space sit in one
+    point's integrals, flattened into one array ``[core, h..., g...]``, for
+    the connected pairs: the diagonal's core energy, ``h[p, p]`` and
+    ``<pq||pq>``; each single's ``h[p, q]`` and then its ``<pc||qc>`` over
+    every orbital ``c``, with ``shared`` 1 for ``h[p, q]`` and for each
+    orbital both determinants occupy, 0 otherwise; each double's
+    ``<p1p2||q1q2>``.  ``upper`` holds where each pair's element goes in
+    the flattened dense matrix, ``(i, j)`` in its first row and ``(j, i)``
+    in its second.  A gather with one flat index array costs a stack no
+    more than a point."""
+
+    diagonal: np.ndarray
+    singles: np.ndarray
+    shared: np.ndarray
+    doubles: np.ndarray
+    upper: np.ndarray
+
+
+def _gathers(space: ConfigurationSpace, pairs) -> _Gathers:
+    """The :class:`_Gathers` of ``space`` for the connected ``pairs``."""
+    m, n = space.m, len(space)
     p, q = orbital_pairs(m)
     c = np.arange(m)
     (single_i, single_j, _), sp, sq = pairs.singles, pairs.p, pairs.q
     p1, p2, q1, q2 = pairs.doubles
-    return (
-        c * (m + 1),
-        ((p * m + q) * m + p) * m + q,
-        sp * m + sq,
-        ((sp[:, None] * m + c) * m + sq[:, None]) * m + c,
-        space.bits[single_i] & space.bits[single_j],
-        ((p1 * m + p2) * m + q1) * m + q2,
-    )
+    g = 1 + m * m  # where g starts, after the core energy and h
+    return _Gathers(*_read_only((
+        np.concatenate([[0], 1 + c * (m + 1), g + ((p * m + q) * m + p) * m + q]),
+        np.concatenate([1 + sp[:, None] * m + sq[:, None],
+                        g + ((sp[:, None] * m + c) * m + sq[:, None]) * m + c], axis=1),
+        np.concatenate([np.ones((len(sp), 1)), space.bits[single_i] & space.bits[single_j]],
+                       axis=1),
+        g + ((p1 * m + p2) * m + q1) * m + q2,
+        np.stack([pairs.i * n + pairs.j, pairs.j * n + pairs.i]),
+    )))
 
 
 # the gathers of each space at or below the crossover, whose pairs are fixed
 _GATHERS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _searched_gathers(space: ConfigurationSpace) -> _Gathers:
+    """The cached :class:`_Gathers` of a space at or below the crossover,
+    for its cached, searched pairs."""
+    gathers = _GATHERS.get(space)
+    if gathers is None:
+        gathers = _GATHERS[space] = _gathers(space, space.pairs)
+    return gathers
 
 
 def _hamiltonian_entries(
@@ -215,8 +242,7 @@ def _hamiltonian_entries(
     if m != space.m:
         raise WidthError("integral width does not match the space")
     if len(space) <= DENSE_CROSSOVER:
-        pairs = space.pairs
-        gathers = _GATHERS.get(space) or _GATHERS.setdefault(space, _gathers(space, pairs))
+        pairs, gathers = space.pairs, _searched_gathers(space)
     else:
         # a single's element is h[p,q] + sum_c <pc||qc>, a double's
         # <p1p2||q1q2>; a stack is screened by the union over its points
@@ -224,22 +250,16 @@ def _hamiltonian_entries(
         points = tuple(range(ints.h.ndim - 2))
         pairs = substitutions(space, singles.any(axis=points), (ints.g != 0).any(axis=points))
         gathers = _gathers(space, pairs)
-    diagonal_h, diagonal_g, single_h, single_g, shared, double_g = gathers
-    h = ints.h.reshape(*ints.h.shape[:-2], m * m)
-    g = ints.g.reshape(*ints.g.shape[:-4], m**4)
+    stack = ints.h.shape[:-2]
+    flat = np.concatenate([np.asarray(ints.core_energy)[..., None],
+                           ints.h.reshape(*stack, m * m), ints.g.reshape(*stack, m**4)], axis=-1)
     # a sum that overflows, or an infinity times an empty orbital's zero, is
     # refused below, with no numpy warning printed first
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.concatenate(
-            [np.asarray(ints.core_energy)[..., None], h[..., diagonal_h], g[..., diagonal_g]],
-            axis=-1,
-        )
-        diag = _sequential_sum(space.diagonal_terms * terms[..., None, :])
-        values = np.empty((*h.shape[:-1], len(pairs.i)))
-        values[..., pairs.single] = _sequential_sum(
-            np.concatenate([h[..., single_h, None], shared * g[..., single_g]], axis=-1)
-        )
-    values[..., pairs.double] = g[..., double_g]
+        diag = _sequential_sum(space.diagonal_terms * flat[..., None, gathers.diagonal])
+        values = np.empty((*stack, len(pairs.i)))
+        values[..., pairs.single] = _sequential_sum(flat[..., gathers.singles] * gathers.shared)
+    values[..., pairs.double] = flat[..., gathers.doubles]
     values *= pairs.sign
     if not (np.isfinite(diag).all() and np.isfinite(values).all()):
         # each point's diagonal, then its entries, one point after another
@@ -256,13 +276,19 @@ def _hamiltonian_entries(
 
 def build_hamiltonian(ints: SpinOrbitalIntegrals, space: ConfigurationSpace) -> np.ndarray:
     """The dense, exactly symmetric Hamiltonian matrix over ``space``; a
-    stack of integrals gives a stack of matrices, one per point."""
+    stack of integrals gives a stack of matrices, one per point.  At or
+    below the crossover, where each entry goes is cached with the space's
+    gathers."""
     diag, i, j, values = _hamiltonian_entries(ints, space)
     n = len(space)
-    H = np.zeros((*diag.shape, n))
-    H.reshape(*diag.shape[:-1], n * n)[..., :: n + 1] = diag
-    H[..., i, j] = H[..., j, i] = values
-    return H
+    if n <= DENSE_CROSSOVER:
+        upper = _searched_gathers(space).upper
+    else:
+        upper = np.stack([i * n + j, j * n + i])
+    H = np.zeros((*diag.shape[:-1], n * n))
+    H[..., :: n + 1] = diag
+    H[..., upper] = values[..., None, :]
+    return H.reshape(*diag.shape, n)
 
 
 def _csr_product(
@@ -543,10 +569,11 @@ def ground_states(
         raise ValueError("cannot solve on an empty space")
     if n <= DENSE_CROSSOVER:
         try:
-            values, vectors = np.linalg.eigh(build_hamiltonian(ints, space).reshape(-1, n, n))
+            # one point's H is one matrix, a stack's a stack of them
+            values, vectors = np.linalg.eigh(build_hamiltonian(ints, space))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
             raise FermipinError(f"eigensolver failure: {exc}") from exc
-        vectors = vectors[:, :, 0]
+        values, vectors = values.reshape(-1, n), vectors[..., 0].reshape(-1, n)
     else:
         m = ints.m
         points = zip(ints.h.reshape(-1, m, m), ints.g.reshape(-1, m, m, m, m),

@@ -63,7 +63,7 @@ equal the states' own spectra when all of them are, as in a sector space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -71,7 +71,7 @@ import numpy as np
 from . import ci
 from .ci import CIVector, OrbitalRotation
 from .errors import NormalizationError, SpectralRangeError
-from .fock import DOWN, UP, ConfigurationSpace, SpinOrbitalLayout, substitutions
+from .fock import DOWN, UP, ConfigurationSpace, SpinOrbitalLayout, _read_only, substitutions
 
 TRACE_TOL = 1e-10
 RANGE_TOL = 1e-10
@@ -270,9 +270,10 @@ class OccupationSpectrum:
 
 
 def _clamp_range(n: np.ndarray, tol: float) -> np.ndarray:
-    """``n`` clipped to [0, 1], refused where a spectrum (a row of a stack)
-    strays more than ``tol`` outside; the message names the first such."""
-    low, high = n.min(axis=-1), n.max(axis=-1)
+    """``n``, sorted in descending order, clipped to [0, 1], refused where a
+    spectrum (a row of a stack) strays more than ``tol`` outside; the
+    message names the first such."""
+    low, high = n[..., -1], n[..., 0]
     # written so that a NaN, which fails every comparison, is refused too
     inside = (low >= -tol) & (high <= 1.0 + tol)
     if not inside.all():
@@ -284,48 +285,96 @@ def _clamp_range(n: np.ndarray, tol: float) -> np.ndarray:
     return n.clip(0.0, 1.0)
 
 
+class _Diagonalization(NamedTuple):
+    """How the 1-RDMs over one layout are diagonalized, worked out once per
+    layout.  Each group holds the spin blocks of one size, in block order,
+    as ``(gather, scatter)``, each with a leading axis over the blocks when
+    there are two: ``gather`` is where each block's square sits in a
+    flattened ``m x m`` matrix, so one ``eigh`` takes every block of the
+    group; ``scatter[..., c, j]`` is where component ``c`` of the block's
+    eigenvector ``j`` goes in the flattened natural orbitals, rows in block
+    order and, within a block, in descending order of occupation.
+    ``spins`` is the spin of each of those rows, ``None`` without a
+    layout."""
+
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    spins: np.ndarray | None
+
+
+def _diagonalization(layout: SpinOrbitalLayout | None, m: int) -> _Diagonalization:
+    """The :class:`_Diagonalization` of ``layout``, built once per layout,
+    or, for ``None``, of the whole matrix as one block."""
+    found = None if layout is None else _DIAGONALIZATIONS.get(layout)
+    if found is not None:
+        return found
+    if layout is None:
+        blocks, spins = (np.arange(m),), None
+    else:
+        blocks = layout.spin_blocks
+        spins = np.array([UP] * len(blocks[0]) + [DOWN] * len(blocks[1]), object)
+    starts = np.cumsum([0, *map(len, blocks)])
+    groups = []
+    # each block size once, in block order; an empty block has no eigenpairs
+    for size in dict.fromkeys(len(block) for block in blocks if len(block)):
+        ids = [b for b, block in enumerate(blocks) if len(block) == size]
+        descending = size - 1 - np.arange(size)
+        gather = [blocks[b][:, None] * m + blocks[b] for b in ids]
+        scatter = [(starts[b] + descending) * m + blocks[b][:, None] for b in ids]
+        # a block alone is one matrix, not a stack of one
+        groups.append(_read_only(
+            (gather[0], scatter[0]) if len(ids) == 1 else (np.stack(gather), np.stack(scatter))
+        ))
+    found = _Diagonalization(tuple(groups), spins)
+    if layout is not None:
+        _DIAGONALIZATIONS[layout] = found
+    return found
+
+
+# each layout's diagonalization, kept while the layout lives
+_DIAGONALIZATIONS: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def natural_spectrum(rdm: OneRDM) -> OccupationSpectrum:
     """Diagonalize a 1-RDM into occupations and a natural-orbital rotation,
     or a stack of 1-RDMs into a stacked spectrum, row ``k`` for matrix ``k``.
 
     A 1-RDM with a layout is diagonalized per spin block, so every natural
     orbital has a definite spin and the rotation carries the layout of the
-    natural basis, which keeps it sector-safe.  Natural-orbital rows are
-    sign-fixed the same way CI vectors are, by :func:`~fermipin.ci.sign_fixed`.
-    A stack keeps no rotations: its rows are the occupations and ties each
-    matrix gives alone.
+    natural basis, which keeps it sector-safe.  Blocks of one size go
+    through one ``eigh``, bit for bit one per block.  Natural-orbital rows
+    are sign-fixed the same way CI vectors are, by
+    :func:`~fermipin.ci.sign_fixed`.  A stack keeps no rotations: its rows
+    are the occupations and ties each matrix gives alone.
     """
     rho, m = rdm.rho, rdm.m
-    single = rho.ndim == 2
     traces = rho.trace(axis1=-2, axis2=-1).reshape(-1).tolist()
     N = round(traces[0])
     for trace in traces:
         if not abs(trace - N) <= TRACE_TOL:
             raise SpectralRangeError(f"1-RDM trace {trace!r} is not close to the integer {N}")
 
-    blocks = (np.arange(m),) if rdm.layout is None else rdm.layout.spin_blocks
-    values, vectors = [], np.zeros((m, m))
-    start = 0
-    for idx in blocks:
-        # one eigh for the whole stack, bit for bit one eigh per matrix
-        vals, vecs = np.linalg.eigh(rho.take(idx, axis=-2).take(idx, axis=-1))
-        values.append(vals[..., ::-1])
-        if single:
-            vectors[start : start + len(idx), idx] = vecs[:, ::-1].T
-        start += len(idx)
+    plan = _diagonalization(rdm.layout, m)
+    stack = rho.shape[:-2]
+    flat = rho.reshape(*stack, m * m)
+    values, vectors = [], []
+    for gather, _ in plan.groups:
+        # one eigh for every block of the group and every matrix of the stack
+        vals, vecs = np.linalg.eigh(flat[..., gather])
+        values.append(vals[..., ::-1].reshape(*stack, -1))
+        vectors.append(vecs)
     # descending occupation; ties keep block order, then position in block
-    occupations = np.concatenate(values, axis=-1)
+    occupations = values[0] if len(values) == 1 else np.concatenate(values, axis=-1)
     order = np.argsort(-occupations, axis=-1, kind="stable")
-    if not single:
+    if stack:
         n = _clamp_range(occupations[np.arange(len(rho))[:, None], order], tol=RANGE_TOL)
         return OccupationSpectrum(n, N, None, n[:, :-1] - n[:, 1:] <= DEFAULT_TIE_TOL)
 
     n = _clamp_range(occupations[order], tol=RANGE_TOL)
-    layout = None
-    if rdm.layout is not None:
-        spins = [UP] * len(blocks[0]) + [DOWN] * len(blocks[1])
-        layout = SpinOrbitalLayout(tuple(spins[k] for k in order.tolist()))
-    rotation = OrbitalRotation(ci.sign_fixed(vectors[order]), layout)
+    natural = np.zeros(m * m)
+    for (_, scatter), vecs in zip(plan.groups, vectors):
+        natural[scatter] = vecs
+    layout = None if plan.spins is None else SpinOrbitalLayout(tuple(plan.spins[order]))
+    rotation = OrbitalRotation(ci.sign_fixed(natural.reshape(m, m)[order]), layout)
     return OccupationSpectrum(n, N, rotation, n[:-1] - n[1:] <= DEFAULT_TIE_TOL)
 
 

@@ -811,10 +811,11 @@ def test_scan_stacks_print_the_same_bytes_with_one_eigh_each(capsys, monkeypatch
     rows = rows or cli._SCAN_BLOCK // (8 * 8**4)
     # the first point alone, then the other 40 in stacks of rows points
     sizes = [1] + [rows] * (40 // rows) + [40 % rows] * (40 % rows > 0)
-    # per stack: the 36-determinant Hamiltonians, then the up and down
-    # blocks of the 1-RDMs
+    # per stack: the 36-determinant Hamiltonians (one matrix for a point
+    # that goes alone), then the 1-RDMs' up and down blocks, both of 4
+    # orbitals, through one eigh
     assert shapes == [shape for size in sizes
-                      for shape in ((size, 36, 36), (size, 4, 4), (size, 4, 4))]
+                      for shape in ((36, 36) if size == 1 else (size, 36, 36), (size, 2, 4, 4))]
 
 
 # (model, size flag, size, N, rank) with a built-in catalog for (N, rank)
