@@ -175,15 +175,16 @@ class _Gathers(NamedTuple):
     ``<pq||pq>``; each single's ``h[p, q]`` and then its ``<pc||qc>`` over
     every orbital ``c``, with ``shared`` 1 for ``h[p, q]`` and for each
     orbital both determinants occupy, 0 otherwise; each double's
-    ``<p1p2||q1q2>``.  ``upper`` holds where each pair's element goes in
-    the flattened dense matrix, ``(i, j)`` in its first row and ``(j, i)``
-    in its second.  A gather with one flat index array costs a stack no
-    more than a point."""
+    ``<p1p2||q1q2>``.  ``sign`` is each pair's sign as a float, and
+    ``upper`` where its element goes in the flattened dense matrix,
+    ``(i, j)`` in its first row and ``(j, i)`` in its second.  A gather
+    with one flat index array costs a stack no more than a point."""
 
     diagonal: np.ndarray
     singles: np.ndarray
     shared: np.ndarray
     doubles: np.ndarray
+    sign: np.ndarray
     upper: np.ndarray
 
 
@@ -202,6 +203,7 @@ def _gathers(space: ConfigurationSpace, pairs) -> _Gathers:
         np.concatenate([np.ones((len(sp), 1)), space.bits[single_i] & space.bits[single_j]],
                        axis=1),
         g + ((p1 * m + p2) * m + q1) * m + q2,
+        pairs.sign.astype(float),
         np.stack([pairs.i * n + pairs.j, pairs.j * n + pairs.i]),
     )))
 
@@ -260,7 +262,7 @@ def _hamiltonian_entries(
         values = np.empty((*stack, len(pairs.i)))
         values[..., pairs.single] = _sequential_sum(flat[..., gathers.singles] * gathers.shared)
     values[..., pairs.double] = flat[..., gathers.doubles]
-    values *= pairs.sign
+    values *= gathers.sign
     if not (np.isfinite(diag).all() and np.isfinite(values).all()):
         # each point's diagonal, then its entries, one point after another
         elements = np.concatenate([diag, values], axis=-1).ravel()

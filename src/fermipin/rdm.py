@@ -63,6 +63,7 @@ equal the states' own spectra when all of them are, as in a sector space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
@@ -118,7 +119,7 @@ def _terms(space: ConfigurationSpace) -> tuple[np.ndarray, ...]:
         terms = _TERMS[space] = (
             np.concatenate([i, det]),
             np.concatenate([j, det]),
-            np.concatenate([sign, np.ones(len(det), np.int8)]),
+            np.concatenate([sign, np.ones(len(det), np.int8)]).astype(float),
             np.concatenate([np.minimum(p, q) * m + np.maximum(p, q), orbital * (m + 1)]),
         )
     return terms
@@ -201,11 +202,9 @@ def one_rdms(space: ConfigurationSpace, coeffs: np.ndarray) -> OneRDM:
     weights *= coeffs.take(right, axis=-1)
     weights *= factor
     upper = np.bincount(scatter.ravel(), weights.ravel(), minlength=size)
-    # mirroring the upper triangle adds exact zeros to it and doubles the
-    # diagonal, which is then copied back
-    upper = upper.reshape(*stack, m, m)
-    rho = upper + upper.swapaxes(-2, -1)
-    rho.reshape(*stack, -1)[..., :: m + 1] = upper.reshape(*stack, -1)[..., :: m + 1]
+    # the mirror image of the upper triangle, element for element what
+    # adding the transpose gives, since the lower triangle is all +0.0
+    rho = upper.reshape(*stack, m * m)[..., _mirror(m)]
 
     # a sector's singles all conserve spin, so only a space without one can
     # give a matrix that couples the spins
@@ -216,6 +215,14 @@ def one_rdms(space: ConfigurationSpace, coeffs: np.ndarray) -> OneRDM:
             layout = None
 
     return OneRDM(rho, layout)
+
+
+@cache
+def _mirror(m: int) -> np.ndarray:
+    """Where each element of an ``m x m`` matrix sits in its upper triangle,
+    flattened: ``min(p, q) * m + max(p, q)`` at ``[p, q]``; read-only."""
+    p, q = np.indices((m, m))
+    return _read_only((np.minimum(p, q) * m + np.maximum(p, q),))[0]
 
 
 def one_rdm(vector: CIVector) -> OneRDM:
@@ -364,7 +371,7 @@ def natural_spectrum(rdm: OneRDM) -> OccupationSpectrum:
         vectors.append(vecs)
     # descending occupation; ties keep block order, then position in block
     occupations = values[0] if len(values) == 1 else np.concatenate(values, axis=-1)
-    order = np.argsort(-occupations, axis=-1, kind="stable")
+    order = (-occupations).argsort(axis=-1, kind="stable")
     if stack:
         n = _clamp_range(occupations[np.arange(len(rho))[:, None], order], tol=RANGE_TOL)
         return OccupationSpectrum(n, N, None, n[:, :-1] - n[:, 1:] <= DEFAULT_TIE_TOL)
