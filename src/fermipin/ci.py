@@ -63,6 +63,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
@@ -188,23 +189,36 @@ class _Gathers(NamedTuple):
     upper: np.ndarray
 
 
+@cache
+def _flat_positions(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where, for integrals of width ``m`` flattened into ``[core, h..., g...]``,
+    the diagonal's terms sit (the core energy, each ``h[p, p]``, each
+    ``<pq||pq>`` over the pairs ``p < q``), and the three rows ``(a, b, c)``
+    that place a single ``p -> q``'s terms at ``p * a + q * b + c``: its
+    ``h[p, q]``, then its ``<pc||qc>`` over every orbital ``c``.
+    Read-only, because every space of the width shares them."""
+    p, q = orbital_pairs(m)
+    c = np.arange(m)
+    g = 1 + m * m  # where g starts, after the core energy and h
+    diagonal = np.concatenate([[0], 1 + c * (m + 1), g + ((p * m + q) * m + p) * m + q])
+    single = np.array([[m] + [m**3] * m, [1] + [m] * m, [1, *(g + c * (m * m + 1))]])
+    return _read_only((diagonal, single))
+
+
 def _gathers(space: ConfigurationSpace, pairs) -> _Gathers:
     """The :class:`_Gathers` of ``space`` for the connected ``pairs``."""
     m, n = space.m, len(space)
-    p, q = orbital_pairs(m)
-    c = np.arange(m)
+    diagonal, (a, b, c) = _flat_positions(m)
     (single_i, single_j, _), sp, sq = pairs.singles, pairs.p, pairs.q
     p1, p2, q1, q2 = pairs.doubles
-    g = 1 + m * m  # where g starts, after the core energy and h
-    return _Gathers(*_read_only((
-        np.concatenate([[0], 1 + c * (m + 1), g + ((p * m + q) * m + p) * m + q]),
-        np.concatenate([1 + sp[:, None] * m + sq[:, None],
-                        g + ((sp[:, None] * m + c) * m + sq[:, None]) * m + c], axis=1),
-        np.concatenate([np.ones((len(sp), 1)), space.bits[single_i] & space.bits[single_j]],
-                       axis=1),
-        g + ((p1 * m + p2) * m + q1) * m + q2,
+    shared = np.ones((len(sp), m + 1))
+    shared[:, 1:] = space.bits[single_i] & space.bits[single_j]
+    return _Gathers(diagonal, *_read_only((
+        sp[:, None] * a + sq[:, None] * b + c,
+        shared,
+        1 + m * m + ((p1 * m + p2) * m + q1) * m + q2,
         pairs.sign.astype(float),
-        np.stack([pairs.i * n + pairs.j, pairs.j * n + pairs.i]),
+        np.array([pairs.i * n + pairs.j, pairs.j * n + pairs.i]),
     )))
 
 

@@ -315,22 +315,23 @@ def _diagonalization(layout: SpinOrbitalLayout | None, m: int) -> _Diagonalizati
     if found is not None:
         return found
     if layout is None:
-        blocks, spins = (np.arange(m),), None
+        blocks, spins = [np.arange(m)], None
     else:
-        blocks = layout.spin_blocks
-        spins = np.array([UP] * len(blocks[0]) + [DOWN] * len(blocks[1]), object)
-    starts = np.cumsum([0, *map(len, blocks)])
+        up, down = layout.spin_blocks
+        blocks = [block for block in (up, down) if len(block)]
+        spins = np.array([UP] * len(up) + [DOWN] * len(down), object)
+    # blocks of one size go as one group, else each alone; an empty block
+    # has no eigenpairs
+    same = len(blocks) == 2 and len(blocks[0]) == len(blocks[1])
     groups = []
-    # each block size once, in block order; an empty block has no eigenpairs
-    for size in dict.fromkeys(len(block) for block in blocks if len(block)):
-        ids = [b for b, block in enumerate(blocks) if len(block) == size]
-        descending = size - 1 - np.arange(size)
-        gather = [blocks[b][:, None] * m + blocks[b] for b in ids]
-        scatter = [(starts[b] + descending) * m + blocks[b][:, None] for b in ids]
+    for ids in [[0, 1]] if same else [[b] for b in range(len(blocks))]:
+        idx = np.array([blocks[b] for b in ids])
+        k = idx.shape[1]
+        # each block's rows follow every row of the blocks before it
+        rows = np.array([sum(map(len, blocks[:b])) for b in ids])[:, None] + np.arange(k)[::-1]
+        gather, scatter = idx[:, :, None] * m + idx[:, None, :], rows[:, None, :] * m + idx[:, :, None]
         # a block alone is one matrix, not a stack of one
-        groups.append(_read_only(
-            (gather[0], scatter[0]) if len(ids) == 1 else (np.stack(gather), np.stack(scatter))
-        ))
+        groups.append(_read_only((gather, scatter) if same else (gather[0], scatter[0])))
     found = _Diagonalization(tuple(groups), spins)
     if layout is not None:
         _DIAGONALIZATIONS[layout] = found
