@@ -176,8 +176,9 @@ class _Gathers(NamedTuple):
     ``<pq||pq>``; each single's ``h[p, q]`` and then its ``<pc||qc>`` over
     every orbital ``c``, with ``shared`` 1 for ``h[p, q]`` and for each
     orbital both determinants occupy, 0 otherwise; each double's
-    ``<p1p2||q1q2>``.  ``sign`` is each pair's sign as a float, and
-    ``upper`` where its element goes in the flattened dense matrix,
+    ``<p1p2||q1q2>``.  ``order`` takes the singles' elements followed by
+    the doubles' into pair order, ``sign`` is each pair's sign as a float,
+    and ``upper`` is where its element goes in the flattened dense matrix,
     ``(i, j)`` in its first row and ``(j, i)`` in its second.  A gather
     with one flat index array costs a stack no more than a point."""
 
@@ -185,6 +186,7 @@ class _Gathers(NamedTuple):
     singles: np.ndarray
     shared: np.ndarray
     doubles: np.ndarray
+    order: np.ndarray
     sign: np.ndarray
     upper: np.ndarray
 
@@ -213,10 +215,13 @@ def _gathers(space: ConfigurationSpace, pairs) -> _Gathers:
     p1, p2, q1, q2 = pairs.doubles
     shared = np.ones((len(sp), m + 1))
     shared[:, 1:] = space.bits[single_i] & space.bits[single_j]
+    order = np.empty(len(pairs.i), np.intp)
+    order[np.concatenate([pairs.single, pairs.double])] = np.arange(len(pairs.i))
     return _Gathers(diagonal, *_read_only((
         sp[:, None] * a + sq[:, None] * b + c,
         shared,
         1 + m * m + ((p1 * m + p2) * m + q1) * m + q2,
+        order,
         pairs.sign.astype(float),
         np.array([pairs.i * n + pairs.j, pairs.j * n + pairs.i]),
     )))
@@ -272,10 +277,12 @@ def _hamiltonian_entries(
     # a sum that overflows, or an infinity times an empty orbital's zero, is
     # refused below, with no numpy warning printed first
     with np.errstate(over="ignore", invalid="ignore"):
-        diag = _sequential_sum(space.diagonal_terms * flat[..., None, gathers.diagonal])
-        values = np.empty((*stack, len(pairs.i)))
-        values[..., pairs.single] = _sequential_sum(flat[..., gathers.singles] * gathers.shared)
-    values[..., pairs.double] = flat[..., gathers.doubles]
+        diag = _sequential_sum(
+            space.diagonal_terms * flat.take(gathers.diagonal, axis=-1)[..., None, :]
+        )
+        singles = _sequential_sum(flat.take(gathers.singles, axis=-1) * gathers.shared)
+    values = np.concatenate([singles, flat.take(gathers.doubles, axis=-1)], axis=-1)
+    values = values.take(gathers.order, axis=-1)
     values *= gathers.sign
     if not (np.isfinite(diag).all() and np.isfinite(values).all()):
         # each point's diagonal, then its entries, one point after another

@@ -272,6 +272,11 @@ def cmd_census(cfg: argparse.Namespace) -> dict:
 
 
 def cmd_truncate(cfg: argparse.Namespace) -> dict:
+    # refused before any solve, as scan steps and random samples are
+    if not 1 <= cfg.max_iterations <= MAX_POINTS:
+        raise ValueError(
+            f"--max-iterations takes 1 to {MAX_POINTS} iterations, got {cfg.max_iterations}"
+        )
     ints, name = _resolve_model(cfg)
     space = _resolve_space(cfg, ints)
     cat = _resolve_catalog(cfg, space.N, space.m)

@@ -518,7 +518,6 @@ def _decoded(space: ConfigurationSpace, i: np.ndarray, j: np.ndarray) -> Pairs:
     share their pairs."""
     bra, ket = space.masks[i], space.masks[j]
     diff = bra ^ ket
-    bra_only, ket_only = bra & diff, ket & diff
     # Applying the operators one by one, each substituted orbital passes
     # every orbital the two determinants share below it: the sign is the
     # parity of the shared orbitals lying below an odd number of the
@@ -529,16 +528,18 @@ def _decoded(space: ConfigurationSpace, i: np.ndarray, j: np.ndarray) -> Pairs:
         below ^= below >> shift
         shift *= 2
     sign = 1 - 2 * (np.bitwise_count(bra & ket & below) & 1).astype(np.int8)
-    is_single = np.bitwise_count(bra_only) == 1
+    # the orbitals only the bra occupies, then those only the ket does
+    only = np.concatenate([bra, ket]).reshape(2, -1) & diff
+    is_single = np.bitwise_count(only[0]) == 1
     single, double = np.flatnonzero(is_single), np.flatnonzero(~is_single)
-    singles = (i[single], j[single], sign[single])
-    p, q = bit_index(bra_only[single]), bit_index(ket_only[single])
-    bra_only, ket_only = bra_only[double], ket_only[double]
-    p_low, q_low = lowest_bit(bra_only), lowest_bit(ket_only)
-    doubles = (
-        bit_index(p_low), bit_index(bra_only ^ p_low),
-        bit_index(q_low), bit_index(ket_only ^ q_low),
-    )
+    moved = only[:, double]
+    low = lowest_bit(moved)
+    # one bit_index for every substituted orbital: each single's p, then
+    # its q, then each double's lower p and q, then its higher p and q
+    orbitals = bit_index(np.concatenate([only[:, single], low, moved ^ low], axis=None))
+    (p, q), (p1, q1, p2, q2) = (orbitals[: 2 * len(single)].reshape(2, -1),
+                                orbitals[2 * len(single) :].reshape(4, -1))
+    singles, doubles = (i[single], j[single], sign[single]), (p1, p2, q1, q2)
     _read_only((i, j, sign, single, *singles, p, q, double, *doubles))
     return Pairs(i, j, sign, single, singles, p, q, double, doubles)
 

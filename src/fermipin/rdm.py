@@ -367,7 +367,7 @@ def natural_spectrum(rdm: OneRDM) -> OccupationSpectrum:
     values, vectors = [], []
     for gather, _ in plan.groups:
         # one eigh for every block of the group and every matrix of the stack
-        vals, vecs = np.linalg.eigh(flat[..., gather])
+        vals, vecs = np.linalg.eigh(flat.take(gather, axis=-1))
         values.append(vals[..., ::-1].reshape(*stack, -1))
         vectors.append(vecs)
     # descending occupation; ties keep block order, then position in block

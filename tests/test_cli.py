@@ -490,6 +490,29 @@ def test_random_samples_above_the_bound_exit_2_before_any_is_drawn(capsys,
     assert draws == [(0,)]
 
 
+def test_max_iterations_outside_the_bound_exit_2_before_any_solve(capsys,
+                                                                 monkeypatch) -> None:
+    solves = []
+
+    def spy(*args, **kwargs):
+        solves.append(args)
+        return solve_ground(*args, **kwargs)
+
+    solve_ground = cli.solve_ground
+    monkeypatch.setattr(cli, "solve_ground", spy)
+    argv = ["truncate", *HUB36, "--mu", "auto", "--max-iterations"]
+    for count in ("100000000", "0", "-3"):
+        assert _run(capsys, [*argv, count]) == (
+            2, "", f"error: --max-iterations takes 1 to {cli.MAX_POINTS} iterations, "
+                   f"got {int(count)}\n")
+    assert solves == []
+    # the bound itself is allowed, one iteration more is not
+    monkeypatch.setattr(cli, "MAX_POINTS", 3)
+    assert _run(capsys, [*argv, "3"])[0] == 0
+    assert _run(capsys, [*argv, "4"])[0] == 2
+    assert len(solves) == 1
+
+
 def test_scan_axis_flags_exclude_each_other_and_the_model(capsys, tmp_path) -> None:
     spatial = hubbard_chain(3, 1.0, 2.0)
     spatial.n_electrons, spatial.ms2 = 3, 1
