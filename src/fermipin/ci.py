@@ -310,7 +310,9 @@ def build_hamiltonian(ints: SpinOrbitalIntegrals, space: ConfigurationSpace) -> 
         upper = np.stack([i * n + j, j * n + i])
     H = np.zeros((*diag.shape[:-1], n * n))
     H[..., :: n + 1] = diag
-    H[..., upper] = values[..., None, :]
+    # through the transposes the stack's axis comes last, so a point's
+    # entries go in by plain indexing
+    H.T[upper] = values.T
     return H.reshape(*diag.shape, n)
 
 

@@ -204,7 +204,7 @@ def one_rdms(space: ConfigurationSpace, coeffs: np.ndarray) -> OneRDM:
     upper = np.bincount(scatter.ravel(), weights.ravel(), minlength=size)
     # the mirror image of the upper triangle, element for element what
     # adding the transpose gives, since the lower triangle is all +0.0
-    rho = upper.reshape(*stack, m * m)[..., _mirror(m)]
+    rho = upper.reshape(*stack, m * m).take(_mirror(m), axis=-1)
 
     # a sector's singles all conserve spin, so only a space without one can
     # give a matrix that couples the spins
