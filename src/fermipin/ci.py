@@ -171,17 +171,21 @@ def _sequential_sum(terms: np.ndarray) -> np.ndarray:
 
 class _Gathers(NamedTuple):
     """Where the terms of the Hamiltonian's elements over a space sit in one
-    point's integrals, flattened into one array ``[core, h..., g...]``, for
-    the connected pairs: the diagonal's core energy, ``h[p, p]`` and
-    ``<pq||pq>``; each single's ``h[p, q]`` and then its ``<pc||qc>`` over
-    every orbital ``c``, with ``shared`` 1 for ``h[p, q]`` and for each
-    orbital both determinants occupy, 0 otherwise; each double's
-    ``<p1p2||q1q2>``.  ``order`` takes the singles' elements followed by
-    the doubles' into pair order, ``sign`` is each pair's sign as a float,
-    and ``upper`` is where its element goes in the flattened dense matrix,
-    ``(i, j)`` in its first row and ``(j, i)`` in its second.  A gather
-    with one flat index array costs a stack no more than a point."""
+    point's integrals, for the connected pairs.  The terms are read from one
+    flat array ``[core, h..., g[integrals]...]``: the core energy, all of
+    ``h`` and the ``<pq||rs>`` each element reads, in turn.  ``diagonal``
+    holds where each diagonal element's terms sit (the core energy, each
+    ``h[p, p]``, each ``<pq||pq>`` over the pairs ``p < q``); ``singles``
+    where each single's ``h[p, q]`` and then its ``<pc||qc>`` over every
+    orbital ``c`` sit, with ``shared`` 1 for ``h[p, q]`` and for each
+    orbital both determinants occupy, 0 otherwise; ``doubles`` where each
+    double's ``<p1p2||q1q2>`` sits.  ``order`` takes the singles' elements
+    followed by the doubles' into pair order, ``sign`` is each pair's sign
+    as a float, and ``upper`` is where its element goes in the flattened
+    dense matrix, ``(i, j)`` in its first row and ``(j, i)`` in its second.
+    A gather with one flat index array costs a stack no more than a point."""
 
+    integrals: np.ndarray
     diagonal: np.ndarray
     singles: np.ndarray
     shared: np.ndarray
@@ -213,14 +217,26 @@ def _gathers(space: ConfigurationSpace, pairs) -> _Gathers:
     diagonal, (a, b, c) = _flat_positions(m)
     (single_i, single_j, _), sp, sq = pairs.singles, pairs.p, pairs.q
     p1, p2, q1, q2 = pairs.doubles
+    g = 1 + m * m
+    singles = sp[:, None] * a + sq[:, None] * b + c
+    doubles = g + ((p1 * m + p2) * m + q1) * m + q2
+    # every <pq||rs> read, in the order the diagonal, the singles and the
+    # doubles read them; each then reads its own run of [core, h, g[integrals]]
+    integrals = np.concatenate([diagonal[1 + m :], singles[:, 1:].ravel(), doubles])
+    run = g + np.arange(len(integrals))
+    start, stop = len(diagonal) - 1 - m, len(integrals) - len(doubles)
+    diagonal = np.concatenate([diagonal[: 1 + m], run[:start]])
+    singles[:, 1:] = run[start:stop].reshape(-1, m)
     shared = np.ones((len(sp), m + 1))
     shared[:, 1:] = space.bits[single_i] & space.bits[single_j]
     order = np.empty(len(pairs.i), np.intp)
     order[np.concatenate([pairs.single, pairs.double])] = np.arange(len(pairs.i))
-    return _Gathers(diagonal, *_read_only((
-        sp[:, None] * a + sq[:, None] * b + c,
+    return _Gathers(*_read_only((
+        integrals - g,
+        diagonal,
+        singles,
         shared,
-        1 + m * m + ((p1 * m + p2) * m + q1) * m + q2,
+        run[stop:],
         order,
         pairs.sign.astype(float),
         np.array([pairs.i * n + pairs.j, pairs.j * n + pairs.i]),
@@ -272,8 +288,8 @@ def _hamiltonian_entries(
         pairs = substitutions(space, singles.any(axis=points), (ints.g != 0).any(axis=points))
         gathers = _gathers(space, pairs)
     stack = ints.h.shape[:-2]
-    flat = np.concatenate([np.asarray(ints.core_energy)[..., None],
-                           ints.h.reshape(*stack, m * m), ints.g.reshape(*stack, m**4)], axis=-1)
+    flat = np.concatenate([np.asarray(ints.core_energy)[..., None], ints.h.reshape(*stack, m * m),
+                           ints.g.reshape(*stack, m**4).take(gathers.integrals, axis=-1)], axis=-1)
     # a sum that overflows, or an infinity times an empty orbital's zero, is
     # refused below, with no numpy warning printed first
     with np.errstate(over="ignore", invalid="ignore"):
