@@ -531,12 +531,12 @@ def _decoded(space: ConfigurationSpace, i: np.ndarray, j: np.ndarray) -> Pairs:
     # the orbitals only the bra occupies, then those only the ket does
     only = np.concatenate([bra, ket]).reshape(2, -1) & diff
     is_single = np.bitwise_count(only[0]) == 1
-    single, double = np.flatnonzero(is_single), np.flatnonzero(~is_single)
-    moved = only[:, double]
+    single, double = is_single.nonzero()[0], (~is_single).nonzero()[0]
+    moved = only.take(double, axis=1)
     low = lowest_bit(moved)
     # one bit_index for every substituted orbital: each single's p, then
     # its q, then each double's lower p and q, then its higher p and q
-    orbitals = bit_index(np.concatenate([only[:, single], low, moved ^ low], axis=None))
+    orbitals = bit_index(np.concatenate([only.take(single, axis=1), low, moved ^ low], axis=None))
     (p, q), (p1, q1, p2, q2) = (orbitals[: 2 * len(single)].reshape(2, -1),
                                 orbitals[2 * len(single) :].reshape(4, -1))
     singles, doubles = (i[single], j[single], sign[single]), (p1, p2, q1, q2)
