@@ -199,26 +199,26 @@ class _Gathers(NamedTuple):
 def _flat_positions(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Where, for integrals of width ``m`` flattened into ``[core, h..., g...]``,
     the diagonal's terms sit (the core energy, each ``h[p, p]``, each
-    ``<pq||pq>`` over the pairs ``p < q``), and the three rows ``(a, b, c)``
-    that place a single ``p -> q``'s terms at ``p * a + q * b + c``: its
-    ``h[p, q]``, then its ``<pc||qc>`` over every orbital ``c``.
-    Read-only, because every space of the width shares them."""
+    ``<pq||pq>`` over the pairs ``p < q``), and, in row ``p * m + q``, a
+    single ``p -> q``'s: its ``h[p, q]``, then its ``<pc||qc>`` over every
+    orbital ``c``.  Read-only, because every space of the width shares them."""
     p, q = orbital_pairs(m)
     c = np.arange(m)
     g = 1 + m * m  # where g starts, after the core energy and h
     diagonal = np.concatenate([[0], 1 + c * (m + 1), g + ((p * m + q) * m + p) * m + q])
-    single = np.array([[m] + [m**3] * m, [1] + [m] * m, [1, *(g + c * (m * m + 1))]])
-    return _read_only((diagonal, single))
+    p, q = np.divmod(np.arange(m * m)[:, None], m)
+    singles = np.concatenate([1 + p * m + q, g + ((p * m + c) * m + q) * m + c], axis=1)
+    return _read_only((diagonal, singles))
 
 
 def _gathers(space: ConfigurationSpace, pairs) -> _Gathers:
     """The :class:`_Gathers` of ``space`` for the connected ``pairs``."""
     m, n = space.m, len(space)
-    diagonal, (a, b, c) = _flat_positions(m)
+    diagonal, singles = _flat_positions(m)
     (single_i, single_j, _), sp, sq = pairs.singles, pairs.p, pairs.q
     p1, p2, q1, q2 = pairs.doubles
     g = 1 + m * m
-    singles = sp[:, None] * a + sq[:, None] * b + c
+    singles = singles.take(sp * m + sq, axis=0)
     doubles = g + ((p1 * m + p2) * m + q1) * m + q2
     # every <pq||rs> read, in the order the diagonal, the singles and the
     # doubles read them; each then reads its own run of [core, h, g[integrals]]
