@@ -18,7 +18,16 @@ as the dividing line:
   zero, so the nonzero entries are the same either way, and no quadratic
   search runs.
 
-:func:`build_hamiltonian` scatters those entries into a dense matrix.  An
+Where each element's terms sit in the integrals depends only on the space
+and its pairs, so a space at or below the crossover works it out once and
+keeps it (the weak-keyed ``_GATHERS``): the ``<pq||rs>`` its elements read,
+in the order they read them, the positions of every term in one short flat
+array ``[core, h..., those <pq||rs>...]``, which orbitals each single
+shares, the order that puts the singles' and doubles' elements back in
+pair order, each pair's sign and where its element goes in the dense
+matrix.  A call then gathers once from the integrals, sums and scatters.
+Positions that depend on the width alone are kept per width.
+:func:`build_hamiltonian` scatters the entries into a dense matrix.  An
 element that is not finite, such as a sum of finite integrals that
 overflows, is refused with a ``FermipinError`` that names it.
 
@@ -55,8 +64,11 @@ leading axis (a parameter scan's grid points) give the entries, the dense
 Hamiltonians and one ``eigh`` for the whole stack, each point bit for bit
 as it comes out alone, because every sum keeps its order.  Above
 ``DENSE_CROSSOVER`` each point of a stack is solved alone and the results
-are stacked.  A single point is a stack of one: :func:`solve_ground` is
-:func:`ground_states` on one point.
+are stacked.  A single point takes the same code with no stack axis: its
+Hamiltonian is one matrix and goes through one ``eigh`` of that matrix,
+and no gather or scatter of a point indexes past a stack axis, bit for
+bit as a stack of one.  :func:`solve_ground` is :func:`ground_states` on
+one point.
 """
 
 from __future__ import annotations
@@ -323,7 +335,7 @@ def build_hamiltonian(ints: SpinOrbitalIntegrals, space: ConfigurationSpace) -> 
     if n <= DENSE_CROSSOVER:
         upper = _searched_gathers(space).upper
     else:
-        upper = np.stack([i * n + j, j * n + i])
+        upper = np.array([i * n + j, j * n + i])
     H = np.zeros((*diag.shape[:-1], n * n))
     H[..., :: n + 1] = diag
     # through the transposes the stack's axis comes last, so a point's

@@ -37,8 +37,12 @@ terms (:attr:`ConfigurationSpace.diagonal_terms`), the searched pairs
 electrons of both spins, its decomposition into alpha strings times beta
 strings (:attr:`ConfigurationSpace.strings`, a :class:`Strings`: both
 string spaces, the index of each product in the space and its sign).  A
-layout caches its spin-block index arrays the same way.  A sum over a
-space then only gathers and adds.
+layout caches its spin-block index arrays the same way.  What the
+Hamiltonian and the 1-RDM derive from these (where each element's terms
+sit, how each matrix is mirrored and diagonalized) their own modules keep,
+keyed weakly by the space or the layout.  A sum over a space then only
+gathers and adds.  Decoding a pair list finds the bit position of every
+substituted orbital with one count over all of them.
 
 The maximum width is 64 spin orbitals.  That bound is far beyond what the
 solvers can use; it exists so every mask fits one ``uint64`` array entry.
@@ -377,8 +381,9 @@ def _subset_masks(bits: Sequence[int], k: int) -> np.ndarray:
     """The masks of every ``k``-subset of the bit positions ``bits``."""
     if k == 0:
         return np.zeros(1, np.uint64)
-    chosen = np.fromiter(combinations(bits, k), np.dtype((np.intp, k)), comb(len(bits), k))
-    return (np.uint64(1) << chosen.astype(np.uint64)).sum(axis=1, dtype=np.uint64)
+    # a sum of distinct powers of two below 2**64 is exact in Python ints
+    values = [1 << int(bit) for bit in bits]
+    return np.fromiter(map(sum, combinations(values, k)), np.uint64, comb(len(values), k))
 
 
 def _orbitals_of(mask: int) -> tuple[int, ...]:

@@ -45,13 +45,19 @@ when a result depends on such a choice.
 Many states go through as one stack: :func:`one_rdms` sums the 1-RDMs of a
 block of coefficient rows with one ``np.bincount``, each state's terms
 offset to a matrix of its own, and :func:`natural_spectrum` of the stack
-diagonalizes them with one ``np.linalg.eigh`` per spin block, then sorts
-and clamps them together.  Each matrix comes out bit for bit as it does
-alone.  A single state, as :func:`one_rdm` and every iteration of
-:func:`~fermipin.selection.pinned_solve` give it, goes through the same
-functions with no stack axis, so no bins are offset and no row index
-sorts its occupations; its matrix and its spectrum are those of a stack
-of one, bit for bit.  A stack's spectrum keeps only occupations and ties,
+diagonalizes them with one ``np.linalg.eigh`` per size of spin block (one
+for both blocks when they are the same size), then sorts and clamps them
+together.  Each matrix comes out bit for bit as it does alone.  What these
+read of a space or a layout alone is worked out once and kept while the
+space or layout lives: a space's 1-RDM terms (``_TERMS``), and a layout's
+diagonalization (``_DIAGONALIZATIONS``): where each spin block's square
+sits in the flattened matrix, where each block's eigenvectors go among the
+natural orbitals, and the spins of those orbitals.  The mirror that fills
+the lower triangle is kept per width.  A single state, as :func:`one_rdm`
+and every iteration of :func:`~fermipin.selection.pinned_solve` give it,
+goes through the same functions with no stack axis, so no bins are
+offset and no row index sorts its occupations; its matrix and its
+spectrum are those of a stack of one, bit for bit.  A stack's spectrum keeps only occupations and ties,
 since no caller of a stack reads natural orbitals: it builds no rotation,
 no sign fix and no layout of a natural basis.  Random samples (``polytope --random``) and the ground
 states of a parameter scan's points (``scan``, from
@@ -308,6 +314,10 @@ class _Diagonalization(NamedTuple):
     spins: np.ndarray | None
 
 
+# each layout's diagonalization, kept while the layout lives
+_DIAGONALIZATIONS: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def _diagonalization(layout: SpinOrbitalLayout | None, m: int) -> _Diagonalization:
     """The :class:`_Diagonalization` of ``layout``, built once per layout,
     or, for ``None``, of the whole matrix as one block."""
@@ -329,17 +339,14 @@ def _diagonalization(layout: SpinOrbitalLayout | None, m: int) -> _Diagonalizati
         k = idx.shape[1]
         # each block's rows follow every row of the blocks before it
         rows = np.array([sum(map(len, blocks[:b])) for b in ids])[:, None] + np.arange(k)[::-1]
-        gather, scatter = idx[:, :, None] * m + idx[:, None, :], rows[:, None, :] * m + idx[:, :, None]
+        gather = idx[:, :, None] * m + idx[:, None, :]
+        scatter = rows[:, None, :] * m + idx[:, :, None]
         # a block alone is one matrix, not a stack of one
         groups.append(_read_only((gather, scatter) if same else (gather[0], scatter[0])))
     found = _Diagonalization(tuple(groups), spins)
     if layout is not None:
         _DIAGONALIZATIONS[layout] = found
     return found
-
-
-# each layout's diagonalization, kept while the layout lives
-_DIAGONALIZATIONS: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def natural_spectrum(rdm: OneRDM) -> OccupationSpectrum:
