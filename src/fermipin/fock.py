@@ -257,7 +257,8 @@ class ConfigurationSpace:
         bits = self.bits
         p, q = orbital_pairs(self.m)
         always = np.ones((len(self), 1), bool)
-        terms = np.concatenate([always, bits, bits.take(p, axis=1) & bits.take(q, axis=1)], axis=1)
+        pair = bits.take(p, axis=1) & bits.take(q, axis=1)
+        terms = np.concatenate([always, bits, pair], axis=1)
         terms.flags.writeable = False
         return terms
 
