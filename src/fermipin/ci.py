@@ -197,8 +197,8 @@ class _Gathers(NamedTuple):
     dense matrix, ``(i, j)`` in its first row and ``(j, i)`` in its second.
     A gather with one flat index array costs a stack no more than a point."""
 
-    integrals: np.ndarray
     diagonal: np.ndarray
+    integrals: np.ndarray
     singles: np.ndarray
     shared: np.ndarray
     doubles: np.ndarray
@@ -208,50 +208,49 @@ class _Gathers(NamedTuple):
 
 
 @cache
-def _flat_positions(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where, for integrals of width ``m`` flattened into ``[core, h..., g...]``,
-    the diagonal's terms sit (the core energy, each ``h[p, p]``, each
-    ``<pq||pq>`` over the pairs ``p < q``), and, in row ``p * m + q``, a
-    single ``p -> q``'s: its ``h[p, q]``, then its ``<pc||qc>`` over every
-    orbital ``c``.  Read-only, because every space of the width shares them."""
+def _flat_positions(m: int) -> tuple[np.ndarray, ...]:
+    """What a space's :class:`_Gathers` take from its width ``m`` alone: the
+    ``<pq||pq>`` (positions in the flattened ``g``) the diagonal reads over
+    the pairs ``p < q``, then the diagonal's positions in ``[core, h...,
+    g[integrals]...]`` (the core energy, each ``h[p, p]``, then those
+    ``<pq||pq>``, the first integrals of every space), and, in row
+    ``p * m + q``, a single ``p -> q``'s ``h[p, q]`` position in that array
+    and its ``<pc||qc>`` positions in ``g`` over every orbital ``c``.
+    Read-only, because every space of the width shares them."""
     p, q = orbital_pairs(m)
     c = np.arange(m)
-    g = 1 + m * m  # where g starts, after the core energy and h
-    diagonal = np.concatenate([[0], 1 + c * (m + 1), g + ((p * m + q) * m + p) * m + q])
-    p, q = np.divmod(np.arange(m * m)[:, None], m)
-    singles = np.concatenate([1 + p * m + q, g + ((p * m + c) * m + q) * m + c], axis=1)
-    return _read_only((diagonal, singles))
+    diagonal_g = ((p * m + q) * m + p) * m + q
+    diagonal = np.concatenate([[0], 1 + c * (m + 1), 1 + m * m + np.arange(len(p))])
+    p, q = np.divmod(np.arange(m * m), m)
+    singles_g = ((p[:, None] * m + c) * m + q[:, None]) * m + c
+    return _read_only((diagonal_g, diagonal, 1 + p * m + q, singles_g))
 
 
 def _gathers(space: ConfigurationSpace, pairs) -> _Gathers:
     """The :class:`_Gathers` of ``space`` for the connected ``pairs``."""
     m, n = space.m, len(space)
-    diagonal, singles = _flat_positions(m)
+    diagonal_g, diagonal, singles_h, singles_g = _flat_positions(m)
     (single_i, single_j, _), sp, sq = pairs.singles, pairs.p, pairs.q
     p1, p2, q1, q2 = pairs.doubles
-    g = 1 + m * m
-    singles = singles.take(sp * m + sq, axis=0)
-    doubles = g + ((p1 * m + p2) * m + q1) * m + q2
+    moves = sp * m + sq
     # every <pq||rs> read, in the order the diagonal, the singles and the
-    # doubles read them; each then reads its own run of [core, h, g[integrals]]
-    integrals = np.concatenate([diagonal[1 + m :], singles[:, 1:].ravel(), doubles])
-    run = g + np.arange(len(integrals))
-    start, stop = len(diagonal) - 1 - m, len(integrals) - len(doubles)
-    diagonal = np.concatenate([diagonal[: 1 + m], run[:start]])
-    singles[:, 1:] = run[start:stop].reshape(-1, m)
+    # doubles read them, so that each reads its own run of them
+    integrals = np.concatenate([diagonal_g, singles_g.take(moves, axis=0).ravel(),
+                                ((p1 * m + p2) * m + q1) * m + q2])
+    run = np.arange(1 + m * m + len(diagonal_g), 1 + m * m + len(integrals))
     shared = np.ones((len(sp), m + 1))
-    shared[:, 1:] = space.bits[single_i] & space.bits[single_j]
+    shared[:, 1:] = space.bits.take(single_i, axis=0) & space.bits.take(single_j, axis=0)
     order = np.empty(len(pairs.i), np.intp)
     order[np.concatenate([pairs.single, pairs.double])] = np.arange(len(pairs.i))
-    return _Gathers(*_read_only((
-        integrals - g,
-        diagonal,
-        singles,
+    ij = np.array([pairs.i, pairs.j])
+    return _Gathers(diagonal, *_read_only((
+        integrals,
+        np.concatenate([singles_h.take(moves)[:, None], run[: len(sp) * m].reshape(-1, m)], axis=1),
         shared,
-        run[stop:],
+        run[len(sp) * m :],
         order,
         pairs.sign.astype(float),
-        np.array([pairs.i * n + pairs.j, pairs.j * n + pairs.i]),
+        ij * n + ij[::-1],
     )))
 
 

@@ -389,7 +389,7 @@ def natural_spectrum(rdm: OneRDM) -> OccupationSpectrum:
     for (_, scatter), vecs in zip(plan.groups, vectors):
         natural[scatter] = vecs
     layout = None if plan.spins is None else SpinOrbitalLayout(tuple(plan.spins[order]))
-    rotation = OrbitalRotation(ci.sign_fixed(natural.reshape(m, m)[order]), layout)
+    rotation = OrbitalRotation(ci.sign_fixed(natural.reshape(m, m).take(order, axis=0)), layout)
     return OccupationSpectrum(n, N, rotation, n[:-1] - n[1:] <= DEFAULT_TIE_TOL)
 
 
