@@ -187,7 +187,8 @@ class _Gathers(NamedTuple):
     flat array ``[core, h..., g[integrals]...]``: the core energy, all of
     ``h`` and the ``<pq||rs>`` each element reads, in turn.  ``diagonal``
     holds where each diagonal element's terms sit (the core energy, each
-    ``h[p, p]``, each ``<pq||pq>`` over the pairs ``p < q``); ``singles``
+    ``h[p, p]``, each ``<pq||pq>`` over the pairs ``p < q``, the same for
+    every space of the width); ``singles``
     where each single's ``h[p, q]`` and then its ``<pc||qc>`` over every
     orbital ``c`` sit, with ``shared`` 1 for ``h[p, q]`` and for each
     orbital both determinants occupy, 0 otherwise; ``doubles`` where each
