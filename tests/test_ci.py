@@ -521,6 +521,42 @@ def test_only_a_connected_complete_density_density_sector_takes_the_string_route
         assert taken == [False]
 
 
+def _sweep_sectors():
+    """Every complete Hubbard sector of the sweep, all above the crossover:
+    6- and 7-site chains, open and periodic, in both orderings, at five U,
+    half filled with the two lowest 2S_z and with one electron less."""
+    for sites in (6, 7):
+        for periodic in (False, True):
+            for ordering in ("interleaved", "blocked"):
+                for U in (0.0, 1.0, 2.5, 4.0, 8.0):
+                    ints = to_spin_orbitals(hubbard_chain(sites, 1.0, U, periodic=periodic),
+                                            ordering)
+                    for N, sector in ((sites, sites % 2), (sites, sites % 2 + 2),
+                                      (sites - 1, (sites - 1) % 2)):
+                        yield ints, enumerate_space(N, 2 * sites, ints.layout, sector)
+
+
+def test_the_string_route_agrees_with_the_csr_route_over_the_sweep(monkeypatch) -> None:
+    # each sector is solved on alpha and beta strings, then again with the
+    # string route turned off, through the CSR product
+    cases = list(_sweep_sectors())
+    assert len(cases) == 120
+    solved = {}
+    for strings in (True, False):
+        taken = _spy_on_string_route(monkeypatch, strings)
+        solved[strings] = [solve_ground(ints, space) for ints, space in cases]
+        assert taken == [strings] * len(cases)
+    for (ints, space), s, c in zip(cases, solved[True], solved[False]):
+        assert len(space) > fermipin.ci.DENSE_CROSSOVER
+        H = build_hamiltonian(ints, space)
+        scale = max(abs(c.energy), np.abs(H).max())
+        assert abs(s.energy - c.energy) <= 1e-12 * scale
+        assert s.degenerate == c.degenerate
+        if not s.degenerate:
+            assert abs(s.coeffs @ c.coeffs) == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(H @ s.coeffs - s.energy * s.coeffs) <= 1e-10
+
+
 def test_stacked_ground_states_equal_the_per_point_solves() -> None:
     rng = np.random.default_rng(41)
     for n_spatial, N, sector in ((3, 3, 1), (3, 3, None), (4, 4, 0), (3, 3, 3), (4, 3, -1)):
