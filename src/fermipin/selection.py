@@ -27,6 +27,7 @@ which the natural layout alone determines, is built once per layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -194,6 +195,14 @@ def _frame_space(space, layout):
     return enumerate_space(space.N, space.m, layout, space.sector)
 
 
+@cache
+def _reference_space(N: int, m: int) -> ConfigurationSpace:
+    """The one-determinant space of |1..N> among ``m`` orbitals, kept per
+    (N, m): its bits, diagonal terms and gathers are worked out at its
+    first Hamiltonian build, and every later reference energy reads them."""
+    return ConfigurationSpace(N, m, (Determinant.from_orbitals(range(1, N + 1), m).mask,))
+
+
 def pinned_solve(
     ints: SpinOrbitalIntegrals,
     full_state: CIVector,
@@ -253,8 +262,8 @@ def pinned_solve(
         raise ValueError("at least one constraint is required")
     nat_ints = natural_frame(ints, space, spectrum)
 
-    reference = Determinant.from_orbitals(range(1, space.N + 1), space.m)
-    ref_space = ConfigurationSpace(space.N, space.m, (reference.mask,))
+    ref_space = _reference_space(space.N, space.m)
+    reference = ref_space[0]
     reference_energy = float(build_hamiltonian(nat_ints, ref_space)[0, 0])
 
     # N, m and the sector stay fixed, so a frame's layout alone fixes its

@@ -299,9 +299,8 @@ def test_sparse_solve_restarts_from_an_invariant_krylov_space(monkeypatch) -> No
     # determinants, so it reaches Lanczos; its Krylov space becomes
     # invariant before the basis fills.  Through the CSR product only a
     # random replacement vector (a 1-D draw; the start block is 2-D) lets
-    # the solve go on.  On alpha and beta strings the residual row falls to
-    # about 1.04e-12 times the scale, just above the replacement threshold
-    # of 1e-12, and its rounding noise, orthogonalized, serves instead.
+    # the solve go on.  On alpha and beta strings the filtered Davidson
+    # solves it, whose filtered rows fall into the basis there too.
     draws = []
     real = np.random.default_rng
 
@@ -323,7 +322,8 @@ def test_sparse_solve_restarts_from_an_invariant_krylov_space(monkeypatch) -> No
         draws.clear()
         state = solve_ground(ints, space)
         assert taken == [strings]
-        assert draws[0] == (2, 400) and (strings or 400 in draws[1:])
+        if not strings:
+            assert draws[0] == (2, 400) and 400 in draws[1:]
         assert state.energy == pytest.approx(np.linalg.eigvalsh(H)[0], abs=1e-10)
         assert np.linalg.norm(H @ state.coeffs - state.energy * state.coeffs) <= 1e-10
         assert not state.degenerate
@@ -426,7 +426,7 @@ def test_blocks_above_the_crossover_go_through_lanczos(monkeypatch) -> None:
 def _string_form(ints, space):
     """H over ``space`` rebuilt from the string route's product, diagonal
     and scale, with the signed permutation back to the space's order."""
-    diag, product, scale, at, sign = fermipin.ci._string_hamiltonian(ints, space)
+    diag, product, scale, at, sign, _ = fermipin.ci._string_hamiltonian(ints, space)
     n = len(space)
     P = np.zeros((n, n))
     P[at, np.arange(n)] = sign
@@ -453,7 +453,16 @@ def test_string_form_equals_the_built_hamiltonian() -> None:
         form, scale = _string_form(ints, space)
         assert np.array_equal(form, H)
         assert scale == np.abs(H).max()
-    # random density-density integrals: h is dense, (ij|kl) is (ii|jj) alone
+    for ints, space in _random_density_density_sectors():
+        H = build_hamiltonian(ints, space)
+        form, scale = _string_form(ints, space)
+        assert np.abs(form - H).max() <= 1e-13 * np.abs(H).max()
+        assert scale == pytest.approx(np.abs(H).max(), rel=1e-15)
+
+
+def _random_density_density_sectors():
+    """Sectors of random density-density integrals, in both orderings: h
+    is dense, (ij|kl) is (ii|jj) alone."""
     rng = np.random.default_rng(53)
     h, V = rng.standard_normal((2, 5, 5))
     g = np.zeros((5, 5, 5, 5))
@@ -461,11 +470,18 @@ def test_string_form_equals_the_built_hamiltonian() -> None:
     for ordering in ("interleaved", "blocked"):
         ints = to_spin_orbitals(SpatialIntegrals(5, h + h.T, g, 0.7), ordering)
         for N, sector in ((5, 1), (4, 0), (6, -2)):
-            space = enumerate_space(N, 10, ints.layout, sector)
-            H = build_hamiltonian(ints, space)
-            form, scale = _string_form(ints, space)
-            assert np.abs(form - H).max() <= 1e-13 * np.abs(H).max()
-            assert scale == pytest.approx(np.abs(H).max(), rel=1e-15)
+            yield ints, enumerate_space(N, 10, ints.layout, sector)
+
+
+def test_the_string_route_bounds_the_largest_eigenvalue() -> None:
+    # the top of the interval the string route's filter damps must lie at
+    # or above every eigenvalue: on the sweep's 400-determinant sectors and
+    # on random density-density integrals
+    cases = [case for case in _sweep_sectors() if len(case[1]) == 400]
+    assert len(cases) == 20
+    for ints, space in cases + list(_random_density_density_sectors()):
+        upper = fermipin.ci._string_hamiltonian(ints, space)[-1]()
+        assert upper >= np.linalg.eigvalsh(build_hamiltonian(ints, space))[-1]
 
 
 def _spy_on_string_route(monkeypatch, on: bool = True) -> list[bool]:
@@ -635,7 +651,38 @@ def _spy_on_krylov_rows(monkeypatch) -> list[np.ndarray]:
     return bases
 
 
+def _spy_on_davidson_rows(monkeypatch) -> list[np.ndarray]:
+    """The first basis of each Davidson run, from now: the rows its
+    products see outside the filter until the basis first fills."""
+    bases, filtering = [], []
+    davidson, filtered = fermipin.ci._davidson, fermipin.ci._chebyshev_filtered
+
+    def spy_filter(*args):
+        filtering.append(True)
+        try:
+            return filtered(*args)
+        finally:
+            filtering.clear()
+
+    def spy(diag, product, scale, upper):
+        rows = []
+        bases.append(rows)
+
+        def recorded(X):
+            if not filtering and sum(map(len, rows)) < fermipin.ci.DAVIDSON_BASIS:
+                rows.append(X.copy())
+            return product(X)
+
+        return davidson(diag, recorded, scale, upper)
+
+    monkeypatch.setattr(fermipin.ci, "_chebyshev_filtered", spy_filter)
+    monkeypatch.setattr(fermipin.ci, "_davidson", spy)
+    return bases
+
+
 def test_the_krylov_basis_is_orthonormal(monkeypatch) -> None:
+    # Lanczos's first 32 rows through the CSR product, and the filtered
+    # Davidson's first 12 on alpha and beta strings
     five = to_spin_orbitals(hubbard_chain(5, 1.0, 0.0, periodic=True))
     seven = to_spin_orbitals(hubbard_chain(7, 1.0, 4.0))
     random_ints = to_spin_orbitals(random_spatial(6, np.random.default_rng(61)))
@@ -646,12 +693,20 @@ def test_the_krylov_basis_is_orthonormal(monkeypatch) -> None:
     }
     monkeypatch.setattr(fermipin.ci, "DENSE_CROSSOVER", 0)
     bases = _spy_on_krylov_rows(monkeypatch)
+    davidson_bases = _spy_on_davidson_rows(monkeypatch)
     for strings, cases in routes.items():
         taken = _spy_on_string_route(monkeypatch, strings)
         for ints, space in cases:
             taken.clear()
             bases.clear()
+            davidson_bases.clear()
             solve_ground(ints, space)
+            if strings:
+                assert taken == [True] and bases == [] and len(davidson_bases) == 1
+                R = np.concatenate(davidson_bases[0])
+                assert R.shape == (fermipin.ci.DAVIDSON_BASIS, len(space))
+                assert np.abs(R @ R.T - np.eye(len(R))).max() <= 1e-13
+                continue
             assert taken == [strings] and len(bases) == 1
             R = np.concatenate(bases[0])
             assert R.shape == (32, len(space))

@@ -961,7 +961,8 @@ def test_an_overflowing_integral_file_exits_2_naming_the_element(capsys, tmp_pat
 
 def test_elements_past_the_lanczos_norm_bound_exit_2_before_iterating(capsys, tmp_path) -> None:
     # every element and the energy are finite, but the 400-determinant
-    # sector is solved by Lanczos, whose squared norms of H·v would overflow
+    # sector goes to a sparse solver, whose squared norms of H·v would
+    # overflow, and whose Gershgorin bound would overflow as it is summed
     path = tmp_path / "huge.ints"
     path.write_text("NORB=6 NELEC=6 MS2=0\n"
                     + "".join(f"-1e308 {i} {i + 1} 0 0\n" for i in range(1, 6))

@@ -94,12 +94,13 @@ DIGESTS = {
     "--format json":
         "cb3f890fcc9e32d0a620c16df6cb9ecd8bf29e9e11f2893c7903f9e7ad710e57",
     # 1 225 determinants: the only entries above ci.DENSE_CROSSOVER, so the
-    # only ones that reach Lanczos, on alpha strings times beta strings,
-    # whose signs depend on the ordering; both print one energy
+    # only ones that reach a sparse solver, the filtered Davidson on alpha
+    # strings times beta strings, whose signs depend on the ordering; both
+    # print one energy
     "solve --model hubbard --sites 7 --U 4 --N 7 --sz 1 --format json":
-        "e3281e395eaef87709b5d9c6899a0f1c9ea994157d79b0f9178d2e9cd674841f",
+        "1140a573fd8985eb9e9e2fe16837963875046d16d3c4fbe0985dfc0f538ef639",
     "solve --model hubbard --sites 7 --U 4 --N 7 --sz 1 --ordering blocked --format json":
-        "32310cf7ccb3ee182c3cd5b0fb9da6d36776fdba52661c44ac305283c3d30a92",
+        "9ce667926fe4514d4bc826203bef03d93b4e7db6ab98eeb4684a61ece31808c3",
 }
 
 
