@@ -650,10 +650,7 @@ def _sparse_eigh(
     before any entry of the whole space is built: :func:`_davidson` runs on
     alpha strings times beta strings, with the product
     σ = H_α C + C H_β + D∘C of :func:`_string_hamiltonian` and its
-    Gershgorin bound as the top of the interval its filter damps.  A
-    product there is a few small matrix products, cheap next to a Lanczos
-    step's orthogonalization and restarts, so the filter's extra products
-    pay for themselves.
+    Gershgorin bound as the top of the interval its filter damps.
 
     Otherwise the nonzero entries split the determinants into blocks that
     H does not connect, as exact selection rules do: the pairing model
@@ -667,9 +664,9 @@ def _sparse_eigh(
     one ``eigh`` if it is small; the vector is exactly ``+0.0`` outside that
     block.  The second value is the lowest of all the rest, that block's
     second included, so a ground level shared by blocks shows as
-    degenerate.  A CSR product gathers every entry, so it costs far more,
-    and Lanczos, which makes fewer of them, stays.  Elements so large that
-    n times the largest ``|H_ij|``, a bound on ‖H‖, passes ``_NORM_LIMIT``
+    degenerate.  (Why each route has its own solver: the comment at
+    ``FILTER_DEGREE``.)  Elements so large that n times the largest
+    ``|H_ij|``, a bound on ‖H‖, passes ``_NORM_LIMIT``
     are refused before any block is solved, and before the string route's
     bound is summed: the solvers' squared norms could overflow.
     """

@@ -300,7 +300,8 @@ def test_sparse_solve_restarts_from_an_invariant_krylov_space(monkeypatch) -> No
     # invariant before the basis fills.  Through the CSR product only a
     # random replacement vector (a 1-D draw; the start block is 2-D) lets
     # the solve go on.  On alpha and beta strings the filtered Davidson
-    # solves it, whose filtered rows fall into the basis there too.
+    # solves it: there too its filtered rows fall into the basis, and random
+    # rows take their place.
     draws = []
     real = np.random.default_rng
 
