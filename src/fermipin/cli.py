@@ -352,9 +352,8 @@ def cmd_scan(cfg: argparse.Namespace) -> dict:
     classify_tier(0.0, cfg.tiers)  # bad --tiers are refused before any point is solved
     # the geometry and the catalog come from the first grid point, whose
     # integral file also fixes a missing --N for every point; it is solved
-    # alone, so that its failure ends the command, and its space serves
-    # every point of the same width and layout; later points that fail (or
-    # disagree) become NaN rows while the scan goes on
+    # alone, so that its failure ends the command; later points that fail
+    # (or disagree) become NaN rows while the scan goes on
     first = grid[0][1]
     first_spatial, _ = _spatial_model(first)
     ints = _spin_orbitals(first, first_spatial)
@@ -362,11 +361,9 @@ def cmd_scan(cfg: argparse.Namespace) -> dict:
 
     def solve(ints: SpinOrbitalIntegrals) -> tuple[list[float], OccupationSpectrum]:
         """The ground-state energies and natural spectra of a point or a
-        stack of points, over the scan's space when the integrals have its
-        width and layout, and over a space of their own otherwise."""
-        own = space
-        if (ints.m, ints.layout) != (space.m, space.layout):
-            own = _resolve_space(first, ints)
+        stack of points, over the space of their width and layout: the
+        scan's own space whenever they have its width and layout."""
+        own = _resolve_space(first, ints)
         energies, coeffs, _ = ground_states(ints, own)
         return energies.tolist(), natural_spectrum(one_rdms(own, coeffs))
 
@@ -693,8 +690,9 @@ def _write_json(value, newline: str, parts: list[str]) -> None:
     a line of ``newline`` ("\\n" and its indentation), to ``parts``.
 
     Only containers of containers are walked here; every scalar, every
-    container of scalars and every list of flat dicts (records) is written
-    by json's C encoder, so each number and string has json's own text.
+    container of scalars, every list of flat dicts (records) and each run
+    of consecutive scalar items of a walked dict is written by json's C
+    encoder, so each number and string has json's own text.
     Dict keys are ``str``.  A list of records is encoded in one call whose
     separator carries the records' own indentation, ``deep``; one replace of
     ``},<deep>{`` then puts each record's braces on lines of their own.
@@ -725,10 +723,16 @@ def _write_json(value, newline: str, parts: list[str]) -> None:
         return
     separator = opening + inner
     if closing == "}":
-        for key, item in value.items():
-            parts += (separator, json.encoder.encode_basestring_ascii(key), ": ")
-            _write_json(item, inner, parts)
-            separator = "," + inner
+        # each run of consecutive scalar items is encoded in one call
+        for scalar, run in itertools.groupby(value.items(), lambda kv: type(kv[1]) in _SCALARS):
+            if scalar:
+                parts += (separator, "".join(_flat_encoder(inner)(dict(run), 0))[1:-1])
+                separator = "," + inner
+                continue
+            for key, item in run:
+                parts += (separator, json.encoder.encode_basestring_ascii(key), ": ")
+                _write_json(item, inner, parts)
+                separator = "," + inner
     else:
         for item in value:
             parts.append(separator)

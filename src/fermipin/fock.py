@@ -44,6 +44,13 @@ keyed weakly by the space or the layout.  A sum over a space then only
 gathers and adds.  Decoding a pair list finds the bit position of every
 substituted orbital with one count over all of them.
 
+:func:`enumerate_space` keeps the spaces it returns, one object per
+``(N, m, layout, sector)``, so each of these tables is built once per
+process and not once per command.  The spaces held total at most
+``MAX_DENSE_SPACE`` determinants, the least recently used given up first:
+the tables grow with the determinant count, so this keeps about one
+budget-sized space's worth of them.
+
 The maximum width is 64 spin orbitals.  That bound is far beyond what the
 solvers can use; it exists so every mask fits one ``uint64`` array entry.
 The dense budget, ``MAX_DENSE_SPACE`` determinants, bounds every space and
@@ -57,6 +64,7 @@ Functions
 interleaved_layout : spin orbitals ordered 1-up, 1-down, 2-up, 2-down, ...
 blocked_layout     : all up spin orbitals first, then all down
 enumerate_space    : all N-electron determinants, optionally in an S_z sector
+clear_spaces       : give up the spaces enumerate_space holds
 space_size         : the size enumerate_space would return, without building it
 excitations        : connected determinant pairs of a space, by an O(n^2) search
 substitutions      : the pairs that screened substitutions reach, generated per determinant
@@ -293,6 +301,12 @@ class ConfigurationSpace:
         return excitations(self)
 
 
+# the spaces enumerate_space returned, by (N, m, layout, sector), least
+# recently used first, and the determinants they hold in all
+_SPACES: dict[tuple, ConfigurationSpace] = {}
+_held = 0
+
+
 def enumerate_space(
     N: int,
     m: int,
@@ -305,20 +319,41 @@ def enumerate_space(
     determinants with ``n_up - n_down == sector``; a ``layout`` is then
     required to know which spin orbitals are up.  Determinants come out in
     increasing mask order.  A space of more than ``MAX_DENSE_SPACE``
-    determinants is refused before any of it is built.
-    """
-    _check_budget(space_size(N, m, layout, sector))
-    if m > MAX_WIDTH:
-        raise WidthError(f"m={m} exceeds the {MAX_WIDTH}-orbital width limit")
-    if not 0 < N <= m:
-        raise ValueError(f"need 0 < N <= m, got N={N}, m={m}")
+    determinants is refused before any of it is built, or looked up.
 
-    if sector is None:
-        masks = _subset_masks(range(m), N)
-    else:
-        (up, n_up), (down, n_down) = _sector_blocks(N, layout, sector)
-        masks = (_subset_masks(up, n_up)[:, None] | _subset_masks(down, n_down)).ravel()
-    return ConfigurationSpace(N, m, np.sort(masks), layout, sector)
+    Equal arguments give the same object while it is held: the spaces
+    returned are kept, at most ``MAX_DENSE_SPACE`` determinants of them in
+    all, the least recently used given up first, so what is cached on a
+    space or keyed by it is built once per process.  A held space's
+    ``layout`` equals the one passed but is the object of the first call.
+    """
+    global _held
+    _check_budget(space_size(N, m, layout, sector))
+    key = (N, m, layout, sector)
+    space = _SPACES.pop(key, None)
+    if space is None:
+        if m > MAX_WIDTH:
+            raise WidthError(f"m={m} exceeds the {MAX_WIDTH}-orbital width limit")
+        if not 0 < N <= m:
+            raise ValueError(f"need 0 < N <= m, got N={N}, m={m}")
+        if sector is None:
+            masks = _subset_masks(range(m), N)
+        else:
+            (up, n_up), (down, n_down) = _sector_blocks(N, layout, sector)
+            masks = (_subset_masks(up, n_up)[:, None] | _subset_masks(down, n_down)).ravel()
+        space = ConfigurationSpace(N, m, np.sort(masks), layout, sector)
+        _held += len(space)
+    _SPACES[key] = space
+    while _held > MAX_DENSE_SPACE:
+        _held -= len(_SPACES.pop(next(iter(_SPACES))))
+    return space
+
+
+def clear_spaces() -> None:
+    """Give up every space :func:`enumerate_space` holds."""
+    global _held
+    _SPACES.clear()
+    _held = 0
 
 
 def space_size(

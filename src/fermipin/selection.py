@@ -186,15 +186,6 @@ def natural_frame(
     return ints.rotated(rotation.U, rotation.layout)
 
 
-def _frame_space(space, layout):
-    """The complete ``space`` in a natural frame with ``layout``: its masks,
-    all of (N, m), kept when it has no sector, its sector enumerated again
-    in the new spins otherwise."""
-    if space.sector is None:
-        return ConfigurationSpace(space.N, space.m, space.masks, layout, None)
-    return enumerate_space(space.N, space.m, layout, space.sector)
-
-
 @cache
 def _reference_space(N: int, m: int) -> ConfigurationSpace:
     """The one-determinant space of |1..N> among ``m`` orbitals, kept per
@@ -272,7 +263,8 @@ def pinned_solve(
     while True:
         layout = nat_ints.layout
         if layout not in frames:
-            frames[layout] = filter_pinned(_frame_space(space, layout), constraints)
+            frames[layout] = filter_pinned(
+                enumerate_space(space.N, space.m, layout, space.sector), constraints)
         pinned_space = frames[layout]
         if len(pinned_space) == 0:
             raise NoSurvivorsError(

@@ -252,16 +252,18 @@ def test_scan_files_of_another_width_equal_their_own_analysis(capsys, monkeypatc
         analyses.append(json.loads(out))
     assert (analyses[1]["space_size"] == analyses[0]["space_size"]) is (spaces == 1)
 
-    calls = []
+    returned = []
 
     def spy(*args, **kwargs):
-        calls.append(args)
-        return enumerate(*args, **kwargs)
+        returned.append(enumerate(*args, **kwargs))
+        return returned[-1]
 
     enumerate = cli.enumerate_space
     monkeypatch.setattr(cli, "enumerate_space", spy)
     code, out, err = _run(capsys, ["scan", "--files", *paths, *flags])
-    assert (code, err, len(calls)) == (0, "", spaces)
+    # each point looks its space up; a space is built once, so the distinct
+    # objects returned are the spaces built
+    assert (code, err, len(dict.fromkeys(returned))) == (0, "", spaces)
     payload = json.loads(out)
     for row, analysis in zip(payload["rows"], analyses, strict=True):
         expected = [analysis["energy"], *analysis["occupations"],
@@ -789,28 +791,30 @@ def test_degenerate_ground_state_is_reported(capsys) -> None:
 def test_scan_builds_each_grid_point_once(capsys, monkeypatch) -> None:
     import fermipin.cli
 
-    calls = {"to_spin_orbitals": 0, "enumerate_space": 0}
+    returned = {"to_spin_orbitals": [], "enumerate_space": []}
 
     def spy(name):
         real = getattr(fermipin.cli, name)
 
         def counted(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
+            returned[name].append(real(*args, **kwargs))
+            return returned[name][-1]
 
         return counted
 
-    for name in calls:
+    for name in returned:
         monkeypatch.setattr(fermipin.cli, name, spy(name))
     code, out, _ = _run(capsys, ["scan", "--model", "hubbard", "--sites", "4", "--N", "4",
                                  "--sz", "0", "--scan", "U=0:8:41"])
     assert code == 0
     assert len(_rows(out)) == 41
-    # the first point fixes the geometry and the catalog, serves row 0, and
-    # lends its space to every later point of the same width and layout;
-    # the later points are expanded to spin orbitals a stack at a time
+    # the first point fixes the geometry and the catalog and serves row 0;
+    # the later points are expanded to spin orbitals a stack at a time, and
+    # each stack looks up the one space the first point built
     stacks = -(-40 // (cli._SCAN_BLOCK // (8 * 8**4)))
-    assert (stacks, calls) == (3, {"to_spin_orbitals": 1 + stacks, "enumerate_space": 1})
+    calls = {name: len(values) for name, values in returned.items()}
+    assert (stacks, calls) == (3, {"to_spin_orbitals": 1 + stacks, "enumerate_space": 2 + stacks})
+    assert len(dict.fromkeys(returned["enumerate_space"])) == 1
 
 
 @pytest.mark.parametrize("rows", [None, 1, 7])
@@ -1117,8 +1121,9 @@ def test_scan_gives_a_point_of_another_width_its_own_space(capsys, monkeypatch,
     monkeypatch.setattr(fermipin.cli, "enumerate_space", spy)
     code, out, err = _run(capsys, ["scan", "--files", *map(str, paths), "--sz", "1"])
     assert code == 0
-    # the 8-orbital file is solved over a space of its own, then fails the catalog
-    assert [(space.N, space.m) for space in spaces] == [(3, 6), (3, 8)]
+    # the 8-orbital file is solved over a space of its own, then fails the
+    # catalog; the others share the first point's space
+    assert [(space.N, space.m) for space in dict.fromkeys(spaces)] == [(3, 6), (3, 8)]
     assert err == f"warning: file={paths[1]}: spectrum width 8 vs catalog width 6\n"
     energies = [float(row["energy"]) for row in _rows(out)]
     assert not np.isnan(energies[0]) and np.isnan(energies[1]) and not np.isnan(energies[2])
@@ -1233,6 +1238,8 @@ def _count_encoder_calls(monkeypatch) -> list[int]:
     # one call per non-empty flat container, not one for the whole list
     *((value, 2) for value in _NOT_RECORDS),
     ([[1, "}"], (None, 2.5)], 2),
+    # a walked dict encodes each run of consecutive scalar items in one call
+    ({"a": 1, "b": [1, 2], "c": None, "d": "}", "e": {"f": [[1]], "g": 2.5}}, 5),
 ])
 def test_a_record_list_is_one_encoder_call_and_any_other_list_is_walked(
         monkeypatch, value, count) -> None:
@@ -1243,14 +1250,48 @@ def test_a_record_list_is_one_encoder_call_and_any_other_list_is_walked(
 
 def test_the_random_polytope_report_takes_the_record_path(capsys, monkeypatch) -> None:
     # 100 samples of 19 four-key constraints: the 1 900 records go through
-    # one encoder call per sample (804 calls in all; 2 604 one per record)
+    # one encoder call per sample, and each sample's scalar items through
+    # one call per run of them (601 calls in all; 804 with one call per
+    # scalar item, 2 604 with one per record)
     argv = ["polytope", "--N", "3", "--m", "8", "--random", "100", "--seed", "1",
             "--format", "json"]
     calls = _count_encoder_calls(monkeypatch)
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "")
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
-    assert calls[0] <= 810
+    assert calls[0] == 601
+
+
+def test_every_digest_command_prints_the_same_bytes_on_a_held_space(capsys) -> None:
+    # the second run of each command line finds its spaces, with their
+    # pairs, strings, gathers and 1-RDM terms, held from the first
+    from .test_output_digests import DIGESTS
+
+    for command in DIGESTS:
+        first = _run(capsys, command.split())
+        assert first[0] == 0, command
+        assert _run(capsys, command.split()) == first, command
+
+
+def test_a_second_solve_of_a_held_space_builds_nothing(capsys, monkeypatch) -> None:
+    # the 1 225-determinant chain's second solve reads the pairs of its
+    # strings and its 1-RDM singles from the space the first one built
+    import fermipin.fock
+    import fermipin.rdm
+
+    calls = []
+    for module, name in ((fermipin.fock, "excitations"), (fermipin.rdm, "_string_singles")):
+        def spy(space, real=getattr(module, name), name=name):
+            calls.append((name, len(space)))
+            return real(space)
+
+        monkeypatch.setattr(module, name, spy)
+    argv = ["solve", "--model", "hubbard", "--sites", "7", "--U", "4", "--N", "7", "--sz", "1",
+            "--format", "json"]
+    first = _run(capsys, argv)
+    assert sorted(calls) == [("_string_singles", 1225), ("excitations", 35), ("excitations", 35)]
+    calls.clear()
+    assert _run(capsys, argv) == first and calls == []
 
 
 def test_json_without_the_c_encoder_is_json_dumps(capsys, monkeypatch) -> None:

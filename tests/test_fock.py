@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fermipin.errors import SectorError, SpaceTooLargeError, WidthError
 from fermipin.fock import (
     DOWN,
     MAX_DENSE_SPACE,
+    MAX_WIDTH,
     UP,
     ConfigurationSpace,
     Determinant,
@@ -434,3 +436,52 @@ def test_restrict_preserves_order_and_metadata() -> None:
     assert sub.layout is lay and sub.sector == 1
     masks = [d.mask for d in sub]
     assert masks == sorted(masks)
+
+
+def test_equal_arguments_give_the_same_space() -> None:
+    layout = interleaved_layout(3)
+    space = enumerate_space(3, 6, layout, 1)
+    # an equal layout of another object finds the space of the first call
+    again = enumerate_space(3, 6, interleaved_layout(3), 1)
+    assert again is space and again.layout is layout
+    assert enumerate_space(3, 6, blocked_layout(3), 1) is not space
+    assert enumerate_space(3, 6, layout, -1) is not space
+    assert enumerate_space(3, 6, layout) is not space
+    assert enumerate_space(3, 6) is enumerate_space(3, 6)
+
+
+def test_held_spaces_stay_within_the_budget(monkeypatch) -> None:
+    # 20 + 35 + 15 determinants are held; touching the first makes the
+    # 35 the least recently used, so the 70 of (4, 8) push out it and then
+    # the 15, and what is held fits the budget of 100 again
+    monkeypatch.setattr(fock, "MAX_DENSE_SPACE", 100)
+    first, oldest, middle = enumerate_space(3, 6), enumerate_space(3, 7), enumerate_space(2, 6)
+    assert enumerate_space(3, 6) is first
+    gone = [weakref.ref(oldest), weakref.ref(middle)]
+    del oldest, middle
+    last = enumerate_space(4, 8)
+    assert [ref() for ref in gone] == [None, None]
+    assert list(fock._SPACES.values()) == [first, last]
+    assert sum(map(len, fock._SPACES.values())) == 90 <= fock.MAX_DENSE_SPACE
+    assert enumerate_space(3, 6) is first and enumerate_space(4, 8) is last
+    # built again, the 35 make 125 held: the first goes, then the 70 too
+    again = enumerate_space(3, 7)
+    assert list(fock._SPACES.values()) == [again]
+
+
+def test_a_lowered_budget_refuses_a_held_space(monkeypatch) -> None:
+    space = enumerate_space(4, 8)
+    monkeypatch.setattr(fock, "MAX_DENSE_SPACE", len(space) - 1)
+    with pytest.raises(SpaceTooLargeError):
+        enumerate_space(4, 8)
+    monkeypatch.undo()
+    assert enumerate_space(4, 8) is space
+
+
+def test_a_refused_space_is_not_held() -> None:
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            enumerate_space(4, 3)
+        with pytest.raises(WidthError):
+            enumerate_space(1, MAX_WIDTH + 1)
+    assert fock._SPACES == {}

@@ -59,6 +59,8 @@ def test_solve_and_rdm_search_the_pairs_once(monkeypatch) -> None:
     for crossover, searched in ((fermipin.ci.DENSE_CROSSOVER, [36]), (0, [])):
         monkeypatch.setattr(fermipin.ci, "DENSE_CROSSOVER", crossover)
         calls.clear()
+        # a space that enumerate_space holds keeps its pairs: start afresh
+        fermipin.fock.clear_spaces()
         space = enumerate_space(4, 8, ints.layout, 0)
         one_rdm(solve_ground(ints, space))
         assert calls == searched
@@ -87,6 +89,29 @@ def test_large_space_solve_and_rdm_never_search(monkeypatch) -> None:
     assert peak < 40 * 2**20
     assert kept - before < 4 * 2**20
     assert np.trace(rho.rho) == pytest.approx(8.0, abs=1e-10)
+
+
+def test_a_held_space_keeps_its_tables_until_given_up() -> None:
+    # The 8-site chain's space, held by enumerate_space, keeps what its
+    # solve and 1-RDM built: its bits and diagonal terms, its strings with
+    # their own pairs and gathers, and the 1-RDM's terms, about 4.7 MiB.
+    # Giving the spaces up frees all of it.  A first pass builds the tables
+    # kept per width and per layout (and imports what the solve imports
+    # lazily), so the measured pass holds only what its spaces keep.
+    ints = to_spin_orbitals(hubbard_chain(8, 1.0, 4.0))
+    one_rdm(solve_ground(ints, enumerate_space(8, 16, ints.layout, 0)))
+    fermipin.fock.clear_spaces()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        one_rdm(solve_ground(ints, enumerate_space(8, 16, ints.layout, 0)))
+        held, _ = tracemalloc.get_traced_memory()
+        fermipin.fock.clear_spaces()
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 4 * 2**20 < held - start < 6 * 2**20
+    assert left - start < 2**18
 
 
 def test_generated_singles_give_the_searched_rdm(monkeypatch) -> None:
@@ -163,7 +188,9 @@ def test_a_space_generates_its_rdm_singles_once(monkeypatch) -> None:
         vector = random_vector(space, rng)
         again = one_rdm(vector)
         assert calls == [1225] and len(built) + len(generated) == 1
-        # the same sums as over a space that builds them afresh
+        # the same sums as over a space that builds them afresh, not the
+        # held one
+        fermipin.fock.clear_spaces()
         fresh = one_rdm(CIVector(make(), vector.coeffs))
         assert np.array_equal(again.rho, fresh.rho) and again.layout == fresh.layout
 
