@@ -56,8 +56,8 @@ through one stacked ``eigvalsh`` per block size, each larger one through
 block thick-restart Lanczos with CSR arrays built straight from its
 entries: a CSR product is costly, and Lanczos makes fewer of them.  Every
 block gives its two lowest values, so the degeneracy flag has the gap it
-reads, across blocks too.  Both sparse solvers share their
-orthogonalization and their stopping rule: both residuals ‖Hc - Ec‖
+reads, across blocks too.  Both sparse solvers share their row rule
+(:func:`_extended`) and their stopping rule: both residuals ‖Hc - Ec‖
 within ``LANCZOS_TOL`` times the largest |H_ij| of the space.  Both start
 from a fixed random block, so a run repeats to the last bit; a connected
 space is one block and solves as one matrix.  A solve refuses, by name,
@@ -397,6 +397,30 @@ def _orthogonalized(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return w
 
 
+def _extended(V: np.ndarray, filled: int, block: np.ndarray, rng: np.random.Generator) -> int:
+    """The rows of ``block`` added to the orthonormal basis ``V[:filled]``,
+    as many as ``V`` has room for; returns the new number of rows.  Each row
+    gets the two Gram-Schmidt passes of :func:`_orthogonalized` against the
+    basis, its own earlier rows included, and is added, unless they leave no
+    more than 1e-14 of its norm before them: such a row lay in the basis up
+    to rounding (an invariant subspace).  The test is relative to the row
+    alone, as ARPACK's ``dgetv0`` does, so no scale of H enters it.  A block
+    that adds no row adds one seeded random row instead."""
+    top = filled
+    for w in block[: len(V) - filled]:
+        before = w @ w
+        w = _orthogonalized(w, V[:top])
+        norm2 = w @ w
+        if norm2 > 1e-28 * before:
+            V[top] = w / np.sqrt(norm2)
+            top += 1
+    if top == filled:
+        w = _orthogonalized(rng.standard_normal(V.shape[1]), V[:top])
+        V[top] = w / np.sqrt(w @ w)
+        top += 1
+    return top
+
+
 def _converged(residual: np.ndarray, scale: float) -> bool:
     """Whether every row of ``residual`` is within ``LANCZOS_TOL`` times
     ``scale``."""
@@ -419,20 +443,18 @@ def _lanczos(
 
     The Krylov space grows from a block of two random vectors: one start
     vector reaches a single state of each level, so it would show a
-    degenerate ground level as a simple one.  Every new row, and every
-    random row that replaces one, gets the two classical Gram-Schmidt
-    passes of :func:`_orthogonalized` against every earlier row of the
-    basis; T = VᵀHV is filled from the products.  A full basis of sixteen
-    blocks (32 vectors) is solved by Rayleigh-Ritz; once both residuals
+    degenerate ground level as a simple one.  Each block's rows enter the
+    basis through :func:`_extended`, which drops a row that lies in the
+    basis up to rounding (an invariant subspace) and takes a random row
+    when it drops every one; T = VᵀHV is filled from the products.  A full
+    basis of 32 rows is solved by Rayleigh-Ritz; once both residuals
     ‖Hy - θy‖ of the two lowest Ritz pairs are within ``LANCZOS_TOL`` times
     ``scale`` (:func:`_converged`) they are returned, and otherwise the 16
     lowest Ritz vectors are kept,
     with T = diag(θ), and the expansion goes on from the last residual
     block, first projected against all of the basis it leaves: the passes
     see only the kept Ritz vectors, and without it the discarded ones fill
-    the next basis again.  A row whose norm falls to 1e-12 times ``scale``
-    (an invariant subspace) is replaced by a random one, as ARPACK's
-    ``dgetv0`` does.  Start and replacement vectors come from a fixed seed,
+    the next basis again.  Start and random rows come from a fixed seed,
     so a run repeats to the last bit.
     """
     n = len(diag)
@@ -443,14 +465,7 @@ def _lanczos(
     filled, block = 0, rng.standard_normal((2, n))
     for _ in range(LANCZOS_RESTARTS):
         while filled < size:
-            top = min(filled + len(block), size)
-            for row, w in zip(range(filled, top), block):
-                w = _orthogonalized(w, V[:row])
-                norm2 = w @ w
-                if norm2 <= (1e-12 * scale) ** 2:
-                    w = _orthogonalized(rng.standard_normal(n), V[:row])
-                    norm2 = w @ w
-                V[row] = w / np.sqrt(norm2)
+            top = _extended(V, filled, block, rng)
             HV[filled:top] = product(V[filled:top])
             T[:top, filled:top] = V[:top] @ HV[filled:top].T
             block, filled = HV[filled:top], top
@@ -502,13 +517,11 @@ def _davidson(
     :func:`_chebyshev_filtered`, which damps ``[θ_keep, upper]``: θ_keep is
     the Ritz value just above the ``DAVIDSON_KEPT`` lowest (the largest,
     while the basis holds no more), and the filter is skipped, H times the
-    Ritz vectors taken instead, when θ_keep is not below ``upper``.  Each
-    filtered row gets the two Gram-Schmidt passes of :func:`_orthogonalized`
-    against the basis and is added, unless they leave no more than 1e-14
-    of its norm before them: such a row lay in the basis up to rounding.  A
-    step that adds no row adds a random one.  The new rows' products join
-    those already made, and Rayleigh-Ritz on T = V H Vᵀ gives the next Ritz
-    pairs; they are returned once both residuals are within
+    Ritz vectors taken instead, when θ_keep is not below ``upper``.  The
+    filtered rows enter the basis through :func:`_extended`, the row rule
+    of :func:`_lanczos`.  The new rows' products join those already made,
+    and Rayleigh-Ritz on T = V H Vᵀ gives the next Ritz pairs; they are
+    returned once both residuals are within
     ``LANCZOS_TOL`` times ``scale``.  A full basis of ``DAVIDSON_BASIS``
     rows keeps its ``DAVIDSON_KEPT`` lowest Ritz vectors, with their
     products; the basis may fill ``LANCZOS_RESTARTS`` times.  Start and
@@ -521,18 +534,7 @@ def _davidson(
     filled, block = 0, rng.standard_normal((2, n))
     for _ in range(LANCZOS_RESTARTS):
         while True:
-            top = filled
-            for w in block[: size - filled]:
-                before = w @ w
-                w = _orthogonalized(w, V[:top])
-                norm2 = w @ w
-                if norm2 > 1e-28 * before:
-                    V[top] = w / np.sqrt(norm2)
-                    top += 1
-            if top == filled:
-                w = _orthogonalized(rng.standard_normal(n), V[:top])
-                V[top] = w / np.sqrt(w @ w)
-                top += 1
+            top = _extended(V, filled, block, rng)
             HV[filled:top] = product(V[filled:top])
             filled = top
             theta, Y = np.linalg.eigh(V[:filled] @ HV[:filled].T, UPLO="U")

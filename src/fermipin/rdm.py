@@ -17,14 +17,7 @@ pairs.  Every other larger space generates them with one
 a sector space only the spin-conserving singles are taken, because a
 spin flip leaves the sector; a space without a sector keeps the spin-flip
 singles.  All three routes give the pairs in the same order and with the
-same signs, so all give the same sums, bit for bit.  Above the crossover
-the pairs are those of the subspace of the determinants that some state
-of the stack occupies (nonzero coefficient), when that leaves any out:
-the block solve of :func:`~fermipin.ci.ground_states` gives states that
-are exactly zero outside one block of H, and a dropped term is an exact
-zero, so the sums keep every bit.  That subspace follows the same size
-rule; it is no complete sector, so above the line it generates its
-singles.  The 1-RDM's
+same signs, so all give the same sums, bit for bit.  The 1-RDM's
 eigenvalues, sorted in descending order, are the natural occupation
 numbers that all constraint analysis runs on; its eigenvectors define the
 natural orbitals.
@@ -186,12 +179,6 @@ def one_rdms(space: ConfigurationSpace, coeffs: np.ndarray) -> OneRDM:
     for norm in np.sqrt(np.vecdot(coeffs, coeffs)).reshape(-1).tolist():
         if not abs(norm - 1.0) <= 1e-10:
             raise NormalizationError(f"vector norm {norm!r} is not 1")
-    if len(space) > ci.DENSE_CROSSOVER:
-        # a determinant no row occupies adds only exact zeros to sums that
-        # never end at -0.0, so leaving it out keeps every bit
-        occupied = (coeffs != 0).reshape(-1, len(space)).any(axis=0)
-        if not occupied.all():
-            space, coeffs = space.restrict(occupied), coeffs[..., occupied]
     left, right, factor, scatter = _terms(space)
     stack, m = coeffs.shape[:-1], space.m
     size = m * m

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fermipin.ci
 from fermipin.ci import CIVector, OrbitalRotation, build_hamiltonian, ground_states, solve_ground
@@ -298,11 +300,12 @@ def test_sparse_solve_of_a_zero_space_is_400_blocks_of_one() -> None:
 def test_sparse_solve_restarts_from_an_invariant_krylov_space(monkeypatch) -> None:
     # The U = 0 periodic 6-site ring is one connected block of 400
     # determinants, so it reaches Lanczos; its Krylov space becomes
-    # invariant before the basis fills.  Through the CSR product only a
-    # random replacement vector (a 1-D draw; the start block is 2-D) lets
-    # the solve go on.  On alpha and beta strings the filtered Davidson
-    # solves it: there too its filtered rows fall into the basis, and random
-    # rows take their place.
+    # invariant before the basis fills.  Through the CSR product the
+    # collapsing rows keep about 1e-13 of their norm, more than the 1e-14
+    # that drops a row, so they are kept and no random row is drawn after
+    # the start block (2-D): the rounding residue restarts the space.  On
+    # alpha and beta strings the filtered Davidson solves it: there its
+    # filtered rows fall into the basis, and random rows take their place.
     draws = []
     real = np.random.default_rng
 
@@ -325,10 +328,54 @@ def test_sparse_solve_restarts_from_an_invariant_krylov_space(monkeypatch) -> No
         state = solve_ground(ints, space)
         assert taken == [strings]
         if not strings:
-            assert draws[0] == (2, 400) and 400 in draws[1:]
+            assert draws == [(2, 400)]
         assert state.energy == pytest.approx(np.linalg.eigvalsh(H)[0], abs=1e-10)
         assert np.linalg.norm(H @ state.coeffs - state.energy * state.coeffs) <= 1e-10
         assert not state.degenerate
+
+
+def test_a_krylov_row_is_kept_by_its_own_norm_alone() -> None:
+    # The basis is three unit vectors of 40 coordinates, so the passes
+    # leave exactly a row's other coordinates: a row with 1e-15 of its norm
+    # off the basis is dropped, one with 1e-12 kept; a block that keeps no
+    # row adds one random row from the generator.  Every decision holds on
+    # the block times 2^-200 and 2^200, since no scale of H is read.
+    n, filled = 40, 3
+    basis = np.eye(n)[[7, 2, 31]]
+    rng = np.random.default_rng(67)
+    inside = rng.standard_normal(filled) @ basis
+    off = np.zeros(n)
+    off[11] = np.linalg.norm(inside)
+    cases = {  # each block, the rows it adds, whether one is drawn
+        "in the basis up to 1e-15": ([inside + 1e-15 * off], 1, True),
+        "1e-12 off the basis": ([inside + 1e-12 * off], 1, False),
+        "a row and its own multiple": ([inside + off, 3 * (inside + off)], 1, False),
+        "two kept rows": ([inside + 1e-12 * off, rng.standard_normal(n)], 2, False),
+        "no row kept": ([inside, 1e-15 * off + 2 * inside], 1, True),
+    }
+    unused = np.random.default_rng(5).bit_generator.state
+    for name, (rows, added, drawn) in cases.items():
+        found = []
+        for power in (0.0, -200.0, 200.0):
+            V = np.full((6, n), np.nan)
+            V[:filled] = basis
+            seeded = np.random.default_rng(5)
+            top = fermipin.ci._extended(V, filled, np.array(rows) * 2.0**power, seeded)
+            assert (seeded.bit_generator.state != unused) == drawn, name
+            assert top == filled + added, name
+            assert np.abs(V[:top] @ V[:top].T - np.eye(top)).max() <= 1e-15, name
+            assert np.isnan(V[top:]).all(), name
+            found.append(V[:top].copy())
+        assert all(np.array_equal(found[0], other) for other in found[1:]), name
+        if drawn:
+            w = np.random.default_rng(5).standard_normal(n)
+            w[[7, 2, 31]] = 0.0
+            assert np.allclose(found[0][filled], w / np.linalg.norm(w), rtol=0, atol=1e-15)
+    # a block longer than the room left fills the basis and stops
+    V = np.empty((4, n))
+    V[:filled] = basis
+    top = fermipin.ci._extended(V, filled, rng.standard_normal((3, n)), rng)
+    assert top == 4
 
 
 def test_blocks_are_the_connected_components_in_order_of_first_node() -> None:
@@ -573,6 +620,60 @@ def test_the_string_route_agrees_with_the_csr_route_over_the_sweep(monkeypatch) 
         if not s.degenerate:
             assert abs(s.coeffs @ c.coeffs) == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.norm(H @ s.coeffs - s.energy * s.coeffs) <= 1e-10
+
+
+@st.composite
+def _contract_spaces(draw):
+    """A Hubbard chain (open or periodic, U = 0, 1 or 4), a pairing model
+    (level spacing 0, which makes the levels degenerate, or 1; G = 0.5 or
+    a repulsive -0.5) or random integrals, on 2-6 spatial orbitals, with a
+    space of 3-500 of its determinants: an S_z sector or all of them."""
+    sites = draw(st.integers(2, 6))
+    model = draw(st.sampled_from(["hubbard", "pairing", "random"]))
+    if model == "hubbard":
+        spatial = hubbard_chain(sites, 1.0, draw(st.sampled_from([0.0, 1.0, 4.0])),
+                                periodic=draw(st.booleans()))
+    elif model == "pairing":
+        spatial = pairing_model(sites, draw(st.sampled_from([0.0, 1.0])),
+                                draw(st.sampled_from([0.5, -0.5])))
+    else:
+        spatial = random_spatial(sites, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    ints = to_spin_orbitals(spatial)
+    N = draw(st.integers(1, 2 * sites - 1))
+    n_up = draw(st.sampled_from([None, *range(max(0, N - sites), min(N, sites) + 1)]))
+    if n_up is None:
+        space = enumerate_space(N, 2 * sites)
+    else:
+        space = enumerate_space(N, 2 * sites, ints.layout, 2 * n_up - N)
+    assume(3 <= len(space) <= 500)
+    return ints, space
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_contract_spaces())
+def test_every_sparse_route_keeps_the_solve_contract(case) -> None:
+    # Each drawn space is solved on every route it qualifies for, with the
+    # dense crossover at 0: alpha and beta strings, when it takes them, and
+    # the CSR product of each connected block.  Each solve must give the
+    # lowest value of eigvalsh, its degeneracy flag, its vector when the
+    # level is simple and a small residual.
+    ints, space = case
+    H = build_hamiltonian(ints, space)
+    values, vectors = np.linalg.eigh(H)
+    scale = np.abs(H).max()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fermipin.ci, "DENSE_CROSSOVER", 0)
+        for strings in (True, False):
+            taken = _spy_on_string_route(patch, strings)
+            state = solve_ground(ints, space)
+            assert abs(state.energy - values[0]) <= 1e-12 * max(abs(state.energy), scale)
+            assert state.degenerate == (values[1] - values[0] < fermipin.ci.DEGENERACY_GAP)
+            if not state.degenerate:
+                assert abs(vectors[:, 0] @ state.coeffs) == pytest.approx(1.0, abs=1e-10)
+            residual = H @ state.coeffs - state.energy * state.coeffs
+            assert np.linalg.norm(residual) <= 1e-10 * max(1.0, scale)
+            if taken == [False]:  # the CSR route, the only one it qualifies for
+                break
 
 
 def test_stacked_ground_states_equal_the_per_point_solves() -> None:

@@ -130,14 +130,14 @@ def test_generated_singles_give_the_searched_rdm(monkeypatch) -> None:
         assert generated.layout == searched.layout
 
 
-def test_rdms_over_the_occupied_determinants_keep_every_bit(monkeypatch) -> None:
-    # Above the crossover the 1-RDM sums over the determinants some row
-    # occupies; what it leaves out is exact zeros, so the matrices must
-    # equal, bit for bit, the sums over the whole space.  The pairing
-    # model's ground state is nonzero on one block of 20 of 400
-    # determinants; two random rows over 1 225 determinants are nonzero on
-    # 300 and on 150 of them (50 shared), so the kept spaces of 20 and 150
-    # search for their singles and those of 300 and 400 generate them.
+def test_sparse_states_give_the_rdm_of_the_sector_less_masks(monkeypatch) -> None:
+    # A state that is zero on most of a complete sector sums its 1-RDM over
+    # the whole sector, from the singles of its strings; the same masks
+    # without a sector generate theirs with substitutions.  The pairing
+    # model's block-solved ground state is nonzero on 20 of 400
+    # determinants; two random rows over 1 225 determinants on 300 and on
+    # 150 of them (50 shared).  Each 1-RDM must be the same bytes both ways,
+    # and a coefficient of zero must leave no -0.0.
     rng = np.random.default_rng(29)
     ints = to_spin_orbitals(pairing_model(6, 1.0, 0.5))
     ground = solve_ground(ints, enumerate_space(6, 12, ints.layout, 0))
@@ -148,20 +148,16 @@ def test_rdms_over_the_occupied_determinants_keep_every_bit(monkeypatch) -> None
     order = rng.permutation(len(big))
     stack[0, order[:300]] = random_coefficients(300, rng)
     stack[1, order[250:400]] = random_coefficients(150, rng)
-    cases = [(ground.space, ground.coeffs[None], [20]), (big, stack[:1], []),
-             (big, stack[1:], [150]), (big, stack, [])]
-    calls = _spy(monkeypatch, fermipin.fock, "excitations")
-    for space, coeffs, searched in cases:
-        assert len(space) > fermipin.ci.DENSE_CROSSOVER
-        calls.clear()
-        kept = one_rdms(space, coeffs)
-        assert calls == searched
-        with monkeypatch.context() as patch:
-            patch.setattr(fermipin.ci, "DENSE_CROSSOVER", len(space))
-            whole = one_rdms(space, coeffs)
-        assert np.array_equal(kept.rho, whole.rho)
-        assert not np.signbit(kept.rho[kept.rho == 0]).any()
-        assert kept.layout == whole.layout
+    generated = _spy(monkeypatch, fermipin.fock, "substitutions")
+    for space, coeffs in ((ground.space, ground.coeffs), (big, stack)):
+        assert len(space) > fermipin.ci.DENSE_CROSSOVER and space.strings is not None
+        flat = ConfigurationSpace(space.N, space.m, space.masks, space.layout)
+        generated.clear()
+        sector, masks = one_rdms(space, coeffs), one_rdms(flat, coeffs)
+        assert generated == [len(space)]
+        assert sector.rho.tobytes() == masks.rho.tobytes()
+        assert sector.layout == masks.layout == space.layout
+        assert not np.signbit(sector.rho[sector.rho == 0]).any()
 
 
 def test_a_space_generates_its_rdm_singles_once(monkeypatch) -> None:
@@ -353,8 +349,7 @@ def test_a_single_state_is_bit_for_bit_a_row_of_its_stack(monkeypatch, side) -> 
     # each must give what a stack gives as that state's row.  Spaces: random
     # S_z sectors, spaces with spins but no sector, spaces with no spins,
     # and the unrestricted preset, whose spin blocks differ in size.  Above
-    # the crossover the terms are generated, and zeroed coefficients make
-    # the sums run over the occupied subspace.
+    # the crossover the terms are generated.
     if side == "above the crossover":
         monkeypatch.setattr(fermipin.ci, "DENSE_CROSSOVER", 0)
     rng = np.random.default_rng(31)
